@@ -81,8 +81,7 @@ def _cmd_fn(args) -> str:
     fn = _build_fn(args)
     if args.format == "csv":
         return fn_mod.fn_to_csv(fn)
-    payload = json.loads(fn_mod.fn_to_json(fn))
-    return _emit_json(payload)
+    return _emit_json(fn_mod.fn_to_dict(fn))
 
 
 def _cmd_quotient(args) -> str:
@@ -138,7 +137,7 @@ def _cmd_bounds(args) -> str:
 
 def _cmd_pants_graph(args) -> str:
     graph = pg.modular_pants_graph(args.genus, args.boundary)
-    payload = json.loads(graph.to_json())
+    payload = graph.to_dict()
     if args.propagate_m is not None:
         if args.inj_radius is None:
             raise UsageError("--propagate-m requires --inj-radius")
@@ -159,9 +158,7 @@ def _cmd_tiled(args) -> str:
     if args.refine_diagonals:
         t = ts.add_diagonals(t)
     if args.action == "certify":
-        cert = ts.certify_vertical_minimizing(t, args.n)
-        payload = json.loads(cert.to_json())
-        return _emit_json(payload)
+        return _emit_json(ts.certify_vertical_minimizing(t, args.n).to_dict())
     lines = ["u,v,length"]
     for (u, v), w in sorted(t.edges.items()):
         lines.append(f"{'/'.join(map(str, u))},{'/'.join(map(str, v))},{w:.12g}")

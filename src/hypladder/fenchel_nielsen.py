@@ -237,15 +237,14 @@ class HolonomyMap:
 
     Cuff matrices are reported in the frame of their canonical pants P_k1 =
     (c_k, a_k, b_k); ``global_matrix`` conjugates into the frame of the
-    leftmost pants, guarded against overflow.  Frame transitions across
-    gluings carry the twist data.
+    leftmost pants, which refuses a non-finite frame at build time.  Frame
+    transitions across gluings carry the twist data.
     """
 
     fn: FNCoordinates
     pants: dict = field(default_factory=dict)  # name -> PantsHolonomy
     frames: dict = field(default_factory=dict)  # name -> MobiusMap
     transitions: dict = field(default_factory=dict)  # (p, q, cuff) -> MobiusMap
-    overflow_guard: float = 1e150
 
     def matrix(self, family: str, k: int) -> MobiusMap:
         """Holonomy of the cuff in the local frame of pants P_k1."""
@@ -256,15 +255,9 @@ class HolonomyMap:
         return geodesic_length_from_trace(self.matrix(family, k).trace())
 
     def global_matrix(self, family: str, k: int) -> MobiusMap:
-        frame = self.frames[("P1", k)]
-        if frame.max_entry() > self.overflow_guard:
-            raise NumericalInstability(
-                f"frame of pants P1[{k}] exceeds the overflow guard "
-                f"{self.overflow_guard:g}"
-            )
         # exact rational conjugation: large frame entries make the naive
         # float product lose the trace to cancellation
-        return conjugate_exact(frame, self.matrix(family, k))
+        return conjugate_exact(self.frames[("P1", k)], self.matrix(family, k))
 
     def global_length(self, family: str, k: int) -> float:
         """Cuff length recovered from the trace of the global matrix.
@@ -273,33 +266,27 @@ class HolonomyMap:
         it off the rounded entries of :meth:`global_matrix` cancels
         catastrophically once frame entries grow large.
         """
-        frame = self.frames[("P1", k)]
-        if frame.max_entry() > self.overflow_guard:
-            raise NumericalInstability(
-                f"frame of pants P1[{k}] exceeds the overflow guard "
-                f"{self.overflow_guard:g}"
-            )
-        t = conjugate_exact_trace(frame, self.matrix(family, k))
+        t = conjugate_exact_trace(self.frames[("P1", k)], self.matrix(family, k))
         return geodesic_length_from_trace(t)
 
 
-def _twist_transition(pants_from, cuff_from, pants_to, cuff_to, length, theta):
+def _twist_transition(pants_from, pants_to, cuff, length, theta):
     """Frame transition across a gluing: align the two cuff axes with the
     model axis, twist by the arc-length theta*length/(2*pi), and reverse
     orientation so the boundary circles match up."""
-    i = pants_from.cuffs.index(cuff_from)
-    j = pants_to.cuffs.index(cuff_to)
-    Np = pants_from.normalizers[i]
-    Nq = pants_to.normalizers[j]
+    Np = pants_from.normalizers[pants_from.cuffs.index(cuff)]
+    Nq = pants_to.normalizers[pants_to.cuffs.index(cuff)]
     t = theta * length / TWO_PI
     return Np @ MobiusMap.translation(t) @ _J @ Nq.inverse()
 
 
-def holonomy_from_fn(fn: FNCoordinates, overflow_guard: float = 1e150) -> HolonomyMap:
+def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
     """Build per-pants Fuchsian triples and chained frames for a ladder FN
     datum.  Every cuff's trace recovers its coordinate length exactly up to
-    roundoff; twists enter only the frame transitions."""
-    hol = HolonomyMap(fn=fn, overflow_guard=overflow_guard)
+    roundoff; twists enter only the frame transitions.  Raises
+    NumericalInstability when a chained frame overflows to a non-finite
+    entry."""
+    hol = HolonomyMap(fn=fn)
     N = fn.window
     for k in fn.indices():
         la, _, lb, _, lc, _ = fn.coords[k]
@@ -313,23 +300,16 @@ def holonomy_from_fn(fn: FNCoordinates, overflow_guard: float = 1e150) -> Holono
             )
     # chain frames left to right: P1[-N] -> P2[-N] -> P1[-N+1] -> ...
     hol.frames[("P1", -N)] = MobiusMap.identity()
-    for k in fn.indices():
-        p1 = hol.pants[("P1", k)]
-        if ("P2", k) not in hol.pants:
-            break
-        p2 = hol.pants[("P2", k)]
-        T = _twist_transition(
-            p1, ("a", k), p2, ("a", k), fn.length("a", k), fn.twist("a", k)
-        )
-        hol.transitions[(("P1", k), ("P2", k), ("a", k))] = T
-        hol.frames[("P2", k)] = hol.frames[("P1", k)] @ T
-        nxt = hol.pants[("P1", k + 1)]
-        T2 = _twist_transition(
-            p2, ("c", k + 1), nxt, ("c", k + 1),
-            fn.length("c", k + 1), fn.twist("c", k + 1),
-        )
-        hol.transitions[(("P2", k), ("P1", k + 1), ("c", k + 1))] = T2
-        hol.frames[("P1", k + 1)] = hol.frames[("P2", k)] @ T2
+    for k in range(-N, N):
+        for src, dst, cuff in ((("P1", k), ("P2", k), ("a", k)),
+                               (("P2", k), ("P1", k + 1), ("c", k + 1))):
+            T = _twist_transition(hol.pants[src], hol.pants[dst], cuff,
+                                  fn.length(*cuff), fn.twist(*cuff))
+            hol.transitions[(src, dst, cuff)] = T
+            frame = hol.frames[src] @ T
+            if not all(map(math.isfinite, (frame.a, frame.b, frame.c, frame.d))):
+                raise NumericalInstability(f"frame of pants {dst[0]}[{dst[1]}] is not finite")
+            hol.frames[dst] = frame
     return hol
 
 
@@ -374,7 +354,8 @@ def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:
     )
 
 
-def fn_to_json(fn: FNCoordinates) -> str:
+def fn_to_dict(fn: FNCoordinates) -> dict:
+    """FN records with the window and twist convention, ready for JSON."""
     records = [
         {
             "k": k,
@@ -387,10 +368,11 @@ def fn_to_json(fn: FNCoordinates) -> str:
         }
         for k in fn.indices()
     ]
-    return json.dumps(
-        {"twist_convention": TWIST_CONVENTION, "window": fn.window, "records": records},
-        sort_keys=True,
-    )
+    return {"twist_convention": TWIST_CONVENTION, "window": fn.window, "records": records}
+
+
+def fn_to_json(fn: FNCoordinates) -> str:
+    return json.dumps(fn_to_dict(fn), sort_keys=True)
 
 
 def fn_to_csv(fn: FNCoordinates) -> str:

@@ -35,8 +35,11 @@ def _det2(a, b, c, d):
 class MobiusMap:
     """Unimodular 2x2 real matrix, an orientation-preserving isometry of H^2.
 
-    Normalized on construction to determinant 1 with trace >= 0 (the sign of
-    the matrix is immaterial in the isometry group).
+    The constructor normalizes raw entries to determinant 1 (rescaling by
+    1/sqrt of the exact determinant) and trace >= 0 (the sign of the matrix
+    is immaterial in the isometry group).  Products, inverses, the factories
+    and exact conjugation start from entries of determinant 1 up to roundoff,
+    so they only fix the sign.
     """
 
     a: float
@@ -46,22 +49,26 @@ class MobiusMap:
 
     def __post_init__(self):
         det = _det2(self.a, self.b, self.c, self.d)
-        # long products of unimodular matrices with large entries carry a
-        # determinant drift of order |entries|^2 * eps; accept that and only
-        # rescale matrices that are genuinely non-normalized
-        drift = 64.0 * 2.3e-16 * max(1.0, self.max_entry() ** 2)
-        if abs(det - 1.0) <= drift:
-            s = 1.0
-        elif det > 0:
-            s = 1.0 / math.sqrt(det)
-        else:
+        if det <= 0:
             raise ValueError(f"matrix must have positive determinant, got {det}")
-        if s * (self.a + self.d) < 0:
-            s = -s
-        object.__setattr__(self, "a", self.a * s)
-        object.__setattr__(self, "b", self.b * s)
-        object.__setattr__(self, "c", self.c * s)
-        object.__setattr__(self, "d", self.d * s)
+        s = 1.0 / math.sqrt(det)
+        self._store(self.a * s, self.b * s, self.c * s, self.d * s)
+
+    def _store(self, a: float, b: float, c: float, d: float) -> None:
+        """Set the entries, negated if their trace is < 0."""
+        s = -1.0 if a + d < 0 else 1.0
+        object.__setattr__(self, "a", a * s)
+        object.__setattr__(self, "b", b * s)
+        object.__setattr__(self, "c", c * s)
+        object.__setattr__(self, "d", d * s)
+
+    @staticmethod
+    def _signed(a: float, b: float, c: float, d: float) -> "MobiusMap":
+        """Map from entries of determinant 1 up to roundoff: skips the
+        constructor's normalization and only fixes the sign."""
+        m = object.__new__(MobiusMap)
+        m._store(a, b, c, d)
+        return m
 
     @staticmethod
     def identity() -> "MobiusMap":
@@ -71,22 +78,22 @@ class MobiusMap:
     def translation(t: float) -> "MobiusMap":
         """Translation by t along the imaginary axis (0 -> infinity)."""
         e = math.exp(t / 2.0)
-        return MobiusMap(e, 0.0, 0.0, 1.0 / e)
+        return MobiusMap._signed(e, 0.0, 0.0, 1.0 / e)
 
     @staticmethod
     def perp_translation(d: float) -> "MobiusMap":
         """Translation by d along the unit semicircle (-1 -> 1), through i."""
         ch, sh = math.cosh(d / 2.0), math.sinh(d / 2.0)
-        return MobiusMap(ch, sh, sh, ch)
+        return MobiusMap._signed(ch, sh, sh, ch)
 
     @staticmethod
     def rotation(phi: float) -> "MobiusMap":
         """Rotation about i; positive phi turns the forward direction left."""
         c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-        return MobiusMap(c, s, -s, c)
+        return MobiusMap._signed(c, s, -s, c)
 
     def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap(
+        return MobiusMap._signed(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -94,7 +101,7 @@ class MobiusMap:
         )
 
     def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
+        return MobiusMap._signed(self.d, -self.b, -self.c, self.a)
 
     def trace(self) -> float:
         return self.a + self.d
@@ -127,13 +134,12 @@ class MobiusMap:
         return (x2, x1)
 
 
-def conjugate_exact(f: MobiusMap, x: MobiusMap) -> MobiusMap:
-    """f @ x @ f^{-1} evaluated in exact rational arithmetic.
+def _conjugate_entries(f: MobiusMap, x: MobiusMap) -> tuple[Fraction, ...]:
+    """Entries of f @ x @ f^{-1} as exact rationals.
 
     Floats are exact rationals, so f @ x @ adj(f) / det(f) can be computed
-    without rounding until the final conversion; this preserves the trace of
-    x exactly even when f has very large entries, where naive float
-    conjugation cancels catastrophically.
+    without rounding; this preserves the trace of x exactly even when f has
+    very large entries, where naive float conjugation cancels catastrophically.
     """
     fa, fb, fc, fd = (Fraction(v) for v in (f.a, f.b, f.c, f.d))
     xa, xb, xc, xd = (Fraction(v) for v in (x.a, x.b, x.c, x.d))
@@ -142,12 +148,17 @@ def conjugate_exact(f: MobiusMap, x: MobiusMap) -> MobiusMap:
     ra, rb = fa * xa + fb * xc, fa * xb + fb * xd
     rc, rd = fc * xa + fd * xc, fc * xb + fd * xd
     # multiply by adj(f) = [[fd, -fb], [-fc, fa]] and divide by det
-    return MobiusMap(
-        float((ra * fd - rb * fc) / det),
-        float((-ra * fb + rb * fa) / det),
-        float((rc * fd - rd * fc) / det),
-        float((-rc * fb + rd * fa) / det),
+    return (
+        (ra * fd - rb * fc) / det,
+        (-ra * fb + rb * fa) / det,
+        (rc * fd - rd * fc) / det,
+        (-rc * fb + rd * fa) / det,
     )
+
+
+def conjugate_exact(f: MobiusMap, x: MobiusMap) -> MobiusMap:
+    """f @ x @ f^{-1}, each entry rounded only once."""
+    return MobiusMap._signed(*map(float, _conjugate_entries(f, x)))
 
 
 def conjugate_exact_trace(f: MobiusMap, x: MobiusMap) -> float:
@@ -156,12 +167,8 @@ def conjugate_exact_trace(f: MobiusMap, x: MobiusMap) -> float:
     The conjugated matrix can have entries so large that summing their float
     roundings destroys the trace; the exact rational sum does not.
     """
-    fa, fb, fc, fd = (Fraction(v) for v in (f.a, f.b, f.c, f.d))
-    xa, xb, xc, xd = (Fraction(v) for v in (x.a, x.b, x.c, x.d))
-    det = fa * fd - fb * fc
-    ra, rb = fa * xa + fb * xc, fa * xb + fb * xd
-    rc, rd = fc * xa + fd * xc, fc * xb + fd * xd
-    return abs(float(((ra * fd - rb * fc) + (-rc * fb + rd * fa)) / det))
+    a, _, _, d = _conjugate_entries(f, x)
+    return abs(float(a + d))
 
 
 def hyp_dist(z1: complex, z2: complex) -> float:
@@ -190,6 +197,8 @@ def solve_pentagon(b: float) -> PentagonSolution:
         raise DegeneratePentagon(
             f"b must exceed arcsinh(1) ~ {ARCSINH_1:.6f}, got {b}"
         )
+    if not math.isfinite(b):
+        raise DegeneratePentagon(f"b must be finite, got {b}")
     c = math.acosh(math.sinh(b) ** 2)
     a = math.asinh(math.cosh(b) / math.sinh(c))
     return PentagonSolution(b=b, a=a, c=c)
@@ -232,6 +241,8 @@ def collar_width(length: float) -> float:
     """Half-width of the embedded collar about a simple closed geodesic."""
     if length <= 0:
         raise NonPositiveLength(f"geodesic length must be positive, got {length}")
+    if not math.isfinite(length):
+        raise NonPositiveLength(f"geodesic length must be finite, got {length}")
     return math.asinh(1.0 / math.sinh(length / 2.0))
 
 

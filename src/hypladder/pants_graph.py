@@ -62,18 +62,7 @@ class TrivalentGraph:
         return sum(self.half)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for i, j in self.edges:
-                for u, w in ((i, j), (j, i)):
-                    if u == v and w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-        return len(seen) == self.n
+        return self.n > 0 and len(_reachable(self.edges, 0)) == self.n
 
     def cycle_rank(self) -> int:
         """First Betti number; equals the genus of the decomposed surface."""
@@ -85,8 +74,7 @@ class TrivalentGraph:
         for idx, (i, j) in enumerate(self.edges):
             if i == j:
                 continue  # a loop curve never separates
-            rest = self.edges[:idx] + self.edges[idx + 1:]
-            if not TrivalentGraphView(self.n, rest).connected_pair(i, j):
+            if j not in _reachable(self.edges[:idx] + self.edges[idx + 1:], i):
                 out.append((i, j))
         return tuple(sorted(set(out)))
 
@@ -95,26 +83,18 @@ class TrivalentGraph:
         return self.cycle_rank(), self.boundary_count()
 
 
-class TrivalentGraphView:
-    """Connectivity helper on an edge multiset without degree constraints."""
-
-    def __init__(self, n, edges):
-        self.n = n
-        self.edges = edges
-
-    def connected_pair(self, s, t) -> bool:
-        seen = {s}
-        frontier = [s]
-        while frontier:
-            v = frontier.pop()
-            if v == t:
-                return True
-            for i, j in self.edges:
-                for u, w in ((i, j), (j, i)):
-                    if u == v and w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-        return t in seen
+def _reachable(edges, start) -> set:
+    """Vertices joined to start by a path in the edge multiset."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        v = frontier.pop()
+        for i, j in edges:
+            for u, w in ((i, j), (j, i)):
+                if u == v and w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    return seen
 
 
 def canonical_key(g: TrivalentGraph, order: str = "min") -> tuple:
@@ -290,29 +270,28 @@ class ModularPantsGraph:
             lines.append(f"{i}: " + " ".join(str(j) for j in nbrs))
         return "\n".join(lines) + "\n"
 
-    def to_json(self) -> str:
-        verts = []
-        for v in self.vertices:
-            verts.append(
-                {
-                    "pants": v.n,
-                    "edges": [list(e) for e in v.edges],
-                    "half_edges": list(v.half),
-                    "separating_edges": [list(e) for e in v.bridges()],
-                }
-            )
-        return json.dumps(
+    def to_dict(self) -> dict:
+        verts = [
             {
-                "genus": self.genus,
-                "boundary": self.boundary,
-                "vertices": verts,
-                "adjacency": [list(a) for a in self.adjacency],
-                "annotations": [list(map(str, a)) for a in self.annotations],
-                "connected": self.connected,
-                "diameter": self.diameter,
-            },
-            sort_keys=True,
-        )
+                "pants": v.n,
+                "edges": [list(e) for e in v.edges],
+                "half_edges": list(v.half),
+                "separating_edges": [list(e) for e in v.bridges()],
+            }
+            for v in self.vertices
+        ]
+        return {
+            "genus": self.genus,
+            "boundary": self.boundary,
+            "vertices": verts,
+            "adjacency": [list(a) for a in self.adjacency],
+            "annotations": [list(map(str, a)) for a in self.annotations],
+            "connected": self.connected,
+            "diameter": self.diameter,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _bfs_dists(adjacency, start):

@@ -186,7 +186,3 @@ def report(params: QCHParams) -> BoundReport:
         pants_bound_per_step=shortpants_step(params.K * params.L, params.m_inj),
         notes=params.r_formula,
     )
-
-
-def report_from_json(text: str) -> dict:
-    return json.loads(text)

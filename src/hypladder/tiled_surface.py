@@ -293,21 +293,21 @@ class VerticalCertificate:
     def passes(self) -> bool:
         return self.dijkstra_equality and self.row_crossing_bound
 
+    def to_dict(self) -> dict:
+        return {
+            "b": self.b,
+            "n": self.n,
+            "window": list(self.window),
+            "refined": self.refined,
+            "distance": self.distance,
+            "expected": self.expected,
+            "dijkstra_equality": self.dijkstra_equality,
+            "row_crossing_bound": self.row_crossing_bound,
+            "passes": self.passes,
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "b": self.b,
-                "n": self.n,
-                "window": list(self.window),
-                "refined": self.refined,
-                "distance": self.distance,
-                "expected": self.expected,
-                "dijkstra_equality": self.dijkstra_equality,
-                "row_crossing_bound": self.row_crossing_bound,
-                "passes": self.passes,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def certify_vertical_minimizing(t: TiledComplex, n: int, tol: float = 1e-9) -> VerticalCertificate:

@@ -130,6 +130,17 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert json.loads(text)["error"] == "InconsistentInput"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("option, error", [
+        ("pentagon --b", "DegeneratePentagon"),
+        ("collar --l", "NonPositiveLength"),
+    ])
+    def test_non_finite_input_rejected(self, option, error, value):
+        command, flag = option.split()
+        code, text = run([command, f"{flag}={value}"])
+        assert code == EXIT_DOMAIN
+        assert json.loads(text, parse_constant=pytest.fail)["error"] == error
+
     def test_usage_error_unknown_command(self):
         code, text = run(["bogus"])
         assert code == EXIT_USAGE

@@ -110,7 +110,8 @@ class TestMobiusMap:
 
     def test_long_products_stay_constructible(self):
         # frame-chain regression: entries grow geometrically and the float
-        # determinant drifts; the product must still build and keep its trace
+        # determinant drifts; composition only fixes the sign, so the product
+        # still builds
         m = MobiusMap.identity()
         step = MobiusMap.perp_translation(3.0) @ MobiusMap.rotation(1.0)
         for _ in range(40):

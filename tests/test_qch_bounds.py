@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 
 import pytest
@@ -18,7 +17,6 @@ from hypladder.qch_bounds import (
     area_window_m,
     qi_constants,
     report,
-    report_from_json,
     separation_bounds,
     shortpants_global,
     shortpants_step,
@@ -185,9 +183,3 @@ class TestReport:
     def test_default_R_provenance(self):
         d = report(QCHParams(K=1.5, L=1.0, m_inj=0.5)).to_dict()
         assert d["provenance"]["r_formula"] == R_FORMULA_NAME
-
-    def test_json_round_trip(self):
-        rep = report(unit_params())
-        back = report_from_json(rep.to_json())
-        assert back == json.loads(rep.to_json())
-        assert back["constants"]["m_window"] == 4
