@@ -22,6 +22,13 @@ class NonPositiveLength(HypladderError):
     rule = "length-nonpositive"
 
 
+class NonPositiveSize(HypladderError, ValueError):
+    """A window size or row separation below 1.  Also a ``ValueError``, so
+    callers that catch ``ValueError`` for bad sizes keep working."""
+
+    rule = "size-nonpositive"
+
+
 class EmptyAnnulus(HypladderError):
     rule = "annulus-empty"
 

@@ -20,7 +20,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 
-from .errors import EmptySet, ScaleTooLarge, Unreachable
+from .errors import EmptySet, NonPositiveSize, ScaleTooLarge, Unreachable
 from .hyp_core import (
     PentagonSolution,
     hyp_dist,
@@ -52,6 +52,43 @@ def build_holed_square(b: float) -> HoledSquare:
     )
 
 
+@dataclass(frozen=True)
+class _GraphIndex:
+    """Integer form of a complex's corner graph.
+
+    Vertex i is ids[i]; ids are sorted, so the order of the ints is the order
+    of the ids and heap ties break as they would on the ids themselves.
+    adj[i] lists (j, length) for every edge at i.  row_lines maps a row line
+    to its lattice corners and horizontal-side midpoints.
+    """
+
+    ids: list
+    pos: dict
+    adj: list
+    row_lines: dict
+
+    def vertex(self, v) -> int:
+        i = self.pos.get(v)
+        if i is None:
+            raise Unreachable(f"vertex {v} not present in the complex")
+        return i
+
+
+def _index_graph(edges: dict) -> _GraphIndex:
+    ids = sorted({v for e in edges for v in e})
+    pos = {v: i for i, v in enumerate(ids)}
+    adj = [[] for _ in ids]
+    for (u, v), w in edges.items():
+        i, j = pos[u], pos[v]
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    row_lines = {}
+    for i, v in enumerate(ids):
+        if v[0] in ("C", "HM"):
+            row_lines.setdefault(v[1], []).append(i)
+    return _GraphIndex(ids, pos, adj, row_lines)
+
+
 @dataclass
 class TiledComplex:
     """Edge-weighted corner graph of a window of holed squares.
@@ -59,6 +96,11 @@ class TiledComplex:
     Vertex ids: ('C', r, c) lattice corners, ('HM', r, c) horizontal-side
     midpoints on row line r, ('VM', r, c) vertical-side midpoints on column
     line c, ('H', r, c, pos) hole corners of cell (r, c), pos in NESW.
+
+    Distance queries share one integer index of the graph, built on the
+    first query and dropped by ``add_edge``.  Change ``edges`` only through
+    ``add_edge``, or before the first query; a copy made with
+    ``dataclasses.replace`` starts without an index.
     """
 
     pentagon: PentagonSolution
@@ -68,6 +110,7 @@ class TiledComplex:
     faces: list = field(default_factory=list)  # 5-tuples in (b,b,a,c,a) order
     glued_pairs: tuple = ()
     refined: bool = False
+    _index: _GraphIndex | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def b(self) -> float:
@@ -88,28 +131,12 @@ class TiledComplex:
                 f"edge {key} assigned inconsistent lengths {old} and {length}"
             )
         self.edges[key] = length
+        self._index = None
 
-    def inject_edge(self, u, v, length: float) -> "TiledComplex":
-        """Copy with an extra (possibly spurious) edge; used by falsifiability
-        tests, bypasses the consistency check."""
-        clone = TiledComplex(
-            pentagon=self.pentagon,
-            rows=self.rows,
-            cols=self.cols,
-            edges=dict(self.edges),
-            faces=list(self.faces),
-            glued_pairs=self.glued_pairs,
-            refined=self.refined,
-        )
-        clone.edges[tuple(sorted((u, v)))] = length
-        return clone
-
-    def adjacency(self) -> dict:
-        adj = {}
-        for (u, v), w in self.edges.items():
-            adj.setdefault(u, []).append((v, w))
-            adj.setdefault(v, []).append((u, w))
-        return adj
+    def _graph(self) -> _GraphIndex:
+        if self._index is None:
+            self._index = _index_graph(self.edges)
+        return self._index
 
     def alpha_column(self) -> int:
         return self.cols // 2
@@ -119,11 +146,11 @@ class TiledComplex:
 
     # -- topology -----------------------------------------------------------
 
-    def euler_characteristic(self) -> int:
-        face_edges = self._face_edge_incidence()
-        return len(self.vertices()) - len(face_edges) + len(self.faces)
-
     def _face_edge_incidence(self) -> dict:
+        """Vertex pair -> number of faces it bounds.  A pair on k faces is
+        ceil(k/2) edges: gluing can merge two edges with the same endpoints
+        (the ``a`` edges at a glued pair's shared midpoint) into a pair on
+        four faces, and k % 2 of them lie on the boundary."""
         inc = {}
         for face in self.faces:
             for i in range(5):
@@ -131,28 +158,39 @@ class TiledComplex:
                 inc[key] = inc.get(key, 0) + 1
         return inc
 
+    def _euler_characteristic(self, inc: dict) -> int:
+        edge_count = sum((k + 1) // 2 for k in inc.values())
+        return len(self.vertices()) - edge_count + len(self.faces)
+
+    def euler_characteristic(self) -> int:
+        return self._euler_characteristic(self._face_edge_incidence())
+
     def boundary_component_count(self) -> int:
-        inc = self._face_edge_incidence()
-        boundary = [e for e, n in inc.items() if n == 1]
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in boundary:
-            for x in (u, v):
-                parent.setdefault(x, x)
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        return len({find(u) for e in boundary for u in e})
+        return _boundary_component_count(self._face_edge_incidence())
 
     def genus(self) -> int:
-        chi = self.euler_characteristic()
-        return (2 - chi - self.boundary_component_count()) // 2
+        inc = self._face_edge_incidence()
+        chi = self._euler_characteristic(inc)
+        return (2 - chi - _boundary_component_count(inc)) // 2
+
+
+def _boundary_component_count(inc: dict) -> int:
+    boundary = [e for e, k in inc.items() if k % 2]
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in boundary:
+        for x in (u, v):
+            parent.setdefault(x, x)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return len({find(u) for e in boundary for u in e})
 
 
 def _cell_faces(r: int, c: int):
@@ -169,7 +207,7 @@ def _cell_faces(r: int, c: int):
 def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     """Window of rows x cols holed squares tiled edge to edge."""
     if rows < 1 or cols < 1:
-        raise ValueError(f"window must be at least 1x1, got {rows}x{cols}")
+        raise NonPositiveSize(f"window must be at least 1x1, got {rows}x{cols}")
     p = solve_pentagon(b)
     side_lengths = (p.b, p.b, p.a, p.c, p.a)
     t = TiledComplex(pentagon=p, rows=rows, cols=cols)
@@ -231,20 +269,17 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     return out
 
 
-def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
-    """Exact shortest-path distances from the source set; stops early when
-    all targets are settled if a target set is given."""
-    adj = t.adjacency()
-    dist = {}
-    heap = []
-    for s in sources:
-        if s not in adj:
-            raise Unreachable(f"vertex {s} not present in the complex")
-        heapq.heappush(heap, (0.0, s))
+def _distances(g: _GraphIndex, sources, targets=None) -> list:
+    """Dijkstra on the integer index: dist[i] for every settled vertex i,
+    None elsewhere.  With a target set, stops once all targets are settled."""
+    adj = g.adj
+    dist = [None] * len(adj)
+    heap = [(0.0, s) for s in sources]
+    heapq.heapify(heap)
     remaining = set(targets) if targets is not None else None
     while heap:
         d, v = heapq.heappop(heap)
-        if v in dist:
+        if dist[v] is not None:
             continue
         dist[v] = d
         if remaining is not None:
@@ -252,30 +287,34 @@ def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
             if not remaining:
                 break
         for w, length in adj[v]:
-            if w not in dist:
+            if dist[w] is None:
                 heapq.heappush(heap, (d + length, w))
     return dist
 
 
+def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
+    """Exact shortest-path distances from the source set; stops early when
+    all targets are settled if a target set is given."""
+    g = t._graph()
+    src = [g.vertex(s) for s in sources]
+    # a target missing from the complex is never settled (-1 is no vertex),
+    # so the search then runs to the end
+    tgt = None if targets is None else {g.pos.get(v, -1) for v in targets}
+    dist = _distances(g, src, tgt)
+    return {g.ids[i]: d for i, d in enumerate(dist) if d is not None}
+
+
 def discrete_distance(t: TiledComplex, x, y) -> float:
     """Shortest edge-path length between two corners of the complex."""
+    g = t._graph()
+    i = g.vertex(x)
     if x == y:
-        verts = t.vertices()
-        if x not in verts:
-            raise Unreachable(f"vertex {x} not present in the complex")
         return 0.0
-    dist = dijkstra(t, [x], targets=[y])
-    if y not in dist:
+    j = g.pos.get(y)
+    d = None if j is None else _distances(g, [i], [j])[j]
+    if d is None:
         raise Unreachable(f"no edge path connects {x} and {y}")
-    return dist[y]
-
-
-def _row_line_vertices(t: TiledComplex, row_line: int):
-    return [
-        v
-        for v in t.vertices()
-        if (v[0] == "C" and v[1] == row_line) or (v[0] == "HM" and v[1] == row_line)
-    ]
+    return d
 
 
 @dataclass(frozen=True)
@@ -320,7 +359,7 @@ def certify_vertical_minimizing(t: TiledComplex, n: int, tol: float = 1e-9) -> V
     Corners stay one row inside the window boundary (safety margin).
     """
     if n < 1:
-        raise ValueError(f"row separation must be >= 1, got {n}")
+        raise NonPositiveSize(f"row separation must be >= 1, got {n}")
     if n > t.rows - 2:
         raise ScaleTooLarge(
             f"window with {t.rows} rows is too short for n={n} plus margin"
@@ -330,10 +369,10 @@ def certify_vertical_minimizing(t: TiledComplex, n: int, tol: float = 1e-9) -> V
     y = t.alpha_corner(r0 + n)
     expected = 2.0 * n * t.b
     d = discrete_distance(t, x, y)
-    top = _row_line_vertices(t, r0)
-    bottom = set(_row_line_vertices(t, r0 + n))
-    line_dist = dijkstra(t, top, targets=bottom)
-    min_cross = min(line_dist[v] for v in bottom if v in line_dist)
+    g = t._graph()
+    bottom = g.row_lines[r0 + n]
+    line_dist = _distances(g, g.row_lines[r0], targets=bottom)
+    min_cross = min(line_dist[j] for j in bottom if line_dist[j] is not None)
     return VerticalCertificate(
         b=t.b,
         n=n,

@@ -187,7 +187,7 @@ def test_criterion_07_pants_graph_vs_oracle():
     _report(7, "pants-graph enumeration vs oracle", counts and connected and diameter)
 
 
-def test_criterion_08_tiled_certificate():
+def test_criterion_08_tiled_certificate(inject_edge):
     start = time.monotonic()
     ok = True
     for n in range(1, 6):
@@ -202,7 +202,7 @@ def test_criterion_08_tiled_certificate():
             and abs(refined.distance - 2.0 * n) < 1e-9
         )
     t = build_grid(1.0, 4, 2)
-    shortcut = t.inject_edge(t.alpha_corner(1), t.alpha_corner(3), 0.1)
+    shortcut = inject_edge(t, t.alpha_corner(1), t.alpha_corner(3), 0.1)
     ok = ok and not certify_vertical_minimizing(shortcut, 2).passes
     elapsed = time.monotonic() - start
     _report(8, "tiled certificate", ok and elapsed < 10.0)

@@ -141,6 +141,15 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert json.loads(text, parse_constant=pytest.fail)["error"] == error
 
+    @pytest.mark.parametrize("extra", [["--n", "0"], ["--n", "-1"],
+                                       ["--cols", "0", "--n", "1"]])
+    def test_tiled_nonpositive_size_rejected(self, extra):
+        code, text = run(["tiled", "certify", "--b", "1.0", *extra])
+        assert code == EXIT_DOMAIN
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert data["error"] == "NonPositiveSize"
+        assert data["rule"] == "size-nonpositive"
+
     def test_usage_error_unknown_command(self):
         code, text = run(["bogus"])
         assert code == EXIT_USAGE

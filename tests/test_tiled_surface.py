@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import heapq
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypladder.errors import EmptySet, ScaleTooLarge, Unreachable
+from hypladder.errors import EmptySet, NonPositiveSize, ScaleTooLarge, Unreachable
 from hypladder.hyp_core import solve_pentagon
 from hypladder.tiled_surface import (
     add_diagonals,
@@ -50,10 +51,12 @@ class TestBuildGrid:
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             build_grid(1.2, 0, 1)
+        with pytest.raises(NonPositiveSize):
+            build_grid(1.2, 2, 0)
 
     def test_unrefined_degrees(self):
         t = build_grid(1.2, 4, 4)
-        degrees = {len(nbrs) for nbrs in t.adjacency().values()}
+        degrees = {len(nbrs) for nbrs in t._graph().adj}
         assert degrees <= {2, 3, 4}
 
     def test_unglued_topology(self):
@@ -132,6 +135,74 @@ class TestDijkstra:
         singles = [discrete_distance(t, s, target) for s in sources]
         assert d == pytest.approx(min(singles))
 
+    @pytest.mark.parametrize("window", ["plain", "refined", "glued", "glued-refined"])
+    @pytest.mark.parametrize("m", [4, 9, 16])
+    def test_matches_tuple_keyed_oracle(self, window, m):
+        t = build_grid(1.3, m, m)
+        if "refined" in window:
+            t = add_diagonals(t)
+        if "glued" in window:
+            t = glue_to_Rb(t)
+        mid = m // 2
+        cases = [
+            ([("C", 1, mid)], None),
+            ([("H", 0, 0, "N")], None),
+            ([("C", 1, mid)], [("C", m - 1, mid)]),
+            ([("C", 1, 0)], [("C", m - 1, m), ("HM", m - 2, 1)]),
+            ([("C", 1, c) for c in range(m + 1)], None),
+            ([("C", 1, c) for c in range(m + 1)] + [("HM", 1, c) for c in range(m)],
+             [("C", m - 1, c) for c in range(m + 1)]),
+        ]
+        for sources, targets in cases:
+            # bit-for-bit, including which vertices settle before an early stop
+            assert dijkstra(t, sources, targets) == _oracle_dijkstra(t, sources, targets)
+        x, y = ("C", 1, mid), ("VM", m - 1, 0)
+        assert discrete_distance(t, x, y) == _oracle_dijkstra(t, [x], [y])[y]
+
+    def test_unknown_target_runs_to_the_end(self):
+        t = build_grid(1.1, 3, 2)
+        targets = [("C", 3, 1), ("C", 99, 99)]
+        full = dijkstra(t, [("C", 0, 0)], targets)
+        assert full == _oracle_dijkstra(t, [("C", 0, 0)], targets)
+        assert len(full) == len(t.vertices())
+        with pytest.raises(Unreachable):
+            discrete_distance(t, ("C", 0, 0), ("C", 99, 99))
+
+    def test_add_edge_after_query_invalidates_index(self):
+        t = build_grid(1.2, 4, 2)
+        x, y = t.alpha_corner(1), t.alpha_corner(3)
+        assert discrete_distance(t, x, y) == pytest.approx(4 * 1.2)
+        assert certify_vertical_minimizing(t, 2).passes
+        t.add_edge(x, y, 0.1)
+        assert discrete_distance(t, x, y) == 0.1
+        assert not certify_vertical_minimizing(t, 2).passes
+
+
+def _oracle_dijkstra(t, sources, targets=None):
+    """Independent reference: Dijkstra on a tuple-keyed adjacency dict."""
+    adj = {}
+    for (u, v), w in t.edges.items():
+        adj.setdefault(u, []).append((v, w))
+        adj.setdefault(v, []).append((u, w))
+    dist = {}
+    heap = []
+    for s in sources:
+        heapq.heappush(heap, (0.0, s))
+    remaining = set(targets) if targets is not None else None
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        if remaining is not None:
+            remaining.discard(v)
+            if not remaining:
+                break
+        for w, length in adj[v]:
+            if w not in dist:
+                heapq.heappush(heap, (d + length, w))
+    return dist
+
 
 class TestVerticalCertificate:
     def test_alpha_distance_equals_2nb(self):
@@ -158,13 +229,18 @@ class TestVerticalCertificate:
         assert narrow.passes and wide.passes
         assert narrow.distance == pytest.approx(wide.distance, abs=1e-9)
 
-    def test_injected_shortcut_fails(self):
+    def test_injected_shortcut_fails(self, inject_edge):
         t = build_grid(1.2, 4, 2)
         good = certify_vertical_minimizing(t, 2)
         r0 = 1
-        bad = t.inject_edge(t.alpha_corner(r0), t.alpha_corner(r0 + 2), 0.1)
+        bad = inject_edge(t, t.alpha_corner(r0), t.alpha_corner(r0 + 2), 0.1)
         cert = certify_vertical_minimizing(bad, 2)
         assert good.passes and not cert.passes
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_nonpositive_n(self, n):
+        with pytest.raises(NonPositiveSize):
+            certify_vertical_minimizing(build_grid(1.2, 4, 2), n)
 
     def test_window_too_short(self):
         with pytest.raises(ScaleTooLarge):
@@ -231,6 +307,21 @@ class TestGluing:
         t = glue_to_Rb(build_grid(1.0, 4, 2))
         cert = certify_vertical_minimizing(t, 2)
         assert cert.passes
+
+    @pytest.mark.parametrize("rows, cols", [(5, 2), (9, 9)])
+    def test_glued_window_certificates(self, rows, cols):
+        b = 1.15
+        t = glue_to_Rb(build_grid(b, rows, cols))
+        for n in range(1, rows - 1):
+            cert = certify_vertical_minimizing(t, n)
+            assert cert.passes
+            assert cert.distance == pytest.approx(2.0 * n * b, abs=1e-9)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (1, 3), (3, 4), (5, 2), (9, 9), (28, 28)])
+    def test_glued_genus_is_one_handle_per_pair(self, rows, cols):
+        g = glue_to_Rb(build_grid(1.2, rows, cols))
+        assert len(g.glued_pairs) == rows * (cols // 2)
+        assert g.genus() == rows * (cols // 2)
 
 
 class TestSetDistances:
