@@ -29,6 +29,12 @@ class NonPositiveSize(HypladderError, ValueError):
     rule = "size-nonpositive"
 
 
+class NegativeSurface(HypladderError, ValueError):
+    """A genus or boundary count below 0."""
+
+    rule = "surface-negative"
+
+
 class EmptyAnnulus(HypladderError):
     rule = "annulus-empty"
 

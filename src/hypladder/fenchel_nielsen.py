@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     NonPositiveLength,
+    NonPositiveSize,
     NotShiftInvariant,
     NumericalInstability,
 )
@@ -329,6 +330,8 @@ def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:
     """Quotient a shift-invariant ladder by the horizontal translation of the
     given period (default 2, the smallest giving a closed orientable
     quotient of this decomposition)."""
+    if period < 1:
+        raise NonPositiveSize(f"shift period must be at least 1, got {period}")
     tol = 1e-12
     for k in fn.indices():
         if k + period > fn.window:

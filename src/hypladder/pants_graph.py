@@ -6,7 +6,10 @@ twice), one internal edge per cuff, one half-edge per boundary component.
 Decompositions are identified up to homeomorphism of the surface, which at
 the graph level is isomorphism of the decorated dual graph; the decoration
 records which internal edges are separating curves (the bridges of the
-graph -- derivable, but carried explicitly in the canonical key).
+graph).  The canonical key carries the edges, the half-edges and the
+decoration, but the relabelled edges alone fix it: every vertex has degree
+3, so its half-edge count is 3 minus its edge degree, and bridges map to
+bridges under relabelling.
 
 Complexity is capped at xi = 3g-3+b <= 4 so enumeration stays exhaustive
 and oracle-checkable.
@@ -18,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import ComplexityTooLarge
+from .errors import ComplexityTooLarge, NegativeSurface
 from .qch_bounds import shortpants_global
 
 COMPLEXITY_CAP = 4
@@ -97,20 +100,41 @@ def _reachable(edges, start) -> set:
     return seen
 
 
+def _relabel(edges, perm) -> tuple:
+    """Sorted edge multiset after renaming vertex v to perm[v]."""
+    return tuple(sorted((perm[i], perm[j]) if perm[i] <= perm[j] else (perm[j], perm[i])
+                        for i, j in edges))
+
+
 def canonical_key(g: TrivalentGraph, order: str = "min") -> tuple:
     """Canonical form of the decorated graph: the extremal relabeling over
     all vertex permutations.  ``order`` selects min or max as two independent
-    labeling schemes."""
+    labeling schemes.
+
+    The key is ``(n, edges, half, deco)``, compared in that order, and the
+    relabelled edges determine ``half`` (3 minus the edge degree) and
+    ``deco`` (the bridges of the relabelled graph).  So the search compares
+    edge lists alone, each edge (i, j) coded as i*n + j, which keeps the
+    order of the pairs; ``half`` and ``deco`` are built once, for the
+    winning permutation."""
+    n = g.n
+    edges = g.edges
+
+    def coded(perm):
+        return sorted([perm[i] * n + perm[j] if perm[i] <= perm[j] else perm[j] * n + perm[i]
+                       for i, j in edges])
+
     pick = min if order == "min" else max
-    bridges = g.bridges()
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        edges = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in g.edges))
-        half = tuple(g.half[perm.index(v)] for v in range(g.n))
-        deco = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in bridges))
-        key = (g.n, edges, half, deco)
-        best = key if best is None else pick(best, key)
-    return best
+    perm = pick(itertools.permutations(range(n)), key=coded)
+    inverse = [0] * n
+    for v, image in enumerate(perm):
+        inverse[image] = v
+    return (
+        n,
+        _relabel(edges, perm),
+        tuple(g.half[inverse[v]] for v in range(n)),
+        _relabel(g.bridges(), perm),
+    )
 
 
 def from_key(key: tuple) -> TrivalentGraph:
@@ -119,6 +143,8 @@ def from_key(key: tuple) -> TrivalentGraph:
 
 
 def _check_cap(g: int, b: int) -> None:
+    if g < 0 or b < 0:
+        raise NegativeSurface(f"surface ({g},{b}) needs genus and boundary count >= 0")
     x = xi(g, b)
     if x < 1:
         raise ComplexityTooLarge(
@@ -142,32 +168,44 @@ def _stub_matchings(stubs):
             yield [pair] + tail
 
 
-def enumerate_decompositions(g: int, b: int, order: str = "min") -> list[TrivalentGraph]:
-    """All pants decompositions of S_{g,b} up to homeomorphism.
+def _classes(g: int, b: int, order: str) -> dict:
+    """Canonical key -> class representative for every decomposition of
+    S_{g,b}, in key order.
 
-    Enumerates by distributing boundary legs over the 2g-2+b pants and
-    perfect-matching the remaining cuff stubs, then filters to connected
-    graphs realizing the requested genus and dedupes by canonical form.
+    Distributes boundary legs over the 2g-2+b pants as a non-increasing
+    vector (every class has such a labelling), perfect-matches the
+    remaining cuff stubs, skips edge multisets already tried (stubs of one
+    vertex are interchangeable, so many matchings repeat; the edges fix the
+    legs), then keeps connected graphs realizing the requested genus.
     """
     _check_cap(g, b)
     n = 2 * g - 2 + b
-    seen = {}
-    for half in itertools.product(range(4), repeat=n):
+    tried = set()
+    classes = {}
+    for half in itertools.combinations_with_replacement(range(3, -1, -1), n):
         if sum(half) != b:
             continue
-        stubs = []
-        for v in range(n):
-            stubs.extend([v] * (3 - half[v]))
+        stubs = [v for v in range(n) for _ in range(3 - half[v])]
         if len(stubs) % 2:
             continue
         for match in _stub_matchings(stubs):
-            graph = TrivalentGraph(n=n, edges=tuple(match), half=half)
+            edges = tuple(sorted(match))
+            if edges in tried:
+                continue
+            tried.add(edges)
+            graph = TrivalentGraph(n=n, edges=edges, half=half)
             if not graph.is_connected() or graph.cycle_rank() != g:
                 continue
             key = canonical_key(graph, order=order)
-            if key not in seen:
-                seen[key] = from_key(key)
-    return [seen[k] for k in sorted(seen)]
+            if key not in classes:
+                classes[key] = from_key(key)
+    return {k: classes[k] for k in sorted(classes)}
+
+
+def enumerate_decompositions(g: int, b: int, order: str = "min") -> list[TrivalentGraph]:
+    """All pants decompositions of S_{g,b} up to homeomorphism, one
+    canonical representative per class, in key order."""
+    return list(_classes(g, b, order).values())
 
 
 def _to_darts(g: TrivalentGraph):
@@ -219,8 +257,16 @@ def elementary_moves(g: TrivalentGraph, order: str = "min"):
       the opposite pants, variant B crosses them); outcomes equal to the
       input class are recorded as ``sphere_move_fixed`` annotations.
     """
-    self_key = canonical_key(g, order=order)
+    neighbors, annotations = _moves(g, canonical_key(g, order=order), order)
+    return [neighbors[k] for k in sorted(neighbors)], annotations
+
+
+def _moves(g: TrivalentGraph, self_key: tuple, order: str):
+    """``elementary_moves`` for a graph whose key is known: (canonical key ->
+    neighbour representative, annotations).  Each distinct labelled outcome
+    is keyed once."""
     owner, pairing = _to_darts(g)
+    outcome_keys = {}
     neighbors = {}
     annotations = []
     done_edges = set()
@@ -243,12 +289,14 @@ def elementary_moves(g: TrivalentGraph, order: str = "min"):
             new_owner[wa] = p
             new_owner[u2] = q
             moved = _from_darts(g.n, new_owner, pairing)
-            key = canonical_key(moved, order=order)
+            key = outcome_keys.get(moved.edges)
+            if key is None:
+                key = outcome_keys[moved.edges] = canonical_key(moved, order=order)
             if key == self_key:
                 annotations.append(("sphere_move_fixed", edge_sig))
             else:
                 neighbors[key] = from_key(key)
-    return [neighbors[k] for k in sorted(neighbors)], annotations
+    return neighbors, annotations
 
 
 @dataclass(frozen=True)
@@ -311,13 +359,14 @@ def _bfs_dists(adjacency, start):
 def modular_pants_graph(g: int, b: int, order: str = "min") -> ModularPantsGraph:
     """The modular pants graph of S_{g,b} with BFS-verified connectivity and
     exact diameter (move annotations are excluded from the metric)."""
-    verts = enumerate_decompositions(g, b, order=order)
-    keys = {canonical_key(v, order=order): i for i, v in enumerate(verts)}
+    classes = _classes(g, b, order)
+    verts = list(classes.values())
+    index = {key: i for i, key in enumerate(classes)}
     adjacency = []
     annotations = []
-    for v in verts:
-        nbrs, notes = elementary_moves(v, order=order)
-        adjacency.append(tuple(sorted(keys[canonical_key(w, order=order)] for w in nbrs)))
+    for key, v in classes.items():
+        nbrs, notes = _moves(v, key, order)
+        adjacency.append(tuple(sorted(index[k] for k in nbrs)))
         annotations.append(tuple(notes))
     connected = len(_bfs_dists(adjacency, 0)) == len(verts) if verts else False
     diameter = 0

@@ -150,6 +150,24 @@ class TestExitCodes:
         assert data["error"] == "NonPositiveSize"
         assert data["rule"] == "size-nonpositive"
 
+    @pytest.mark.parametrize("surface", [["--genus", "2", "--boundary", "-1"],
+                                         ["--genus", "-1", "--boundary", "5"],
+                                         ["--genus", "-1"]])
+    def test_pants_graph_negative_surface_rejected(self, surface):
+        code, text = run(["pants-graph", *surface])
+        assert code == EXIT_DOMAIN
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert data["error"] == "NegativeSurface"
+        assert data["rule"] == "surface-negative"
+
+    @pytest.mark.parametrize("period", ["0", "-1"])
+    def test_quotient_nonpositive_period_rejected(self, period):
+        code, text = run(["quotient", "--window", "2", "--period", period])
+        assert code == EXIT_DOMAIN
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert data["error"] == "NonPositiveSize"
+        assert data["rule"] == "size-nonpositive"
+
     def test_usage_error_unknown_command(self):
         code, text = run(["bogus"])
         assert code == EXIT_USAGE

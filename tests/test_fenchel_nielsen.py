@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hypladder.errors import (
     NonPositiveLength,
+    NonPositiveSize,
     NotShiftInvariant,
     NumericalInstability,
 )
@@ -234,6 +235,11 @@ class TestQuotientByShift:
         with pytest.raises(NotShiftInvariant) as exc:
             quotient_by_shift(fn)
         assert exc.value.offending_index == 0
+
+    @pytest.mark.parametrize("period", [0, -1, -3])
+    def test_rejects_nonpositive_period(self, period):
+        with pytest.raises(NonPositiveSize):
+            quotient_by_shift(build_ladder_fn(4), period=period)
 
     def test_coords_restricted_to_fundamental_domain(self):
         q = quotient_by_shift(build_ladder_fn(4))

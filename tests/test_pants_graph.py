@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from hypladder.errors import ComplexityTooLarge
+from hypladder import pants_graph
+from hypladder.errors import ComplexityTooLarge, NegativeSurface
 from hypladder.pants_graph import (
     COMPLEXITY_CAP,
     TrivalentGraph,
@@ -83,6 +84,51 @@ def oracle_count(g, b):
     return len(classes)
 
 
+# brute-force canonical key: the n! search over full (n, edges, half, deco)
+# keys, kept verbatim from the implementation it pins down
+
+
+def brute_force_key(g: TrivalentGraph, order: str = "min") -> tuple:
+    pick = min if order == "min" else max
+    bridges = g.bridges()
+    best = None
+    for perm in itertools.permutations(range(g.n)):
+        edges = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in g.edges))
+        half = tuple(g.half[perm.index(v)] for v in range(g.n))
+        deco = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in bridges))
+        key = (g.n, edges, half, deco)
+        best = key if best is None else pick(best, key)
+    return best
+
+
+SURFACES = [
+    (g, b)
+    for g in range(3)
+    for b in range(8)
+    if 1 <= xi(g, b) <= COMPLEXITY_CAP and 2 * g - 2 + b >= 1
+]
+ORDERS = ("min", "max")
+
+
+def _random_graph(rng, n):
+    """Random trivalent graph on n vertices, loops, multi-edges and
+    disconnected pieces allowed."""
+    while True:
+        half = [rng.randrange(4) for _ in range(n)]
+        stubs = [v for v in range(n) for _ in range(3 - half[v])]
+        if len(stubs) % 2 == 0:
+            break
+    rng.shuffle(stubs)
+    edges = [(stubs[i], stubs[i + 1]) for i in range(0, len(stubs), 2)]
+    return TrivalentGraph(n=n, edges=edges, half=half)
+
+
+def _relabel(g, perm):
+    edges = [(perm[i], perm[j]) for i, j in g.edges]
+    half = [g.half[perm.index(v)] for v in range(g.n)]
+    return TrivalentGraph(n=g.n, edges=edges, half=half)
+
+
 # -- tests -------------------------------------------------------------------
 
 
@@ -153,6 +199,55 @@ class TestCanonicalKey:
         assert len(keys_min) == len(keys_max) == len(graphs)
 
 
+class TestCanonicalKeyMatchesBruteForce:
+    """The key is exactly the brute-force extremal relabelling, not just some
+    invariant: the golden pants-graph output depends on the representative."""
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("surface", SURFACES, ids=str)
+    def test_every_class(self, surface, order):
+        rng = random.Random(str(surface))
+        for graph in enumerate_decompositions(*surface, order=order):
+            assert canonical_key(graph, order) == brute_force_key(graph, order)
+            perm = list(range(graph.n))
+            rng.shuffle(perm)
+            relabeled = _relabel(graph, perm)
+            assert canonical_key(relabeled, order) == brute_force_key(relabeled, order)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("surface", SURFACES, ids=str)
+    def test_every_move_outcome(self, surface, order, monkeypatch):
+        seen = []
+        real = pants_graph.canonical_key
+
+        def spy(graph, order="min"):
+            key = real(graph, order)
+            seen.append((graph, order, key))
+            return key
+
+        monkeypatch.setattr(pants_graph, "canonical_key", spy)
+        for graph in enumerate_decompositions(*surface, order=order):
+            seen.clear()
+            nbrs, _ = elementary_moves(graph, order)
+            assert seen
+            for moved, used, key in seen:
+                assert used == order
+                assert key == brute_force_key(moved, order)
+            for nb in nbrs:
+                assert real(nb, order) == brute_force_key(nb, order)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_random_labelled_graphs(self, order):
+        rng = random.Random(2014)
+        for _ in range(500):
+            graph = _random_graph(rng, rng.randint(1, 5))
+            perm = list(range(graph.n))
+            rng.shuffle(perm)
+            key = brute_force_key(graph, order)
+            assert canonical_key(graph, order) == key
+            assert canonical_key(_relabel(graph, perm), order) == key
+
+
 class TestEnumeration:
     def test_counts_match_oracle(self):
         for g, b in [(1, 1), (0, 4), (2, 0)]:
@@ -179,6 +274,13 @@ class TestEnumeration:
             enumerate_decompositions(3, 0)
         with pytest.raises(ComplexityTooLarge):
             enumerate_decompositions(0, 2)
+
+    @pytest.mark.parametrize("g, b", [(2, -1), (-1, 5), (-1, 8), (0, -1)])
+    def test_negative_surface_rejected(self, g, b):
+        with pytest.raises(NegativeSurface):
+            enumerate_decompositions(g, b)
+        with pytest.raises(NegativeSurface):
+            modular_pants_graph(g, b)
 
     def test_order_invariant_counts(self):
         for g, b in [(1, 1), (2, 0), (1, 2)]:
