@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import fenchel_nielsen as fn_mod
@@ -26,6 +27,9 @@ SCHEMA_VERSION = "1"
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_USAGE = 64
+
+# most rows one --sweep may emit
+MAX_SWEEP_ROWS = 10_000
 
 
 class UsageError(Exception):
@@ -99,19 +103,22 @@ def _cmd_quotient(args) -> str:
 
 
 def _parse_sweep(text: str):
+    malformed = UsageError(
+        f"--sweep expects k=START:STOP:STEP or l=START:STOP:STEP, got {text!r}"
+    )
     name, _, rng = text.partition("=")
-    parts = rng.split(":")
-    if name not in ("k", "l") or len(parts) != 3:
-        raise UsageError(f"--sweep expects k=START:STOP:STEP or l=START:STOP:STEP, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if step <= 0:
-        raise UsageError("--sweep step must be positive")
-    values = []
-    v = start
-    while v <= stop + 1e-12:
-        values.append(round(v, 12))
-        v += step
-    return name, values
+    if name not in ("k", "l"):
+        raise malformed
+    try:
+        start, stop, step = map(float, rng.split(":"))
+    except ValueError:
+        raise malformed from None
+    if not 0 < step < math.inf:
+        raise UsageError("--sweep step must be positive and finite")
+    span = (stop - start + 1e-12) / step
+    if not -math.inf < span < MAX_SWEEP_ROWS:
+        raise UsageError(f"--sweep needs finite bounds and at most {MAX_SWEEP_ROWS} rows")
+    return name, [round(start + i * step, 12) for i in range(math.floor(span) + 1)]
 
 
 def _cmd_bounds(args) -> str:

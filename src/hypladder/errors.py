@@ -4,6 +4,8 @@ Every error carries a short machine-readable ``rule`` naming the violated
 precondition, so the CLI can emit structured error objects.
 """
 
+import math
+
 
 class HypladderError(Exception):
     rule = "error"
@@ -20,6 +22,15 @@ class DegeneratePentagon(HypladderError):
 
 class NonPositiveLength(HypladderError):
     rule = "length-nonpositive"
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise NonPositiveLength unless value is positive and finite; NaN
+    passes every ``<= 0`` test, so the second check catches it."""
+    if value <= 0:
+        raise NonPositiveLength(f"{name} must be positive, got {value}")
+    if not math.isfinite(value):
+        raise NonPositiveLength(f"{name} must be finite, got {value}")
 
 
 class NonPositiveSize(HypladderError, ValueError):

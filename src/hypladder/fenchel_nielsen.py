@@ -22,17 +22,14 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
-    NonPositiveLength,
+    InconsistentInput,
     NonPositiveSize,
     NotShiftInvariant,
     NumericalInstability,
+    ScaleTooLarge,
+    check_positive_finite,
 )
-from .hyp_core import (
-    MobiusMap,
-    conjugate_exact,
-    conjugate_exact_trace,
-    geodesic_length_from_trace,
-)
+from .hyp_core import MobiusMap, geodesic_length_from_trace
 
 TWIST_CONVENTION = (
     "twists are angles in [0,2pi); arc-length twist = theta*length/(2*pi); "
@@ -55,8 +52,7 @@ class PantsCuffs:
 
     def __post_init__(self):
         for l in (self.l1, self.l2, self.l3):
-            if l <= 0:
-                raise NonPositiveLength(f"cuff lengths must be positive, got {l}")
+            check_positive_finite("cuff length", l)
 
 
 def _orthogeodesic(li: float, lj: float, lk: float) -> float:
@@ -76,6 +72,8 @@ def pants_orthogeodesics(cuffs: PantsCuffs) -> tuple[float, float, float]:
 
 def normalize_angle(theta: float) -> tuple[float, int]:
     """Fold an angle into [0, 2*pi); returns (angle, removed full turns)."""
+    if not math.isfinite(theta):
+        raise InconsistentInput(f"twist angle must be finite, got {theta}")
     turns = math.floor(theta / TWO_PI)
     folded = theta - turns * TWO_PI
     if folded >= TWO_PI:  # guard the representable edge cases: the division
@@ -103,16 +101,13 @@ class FNCoordinates:
 
     def __post_init__(self):
         if self.window < 1:
-            raise ValueError(f"window size must be >= 1, got {self.window}")
+            raise NonPositiveSize(f"window size must be >= 1, got {self.window}")
         for k in range(-self.window, self.window + 1):
             if k not in self.coords:
                 raise ValueError(f"missing coordinates at index {k}")
             sextuple = self.coords[k]
             for l in sextuple[0::2]:
-                if l <= 0:
-                    raise NonPositiveLength(
-                        f"length at index {k} must be positive, got {l}"
-                    )
+                check_positive_finite(f"length at index {k}", l)
 
     def length(self, family: str, k: int) -> float:
         return self.coords[k][2 * CURVE_FAMILIES.index(family)]
@@ -138,7 +133,7 @@ def build_ladder_fn(N: int, lengths=1.0, twists=0.0) -> FNCoordinates:
     (1, 0, 1, 0, 1, 0).
     """
     if N < 1:
-        raise ValueError(f"window size must be >= 1, got {N}")
+        raise NonPositiveSize(f"window size must be >= 1, got {N}")
     lfun = lengths if callable(lengths) else (lambda fam, k: lengths)
     tfun = twists if callable(twists) else (lambda fam, k: twists)
     coords = {}
@@ -146,10 +141,7 @@ def build_ladder_fn(N: int, lengths=1.0, twists=0.0) -> FNCoordinates:
         sextuple = []
         for family in CURVE_FAMILIES:
             length = lfun(family, k)
-            if length <= 0:
-                raise NonPositiveLength(
-                    f"length for {family}_{k} must be positive, got {length}"
-                )
+            check_positive_finite(f"length for {family}_{k}", length)
             sextuple.append(length)
             sextuple.append(normalize_angle(tfun(family, k))[0])
         coords[k] = tuple(sextuple)
@@ -237,9 +229,9 @@ class HolonomyMap:
     """Holonomy of a windowed ladder surface.
 
     Cuff matrices are reported in the frame of their canonical pants P_k1 =
-    (c_k, a_k, b_k); ``global_matrix`` conjugates into the frame of the
-    leftmost pants, which refuses a non-finite frame at build time.  Frame
-    transitions across gluings carry the twist data.
+    (c_k, a_k, b_k).  ``frames`` maps each pants to its frame relative to the
+    leftmost pants, built by chaining the frame transitions across gluings,
+    which carry the twist data; a non-finite frame is refused at build time.
     """
 
     fn: FNCoordinates
@@ -255,20 +247,16 @@ class HolonomyMap:
     def recovered_length(self, family: str, k: int) -> float:
         return geodesic_length_from_trace(self.matrix(family, k).trace())
 
-    def global_matrix(self, family: str, k: int) -> MobiusMap:
-        # exact rational conjugation: large frame entries make the naive
-        # float product lose the trace to cancellation
-        return conjugate_exact(self.frames[("P1", k)], self.matrix(family, k))
-
     def global_length(self, family: str, k: int) -> float:
-        """Cuff length recovered from the trace of the global matrix.
+        """Cuff length recovered from the trace of its matrix in the frame of
+        the leftmost pants.
 
-        The trace is evaluated in exact arithmetic before rounding: reading
-        it off the rounded entries of :meth:`global_matrix` cancels
-        catastrophically once frame entries grow large.
+        That matrix is f @ X @ f^-1 for the frame f of P_k1, and over the
+        rationals trace(f @ X @ f^-1) = trace(X) exactly; rounding that exact
+        sum once is the float sum of X's diagonal.  So the global length is
+        the local one, whatever the size of the frame entries.
         """
-        t = conjugate_exact_trace(self.frames[("P1", k)], self.matrix(family, k))
-        return geodesic_length_from_trace(t)
+        return self.recovered_length(family, k)
 
 
 def _twist_transition(pants_from, pants_to, cuff, length, theta):
@@ -329,9 +317,14 @@ class ShiftQuotient:
 def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:
     """Quotient a shift-invariant ladder by the horizontal translation of the
     given period (default 2, the smallest giving a closed orientable
-    quotient of this decomposition)."""
+    quotient of this decomposition).  The window must hold the
+    representatives 0..period-1."""
     if period < 1:
         raise NonPositiveSize(f"shift period must be at least 1, got {period}")
+    if period > fn.window + 1:
+        raise ScaleTooLarge(
+            f"shift period {period} needs a window of at least {period - 1}, got {fn.window}"
+        )
     tol = 1e-12
     for k in fn.indices():
         if k + period > fn.window:

@@ -17,6 +17,8 @@ from .errors import (
     InvalidDilatation,
     NonPositiveLength,
     NotHyperbolic,
+    NumericalInstability,
+    check_positive_finite,
 )
 
 ARCSINH_1 = math.asinh(1.0)
@@ -37,9 +39,9 @@ class MobiusMap:
 
     The constructor normalizes raw entries to determinant 1 (rescaling by
     1/sqrt of the exact determinant) and trace >= 0 (the sign of the matrix
-    is immaterial in the isometry group).  Products, inverses, the factories
-    and exact conjugation start from entries of determinant 1 up to roundoff,
-    so they only fix the sign.
+    is immaterial in the isometry group).  Products, inverses and the
+    factories start from entries of determinant 1 up to roundoff, so they
+    only fix the sign.
     """
 
     a: float
@@ -134,43 +136,6 @@ class MobiusMap:
         return (x2, x1)
 
 
-def _conjugate_entries(f: MobiusMap, x: MobiusMap) -> tuple[Fraction, ...]:
-    """Entries of f @ x @ f^{-1} as exact rationals.
-
-    Floats are exact rationals, so f @ x @ adj(f) / det(f) can be computed
-    without rounding; this preserves the trace of x exactly even when f has
-    very large entries, where naive float conjugation cancels catastrophically.
-    """
-    fa, fb, fc, fd = (Fraction(v) for v in (f.a, f.b, f.c, f.d))
-    xa, xb, xc, xd = (Fraction(v) for v in (x.a, x.b, x.c, x.d))
-    det = fa * fd - fb * fc
-    # rows of f @ x
-    ra, rb = fa * xa + fb * xc, fa * xb + fb * xd
-    rc, rd = fc * xa + fd * xc, fc * xb + fd * xd
-    # multiply by adj(f) = [[fd, -fb], [-fc, fa]] and divide by det
-    return (
-        (ra * fd - rb * fc) / det,
-        (-ra * fb + rb * fa) / det,
-        (rc * fd - rd * fc) / det,
-        (-rc * fb + rd * fa) / det,
-    )
-
-
-def conjugate_exact(f: MobiusMap, x: MobiusMap) -> MobiusMap:
-    """f @ x @ f^{-1}, each entry rounded only once."""
-    return MobiusMap._signed(*map(float, _conjugate_entries(f, x)))
-
-
-def conjugate_exact_trace(f: MobiusMap, x: MobiusMap) -> float:
-    """Trace of f @ x @ f^{-1}, rounded only once.
-
-    The conjugated matrix can have entries so large that summing their float
-    roundings destroys the trace; the exact rational sum does not.
-    """
-    a, _, _, d = _conjugate_entries(f, x)
-    return abs(float(a + d))
-
-
 def hyp_dist(z1: complex, z2: complex) -> float:
     """Hyperbolic distance between two points of the upper half-plane."""
     num = abs(z1 - z2) ** 2
@@ -192,6 +157,7 @@ def solve_pentagon(b: float) -> PentagonSolution:
 
     Uses the relations cosh(c) = sinh(b)^2 and cosh(b) = sinh(a)*sinh(c).
     Degenerates when b <= arcsinh(1), where cosh(c) <= 1 forces c <= 0.
+    Raises NumericalInstability when sinh(b)^2 overflows (b above about 355).
     """
     if b <= ARCSINH_1:
         raise DegeneratePentagon(
@@ -199,7 +165,10 @@ def solve_pentagon(b: float) -> PentagonSolution:
         )
     if not math.isfinite(b):
         raise DegeneratePentagon(f"b must be finite, got {b}")
-    c = math.acosh(math.sinh(b) ** 2)
+    try:
+        c = math.acosh(math.sinh(b) ** 2)
+    except OverflowError:
+        raise NumericalInstability(f"sinh(b)^2 overflows at b = {b}") from None
     a = math.asinh(math.cosh(b) / math.sinh(c))
     return PentagonSolution(b=b, a=a, c=c)
 
@@ -238,12 +207,14 @@ def pentagon_vertices(p: PentagonSolution) -> list[complex]:
 
 
 def collar_width(length: float) -> float:
-    """Half-width of the embedded collar about a simple closed geodesic."""
-    if length <= 0:
-        raise NonPositiveLength(f"geodesic length must be positive, got {length}")
-    if not math.isfinite(length):
-        raise NonPositiveLength(f"geodesic length must be finite, got {length}")
-    return math.asinh(1.0 / math.sinh(length / 2.0))
+    """Half-width of the embedded collar about a simple closed geodesic.
+    Raises NumericalInstability when sinh(length/2) overflows (length above
+    about 1420)."""
+    check_positive_finite("geodesic length", length)
+    try:
+        return math.asinh(1.0 / math.sinh(length / 2.0))
+    except OverflowError:
+        raise NumericalInstability(f"sinh(length/2) overflows at length = {length}") from None
 
 
 def collar_involution(length: float) -> float:

@@ -106,10 +106,9 @@ def _relabel(edges, perm) -> tuple:
                         for i, j in edges))
 
 
-def canonical_key(g: TrivalentGraph, order: str = "min") -> tuple:
-    """Canonical form of the decorated graph: the extremal relabeling over
-    all vertex permutations.  ``order`` selects min or max as two independent
-    labeling schemes.
+def canonical_key(g: TrivalentGraph) -> tuple:
+    """Canonical form of the decorated graph: the least relabeling over all
+    vertex permutations.
 
     The key is ``(n, edges, half, deco)``, compared in that order, and the
     relabelled edges determine ``half`` (3 minus the edge degree) and
@@ -124,8 +123,7 @@ def canonical_key(g: TrivalentGraph, order: str = "min") -> tuple:
         return sorted([perm[i] * n + perm[j] if perm[i] <= perm[j] else perm[j] * n + perm[i]
                        for i, j in edges])
 
-    pick = min if order == "min" else max
-    perm = pick(itertools.permutations(range(n)), key=coded)
+    perm = min(itertools.permutations(range(n)), key=coded)
     inverse = [0] * n
     for v, image in enumerate(perm):
         inverse[image] = v
@@ -168,7 +166,7 @@ def _stub_matchings(stubs):
             yield [pair] + tail
 
 
-def _classes(g: int, b: int, order: str) -> dict:
+def _classes(g: int, b: int) -> dict:
     """Canonical key -> class representative for every decomposition of
     S_{g,b}, in key order.
 
@@ -196,16 +194,16 @@ def _classes(g: int, b: int, order: str) -> dict:
             graph = TrivalentGraph(n=n, edges=edges, half=half)
             if not graph.is_connected() or graph.cycle_rank() != g:
                 continue
-            key = canonical_key(graph, order=order)
+            key = canonical_key(graph)
             if key not in classes:
                 classes[key] = from_key(key)
     return {k: classes[k] for k in sorted(classes)}
 
 
-def enumerate_decompositions(g: int, b: int, order: str = "min") -> list[TrivalentGraph]:
+def enumerate_decompositions(g: int, b: int) -> list[TrivalentGraph]:
     """All pants decompositions of S_{g,b} up to homeomorphism, one
     canonical representative per class, in key order."""
-    return list(_classes(g, b, order).values())
+    return list(_classes(g, b).values())
 
 
 def _to_darts(g: TrivalentGraph):
@@ -243,7 +241,7 @@ def _from_darts(n, owner, pairing):
     return TrivalentGraph(n=n, edges=tuple(edges), half=tuple(half))
 
 
-def elementary_moves(g: TrivalentGraph, order: str = "min"):
+def elementary_moves(g: TrivalentGraph):
     """Neighbors of a decomposition class under elementary moves.
 
     Returns (neighbors, annotations).  Each internal edge is replaced inside
@@ -257,11 +255,11 @@ def elementary_moves(g: TrivalentGraph, order: str = "min"):
       the opposite pants, variant B crosses them); outcomes equal to the
       input class are recorded as ``sphere_move_fixed`` annotations.
     """
-    neighbors, annotations = _moves(g, canonical_key(g, order=order), order)
+    neighbors, annotations = _moves(g, canonical_key(g))
     return [neighbors[k] for k in sorted(neighbors)], annotations
 
 
-def _moves(g: TrivalentGraph, self_key: tuple, order: str):
+def _moves(g: TrivalentGraph, self_key: tuple):
     """``elementary_moves`` for a graph whose key is known: (canonical key ->
     neighbour representative, annotations).  Each distinct labelled outcome
     is keyed once."""
@@ -291,7 +289,7 @@ def _moves(g: TrivalentGraph, self_key: tuple, order: str):
             moved = _from_darts(g.n, new_owner, pairing)
             key = outcome_keys.get(moved.edges)
             if key is None:
-                key = outcome_keys[moved.edges] = canonical_key(moved, order=order)
+                key = outcome_keys[moved.edges] = canonical_key(moved)
             if key == self_key:
                 annotations.append(("sphere_move_fixed", edge_sig))
             else:
@@ -356,16 +354,16 @@ def _bfs_dists(adjacency, start):
     return dist
 
 
-def modular_pants_graph(g: int, b: int, order: str = "min") -> ModularPantsGraph:
+def modular_pants_graph(g: int, b: int) -> ModularPantsGraph:
     """The modular pants graph of S_{g,b} with BFS-verified connectivity and
     exact diameter (move annotations are excluded from the metric)."""
-    classes = _classes(g, b, order)
+    classes = _classes(g, b)
     verts = list(classes.values())
     index = {key: i for i, key in enumerate(classes)}
     adjacency = []
     annotations = []
     for key, v in classes.items():
-        nbrs, notes = _moves(v, key, order)
+        nbrs, notes = _moves(v, key)
         adjacency.append(tuple(sorted(index[k] for k in nbrs)))
         annotations.append(tuple(notes))
     connected = len(_bfs_dists(adjacency, 0)) == len(verts) if verts else False

@@ -17,7 +17,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ArccoshDomainError, InvalidDilatation, NonPositiveLength
+from .errors import (
+    ArccoshDomainError,
+    InvalidDilatation,
+    NonPositiveLength,
+    NumericalInstability,
+    check_positive_finite,
+)
 from .hyp_core import R_FORMULA_NAME, collar_width, quasi_geodesic_stability_R
 
 LOG4 = math.log(4.0)
@@ -48,18 +54,18 @@ class QCHParams:
     def __post_init__(self):
         if self.K < 1.0:
             raise InvalidDilatation(f"dilatation must be >= 1, got {self.K}")
-        if self.L <= 0:
-            raise NonPositiveLength(f"base curve length must be positive, got {self.L}")
-        if self.m_inj <= 0:
-            raise NonPositiveLength(
-                f"injectivity radius bound must be positive, got {self.m_inj}"
-            )
+        if not math.isfinite(self.K):
+            raise InvalidDilatation(f"dilatation must be finite, got {self.K}")
+        check_positive_finite("base curve length", self.L)
+        check_positive_finite("injectivity radius bound", self.m_inj)
         if self.R is None:
             object.__setattr__(
                 self, "R", quasi_geodesic_stability_R(self.K, self.L)
             )
-        elif self.R < 0:
-            raise ValueError(f"fellow-traveling constant must be >= 0, got {self.R}")
+        elif not 0 <= self.R < math.inf:
+            raise NonPositiveLength(
+                f"fellow-traveling constant must be finite and >= 0, got {self.R}"
+            )
         else:
             object.__setattr__(self, "r_formula", "user-supplied")
 
@@ -91,28 +97,35 @@ def separation_bounds(params: QCHParams) -> tuple[float, float, float, float]:
 
 
 def area_window_m(params: QCHParams) -> int:
-    """Smallest integer strictly greater than (K/a)*(b + C + R)."""
+    """Smallest integer strictly greater than (K/a)*(b + C + R).  Raises
+    NumericalInstability when the constants overflow and the bound is not
+    finite."""
     a, _, _, b = separation_bounds(params)
     bound = (params.K / a) * (b + params.C + params.R)
+    if not math.isfinite(bound):
+        raise NumericalInstability(f"area-window bound is not finite: {bound}")
     return math.floor(bound) + 1
 
 
 def shortpants_step(M: float, m_inj: float) -> float:
     """One elementary-move step of the cuff-length bound:
-    M -> M + arccosh(cosh(M/2)/sinh(m_inj/2))."""
-    if M <= 0:
-        raise NonPositiveLength(f"length bound must be positive, got {M}")
-    if m_inj <= 0:
-        raise NonPositiveLength(
-            f"injectivity radius bound must be positive, got {m_inj}"
-        )
-    ratio = math.cosh(M / 2.0) / math.sinh(m_inj / 2.0)
+    M -> M + arccosh(cosh(M/2)/sinh(m_inj/2)).  Raises NumericalInstability
+    when the step overflows."""
+    check_positive_finite("length bound", M)
+    check_positive_finite("injectivity radius bound", m_inj)
+    try:
+        ratio = math.cosh(M / 2.0) / math.sinh(m_inj / 2.0)
+    except OverflowError:
+        ratio = math.inf  # the step below is then infinite and refused
     if ratio < 1.0:
         raise ArccoshDomainError(
             f"cosh(M/2)/sinh(m_inj/2) = {ratio} < 1: no orthogeodesic bound",
             ratio=ratio,
         )
-    return M + math.acosh(ratio)
+    step = M + math.acosh(ratio)
+    if step == math.inf:
+        raise NumericalInstability(f"short-pants step overflows at M={M}, m_inj={m_inj}")
+    return step
 
 
 def shortpants_global(M: float, m_inj: float, diameter: int) -> float:
@@ -120,6 +133,8 @@ def shortpants_global(M: float, m_inj: float, diameter: int) -> float:
     length; diameter 0 returns M unchanged."""
     if diameter < 0:
         raise ValueError(f"diameter must be >= 0, got {diameter}")
+    check_positive_finite("length bound", M)
+    check_positive_finite("injectivity radius bound", m_inj)
     bound = M
     for _ in range(diameter):
         bound = shortpants_step(bound, m_inj)

@@ -1,10 +1,18 @@
-"""Shared test fixtures."""
+"""Shared test fixtures and the reference implementations tests compare
+against."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import itertools
+from fractions import Fraction
 
 import pytest
+
+from hypladder import pants_graph
+from hypladder.hyp_core import MobiusMap
+from hypladder.pants_graph import TrivalentGraph
 
 
 def _inject_edge(t, u, v, length):
@@ -17,6 +25,76 @@ def _inject_edge(t, u, v, length):
     return dataclasses.replace(t, edges={**t.edges, key: length})
 
 
+# brute-force canonical key: the n! search over full (n, edges, half, deco)
+# keys, kept verbatim from the implementation it pins down
+
+
+def brute_force_key(g: TrivalentGraph, order: str = "min") -> tuple:
+    pick = min if order == "min" else max
+    bridges = g.bridges()
+    best = None
+    for perm in itertools.permutations(range(g.n)):
+        edges = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in g.edges))
+        half = tuple(g.half[perm.index(v)] for v in range(g.n))
+        deco = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in bridges))
+        key = (g.n, edges, half, deco)
+        best = key if best is None else pick(best, key)
+    return best
+
+
+@contextlib.contextmanager
+def labelling(order: str):
+    """Run ``pants_graph`` with the brute-force ``order`` relabelling as its
+    canonical key ("min" keeps the library's own key).  The max relabelling
+    is a second, independent labelling scheme: the library must find the
+    same classes, moves and diameters under it."""
+    with pytest.MonkeyPatch.context() as m:
+        if order == "max":
+            m.setattr(pants_graph, "canonical_key", lambda g: brute_force_key(g, "max"))
+        yield
+
+
+# exact conjugation, kept verbatim from the implementation of
+# HolonomyMap.global_length that conjugated each cuff into the global frame
+
+
+def _conjugate_entries(f: MobiusMap, x: MobiusMap) -> tuple[Fraction, ...]:
+    """Entries of f @ x @ f^{-1} as exact rationals.
+
+    Floats are exact rationals, so f @ x @ adj(f) / det(f) can be computed
+    without rounding; this preserves the trace of x exactly even when f has
+    very large entries, where naive float conjugation cancels catastrophically.
+    """
+    fa, fb, fc, fd = (Fraction(v) for v in (f.a, f.b, f.c, f.d))
+    xa, xb, xc, xd = (Fraction(v) for v in (x.a, x.b, x.c, x.d))
+    det = fa * fd - fb * fc
+    # rows of f @ x
+    ra, rb = fa * xa + fb * xc, fa * xb + fb * xd
+    rc, rd = fc * xa + fd * xc, fc * xb + fd * xd
+    # multiply by adj(f) = [[fd, -fb], [-fc, fa]] and divide by det
+    return (
+        (ra * fd - rb * fc) / det,
+        (-ra * fb + rb * fa) / det,
+        (rc * fd - rd * fc) / det,
+        (-rc * fb + rd * fa) / det,
+    )
+
+
 @pytest.fixture
 def inject_edge():
     return _inject_edge
+
+
+@pytest.fixture(name="brute_force_key", scope="session")
+def _brute_force_key_fixture():
+    return brute_force_key
+
+
+@pytest.fixture(name="labelling", scope="session")
+def _labelling_fixture():
+    return labelling
+
+
+@pytest.fixture(scope="session")
+def conjugate_entries():
+    return _conjugate_entries

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypladder.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, run
 
@@ -168,6 +171,45 @@ class TestExitCodes:
         assert data["error"] == "NonPositiveSize"
         assert data["rule"] == "size-nonpositive"
 
+    @pytest.mark.parametrize("argv, error", [
+        (["fn", "--window", "0"], "NonPositiveSize"),
+        (["quotient", "--window", "0"], "NonPositiveSize"),
+        (["fn", "--twist", "nan"], "InconsistentInput"),
+        (["fn", "--twist", "inf"], "InconsistentInput"),
+        (["fn", "--length", "nan"], "NonPositiveLength"),
+        (["fn", "--length", "inf", "--format", "csv"], "NonPositiveLength"),
+        (["quotient", "--window", "2", "--period", "4"], "ScaleTooLarge"),
+        (["bounds", "--k", "1e200", "--l", "1", "--inj-radius", "0.5"], "NumericalInstability"),
+        (["bounds", "--k", "1.5", "--l", "1", "--inj-radius", "0.5", "--r", "nan"],
+         "NonPositiveLength"),
+        (["bounds", "--k", "1.5", "--l", "1", "--inj-radius", "0.5", "--r", "-1"],
+         "NonPositiveLength"),
+        (["bounds", "--k", "1", "--l", "1", "--inj-radius", "1e200"], "NumericalInstability"),
+        (["pants-graph", "--genus", "2", "--propagate-m", "nan", "--inj-radius", "0.5"],
+         "NonPositiveLength"),
+        (["pants-graph", "--genus", "2", "--propagate-m", "1", "--inj-radius", "nan"],
+         "NonPositiveLength"),
+        (["pants-graph", "--genus", "1", "--boundary", "1", "--propagate-m", "nan",
+          "--inj-radius", "0.5"], "NonPositiveLength"),
+        (["pants-graph", "--genus", "2", "--propagate-m", "1e308", "--inj-radius", "0.5"],
+         "NumericalInstability"),
+        (["pentagon", "--b", "1e200"], "NumericalInstability"),
+        (["collar", "--l", "1e200"], "NumericalInstability"),
+        (["tiled", "certify", "--b", "1e308", "--n", "1"], "NumericalInstability"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_input_boundary_rejected(self, argv, error):
+        code, text = run(argv)
+        assert code == EXIT_DOMAIN
+        assert json.loads(text, parse_constant=pytest.fail)["error"] == error
+
+    @pytest.mark.parametrize("sweep", ["k=1:1e9:1e-9", "k=1:20000:1", "k=1:inf:1",
+                                       "l=-inf:1:1", "k=1:2:inf", "k=1:2:nan", "k=1:x:1"])
+    def test_sweep_out_of_range_is_usage_error(self, sweep):
+        code, text = run(["bounds", "--k", "1.5", "--l", "1", "--inj-radius", "0.5",
+                          "--sweep", sweep])
+        assert code == EXIT_USAGE
+        assert json.loads(text, parse_constant=pytest.fail)["error"] == "usage"
+
     def test_usage_error_unknown_command(self):
         code, text = run(["bogus"])
         assert code == EXIT_USAGE
@@ -186,3 +228,68 @@ class TestExitCodes:
         assert main(["collar", "--l", "1.0"]) == EXIT_OK
         out = capsys.readouterr().out
         assert json.loads(out)["length"] == 1.0
+
+
+# -- argv fuzz -----------------------------------------------------------------
+# every subcommand with its numeric flags drawn from ordinary values, 0,
+# negatives, +-inf, NaN and huge magnitudes; integer flags also get the float
+# spellings, which argparse must refuse
+
+NUMBER = st.one_of(
+    st.floats(min_value=0.1, max_value=5.0),
+    st.floats(min_value=-5.0, max_value=-0.1),
+    st.sampled_from([0.0, math.inf, -math.inf, math.nan, 1e200, 1e308, -1e308]),
+).map(str)
+INTEGER = st.one_of(
+    st.integers(min_value=-2, max_value=4).map(str),
+    st.sampled_from(["inf", "nan", "1e200", "1e308"]),
+)
+SWEEP = st.builds("{}={}:{}:{}".format, st.sampled_from("kl"), NUMBER, NUMBER, NUMBER)
+DECK = st.one_of(
+    INTEGER.map("finite:{}".format),
+    st.sampled_from(["infinite:1", "infinite:2", "infinite:many", "infinite:3"]),
+)
+FN_FLAGS = {"--window": INTEGER, "--length": NUMBER, "--odd-length": NUMBER,
+            "--twist": NUMBER}
+
+# subcommand -> (words after it, required flags, optional flags); a flag
+# mapped to None is a switch
+COMMANDS = {
+    "pentagon": ([], {"--b": NUMBER}, {}),
+    "collar": ([], {"--l": NUMBER}, {}),
+    "fn": ([], {}, {**FN_FLAGS, "--format": st.sampled_from(["json", "csv"])}),
+    "quotient": ([], {}, {**FN_FLAGS, "--period": INTEGER}),
+    "bounds": ([], {"--k": NUMBER, "--l": NUMBER, "--inj-radius": NUMBER},
+               {"--r": NUMBER, "--sweep": SWEEP}),
+    "pants-graph": ([], {"--genus": INTEGER},
+                    {"--boundary": INTEGER, "--propagate-m": NUMBER,
+                     "--inj-radius": NUMBER, "--format": st.sampled_from(["json", "text"])}),
+    "tiled": ([st.sampled_from(["certify", "export"])], {"--b": NUMBER, "--n": INTEGER},
+              {"--cols": INTEGER, "--refine-diagonals": None}),
+    "classify": ([], {"--base-genus": INTEGER, "--deck": DECK},
+                 {"--planar": None, "--no-planar": None}),
+}
+
+
+@st.composite
+def fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    words, required, optional = COMMANDS[command]
+    argv = [command] + [draw(w) for w in words]
+    flags = list(required.items()) + [f for f in optional.items() if draw(st.booleans())]
+    for flag, value in flags:
+        argv += [flag] if value is None else [f"{flag}={draw(value)}"]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(fuzzed_argv())
+def test_fuzzed_argv_keep_the_exit_contract(argv):
+    code, text = run(argv)
+    assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
+    if text.startswith("{"):
+        json.loads(text, parse_constant=_reject_constant)

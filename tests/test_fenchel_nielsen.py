@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypladder.errors import (
+    InconsistentInput,
     NonPositiveLength,
     NonPositiveSize,
     NotShiftInvariant,
     NumericalInstability,
+    ScaleTooLarge,
 )
 from hypladder.fenchel_nielsen import (
     CURVE_FAMILIES,
@@ -29,6 +32,7 @@ from hypladder.fenchel_nielsen import (
     pants_orthogeodesics,
     quotient_by_shift,
 )
+from hypladder.hyp_core import geodesic_length_from_trace
 
 # orthogeodesic distance between two cuffs of the (1,1,1) pants, from the
 # right-angled hexagon identity
@@ -39,6 +43,11 @@ class TestPantsCuffs:
     def test_rejects_nonpositive(self):
         with pytest.raises(NonPositiveLength):
             PantsCuffs(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, length):
+        with pytest.raises(NonPositiveLength):
+            PantsCuffs(1.0, length, 1.0)
 
 
 class TestOrthogeodesics:
@@ -102,8 +111,19 @@ class TestBuildLadderFN:
         assert fn.twist("b", 0) == pytest.approx(0.25)
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonPositiveSize):
             build_ladder_fn(0)
+        with pytest.raises(NonPositiveSize):
+            FNCoordinates(window=0, coords={0: (1, 0, 1, 0, 1, 0)})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_coordinates(self, value):
+        with pytest.raises(NonPositiveLength):
+            build_ladder_fn(1, lengths=value)
+        with pytest.raises(InconsistentInput):
+            build_ladder_fn(1, twists=value)
+        with pytest.raises(NonPositiveLength):
+            FNCoordinates(window=1, coords={k: (1, 0, value, 0, 1, 0) for k in (-1, 0, 1)})
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(NonPositiveLength):
@@ -160,6 +180,28 @@ class TestPantsHolonomy:
         assert p.closure_residual() < 1e-8
 
 
+def _random_ladder(N: int):
+    """Window [-N, N] with seeded, independent random lengths and twists."""
+    rng = random.Random(N)
+    draws = {
+        (fam, k): (rng.uniform(0.3, 3.0), rng.uniform(-20.0, 20.0))
+        for k in range(-N, N + 1)
+        for fam in CURVE_FAMILIES
+    }
+    return build_ladder_fn(
+        N,
+        lengths=lambda fam, k: draws[fam, k][0],
+        twists=lambda fam, k: draws[fam, k][1],
+    )
+
+
+LADDERS = {
+    "62-1.0": lambda: build_ladder_fn(62, lengths=1.0),
+    "80-0.5": lambda: build_ladder_fn(80, lengths=0.5),
+    **{f"random-{N}": (lambda N=N: _random_ladder(N)) for N in (1, 2, 7, 30, 60, 90)},
+}
+
+
 class TestHolonomyFromFN:
     def test_model_surface_recovers_unit_lengths(self):
         fn = build_ladder_fn(4)
@@ -206,11 +248,18 @@ class TestHolonomyFromFN:
 
     @pytest.mark.parametrize("N, length", [(62, 1.0), (80, 0.5)])
     def test_long_windows_recover_global_lengths(self, N, length):
-        # frames grow past 1e150 here; exact conjugation keeps every trace
+        # frames grow past 1e150 here; conjugation by a frame keeps the trace
         fn = build_ladder_fn(N, lengths=length)
         hol = holonomy_from_fn(fn)
         for fam, k in fn.curves():
             assert hol.global_length(fam, k) == pytest.approx(length, abs=1e-9)
+
+    @pytest.mark.parametrize("ladder", sorted(LADDERS))
+    def test_global_length_equals_exact_conjugation(self, ladder, conjugate_entries):
+        hol = holonomy_from_fn(LADDERS[ladder]())
+        for fam, k in hol.fn.curves():
+            a, _, _, d = conjugate_entries(hol.frames[("P1", k)], hol.matrix(fam, k))
+            assert hol.global_length(fam, k) == geodesic_length_from_trace(abs(float(a + d)))
 
     def test_nonfinite_frame_raises(self):
         with pytest.raises(NumericalInstability):
@@ -240,6 +289,11 @@ class TestQuotientByShift:
     def test_rejects_nonpositive_period(self, period):
         with pytest.raises(NonPositiveSize):
             quotient_by_shift(build_ladder_fn(4), period=period)
+
+    def test_period_up_to_window_plus_one(self):
+        assert quotient_by_shift(build_ladder_fn(2), period=3).coords.keys() == {0, 1, 2}
+        with pytest.raises(ScaleTooLarge):
+            quotient_by_shift(build_ladder_fn(2), period=4)
 
     def test_coords_restricted_to_fundamental_domain(self):
         q = quotient_by_shift(build_ladder_fn(4))

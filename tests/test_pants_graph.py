@@ -84,23 +84,6 @@ def oracle_count(g, b):
     return len(classes)
 
 
-# brute-force canonical key: the n! search over full (n, edges, half, deco)
-# keys, kept verbatim from the implementation it pins down
-
-
-def brute_force_key(g: TrivalentGraph, order: str = "min") -> tuple:
-    pick = min if order == "min" else max
-    bridges = g.bridges()
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        edges = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in g.edges))
-        half = tuple(g.half[perm.index(v)] for v in range(g.n))
-        deco = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in bridges))
-        key = (g.n, edges, half, deco)
-        best = key if best is None else pick(best, key)
-    return best
-
-
 SURFACES = [
     (g, b)
     for g in range(3)
@@ -192,60 +175,82 @@ class TestCanonicalKey:
         key = canonical_key(g)
         assert canonical_key(from_key(key)) == key
 
-    def test_orders_agree_on_class_identity(self):
-        graphs = enumerate_decompositions(2, 0, order="min")
-        keys_min = {canonical_key(g, order="min") for g in graphs}
-        keys_max = {canonical_key(g, order="max") for g in graphs}
+    def test_orders_agree_on_class_identity(self, brute_force_key, labelling):
+        graphs = enumerate_decompositions(2, 0)
+        keys_min = {canonical_key(g) for g in graphs}
+        with labelling("max"):
+            keys_max = {pants_graph.canonical_key(g) for g in enumerate_decompositions(2, 0)}
+        assert keys_max == {brute_force_key(g, "max") for g in graphs}
         assert len(keys_min) == len(keys_max) == len(graphs)
 
 
 class TestCanonicalKeyMatchesBruteForce:
-    """The key is exactly the brute-force extremal relabelling, not just some
-    invariant: the golden pants-graph output depends on the representative."""
+    """The key is exactly the brute-force min relabelling, not just some
+    invariant: the golden pants-graph output depends on the representative.
+    The ``max`` cases run the library keyed by the brute-force max
+    relabelling: it must return that scheme's representatives and the same
+    classes and moves, and the library key must hold on its graphs too."""
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("surface", SURFACES, ids=str)
-    def test_every_class(self, surface, order):
+    def test_every_class(self, surface, order, brute_force_key, labelling):
         rng = random.Random(str(surface))
-        for graph in enumerate_decompositions(*surface, order=order):
-            assert canonical_key(graph, order) == brute_force_key(graph, order)
+        with labelling(order):
+            graphs = enumerate_decompositions(*surface)
+        for graph in graphs:
+            assert graph == from_key(brute_force_key(graph, order))
             perm = list(range(graph.n))
             rng.shuffle(perm)
             relabeled = _relabel(graph, perm)
-            assert canonical_key(relabeled, order) == brute_force_key(relabeled, order)
+            key = brute_force_key(relabeled, "min")
+            assert canonical_key(graph) == canonical_key(relabeled) == key
+        assert sorted(map(canonical_key, graphs)) == [
+            canonical_key(g) for g in enumerate_decompositions(*surface)
+        ]
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("surface", SURFACES, ids=str)
-    def test_every_move_outcome(self, surface, order, monkeypatch):
+    def test_every_move_outcome(self, surface, order, brute_force_key, labelling):
+        reached = {
+            canonical_key(g): sorted(map(canonical_key, elementary_moves(g)[0]))
+            for g in enumerate_decompositions(*surface)
+        }
         seen = []
-        real = pants_graph.canonical_key
+        with labelling(order), pytest.MonkeyPatch.context() as m:
+            key = pants_graph.canonical_key
 
-        def spy(graph, order="min"):
-            key = real(graph, order)
-            seen.append((graph, order, key))
-            return key
+            def spy(graph):
+                seen.append(graph)
+                return key(graph)
 
-        monkeypatch.setattr(pants_graph, "canonical_key", spy)
-        for graph in enumerate_decompositions(*surface, order=order):
-            seen.clear()
-            nbrs, _ = elementary_moves(graph, order)
-            assert seen
-            for moved, used, key in seen:
-                assert used == order
-                assert key == brute_force_key(moved, order)
-            for nb in nbrs:
-                assert real(nb, order) == brute_force_key(nb, order)
+            m.setattr(pants_graph, "canonical_key", spy)
+            for graph in enumerate_decompositions(*surface):
+                seen.clear()
+                nbrs, _ = elementary_moves(graph)
+                assert seen
+                for moved in seen:
+                    assert canonical_key(moved) == brute_force_key(moved, "min")
+                for nb in nbrs:
+                    assert nb == from_key(brute_force_key(nb, order))
+                assert sorted(map(canonical_key, nbrs)) == reached[canonical_key(graph)]
 
     @pytest.mark.parametrize("order", ORDERS)
-    def test_random_labelled_graphs(self, order):
+    def test_random_labelled_graphs(self, order, brute_force_key):
         rng = random.Random(2014)
+        classes = {}
         for _ in range(500):
             graph = _random_graph(rng, rng.randint(1, 5))
             perm = list(range(graph.n))
             rng.shuffle(perm)
-            key = brute_force_key(graph, order)
-            assert canonical_key(graph, order) == key
-            assert canonical_key(_relabel(graph, perm), order) == key
+            key = canonical_key(graph)
+            assert canonical_key(_relabel(graph, perm)) == key
+            classes.setdefault(brute_force_key(graph, order), set()).add(key)
+        # the library key and the brute-force relabelling split the graphs
+        # into the same classes, and under "min" they are the same key
+        assert all(len(keys) == 1 for keys in classes.values())
+        assert len(set().union(*classes.values())) == len(classes)
+        if order == "min":
+            assert all(keys == {oracle} for oracle, keys in classes.items())
 
 
 class TestEnumeration:
@@ -282,11 +287,11 @@ class TestEnumeration:
         with pytest.raises(NegativeSurface):
             modular_pants_graph(g, b)
 
-    def test_order_invariant_counts(self):
+    def test_order_invariant_counts(self, labelling):
         for g, b in [(1, 1), (2, 0), (1, 2)]:
-            assert len(enumerate_decompositions(g, b, order="min")) == len(
-                enumerate_decompositions(g, b, order="max")
-            )
+            with labelling("max"):
+                count_max = len(enumerate_decompositions(g, b))
+            assert len(enumerate_decompositions(g, b)) == count_max
 
 
 class TestElementaryMoves:
@@ -334,12 +339,11 @@ class TestModularPantsGraph:
         assert mg.connected
         assert mg.diameter == 1
 
-    def test_diameter_stable_across_orders(self):
+    def test_diameter_stable_across_orders(self, labelling):
         for g, b in [(2, 0), (1, 2), (2, 1)]:
-            assert (
-                modular_pants_graph(g, b, order="min").diameter
-                == modular_pants_graph(g, b, order="max").diameter
-            )
+            with labelling("max"):
+                diameter_max = modular_pants_graph(g, b).diameter
+            assert modular_pants_graph(g, b).diameter == diameter_max
 
     def test_connected_for_all_small_surfaces(self):
         for g in range(0, 3):

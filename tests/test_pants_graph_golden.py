@@ -1,10 +1,11 @@
 """Byte-identity of ``modular_pants_graph`` on every surface under the cap.
 
 ``tests/data/pants_graph_golden.json`` records the sha256 of
-``modular_pants_graph(g, b, order).to_json()`` for each of the ten surfaces
-with 1 <= xi <= 4 and both labelling orders.  A change to the canonical-key
-search that claims the same representatives must keep this test green.  To
-re-record after an intended output change, run
+``modular_pants_graph(g, b).to_json()`` for each of the ten surfaces with
+1 <= xi <= 4, keyed by the library (``min``) and by the brute-force max
+relabelling (``max``, see ``conftest.labelling``).  A change to the
+canonical-key search that claims the same representatives must keep this
+test green.  To re-record after an intended output change, run
 
     PYTHONPATH=src python tests/test_pants_graph_golden.py
 """
@@ -30,8 +31,9 @@ SURFACES = [
 CASES = [(g, b, order) for g, b in SURFACES for order in ("min", "max")]
 
 
-def _digest(g: int, b: int, order: str) -> str:
-    return hashlib.sha256(modular_pants_graph(g, b, order).to_json().encode()).hexdigest()
+def _digest(g: int, b: int, order: str, labelling) -> str:
+    with labelling(order):
+        return hashlib.sha256(modular_pants_graph(g, b).to_json().encode()).hexdigest()
 
 
 def _name(case) -> str:
@@ -50,12 +52,15 @@ def test_cases_match_golden_file(golden):
 
 
 @pytest.mark.parametrize("case", CASES, ids=_name)
-def test_to_json_byte_identical(case, golden):
-    assert _digest(*case) == golden[_name(case)]
+def test_to_json_byte_identical(case, golden, labelling):
+    assert _digest(*case, labelling) == golden[_name(case)]
 
 
 if __name__ == "__main__":
+    from conftest import labelling
+
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(
-        json.dumps({_name(c): _digest(*c) for c in CASES}, indent=1, sort_keys=True) + "\n"
+        json.dumps({_name(c): _digest(*c, labelling) for c in CASES}, indent=1, sort_keys=True)
+        + "\n"
     )

@@ -10,6 +10,7 @@ from hypladder.errors import (
     ArccoshDomainError,
     InvalidDilatation,
     NonPositiveLength,
+    NumericalInstability,
 )
 from hypladder.hyp_core import ARCSINH_1, R_FORMULA_NAME, collar_width
 from hypladder.qch_bounds import (
@@ -65,6 +66,20 @@ class TestParams:
         with pytest.raises(NonPositiveLength):
             QCHParams(K=1.0, L=1.0, m_inj=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, value):
+        with pytest.raises(InvalidDilatation):
+            QCHParams(K=value, L=1.0, m_inj=0.5)
+        with pytest.raises(NonPositiveLength):
+            QCHParams(K=1.0, L=value, m_inj=0.5)
+        with pytest.raises(NonPositiveLength):
+            QCHParams(K=1.0, L=1.0, m_inj=value)
+
+    @pytest.mark.parametrize("R", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_user_R(self, R):
+        with pytest.raises(NonPositiveLength):
+            unit_params(R=R)
+
 
 class TestSeparationBounds:
     def test_unit_values_exact(self):
@@ -113,6 +128,11 @@ class TestAreaWindow:
         m2 = area_window_m(QCHParams(K=2.0, L=1.0, m_inj=0.5))
         assert m2 > m1
 
+    def test_overflow_raises(self):
+        # the default R is K^2*(...), which overflows for this K
+        with pytest.raises(NumericalInstability):
+            area_window_m(QCHParams(K=1e200, L=1.0, m_inj=0.5))
+
 
 class TestShortPants:
     def test_collapse_at_unit_sinh(self):
@@ -150,6 +170,19 @@ class TestShortPants:
         assert shortpants_global(1.0, 1.0, 0) == 1.0
         assert shortpants_global(1.0, 1.0, 1) == pytest.approx(one)
         assert shortpants_global(1.0, 1.0, 2) == pytest.approx(two)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_nonfinite(self, value):
+        for M, m in ((value, 1.0), (1.0, value)):
+            with pytest.raises(NonPositiveLength):
+                shortpants_step(M, m)
+            with pytest.raises(NonPositiveLength):
+                shortpants_global(M, m, 0)
+
+    @pytest.mark.parametrize("M, m", [(1e308, 0.5), (1419.0, 0.5), (1.0, 1e200)])
+    def test_overflow_raises(self, M, m):
+        with pytest.raises(NumericalInstability):
+            shortpants_step(M, m)
 
     def test_global_rejects_negative_diameter(self):
         with pytest.raises(ValueError):
