@@ -19,7 +19,7 @@ from . import pants_graph as pg
 from . import qch_bounds as qb
 from . import tiled_surface as ts
 from . import topo_classify as tc
-from .errors import HypladderError
+from .errors import HypladderError, NumericalInstability
 from .hyp_core import collar_width, pentagon_closure_residual, solve_pentagon
 
 SCHEMA_VERSION = "1"
@@ -52,9 +52,14 @@ def _round_floats(obj):
 
 
 def _emit_json(payload: dict) -> str:
+    """Strict JSON: a NaN or infinity in the payload is a domain error, never
+    a non-standard token on stdout."""
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
-    return json.dumps(_round_floats(payload), sort_keys=True) + "\n"
+    try:
+        return json.dumps(_round_floats(payload), sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise NumericalInstability("result is not finite") from None
 
 
 def _cmd_pentagon(args) -> str:
@@ -187,17 +192,39 @@ def _parse_deck(text: str) -> tc.DeckDescriptor:
     raise UsageError(f"deck must be finite:N or infinite:1|2|many, got {text!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _read_descriptor(path: str):
+    """Base genus, deck and planarity from a JSON descriptor file
+    {"base_genus": int, "deck": {"order": int} or {"end_count": str},
+    "planar": bool}.  A file that cannot be read, is not JSON or lacks one
+    of these is a usage error; topo_classify checks the values."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            desc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise UsageError(f"cannot read JSON from --input {path!r}: {exc}") from None
+    malformed = UsageError(
+        '--input needs {"base_genus": int, "deck": {"order": int} or '
+        '{"end_count": str}, "planar": bool}'
+    )
+    deck = desc.get("deck") if isinstance(desc, dict) else None
+    if not isinstance(deck, dict):
+        raise malformed
+    base_genus, order, planar = desc.get("base_genus"), deck.get("order"), desc.get("planar")
+    if not (_is_int(base_genus) and (order is None or _is_int(order))
+            and isinstance(planar, bool)):
+        raise malformed
+    if order is None:
+        return base_genus, tc.DeckDescriptor(order=None, end_count=deck.get("end_count")), planar
+    return base_genus, tc.DeckDescriptor(order=order), planar
+
+
 def _cmd_classify(args) -> str:
     if args.input:
-        with open(args.input) as fh:
-            desc = json.load(fh)
-        base_genus = desc["base_genus"]
-        deck_desc = desc["deck"]
-        if "order" in deck_desc and deck_desc["order"] is not None:
-            deck = tc.DeckDescriptor(order=deck_desc["order"])
-        else:
-            deck = tc.DeckDescriptor(order=None, end_count=deck_desc["end_count"])
-        planar = desc["planar"]
+        base_genus, deck, planar = _read_descriptor(args.input)
     else:
         if args.base_genus is None or args.deck is None:
             raise UsageError("classify needs --input or both --base-genus and --deck")

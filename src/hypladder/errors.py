@@ -46,6 +46,42 @@ class NegativeSurface(HypladderError, ValueError):
     rule = "surface-negative"
 
 
+class NonPositiveDeterminant(HypladderError, ValueError):
+    """A Mobius matrix with determinant <= 0 (not in PSL(2, R))."""
+
+    rule = "determinant-nonpositive"
+
+
+class MissingCoordinates(HypladderError, ValueError):
+    """Fenchel-Nielsen coordinates with an index of the window left out."""
+
+    rule = "coordinates-missing"
+
+
+class NotTrivalent(HypladderError, ValueError):
+    """A pants graph with a vertex of degree other than 3."""
+
+    rule = "graph-not-trivalent"
+
+
+class InconsistentEdgeLength(HypladderError, ValueError):
+    """One edge of a tiled complex given two different lengths."""
+
+    rule = "edge-length-inconsistent"
+
+
+class UnknownVertex(HypladderError, ValueError):
+    """A vertex that is not in the graph it is looked up in."""
+
+    rule = "vertex-unknown"
+
+
+class NegativeDiameter(HypladderError, ValueError):
+    """A graph diameter below 0."""
+
+    rule = "diameter-negative"
+
+
 class EmptyAnnulus(HypladderError):
     rule = "annulus-empty"
 

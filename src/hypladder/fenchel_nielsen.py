@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     InconsistentInput,
+    MissingCoordinates,
     NonPositiveSize,
     NotShiftInvariant,
     NumericalInstability,
@@ -104,7 +105,7 @@ class FNCoordinates:
             raise NonPositiveSize(f"window size must be >= 1, got {self.window}")
         for k in range(-self.window, self.window + 1):
             if k not in self.coords:
-                raise ValueError(f"missing coordinates at index {k}")
+                raise MissingCoordinates(f"missing coordinates at index {k}")
             sextuple = self.coords[k]
             for l in sextuple[0::2]:
                 check_positive_finite(f"length at index {k}", l)

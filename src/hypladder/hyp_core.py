@@ -15,6 +15,7 @@ from .errors import (
     DegeneratePentagon,
     EmptyAnnulus,
     InvalidDilatation,
+    NonPositiveDeterminant,
     NonPositiveLength,
     NotHyperbolic,
     NumericalInstability,
@@ -52,7 +53,7 @@ class MobiusMap:
     def __post_init__(self):
         det = _det2(self.a, self.b, self.c, self.d)
         if det <= 0:
-            raise ValueError(f"matrix must have positive determinant, got {det}")
+            raise NonPositiveDeterminant(f"matrix must have positive determinant, got {det}")
         s = 1.0 / math.sqrt(det)
         self._store(self.a * s, self.b * s, self.c * s, self.d * s)
 
@@ -212,9 +213,17 @@ def collar_width(length: float) -> float:
     about 1420)."""
     check_positive_finite("geodesic length", length)
     try:
-        return math.asinh(1.0 / math.sinh(length / 2.0))
+        s = math.sinh(length / 2.0)
     except OverflowError:
         raise NumericalInstability(f"sinh(length/2) overflows at length = {length}") from None
+    width = math.asinh(1.0 / s) if s else math.inf
+    if width == math.inf:
+        # 1/s overflows for lengths below about 2.2e-308 (and s is 0 at the
+        # smallest); there s = length/2 and sqrt(1 + s^2) = 1 to double
+        # precision, so asinh(1/s) = log1p(sqrt(1 + s^2)) - log(s) is
+        # log(2) - log(length/2)
+        width = math.log(4.0) - math.log(length)
+    return width
 
 
 def collar_involution(length: float) -> float:

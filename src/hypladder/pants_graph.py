@@ -21,7 +21,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .errors import ComplexityTooLarge, NegativeSurface
+from .errors import ComplexityTooLarge, NegativeSurface, NotTrivalent, UnknownVertex
 from .qch_bounds import shortpants_global
 
 COMPLEXITY_CAP = 4
@@ -48,7 +48,7 @@ class TrivalentGraph:
         object.__setattr__(self, "half", tuple(self.half))
         for v in range(self.n):
             if self.degree(v) != 3:
-                raise ValueError(
+                raise NotTrivalent(
                     f"vertex {v} has degree {self.degree(v)}, every pants has 3 cuffs"
                 )
 
@@ -386,6 +386,6 @@ def propagate_bounds(graph: ModularPantsGraph, start: int, M: float, m_inj: floa
     """Cuff-length bound per vertex: iterate the short-pants step along BFS
     distance from the start vertex; the start keeps exactly M."""
     if start < 0 or start >= graph.vertex_count():
-        raise ValueError(f"start vertex {start} not in graph")
+        raise UnknownVertex(f"start vertex {start} not in graph")
     dists = _bfs_dists(graph.adjacency, start)
     return {v: shortpants_global(M, m_inj, d) for v, d in sorted(dists.items())}

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .errors import (
     ArccoshDomainError,
     InvalidDilatation,
+    NegativeDiameter,
     NonPositiveLength,
     NumericalInstability,
     check_positive_finite,
@@ -132,7 +133,7 @@ def shortpants_global(M: float, m_inj: float, diameter: int) -> float:
     """Iterate shortpants_step along a modular-pants-graph path of the given
     length; diameter 0 returns M unchanged."""
     if diameter < 0:
-        raise ValueError(f"diameter must be >= 0, got {diameter}")
+        raise NegativeDiameter(f"diameter must be >= 0, got {diameter}")
     check_positive_finite("length bound", M)
     check_positive_finite("injectivity radius bound", m_inj)
     bound = M

@@ -18,9 +18,16 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
 
-from .errors import EmptySet, NonPositiveSize, ScaleTooLarge, Unreachable
+from .errors import (
+    EmptySet,
+    InconsistentEdgeLength,
+    NonPositiveSize,
+    ScaleTooLarge,
+    Unreachable,
+)
 from .hyp_core import (
     PentagonSolution,
     hyp_dist,
@@ -30,7 +37,6 @@ from .hyp_core import (
 
 EDGE_TOL = 1e-12
 
-# face vertex order matches the pentagon side pattern (b, b, a, c, a)
 _HOLE_MIRROR = {"N": "N", "S": "S", "E": "W", "W": "E"}
 
 
@@ -96,6 +102,8 @@ class TiledComplex:
     Vertex ids: ('C', r, c) lattice corners, ('HM', r, c) horizontal-side
     midpoints on row line r, ('VM', r, c) vertical-side midpoints on column
     line c, ('H', r, c, pos) hole corners of cell (r, c), pos in NESW.
+    ``build_grid`` makes one tuple per vertex, which the faces and the edge
+    keys share, and writes each pentagon side once.
 
     Distance queries share one integer index of the graph, built on the
     first query and dropped by ``add_edge``.  Change ``edges`` only through
@@ -124,10 +132,10 @@ class TiledComplex:
         return out
 
     def add_edge(self, u, v, length: float) -> None:
-        key = tuple(sorted((u, v)))
+        key = (u, v) if u <= v else (v, u)
         old = self.edges.get(key)
         if old is not None and abs(old - length) > EDGE_TOL:
-            raise ValueError(
+            raise InconsistentEdgeLength(
                 f"edge {key} assigned inconsistent lengths {old} and {length}"
             )
         self.edges[key] = length
@@ -154,7 +162,8 @@ class TiledComplex:
         inc = {}
         for face in self.faces:
             for i in range(5):
-                key = tuple(sorted((face[i], face[(i + 1) % 5])))
+                u, v = face[i], face[(i + 1) % 5]
+                key = (u, v) if u <= v else (v, u)
                 inc[key] = inc.get(key, 0) + 1
         return inc
 
@@ -193,30 +202,45 @@ def _boundary_component_count(inc: dict) -> int:
     return len({find(u) for e in boundary for u in e})
 
 
-def _cell_faces(r: int, c: int):
-    """The four pentagon faces of cell (r, c), each in (b,b,a,c,a) order."""
-    C, HM, VM, H = "C", "HM", "VM", "H"
-    return [
-        ((HM, r, c), (C, r, c + 1), (VM, r, c + 1), (H, r, c, "E"), (H, r, c, "N")),
-        ((VM, r, c + 1), (C, r + 1, c + 1), (HM, r + 1, c), (H, r, c, "S"), (H, r, c, "E")),
-        ((HM, r + 1, c), (C, r + 1, c), (VM, r, c), (H, r, c, "W"), (H, r, c, "S")),
-        ((VM, r, c), (C, r, c), (HM, r, c), (H, r, c, "N"), (H, r, c, "W")),
-    ]
-
-
 def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
-    """Window of rows x cols holed squares tiled edge to edge."""
+    """Window of rows x cols holed squares tiled edge to edge.
+
+    Each cell is four pentagon faces in (b,b,a,c,a) order around its hole.
+    Every side is written once, straight under its sorted key: a cell writes
+    its four ``a`` and four ``c`` sides and the ``b`` halves of its top and
+    left sides, and the last row and column also write their bottom and
+    right halves.  Each vertex is one tuple, shared by faces and edges.
+    """
     if rows < 1 or cols < 1:
         raise NonPositiveSize(f"window must be at least 1x1, got {rows}x{cols}")
     p = solve_pentagon(b)
-    side_lengths = (p.b, p.b, p.a, p.c, p.a)
+    pb, pa, pc = p.b, p.a, p.c
     t = TiledComplex(pentagon=p, rows=rows, cols=cols)
+    edges, faces = t.edges, t.faces
+    corner = [[("C", r, c) for c in range(cols + 1)] for r in range(rows + 1)]
+    hmid = [[("HM", r, c) for c in range(cols)] for r in range(rows + 1)]
+    vmid = [[("VM", r, c) for c in range(cols + 1)] for r in range(rows)]
     for r in range(rows):
+        top, bottom, vm = corner[r], corner[r + 1], vmid[r]
+        htop, hbottom = hmid[r], hmid[r + 1]
+        last_row = r == rows - 1
         for c in range(cols):
-            for face in _cell_faces(r, c):
-                t.faces.append(face)
-                for i in range(5):
-                    t.add_edge(face[i], face[(i + 1) % 5], side_lengths[i])
+            c00, c01, c10, c11 = top[c], top[c + 1], bottom[c], bottom[c + 1]
+            h0, h1, v0, v1 = htop[c], hbottom[c], vm[c], vm[c + 1]
+            n, e, s, w = ("H", r, c, "N"), ("H", r, c, "E"), ("H", r, c, "S"), ("H", r, c, "W")
+            faces += (
+                (h0, c01, v1, e, n),
+                (v1, c11, h1, s, e),
+                (h1, c10, v0, w, s),
+                (v0, c00, h0, n, w),
+            )
+            # keys in sorted order: kinds sort C < H < HM < VM, holes E < N < S < W
+            edges[c00, h0] = edges[c01, h0] = edges[c00, v0] = edges[c10, v0] = pb
+            edges[n, h0] = edges[e, v1] = edges[s, h1] = edges[w, v0] = pa
+            edges[e, n] = edges[e, s] = edges[s, w] = edges[n, w] = pc
+            if last_row:
+                edges[c10, h1] = edges[c11, h1] = pb
+        edges[top[cols], vm[cols]] = edges[bottom[cols], vm[cols]] = pb
     return t
 
 
@@ -271,14 +295,24 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
 
 def _distances(g: _GraphIndex, sources, targets=None) -> list:
     """Dijkstra on the integer index: dist[i] for every settled vertex i,
-    None elsewhere.  With a target set, stops once all targets are settled."""
+    None elsewhere.  With a target set, stops once all targets are settled.
+
+    ``best`` holds each vertex's best tentative distance, and a neighbour is
+    pushed only when it improves on it (with lengths >= 0 a settled vertex
+    never does); an entry it improved on stays in the heap and is skipped
+    when popped.  Vertices settle in (d, i) order, so the settled set at an
+    early stop is the same as with a push per edge."""
     adj = g.adj
     dist = [None] * len(adj)
+    best = [math.inf] * len(adj)
+    for s in sources:
+        best[s] = 0.0
     heap = [(0.0, s) for s in sources]
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     remaining = set(targets) if targets is not None else None
     while heap:
-        d, v = heapq.heappop(heap)
+        d, v = heappop(heap)
         if dist[v] is not None:
             continue
         dist[v] = d
@@ -287,8 +321,10 @@ def _distances(g: _GraphIndex, sources, targets=None) -> list:
             if not remaining:
                 break
         for w, length in adj[v]:
-            if dist[w] is None:
-                heapq.heappush(heap, (d + length, w))
+            nd = d + length
+            if nd < best[w]:
+                best[w] = nd
+                heappush(heap, (nd, w))
     return dist
 
 

@@ -11,8 +11,10 @@ from fractions import Fraction
 import pytest
 
 from hypladder import pants_graph
-from hypladder.hyp_core import MobiusMap
+from hypladder.errors import NonPositiveSize
+from hypladder.hyp_core import MobiusMap, solve_pentagon
 from hypladder.pants_graph import TrivalentGraph
+from hypladder.tiled_surface import EDGE_TOL, TiledComplex
 
 
 def _inject_edge(t, u, v, length):
@@ -23,6 +25,49 @@ def _inject_edge(t, u, v, length):
     """
     key = tuple(sorted((u, v)))
     return dataclasses.replace(t, edges={**t.edges, key: length})
+
+
+# per-face tiling: build_grid and _cell_faces kept verbatim from the
+# implementation that passed every face side through TiledComplex.add_edge
+# (its body is _oracle_add_edge), so that each shared side is written twice
+# and its two lengths checked against each other
+
+
+def _oracle_add_edge(t, u, v, length: float) -> None:
+    key = tuple(sorted((u, v)))
+    old = t.edges.get(key)
+    if old is not None and abs(old - length) > EDGE_TOL:
+        raise ValueError(
+            f"edge {key} assigned inconsistent lengths {old} and {length}"
+        )
+    t.edges[key] = length
+
+
+def _cell_faces(r: int, c: int):
+    """The four pentagon faces of cell (r, c), each in (b,b,a,c,a) order."""
+    C, HM, VM, H = "C", "HM", "VM", "H"
+    return [
+        ((HM, r, c), (C, r, c + 1), (VM, r, c + 1), (H, r, c, "E"), (H, r, c, "N")),
+        ((VM, r, c + 1), (C, r + 1, c + 1), (HM, r + 1, c), (H, r, c, "S"), (H, r, c, "E")),
+        ((HM, r + 1, c), (C, r + 1, c), (VM, r, c), (H, r, c, "W"), (H, r, c, "S")),
+        ((VM, r, c), (C, r, c), (HM, r, c), (H, r, c, "N"), (H, r, c, "W")),
+    ]
+
+
+def oracle_build_grid(b: float, rows: int, cols: int) -> TiledComplex:
+    """Window of rows x cols holed squares tiled edge to edge."""
+    if rows < 1 or cols < 1:
+        raise NonPositiveSize(f"window must be at least 1x1, got {rows}x{cols}")
+    p = solve_pentagon(b)
+    side_lengths = (p.b, p.b, p.a, p.c, p.a)
+    t = TiledComplex(pentagon=p, rows=rows, cols=cols)
+    for r in range(rows):
+        for c in range(cols):
+            for face in _cell_faces(r, c):
+                t.faces.append(face)
+                for i in range(5):
+                    _oracle_add_edge(t, face[i], face[(i + 1) % 5], side_lengths[i])
+    return t
 
 
 # brute-force canonical key: the n! search over full (n, edges, half, deco)
@@ -83,6 +128,11 @@ def _conjugate_entries(f: MobiusMap, x: MobiusMap) -> tuple[Fraction, ...]:
 @pytest.fixture
 def inject_edge():
     return _inject_edge
+
+
+@pytest.fixture(name="oracle_build_grid", scope="session")
+def _oracle_build_grid_fixture():
+    return oracle_build_grid
 
 
 @pytest.fixture(name="brute_force_key", scope="session")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypladder import cli
 from hypladder.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, run
 
 SUBCOMMANDS = {
@@ -210,6 +211,61 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert json.loads(text, parse_constant=pytest.fail)["error"] == "usage"
 
+    @pytest.mark.parametrize("length, width", [("1e-310", 715.187673189),
+                                               ("5e-324", 745.826366283)])
+    def test_collar_of_subnormal_length_is_finite(self, length, width):
+        code, text = run(["collar", "--l", length])
+        assert code == EXIT_OK
+        assert json.loads(text, parse_constant=pytest.fail)["collar_width"] == width
+
+    def test_non_finite_output_is_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(cli, "collar_width", lambda length: math.inf)
+        code, text = run(["collar", "--l", "1.0"])
+        assert code == EXIT_DOMAIN
+        assert json.loads(text, parse_constant=pytest.fail)["error"] == "NumericalInstability"
+
+    @pytest.mark.parametrize("content", [
+        pytest.param(None, id="missing"),
+        pytest.param("", id="empty"),
+        pytest.param("{not json", id="not-json"),
+        pytest.param("[" * 100_000, id="nested-too-deep"),
+        pytest.param("[1, 2]", id="list"),
+        pytest.param('"cover"', id="string"),
+        pytest.param({"deck": {"order": 2}, "planar": False}, id="no-base-genus"),
+        pytest.param({"base_genus": 2, "planar": False}, id="no-deck"),
+        pytest.param({"base_genus": 2, "deck": {"order": 2}}, id="no-planar"),
+        pytest.param({"base_genus": "2", "deck": {"order": 2}, "planar": False}, id="genus-str"),
+        pytest.param({"base_genus": 2.0, "deck": {"order": 2}, "planar": False}, id="genus-float"),
+        pytest.param({"base_genus": True, "deck": {"order": 2}, "planar": False}, id="genus-bool"),
+        pytest.param({"base_genus": 2, "deck": [2], "planar": False}, id="deck-list"),
+        pytest.param({"base_genus": 2, "deck": {"order": "2"}, "planar": False}, id="order-str"),
+        pytest.param({"base_genus": 2, "deck": {"order": math.nan}, "planar": False},
+                     id="order-nan"),
+        pytest.param({"base_genus": 2, "deck": {"order": 2}, "planar": "no"}, id="planar-str"),
+    ])
+    def test_classify_bad_input_file_is_usage_error(self, tmp_path, content):
+        path = tmp_path / "cover.json"
+        if content is not None:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+        code, text = run(["classify", "--input", str(path)])
+        assert code == EXIT_USAGE
+        assert json.loads(text, parse_constant=pytest.fail)["error"] == "usage"
+
+    @pytest.mark.parametrize("path", ["", "directory", "binary"])
+    def test_classify_unreadable_input_is_usage_error(self, tmp_path, path):
+        (tmp_path / "binary").write_bytes(b"\xff\xfe{")
+        code, text = run(["classify", "--input", str(tmp_path / path)])
+        assert code == EXIT_USAGE
+        assert json.loads(text, parse_constant=pytest.fail)["error"] == "usage"
+
+    @pytest.mark.parametrize("deck", ['{"order": 0}', '{"end_count": "3"}', "{}"])
+    def test_classify_inconsistent_input_file_is_domain_error(self, tmp_path, deck):
+        path = tmp_path / "cover.json"
+        path.write_text(f'{{"base_genus": 2, "deck": {deck}, "planar": false}}')
+        code, text = run(["classify", "--input", str(path)])
+        assert code == EXIT_DOMAIN
+        assert json.loads(text, parse_constant=pytest.fail)["error"] == "InconsistentInput"
+
     def test_usage_error_unknown_command(self):
         code, text = run(["bogus"])
         assert code == EXIT_USAGE
@@ -233,7 +289,9 @@ class TestExitCodes:
 # -- argv fuzz -----------------------------------------------------------------
 # every subcommand with its numeric flags drawn from ordinary values, 0,
 # negatives, +-inf, NaN and huge magnitudes; integer flags also get the float
-# spellings, which argparse must refuse
+# spellings, which argparse must refuse.  classify --input names a file the
+# test writes: missing, raw bytes, any JSON value, or a descriptor whose keys
+# may be missing or of the wrong type
 
 NUMBER = st.one_of(
     st.floats(min_value=0.1, max_value=5.0),
@@ -248,6 +306,27 @@ SWEEP = st.builds("{}={}:{}:{}".format, st.sampled_from("kl"), NUMBER, NUMBER, N
 DECK = st.one_of(
     INTEGER.map("finite:{}".format),
     st.sampled_from(["infinite:1", "infinite:2", "infinite:many", "infinite:3"]),
+)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+DESCRIPTOR_FIELD = st.one_of(JSON_VALUE, st.integers(-2, 4),
+                             st.sampled_from(["1", "2", "infinitely_many"]))
+DESCRIPTOR = st.fixed_dictionaries({}, optional={
+    "base_genus": DESCRIPTOR_FIELD,
+    "deck": st.one_of(JSON_VALUE, st.fixed_dictionaries(
+        {}, optional={"order": DESCRIPTOR_FIELD, "end_count": DESCRIPTOR_FIELD})),
+    "planar": DESCRIPTOR_FIELD,
+})
+# bytes of the file --input names, or None for a file that does not exist
+INPUT_FILE = st.one_of(
+    st.none(),
+    st.binary(max_size=12),
+    JSON_VALUE.map(lambda v: json.dumps(v).encode()),
+    DESCRIPTOR.map(lambda v: json.dumps(v).encode()),
 )
 FN_FLAGS = {"--window": INTEGER, "--length": NUMBER, "--odd-length": NUMBER,
             "--twist": NUMBER}
@@ -266,8 +345,8 @@ COMMANDS = {
                      "--inj-radius": NUMBER, "--format": st.sampled_from(["json", "text"])}),
     "tiled": ([st.sampled_from(["certify", "export"])], {"--b": NUMBER, "--n": INTEGER},
               {"--cols": INTEGER, "--refine-diagonals": None}),
-    "classify": ([], {"--base-genus": INTEGER, "--deck": DECK},
-                 {"--planar": None, "--no-planar": None}),
+    "classify": ([], {}, {"--base-genus": INTEGER, "--deck": DECK, "--planar": None,
+                          "--no-planar": None, "--input": INPUT_FILE}),
 }
 
 
@@ -278,7 +357,10 @@ def fuzzed_argv(draw):
     argv = [command] + [draw(w) for w in words]
     flags = list(required.items()) + [f for f in optional.items() if draw(st.booleans())]
     for flag, value in flags:
-        argv += [flag] if value is None else [f"{flag}={draw(value)}"]
+        if flag == "--input":
+            argv += [flag, draw(value)]
+        else:
+            argv += [flag] if value is None else [f"{flag}={draw(value)}"]
     return argv
 
 
@@ -286,9 +368,21 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("classify-input")
+
+
 @settings(max_examples=100, deadline=None)
-@given(fuzzed_argv())
-def test_fuzzed_argv_keep_the_exit_contract(argv):
+@given(argv=fuzzed_argv())
+def test_fuzzed_argv_keep_the_exit_contract(argv, input_dir):
+    if "--input" in argv:
+        i = argv.index("--input") + 1
+        path = input_dir / "cover.json"
+        path.unlink(missing_ok=True)
+        if argv[i] is not None:
+            path.write_bytes(argv[i])
+        argv[i] = str(path)
     code, text = run(argv)
     assert code in (EXIT_OK, EXIT_DOMAIN, EXIT_USAGE)
     if text.startswith("{"):

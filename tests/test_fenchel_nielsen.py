@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hypladder.errors import (
     InconsistentInput,
+    MissingCoordinates,
     NonPositiveLength,
     NonPositiveSize,
     NotShiftInvariant,
@@ -132,6 +133,12 @@ class TestBuildLadderFN:
     def test_missing_index_rejected(self):
         with pytest.raises(ValueError):
             FNCoordinates(window=1, coords={0: (1, 0, 1, 0, 1, 0)})
+
+    def test_missing_index_is_a_domain_error(self):
+        coords = {k: (1, 0, 1, 0, 1, 0) for k in (-2, -1, 0, 2)}
+        with pytest.raises(MissingCoordinates, match="index 1") as info:
+            FNCoordinates(window=2, coords=coords)
+        assert info.value.rule == "coordinates-missing"
 
 
 class TestNormalizeTwists:

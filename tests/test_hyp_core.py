@@ -10,6 +10,7 @@ from hypladder.errors import (
     DegeneratePentagon,
     EmptyAnnulus,
     InvalidDilatation,
+    NonPositiveDeterminant,
     NonPositiveLength,
     NotHyperbolic,
     NumericalInstability,
@@ -55,6 +56,12 @@ class TestMobiusMap:
     def test_rejects_negative_determinant(self):
         with pytest.raises(ValueError):
             MobiusMap(1.0, 0.0, 0.0, -1.0)
+
+    @pytest.mark.parametrize("entries", [(1.0, 0.0, 0.0, -1.0), (1.0, 2.0, 1.0, 2.0)])
+    def test_nonpositive_determinant_is_a_domain_error(self, entries):
+        with pytest.raises(NonPositiveDeterminant) as info:
+            MobiusMap(*entries)
+        assert info.value.rule == "determinant-nonpositive"
 
     def test_translation_moves_i_up(self):
         z = MobiusMap.translation(1.0).apply(1j)
@@ -206,6 +213,16 @@ class TestCollar:
 
     def test_fixed_point(self):
         assert abs(collar_width(2.0 * ARCSINH_1) - ARCSINH_1) < 1e-12
+
+    def test_subnormal_lengths(self):
+        # 1/sinh(l/2) overflows below l ~ 2.2e-308; the width is log(4/l)
+        # there, and keeps growing as l shrinks
+        lengths = [3e-308, 2e-308, 1e-308, 1e-310, 1e-320, 5e-324]
+        widths = [collar_width(l) for l in lengths]
+        for l, w in zip(lengths, widths):
+            assert w == pytest.approx(math.log(4.0) - math.log(l), rel=1e-15)
+        assert widths == sorted(widths)
+        assert collar_width(1e-310) == pytest.approx(715.187673189274, abs=1e-12)
 
     def test_involution_identity(self):
         for length in (0.1, 0.5, 1.0, 2.0 * ARCSINH_1, 3.0, 10.0):

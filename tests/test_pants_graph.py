@@ -6,7 +6,7 @@ import random
 import pytest
 
 from hypladder import pants_graph
-from hypladder.errors import ComplexityTooLarge, NegativeSurface
+from hypladder.errors import ComplexityTooLarge, NegativeSurface, NotTrivalent, UnknownVertex
 from hypladder.pants_graph import (
     COMPLEXITY_CAP,
     TrivalentGraph,
@@ -141,6 +141,11 @@ class TestTrivalentGraph:
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
             TrivalentGraph(n=2, edges=((0, 1),), half=(0, 0))
+
+    def test_wrong_degree_is_a_domain_error(self):
+        with pytest.raises(NotTrivalent) as info:
+            TrivalentGraph(n=1, edges=((0, 0),), half=(2,))
+        assert info.value.rule == "graph-not-trivalent"
 
     def test_connectivity(self):
         g = TrivalentGraph(
@@ -381,3 +386,11 @@ class TestPropagateBounds:
         mg = modular_pants_graph(2, 0)
         with pytest.raises(ValueError):
             propagate_bounds(mg, 9, 1.0, 1.0)
+
+    @pytest.mark.parametrize("start", [-1, 2])
+    def test_bad_start_is_a_domain_error(self, start):
+        mg = modular_pants_graph(2, 0)
+        assert mg.vertex_count() == 2
+        with pytest.raises(UnknownVertex) as info:
+            propagate_bounds(mg, start, 1.0, 1.0)
+        assert info.value.rule == "vertex-unknown"

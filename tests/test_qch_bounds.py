@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypladder.errors import (
     ArccoshDomainError,
     InvalidDilatation,
+    NegativeDiameter,
     NonPositiveLength,
     NumericalInstability,
 )
@@ -187,6 +188,11 @@ class TestShortPants:
     def test_global_rejects_negative_diameter(self):
         with pytest.raises(ValueError):
             shortpants_global(1.0, 1.0, -1)
+
+    def test_negative_diameter_is_a_domain_error(self):
+        with pytest.raises(NegativeDiameter) as info:
+            shortpants_global(1.0, 1.0, -3)
+        assert info.value.rule == "diameter-negative"
 
     @given(
         st.floats(min_value=0.5, max_value=5.0),

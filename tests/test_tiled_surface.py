@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypladder.errors import EmptySet, NonPositiveSize, ScaleTooLarge, Unreachable
+from hypladder.errors import (
+    EmptySet,
+    InconsistentEdgeLength,
+    NonPositiveSize,
+    ScaleTooLarge,
+    Unreachable,
+)
 from hypladder.hyp_core import solve_pentagon
 from hypladder.tiled_surface import (
     add_diagonals,
@@ -42,17 +48,38 @@ class TestBuildGrid:
         t = build_grid(1.2, 3, 2)
         assert len(t.faces) == 4 * 3 * 2
 
-    def test_shared_edges_consistent(self):
-        # interior lattice edges are traversed by faces of adjacent cells;
-        # building without error means all lengths agreed
-        t = build_grid(1.0, 3, 3)
-        assert all(w > 0 for w in t.edges.values())
+    def test_shared_edges_consistent(self, oracle_build_grid):
+        # the oracle writes every face side and checks that the faces sharing
+        # a side agree on its length; the library writes each side once
+        for rows, cols in [(1, 1), (1, 5), (5, 1), (3, 3), (12, 12), (45, 45)]:
+            t = build_grid(1.0, rows, cols)
+            oracle = oracle_build_grid(1.0, rows, cols)
+            assert t.edges == oracle.edges
+            assert t.faces == oracle.faces
+            assert all(w > 0 for w in t.edges.values())
+
+    def test_vertex_tuples_shared(self):
+        # one tuple per vertex, referenced by the faces and the edge keys alike
+        t = build_grid(1.2, 4, 3)
+        in_faces = {id(v) for f in t.faces for v in f}
+        in_edges = {id(v) for e in t.edges for v in e}
+        assert in_faces == in_edges
+        assert len(in_edges) == len(t.vertices())
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
             build_grid(1.2, 0, 1)
         with pytest.raises(NonPositiveSize):
             build_grid(1.2, 2, 0)
+
+    def test_add_edge_rejects_inconsistent_length(self):
+        t = build_grid(1.2, 2, 2)
+        (u, v), w = next(iter(t.edges.items()))
+        t.add_edge(v, u, w)
+        with pytest.raises(InconsistentEdgeLength) as info:
+            t.add_edge(v, u, w + 1e-3)
+        assert isinstance(info.value, ValueError)
+        assert info.value.rule == "edge-length-inconsistent"
 
     def test_unrefined_degrees(self):
         t = build_grid(1.2, 4, 4)
