@@ -30,6 +30,10 @@ EXIT_USAGE = 64
 
 # most rows one --sweep may emit
 MAX_SWEEP_ROWS = 10_000
+# largest fn/quotient --window
+MAX_WINDOW = 10_000
+# most cells in the (n+2) x cols grid behind tiled --n/--cols: a level-5 window
+MAX_TILED_CELLS = 81 * 81
 
 
 class UsageError(Exception):
@@ -79,6 +83,8 @@ def _cmd_collar(args) -> str:
 
 
 def _build_fn(args):
+    if args.window > MAX_WINDOW:
+        raise UsageError(f"--window must be at most {MAX_WINDOW}, got {args.window}")
     lengths = args.length
     if args.odd_length is not None:
         even, odd = args.length, args.odd_length
@@ -166,6 +172,8 @@ def _cmd_pants_graph(args) -> str:
 def _cmd_tiled(args) -> str:
     rows = max(3, args.n + 2)
     cols = 2 if args.cols is None else args.cols
+    if rows * cols > MAX_TILED_CELLS:
+        raise UsageError(f"tiled grid of {rows}x{cols} exceeds {MAX_TILED_CELLS} cells")
     t = ts.build_grid(args.b, rows, cols)
     if args.refine_diagonals:
         t = ts.add_diagonals(t)

@@ -82,10 +82,6 @@ class NegativeDiameter(HypladderError, ValueError):
     rule = "diameter-negative"
 
 
-class EmptyAnnulus(HypladderError):
-    rule = "annulus-empty"
-
-
 class NotHyperbolic(HypladderError):
     rule = "trace-not-hyperbolic"
 
@@ -124,10 +120,6 @@ class ScaleTooLarge(HypladderError):
 
 class Unreachable(HypladderError):
     rule = "unreachable"
-
-
-class EmptySet(HypladderError):
-    rule = "empty-set"
 
 
 class InconsistentInput(HypladderError):

@@ -149,23 +149,6 @@ def build_ladder_fn(N: int, lengths=1.0, twists=0.0) -> FNCoordinates:
     return FNCoordinates(window=N, coords=coords)
 
 
-def normalize_twists(fn: FNCoordinates) -> tuple[FNCoordinates, dict]:
-    """Fold all twists into [0, 2*pi); returns the folded coordinates and the
-    integer number of full turns removed per curve."""
-    coords = {}
-    removed = {}
-    for k in fn.indices():
-        la, ta, lb, tb, lc, tc = fn.coords[k]
-        ta, na = normalize_angle(ta)
-        tb, nb = normalize_angle(tb)
-        tc, nc = normalize_angle(tc)
-        coords[k] = (la, ta, lb, tb, lc, tc)
-        removed[("a", k)] = na
-        removed[("b", k)] = nb
-        removed[("c", k)] = nc
-    return FNCoordinates(window=fn.window, coords=coords), removed
-
-
 _J = MobiusMap(0.0, -1.0, 1.0, 0.0)  # z -> -1/z: reverses the imaginary axis
 
 

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DegeneratePentagon,
-    EmptyAnnulus,
     InvalidDilatation,
     NonPositiveDeterminant,
     NonPositiveLength,
@@ -28,21 +26,18 @@ ARCSINH_1 = math.asinh(1.0)
 DELTA_H2 = ARCSINH_1
 
 
-def _det2(a, b, c, d):
-    """Exact 2x2 determinant; a*d - b*c in float cancels catastrophically
-    for frame matrices with large entries."""
-    return float(Fraction(a) * Fraction(d) - Fraction(b) * Fraction(c))
-
-
 @dataclass(frozen=True)
 class MobiusMap:
     """Unimodular 2x2 real matrix, an orientation-preserving isometry of H^2.
 
     The constructor normalizes raw entries to determinant 1 (rescaling by
-    1/sqrt of the exact determinant) and trace >= 0 (the sign of the matrix
-    is immaterial in the isometry group).  Products, inverses and the
-    factories start from entries of determinant 1 up to roundoff, so they
-    only fix the sign.
+    1/sqrt of the float determinant) and trace >= 0 (the sign of the matrix
+    is immaterial in the isometry group).  The library calls it only on
+    entries whose products a*d and b*c are exact (each has a factor 0 or
+    +-1), so the float determinant is the exact one rounded once.  A
+    determinant that is not > 0 (NaN included) or that overflows is refused.
+    Products, inverses and the factories start from entries of determinant 1
+    up to roundoff, so they only fix the sign.
     """
 
     a: float
@@ -51,9 +46,11 @@ class MobiusMap:
     d: float
 
     def __post_init__(self):
-        det = _det2(self.a, self.b, self.c, self.d)
-        if det <= 0:
+        det = self.a * self.d - self.b * self.c
+        if not det > 0:
             raise NonPositiveDeterminant(f"matrix must have positive determinant, got {det}")
+        if det == math.inf:
+            raise NumericalInstability("matrix determinant overflows")
         s = 1.0 / math.sqrt(det)
         self._store(self.a * s, self.b * s, self.c * s, self.d * s)
 
@@ -235,26 +232,11 @@ def collar_involution(length: float) -> float:
     return 2.0 * collar_width(length)
 
 
-def annulus_modulus(r_inner: float, r_outer: float) -> float:
-    """Modulus of the round annulus r_inner < |z| < r_outer."""
-    if r_inner <= 0 or r_outer <= r_inner:
-        raise EmptyAnnulus(
-            f"need 0 < r_inner < r_outer, got ({r_inner}, {r_outer})"
-        )
-    return math.log(r_outer / r_inner) / (2.0 * math.pi)
-
-
 def geodesic_length_from_trace(t: float) -> float:
     """Translation length of a hyperbolic matrix from its trace."""
     if abs(t) <= 2.0:
         raise NotHyperbolic(f"|trace| must exceed 2 for a hyperbolic element, got {t}")
     return 2.0 * math.acosh(abs(t) / 2.0)
-
-
-def trace_from_geodesic_length(length: float) -> float:
-    if length <= 0:
-        raise NonPositiveLength(f"length must be positive, got {length}")
-    return 2.0 * math.cosh(length / 2.0)
 
 
 #: name of the stability bound used by :func:`quasi_geodesic_stability_R`,

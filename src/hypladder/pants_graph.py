@@ -184,8 +184,6 @@ def _classes(g: int, b: int) -> dict:
         if sum(half) != b:
             continue
         stubs = [v for v in range(n) for _ in range(3 - half[v])]
-        if len(stubs) % 2:
-            continue
         for match in _stub_matchings(stubs):
             edges = tuple(sorted(match))
             if edges in tried:

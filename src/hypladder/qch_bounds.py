@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     ArccoshDomainError,
@@ -30,27 +30,20 @@ from .hyp_core import R_FORMULA_NAME, collar_width, quasi_geodesic_stability_R
 LOG4 = math.log(4.0)
 
 
-def qi_constants(K: float) -> tuple[float, float]:
-    """(multiplicative, additive) quasi-isometry constants of a
-    K-quasiconformal self-map: (K, K*log4)."""
-    if K < 1.0:
-        raise InvalidDilatation(f"dilatation must be >= 1, got {K}")
-    return K, K * LOG4
-
-
 @dataclass(frozen=True)
 class QCHParams:
     """Inputs of the constant chain.
 
     R defaults to the stability bound of hyp_core; pass an explicit value to
-    override.  C is always K*log4.
+    override.  r_formula names where R came from and is set from R alone.
+    C is always K*log4.
     """
 
     K: float
     L: float
     m_inj: float
     R: float | None = None
-    r_formula: str = R_FORMULA_NAME
+    r_formula: str = field(init=False)
 
     def __post_init__(self):
         if self.K < 1.0:
@@ -63,6 +56,7 @@ class QCHParams:
             object.__setattr__(
                 self, "R", quasi_geodesic_stability_R(self.K, self.L)
             )
+            object.__setattr__(self, "r_formula", R_FORMULA_NAME)
         elif not 0 <= self.R < math.inf:
             raise NonPositiveLength(
                 f"fellow-traveling constant must be finite and >= 0, got {self.R}"
@@ -155,7 +149,6 @@ class BoundReport:
     b: float
     m_window: int
     pants_bound_per_step: float
-    notes: str
 
     def to_dict(self) -> dict:
         return {
@@ -176,7 +169,7 @@ class BoundReport:
                 "pants_bound_per_step": self.pants_bound_per_step,
                 "area_A": "surface-dependent, not computed",
             },
-            "provenance": {"r_formula": self.notes},
+            "provenance": {"r_formula": self.params.r_formula},
         }
 
     def to_json(self) -> str:
@@ -200,5 +193,4 @@ def report(params: QCHParams) -> BoundReport:
         b=b,
         m_window=area_window_m(params),
         pants_bound_per_step=shortpants_step(params.K * params.L, params.m_inj),
-        notes=params.r_formula,
     )

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import (
-    EmptySet,
     InconsistentEdgeLength,
     NonPositiveSize,
     ScaleTooLarge,
@@ -38,24 +37,6 @@ from .hyp_core import (
 EDGE_TOL = 1e-12
 
 _HOLE_MIRROR = {"N": "N", "S": "S", "E": "W", "W": "E"}
-
-
-@dataclass(frozen=True)
-class HoledSquare:
-    """One square tile (side 2b) with a geodesic hole of length 4c."""
-
-    pentagon: PentagonSolution
-    outer_boundary_length: float
-    inner_boundary_length: float
-
-
-def build_holed_square(b: float) -> HoledSquare:
-    p = solve_pentagon(b)
-    return HoledSquare(
-        pentagon=p,
-        outer_boundary_length=8.0 * p.b,
-        inner_boundary_length=4.0 * p.c,
-    )
 
 
 @dataclass(frozen=True)
@@ -252,12 +233,6 @@ def build_Tn(b: float, n: int) -> TiledComplex:
     return build_grid(b, m, m)
 
 
-def middle_block_offset(n: int) -> int:
-    """Cell (r, c) of the level-n window sits at (r + off, c + off) in the
-    level-(n+1) window."""
-    return 3 ** (n - 1)
-
-
 def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     """Identify each hole with the hole to its right, orientation reversed.
 
@@ -295,7 +270,8 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
 
 def _distances(g: _GraphIndex, sources, targets=None) -> list:
     """Dijkstra on the integer index: dist[i] for every settled vertex i,
-    None elsewhere.  With a target set, stops once all targets are settled.
+    None elsewhere.  With a non-empty target set, stops once all targets are
+    settled; an empty one stops nothing.
 
     ``best`` holds each vertex's best tentative distance, and a neighbour is
     pushed only when it improves on it (with lengths >= 0 a settled vertex
@@ -310,7 +286,7 @@ def _distances(g: _GraphIndex, sources, targets=None) -> list:
     heap = [(0.0, s) for s in sources]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
-    remaining = set(targets) if targets is not None else None
+    remaining = set(targets) if targets else None
     while heap:
         d, v = heappop(heap)
         if dist[v] is not None:
@@ -330,7 +306,7 @@ def _distances(g: _GraphIndex, sources, targets=None) -> list:
 
 def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
     """Exact shortest-path distances from the source set; stops early when
-    all targets are settled if a target set is given."""
+    all targets are settled if a non-empty target set is given."""
     g = t._graph()
     src = [g.vertex(s) for s in sources]
     # a target missing from the complex is never settled (-1 is no vertex),
@@ -442,21 +418,3 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
             out.add_edge(face[i], face[j], length)
     return out
 
-
-def hausdorff_distance(P, Q, metric) -> float:
-    """Hausdorff distance between two non-empty finite point sets: the max
-    of the two directed sup-inf distances."""
-    P, Q = list(P), list(Q)
-    if not P or not Q:
-        raise EmptySet("Hausdorff distance needs two non-empty sets")
-    forward = max(min(metric(p, q) for q in Q) for p in P)
-    backward = max(min(metric(p, q) for p in P) for q in Q)
-    return max(forward, backward)
-
-
-def set_distance(P, Q, metric) -> float:
-    """min-min distance between two non-empty finite point sets."""
-    P, Q = list(P), list(Q)
-    if not P or not Q:
-        raise EmptySet("set distance needs two non-empty sets")
-    return min(metric(p, q) for p in P for q in Q)

@@ -57,8 +57,6 @@ class SurfaceType:
             raise InconsistentInput("a compact surface has finite genus")
         if self.nonplanar_ends == "all" and not compact and not math.isinf(self.genus):
             raise InconsistentInput("non-planar ends require infinite genus")
-        if math.isinf(self.genus) and compact:
-            raise InconsistentInput("infinite genus requires at least one end")
 
     @property
     def compact(self) -> bool:

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 from hypladder import cli
 from hypladder.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, run
+from hypladder.errors import ScaleTooLarge
 
 SUBCOMMANDS = {
     "pentagon": ["pentagon", "--b", "1.2"],
@@ -211,6 +215,39 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert json.loads(text, parse_constant=pytest.fail)["error"] == "usage"
 
+    @pytest.mark.parametrize("argv", [
+        ["fn", "--window", "10001"],
+        ["fn", "--window", "1000000000", "--format", "csv"],
+        ["quotient", "--window", "10001"],
+        ["tiled", "certify", "--b", "1.2", "--n", "79", "--cols", "82"],
+        ["tiled", "export", "--b", "1.2", "--n", "3280"],
+        ["tiled", "certify", "--b", "1.2", "--n", "1", "--cols", "2188"],
+        ["tiled", "export", "--b", "1.2", "--n", "1000000000000", "--cols", "1000000000000"],
+    ], ids=" ".join)
+    def test_integer_size_over_cap_is_usage_error(self, argv):
+        code, text = run(argv)
+        assert code == EXIT_USAGE
+        assert json.loads(text, parse_constant=pytest.fail)["error"] == "usage"
+
+    @pytest.mark.parametrize("argv, target", [
+        (["fn", "--window", "10000"], "build_ladder_fn"),
+        (["quotient", "--window", "10000"], "build_ladder_fn"),
+        (["tiled", "certify", "--b", "1.2", "--n", "79", "--cols", "81"], "build_grid"),
+        (["tiled", "export", "--b", "1.2", "--n", "1", "--cols", "2187"], "build_grid"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_integer_size_at_cap_is_built(self, monkeypatch, argv, target):
+        # a size at the cap reaches the builder, which is stubbed out here so
+        # the test stays fast
+        module = cli.fn_mod if target == "build_ladder_fn" else cli.ts
+
+        def refuse(*args, **kwargs):
+            raise ScaleTooLarge("stub")
+
+        monkeypatch.setattr(module, target, refuse)
+        code, text = run(argv)
+        assert code == EXIT_DOMAIN
+        assert json.loads(text, parse_constant=pytest.fail)["message"] == "stub"
+
     @pytest.mark.parametrize("length, width", [("1e-310", 715.187673189),
                                                ("5e-324", 745.826366283)])
     def test_collar_of_subnormal_length_is_finite(self, length, width):
@@ -286,10 +323,22 @@ class TestExitCodes:
         assert json.loads(out)["length"] == 1.0
 
 
+def test_import_loads_no_exact_arithmetic():
+    # the CLI starts in a fresh interpreter on every call, so what it imports
+    # is start-up time; no module of hypladder needs fractions or decimal
+    code = ("import sys, hypladder.cli; "
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
 # -- argv fuzz -----------------------------------------------------------------
 # every subcommand with its numeric flags drawn from ordinary values, 0,
-# negatives, +-inf, NaN and huge magnitudes; integer flags also get the float
-# spellings, which argparse must refuse.  classify --input names a file the
+# negatives, +-inf, NaN and huge magnitudes; integer flags also get sizes
+# above 4, past the window and tiled-grid caps, and the float spellings,
+# which argparse must refuse.  classify --input names a file the
 # test writes: missing, raw bytes, any JSON value, or a descriptor whose keys
 # may be missing or of the wrong type
 
@@ -300,6 +349,7 @@ NUMBER = st.one_of(
 ).map(str)
 INTEGER = st.one_of(
     st.integers(min_value=-2, max_value=4).map(str),
+    st.sampled_from(["5", "9", "81", "10001", "1000000000", "1" + "0" * 18]),
     st.sampled_from(["inf", "nan", "1e200", "1e308"]),
 )
 SWEEP = st.builds("{}={}:{}:{}".format, st.sampled_from("kl"), NUMBER, NUMBER, NUMBER)

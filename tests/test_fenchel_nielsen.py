@@ -28,7 +28,6 @@ from hypladder.fenchel_nielsen import (
     fn_to_json,
     holonomy_from_fn,
     normalize_angle,
-    normalize_twists,
     pants_holonomy,
     pants_orthogeodesics,
     quotient_by_shift,
@@ -139,22 +138,6 @@ class TestBuildLadderFN:
         with pytest.raises(MissingCoordinates, match="index 1") as info:
             FNCoordinates(window=2, coords=coords)
         assert info.value.rule == "coordinates-missing"
-
-
-class TestNormalizeTwists:
-    def test_removed_turns_recorded(self):
-        fn = FNCoordinates(
-            window=1,
-            coords={
-                k: (1.0, 4.0 * math.pi + 0.1, 1.0, -0.2, 1.0, 0.3)
-                for k in (-1, 0, 1)
-            },
-        )
-        folded, removed = normalize_twists(fn)
-        assert folded.twist("a", 0) == pytest.approx(0.1)
-        assert removed[("a", 0)] == 2
-        assert removed[("b", 0)] == -1
-        assert removed[("c", 0)] == 0
 
 
 class TestPantsHolonomy:

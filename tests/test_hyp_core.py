@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hypladder.errors import (
     DegeneratePentagon,
-    EmptyAnnulus,
+    HypladderError,
     InvalidDilatation,
     NonPositiveDeterminant,
     NonPositiveLength,
@@ -22,13 +22,11 @@ from hypladder.hyp_core import (
     collar_width,
     geodesic_length_from_trace,
     hyp_dist,
-    annulus_modulus,
     pentagon_closure_residual,
     pentagon_vertices,
     polygon_closure_residual,
     quasi_geodesic_stability_R,
     solve_pentagon,
-    trace_from_geodesic_length,
 )
 
 # frozen reference values, computed independently from the pentagon relations
@@ -62,6 +60,20 @@ class TestMobiusMap:
         with pytest.raises(NonPositiveDeterminant) as info:
             MobiusMap(*entries)
         assert info.value.rule == "determinant-nonpositive"
+
+    @pytest.mark.parametrize("entries, error", [
+        ((math.nan, 0.0, 0.0, 1.0), NonPositiveDeterminant),
+        ((1.0, math.nan, math.nan, 1.0), NonPositiveDeterminant),
+        ((-math.inf, 0.0, 0.0, 1.0), NonPositiveDeterminant),
+        ((math.inf, 0.0, 0.0, 1.0), NumericalInstability),
+        ((1e200, 0.0, 0.0, 1e200), NumericalInstability),
+        ((1e200, -1e200, 1e200, 1e200), NumericalInstability),
+    ], ids=lambda v: repr(v) if isinstance(v, tuple) else v.__name__)
+    def test_bad_entries_are_domain_errors(self, entries, error):
+        # never a bare ValueError or OverflowError from the determinant
+        with pytest.raises(HypladderError) as info:
+            MobiusMap(*entries)
+        assert type(info.value) is error
 
     def test_translation_moves_i_up(self):
         z = MobiusMap.translation(1.0).apply(1j)
@@ -258,7 +270,7 @@ class TestCollar:
 class TestTraceLength:
     def test_round_trip(self):
         for length in (0.1, 1.0, 3.7):
-            t = trace_from_geodesic_length(length)
+            t = 2.0 * math.cosh(length / 2.0)
             assert geodesic_length_from_trace(t) == pytest.approx(length)
 
     def test_negative_trace_same_length(self):
@@ -268,26 +280,11 @@ class TestTraceLength:
         with pytest.raises(NotHyperbolic):
             geodesic_length_from_trace(2.0)
 
-    def test_nonpositive_length_rejected(self):
-        with pytest.raises(NonPositiveLength):
-            trace_from_geodesic_length(0.0)
-
     @given(st.floats(min_value=0.01, max_value=20.0))
     @settings(max_examples=80, deadline=None)
     def test_round_trip_property(self, length):
-        t = trace_from_geodesic_length(length)
+        t = 2.0 * math.cosh(length / 2.0)
         assert geodesic_length_from_trace(t) == pytest.approx(length, rel=1e-9)
-
-
-class TestAnnulusModulus:
-    def test_value(self):
-        assert annulus_modulus(1.0, math.e) == pytest.approx(1.0 / (2.0 * math.pi))
-
-    def test_empty(self):
-        with pytest.raises(EmptyAnnulus):
-            annulus_modulus(2.0, 1.0)
-        with pytest.raises(EmptyAnnulus):
-            annulus_modulus(0.0, 1.0)
 
 
 class TestStabilityR:

@@ -17,7 +17,6 @@ from hypladder.hyp_core import ARCSINH_1, R_FORMULA_NAME, collar_width
 from hypladder.qch_bounds import (
     QCHParams,
     area_window_m,
-    qi_constants,
     report,
     separation_bounds,
     shortpants_global,
@@ -34,17 +33,6 @@ def unit_params(**kw):
     return QCHParams(**defaults)
 
 
-class TestQiConstants:
-    def test_values(self):
-        mult, add = qi_constants(2.0)
-        assert mult == 2.0
-        assert add == pytest.approx(2.0 * LOG4)
-
-    def test_rejects_small_K(self):
-        with pytest.raises(InvalidDilatation):
-            qi_constants(0.5)
-
-
 class TestParams:
     def test_C(self):
         assert unit_params().C == pytest.approx(LOG4)
@@ -58,6 +46,11 @@ class TestParams:
         p = unit_params(R=0.25)
         assert p.R == 0.25
         assert p.r_formula == "user-supplied"
+
+    def test_r_formula_is_not_settable(self):
+        # the provenance follows from R alone, so a caller cannot relabel it
+        with pytest.raises(TypeError):
+            QCHParams(K=1.5, L=1.0, m_inj=0.5, r_formula="made-up")
 
     def test_validation(self):
         with pytest.raises(InvalidDilatation):

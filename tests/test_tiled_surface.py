@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypladder.errors import (
-    EmptySet,
     InconsistentEdgeLength,
     NonPositiveSize,
     ScaleTooLarge,
@@ -18,29 +17,26 @@ from hypladder.hyp_core import solve_pentagon
 from hypladder.tiled_surface import (
     add_diagonals,
     build_grid,
-    build_holed_square,
     build_Tn,
     certify_vertical_minimizing,
     dijkstra,
     discrete_distance,
     glue_to_Rb,
-    hausdorff_distance,
-    middle_block_offset,
-    set_distance,
 )
 
 
 class TestHoledSquare:
+    # one cell of the grid: four pentagons glued around a geodesic hole
+
     def test_boundary_lengths(self):
-        hs = build_holed_square(1.2)
-        assert hs.outer_boundary_length == pytest.approx(8.0 * 1.2)
-        assert hs.inner_boundary_length == pytest.approx(4.0 * hs.pentagon.c)
+        t = build_grid(1.2, 1, 1)
+        hole = sum(w for (u, v), w in t.edges.items() if u[0] == v[0] == "H")
+        outer = sum(w for (u, v), w in t.edges.items() if "H" not in (u[0], v[0]))
+        assert outer == pytest.approx(8.0 * 1.2)
+        assert hole == pytest.approx(4.0 * t.pentagon.c)
 
     def test_pentagon_matches_solver(self):
-        hs = build_holed_square(1.0)
-        p = solve_pentagon(1.0)
-        assert hs.pentagon.a == p.a
-        assert hs.pentagon.c == p.c
+        assert build_grid(1.0, 1, 1).pentagon == solve_pentagon(1.0)
 
 
 class TestBuildGrid:
@@ -106,16 +102,14 @@ class TestBuildTn:
         with pytest.raises(ScaleTooLarge):
             build_Tn(1.2, 4)
 
-    def test_middle_block_offset(self):
-        assert middle_block_offset(1) == 1
-        assert middle_block_offset(2) == 3
-
-    def test_nesting(self):
-        # every edge of the level-1 window appears, shifted by the offset,
-        # in the level-2 window with the same length
-        t1 = build_Tn(1.2, 1)
-        t2 = build_Tn(1.2, 2)
-        off = middle_block_offset(1)
+    @staticmethod
+    def _assert_middle_block(n):
+        # every edge of the level-n window appears, shifted by the offset
+        # 3^(n-1) of its middle block, in the level-(n+1) window with the
+        # same length
+        t1 = build_Tn(1.2, n)
+        t2 = build_Tn(1.2, n + 1)
+        off = 3 ** (n - 1)
 
         def shift(v):
             if v[0] == "H":
@@ -125,6 +119,13 @@ class TestBuildTn:
         for (u, v), w in t1.edges.items():
             key = tuple(sorted((shift(u), shift(v))))
             assert t2.edges[key] == pytest.approx(w)
+
+    def test_middle_block_offset(self):
+        # the 3x3 level-2 window sits at offset 3 in the 9x9 level-3 window
+        self._assert_middle_block(2)
+
+    def test_nesting(self):
+        self._assert_middle_block(1)
 
 
 class TestDijkstra:
@@ -194,6 +195,14 @@ class TestDijkstra:
         assert len(full) == len(t.vertices())
         with pytest.raises(Unreachable):
             discrete_distance(t, ("C", 0, 0), ("C", 99, 99))
+
+    def test_empty_target_set_runs_to_the_end(self):
+        t = build_grid(1.2, 3, 3)
+        sources = [("C", 1, 1), ("C", 0, 0)]
+        full = dijkstra(t, sources, [])
+        assert full == dijkstra(t, sources)
+        assert full[("C", 1, 1)] == 0.0
+        assert len(full) == len(t.vertices())
 
     def test_add_edge_after_query_invalidates_index(self):
         t = build_grid(1.2, 4, 2)
@@ -350,25 +359,3 @@ class TestGluing:
         assert len(g.glued_pairs) == rows * (cols // 2)
         assert g.genus() == rows * (cols // 2)
 
-
-class TestSetDistances:
-    def test_hausdorff(self):
-        metric = lambda p, q: abs(p - q)
-        assert hausdorff_distance([0.0, 1.0], [0.5], metric) == pytest.approx(0.5)
-        assert hausdorff_distance([0.0], [3.0], metric) == pytest.approx(3.0)
-
-    def test_hausdorff_symmetric(self):
-        metric = lambda p, q: abs(p - q)
-        P, Q = [0.0, 2.0, 5.0], [1.0, 1.5]
-        assert hausdorff_distance(P, Q, metric) == hausdorff_distance(Q, P, metric)
-
-    def test_set_distance(self):
-        metric = lambda p, q: abs(p - q)
-        assert set_distance([0.0, 4.0], [1.5, 9.0], metric) == pytest.approx(1.5)
-
-    def test_empty_rejected(self):
-        metric = lambda p, q: abs(p - q)
-        with pytest.raises(EmptySet):
-            hausdorff_distance([], [1.0], metric)
-        with pytest.raises(EmptySet):
-            set_distance([1.0], [], metric)
