@@ -5,6 +5,9 @@ for tabular data), deterministic for fixed inputs: floats are rounded to 12
 significant digits and JSON keys are sorted.  Exit codes: 0 on success, 2
 on domain errors (with a structured error object on stdout), 64 on usage
 errors.
+
+The library is imported inside the handlers, not here: every call starts a
+fresh interpreter, so each subcommand loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -14,13 +17,7 @@ import json
 import math
 import sys
 
-from . import fenchel_nielsen as fn_mod
-from . import pants_graph as pg
-from . import qch_bounds as qb
-from . import tiled_surface as ts
-from . import topo_classify as tc
 from .errors import HypladderError, NumericalInstability
-from .hyp_core import collar_width, pentagon_closure_residual, solve_pentagon
 
 SCHEMA_VERSION = "1"
 
@@ -67,6 +64,8 @@ def _emit_json(payload: dict) -> str:
 
 
 def _cmd_pentagon(args) -> str:
+    from .hyp_core import pentagon_closure_residual, solve_pentagon
+
     p = solve_pentagon(args.b)
     return _emit_json(
         {
@@ -79,10 +78,14 @@ def _cmd_pentagon(args) -> str:
 
 
 def _cmd_collar(args) -> str:
+    from .hyp_core import collar_width
+
     return _emit_json({"length": args.l, "collar_width": collar_width(args.l)})
 
 
 def _build_fn(args):
+    from . import fenchel_nielsen as fn_mod
+
     if args.window > MAX_WINDOW:
         raise UsageError(f"--window must be at most {MAX_WINDOW}, got {args.window}")
     lengths = args.length
@@ -93,6 +96,8 @@ def _build_fn(args):
 
 
 def _cmd_fn(args) -> str:
+    from . import fenchel_nielsen as fn_mod
+
     fn = _build_fn(args)
     if args.format == "csv":
         return fn_mod.fn_to_csv(fn)
@@ -100,6 +105,8 @@ def _cmd_fn(args) -> str:
 
 
 def _cmd_quotient(args) -> str:
+    from . import fenchel_nielsen as fn_mod
+
     fn = _build_fn(args)
     q = fn_mod.quotient_by_shift(fn, period=args.period)
     return _emit_json(
@@ -133,6 +140,8 @@ def _parse_sweep(text: str):
 
 
 def _cmd_bounds(args) -> str:
+    from . import qch_bounds as qb
+
     def params(K, L):
         return qb.QCHParams(K=K, L=L, m_inj=args.inj_radius, R=args.r)
 
@@ -154,6 +163,8 @@ def _cmd_bounds(args) -> str:
 
 
 def _cmd_pants_graph(args) -> str:
+    from . import pants_graph as pg
+
     graph = pg.modular_pants_graph(args.genus, args.boundary)
     payload = graph.to_dict()
     if args.propagate_m is not None:
@@ -174,6 +185,8 @@ def _cmd_tiled(args) -> str:
     cols = 2 if args.cols is None else args.cols
     if rows * cols > MAX_TILED_CELLS:
         raise UsageError(f"tiled grid of {rows}x{cols} exceeds {MAX_TILED_CELLS} cells")
+    from . import tiled_surface as ts
+
     t = ts.build_grid(args.b, rows, cols)
     if args.refine_diagonals:
         t = ts.add_diagonals(t)
@@ -185,7 +198,9 @@ def _cmd_tiled(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_deck(text: str) -> tc.DeckDescriptor:
+def _parse_deck(text: str):
+    from . import topo_classify as tc
+
     kind, _, arg = text.partition(":")
     if kind == "finite":
         try:
@@ -209,6 +224,8 @@ def _read_descriptor(path: str):
     {"base_genus": int, "deck": {"order": int} or {"end_count": str},
     "planar": bool}.  A file that cannot be read, is not JSON or lacks one
     of these is a usage error; topo_classify checks the values."""
+    from . import topo_classify as tc
+
     try:
         with open(path, encoding="utf-8") as fh:
             desc = json.load(fh)
@@ -231,6 +248,8 @@ def _read_descriptor(path: str):
 
 
 def _cmd_classify(args) -> str:
+    from . import topo_classify as tc
+
     if args.input:
         base_genus, deck, planar = _read_descriptor(args.input)
     else:

@@ -8,6 +8,7 @@ translation lengths directly via ``2*arccosh(|tr|/2)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,10 +33,14 @@ class MobiusMap:
 
     The constructor normalizes raw entries to determinant 1 (rescaling by
     1/sqrt of the float determinant) and trace >= 0 (the sign of the matrix
-    is immaterial in the isometry group).  The library calls it only on
-    entries whose products a*d and b*c are exact (each has a factor 0 or
-    +-1), so the float determinant is the exact one rounded once.  A
-    determinant that is not > 0 (NaN included) or that overflows is refused.
+    is immaterial in the isometry group).  Each row is first scaled by an
+    even power of two, which is exact, so entries of very different size
+    lose nothing to underflow in the determinant; where nothing under- or
+    overflows, the result is bit for bit that of the unscaled formula.  The
+    library calls it only on entries whose products a*d and b*c are exact
+    (each has a factor 0 or +-1), so the float determinant is the exact one
+    rounded once.  A determinant that is not > 0 (NaN included) or that
+    overflows is refused, and so is a normalized entry that overflows.
     Products, inverses and the factories start from entries of determinant 1
     up to roundoff, so they only fix the sign.
     """
@@ -45,14 +50,28 @@ class MobiusMap:
     c: float
     d: float
 
-    def __post_init__(self):
-        det = self.a * self.d - self.b * self.c
+    def __init__(self, a: float, b: float, c: float, d: float):
+        # each row times an even power of two, 2**-p and 2**-q: exact, and it
+        # brings each row's largest entry into [0.5, 2), so rows of very
+        # different size no longer under- or overflow in a*d - b*c
+        p = math.frexp(max(abs(a), abs(b)))[1] & -2
+        q = math.frexp(max(abs(c), abs(d)))[1] & -2
+        sa, sb = math.ldexp(a, -p), math.ldexp(b, -p)
+        sc, sd = math.ldexp(c, -q), math.ldexp(d, -q)
+        det = sa * sd - sb * sc  # the determinant times 2**-(p + q)
         if not det > 0:
-            raise NonPositiveDeterminant(f"matrix must have positive determinant, got {det}")
-        if det == math.inf:
+            raise NonPositiveDeterminant(
+                f"matrix must have positive determinant, got {a * d - b * c}")
+        if det == math.inf or math.frexp(det)[1] + p + q > sys.float_info.max_exp:
             raise NumericalInstability("matrix determinant overflows")
         s = 1.0 / math.sqrt(det)
-        self._store(self.a * s, self.b * s, self.c * s, self.d * s)
+        # back to the raw scale: the first row by 2**p / 2**((p + q) / 2)
+        r = (p - q) // 2
+        try:
+            self._store(math.ldexp(sa * s, r), math.ldexp(sb * s, r),
+                        math.ldexp(sc * s, -r), math.ldexp(sd * s, -r))
+        except OverflowError:
+            raise NumericalInstability("normalized matrix entry overflows") from None
 
     def _store(self, a: float, b: float, c: float, d: float) -> None:
         """Set the entries, negated if their trace is < 0."""
@@ -72,7 +91,7 @@ class MobiusMap:
 
     @staticmethod
     def identity() -> "MobiusMap":
-        return MobiusMap(1.0, 0.0, 0.0, 1.0)
+        return MobiusMap._signed(1.0, 0.0, 0.0, 1.0)
 
     @staticmethod
     def translation(t: float) -> "MobiusMap":

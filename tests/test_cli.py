@@ -5,14 +5,17 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypladder import cli
+from hypladder import cli, fenchel_nielsen, hyp_core, tiled_surface
 from hypladder.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, main, run
 from hypladder.errors import ScaleTooLarge
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 SUBCOMMANDS = {
     "pentagon": ["pentagon", "--b", "1.2"],
@@ -238,7 +241,7 @@ class TestExitCodes:
     def test_integer_size_at_cap_is_built(self, monkeypatch, argv, target):
         # a size at the cap reaches the builder, which is stubbed out here so
         # the test stays fast
-        module = cli.fn_mod if target == "build_ladder_fn" else cli.ts
+        module = fenchel_nielsen if target == "build_ladder_fn" else tiled_surface
 
         def refuse(*args, **kwargs):
             raise ScaleTooLarge("stub")
@@ -256,7 +259,7 @@ class TestExitCodes:
         assert json.loads(text, parse_constant=pytest.fail)["collar_width"] == width
 
     def test_non_finite_output_is_a_domain_error(self, monkeypatch):
-        monkeypatch.setattr(cli, "collar_width", lambda length: math.inf)
+        monkeypatch.setattr(hyp_core, "collar_width", lambda length: math.inf)
         code, text = run(["collar", "--l", "1.0"])
         assert code == EXIT_DOMAIN
         assert json.loads(text, parse_constant=pytest.fail)["error"] == "NumericalInstability"
@@ -332,6 +335,50 @@ def test_import_loads_no_exact_arithmetic():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+# what each subcommand runs, with the hypladder modules those import; the
+# in-process tests cannot see a module loaded before its handler needs it
+SUBCOMMAND_MODULES = {
+    "pentagon": {"hyp_core"},
+    "collar": {"hyp_core"},
+    "fn": {"fenchel_nielsen", "hyp_core"},
+    "quotient": {"fenchel_nielsen", "hyp_core"},
+    "bounds": {"qch_bounds", "hyp_core"},
+    "pants-graph": {"pants_graph", "qch_bounds", "hyp_core"},
+    "tiled": {"tiled_surface", "hyp_core"},
+    "classify": {"topo_classify"},
+    "nosuch": set(),
+}
+
+
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_import_loads_only_errors():
+    code = ("import sys, hypladder.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'hypladder'))")
+    out = _fresh_python("-c", code)
+    assert out.stdout.decode() == "['hypladder', 'hypladder.cli', 'hypladder.errors']\n"
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_MODULES))
+def test_subcommand_loads_only_its_modules(command):
+    # the first golden argv of the subcommand, run as `python -m hypladder.cli`;
+    # -X importtime lists every module the child imports on its stderr
+    golden = json.loads(GOLDEN.read_text())
+    case = next(c for c in golden if c["argv"][0] == command)
+    out = _fresh_python("-X", "importtime", "-m", "hypladder.cli", *case["argv"])
+    assert out.returncode == case["exit_code"]
+    assert out.stdout == case["stdout"].encode()
+    imported = {line.rpartition("|")[2].strip()
+                for line in out.stderr.decode().splitlines() if line.startswith("import time:")}
+    assert {m for m in imported if m.partition(".")[0] == "hypladder"} == {
+        "hypladder", "hypladder.errors", *(f"hypladder.{m}" for m in SUBCOMMAND_MODULES[command])}
+    assert not {"fractions", "decimal"} & imported
 
 
 # -- argv fuzz -----------------------------------------------------------------

@@ -75,6 +75,27 @@ class TestMobiusMap:
             MobiusMap(*entries)
         assert type(info.value) is error
 
+    def test_normalized_entry_that_overflows_is_a_domain_error(self):
+        # the determinant 1e-20 is finite, but a / sqrt(det) is 1e310
+        with pytest.raises(NumericalInstability):
+            MobiusMap(1e300, 0.0, 0.0, 1e-320)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-160, 5e-324])
+    def test_tiny_multiple_of_identity_is_identity(self, scale):
+        # a*d underflows to 0, but the determinant is positive
+        m = MobiusMap(scale, 0.0, 0.0, scale)
+        assert (m.a, m.b, m.c, m.d) == (1.0, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("entries, expected", [
+        ((1e-170, 1e-170, -1e-170, 1e-170), (0.5 ** 0.5, 0.5 ** 0.5, -0.5 ** 0.5, 0.5 ** 0.5)),
+        ((1e-300, 0.0, 0.0, 1e300), (1e-300, 0.0, 0.0, 1e300)),
+        ((3e-200, 1e-200, 0.0, 1e200), (3e-200 / 3 ** 0.5, 1e-200 / 3 ** 0.5, 0.0,
+                                          1e200 / 3 ** 0.5)),
+    ])
+    def test_entries_of_mixed_size_are_normalized(self, entries, expected):
+        m = MobiusMap(*entries)
+        assert (m.a, m.b, m.c, m.d) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
     def test_translation_moves_i_up(self):
         z = MobiusMap.translation(1.0).apply(1j)
         assert z.real == pytest.approx(0.0)
