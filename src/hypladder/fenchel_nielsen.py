@@ -25,6 +25,7 @@ from .errors import (
     InconsistentInput,
     MissingCoordinates,
     NonPositiveSize,
+    NotHyperbolic,
     NotShiftInvariant,
     NumericalInstability,
     ScaleTooLarge,
@@ -58,13 +59,24 @@ class PantsCuffs:
 
 def _orthogeodesic(li: float, lj: float, lk: float) -> float:
     """Length of the orthogeodesic between cuffs i and j (lk opposite)."""
-    num = math.cosh(lk / 2.0) + math.cosh(li / 2.0) * math.cosh(lj / 2.0)
-    den = math.sinh(li / 2.0) * math.sinh(lj / 2.0)
-    return math.acosh(num / den)
+    try:
+        num = math.cosh(lk / 2.0) + math.cosh(li / 2.0) * math.cosh(lj / 2.0)
+        den = math.sinh(li / 2.0) * math.sinh(lj / 2.0)
+        d = math.acosh(num / den)
+    except (ArithmeticError, ValueError):
+        # a cosh overflows, the sinh product underflows to 0, or both
+        # products overflow and their ratio is 0 or NaN
+        d = math.inf
+    if not d < math.inf:
+        raise NumericalInstability(
+            f"orthogeodesic between cuffs of length {li} and {lj} is not finite")
+    return d
 
 
 def pants_orthogeodesics(cuffs: PantsCuffs) -> tuple[float, float, float]:
-    """Orthogeodesic lengths (d_12, d_13, d_23) between the cuff pairs."""
+    """Orthogeodesic lengths (d_12, d_13, d_23) between the cuff pairs.
+    Raises NumericalInstability where one is not finite in floating point
+    (a cuff above about 1420, or two cuffs whose sinh product underflows)."""
     d12 = _orthogeodesic(cuffs.l1, cuffs.l2, cuffs.l3)
     d13 = _orthogeodesic(cuffs.l1, cuffs.l3, cuffs.l2)
     d23 = _orthogeodesic(cuffs.l2, cuffs.l3, cuffs.l1)
@@ -189,17 +201,28 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
     orthogeodesic distance d_12 across the unit semicircle; X3 closes the
     relation X1 @ X2 @ X3 = I and has |trace| = 2*cosh(l3/2) by the
     right-angled hexagon identities.
+
+    Raises NumericalInstability where valid cuffs are too long or too short
+    for that construction in floating point.
     """
     l1, l2, l3 = lengths
     cuffs = PantsCuffs(l1, l2, l3)
     d12, _, _ = pants_orthogeodesics(cuffs)
-    P = MobiusMap.perp_translation(d12)
-    X1 = MobiusMap.translation(l1)
-    X2 = P @ MobiusMap.translation(-l2) @ P.inverse()
-    X3 = (X1 @ X2).inverse()
-    N1 = MobiusMap.identity()
-    N2 = P @ _J  # X2 runs down its axis, so flip the model axis
-    N3 = _axis_normalizer(X3)
+    try:
+        P = MobiusMap.perp_translation(d12)
+        X1 = MobiusMap.translation(l1)
+        X2 = P @ MobiusMap.translation(-l2) @ P.inverse()
+        X3 = (X1 @ X2).inverse()
+        N1 = MobiusMap.identity()
+        N2 = P @ _J  # X2 runs down its axis, so flip the model axis
+        N3 = _axis_normalizer(X3)
+    except (ArithmeticError, ValueError, NotHyperbolic) as exc:
+        # the cuffs are valid, so X3's axis is lost to roundoff: its trace
+        # rounds to 2 or below, its discriminant below 0, or its normalizer
+        # has a zero, NaN or overflowing determinant
+        raise NumericalInstability(
+            f"pants holonomy of cuffs {tuple(lengths)} breaks down in floating point: {exc}"
+        ) from None
     return PantsHolonomy(
         cuffs=tuple(cuff_labels),
         lengths=(l1, l2, l3),
@@ -257,7 +280,8 @@ def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
     """Build per-pants Fuchsian triples and chained frames for a ladder FN
     datum.  Every cuff's trace recovers its coordinate length exactly up to
     roundoff; twists enter only the frame transitions.  Raises
-    NumericalInstability when a chained frame overflows to a non-finite
+    NumericalInstability when a pants triple cannot be built in floating
+    point (see pants_holonomy) or a chained frame overflows to a non-finite
     entry."""
     hol = HolonomyMap(fn=fn)
     N = fn.window

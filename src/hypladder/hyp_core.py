@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 from .errors import (
     DegeneratePentagon,
+    InconsistentInput,
     InvalidDilatation,
     NonPositiveDeterminant,
-    NonPositiveLength,
     NotHyperbolic,
     NumericalInstability,
     check_positive_finite,
@@ -27,7 +27,6 @@ ARCSINH_1 = math.asinh(1.0)
 DELTA_H2 = ARCSINH_1
 
 
-@dataclass(frozen=True)
 class MobiusMap:
     """Unimodular 2x2 real matrix, an orientation-preserving isometry of H^2.
 
@@ -43,7 +42,21 @@ class MobiusMap:
     overflows is refused, and so is a normalized entry that overflows.
     Products, inverses and the factories start from entries of determinant 1
     up to roundoff, so they only fix the sign.
+
+    A map is an immutable value, compared and hashed by its entries.  It is
+    a plain class with ``__slots__`` rather than a frozen dataclass because
+    the holonomy builds matrices by the hundred thousand, and a frozen
+    dataclass writes each entry through ``object.__setattr__``, which cost
+    more than the product that computed it.  Immutability is kept as the
+    frozen dataclass kept it: ``__setattr__`` and ``__delattr__`` refuse
+    every name, and ``_store``, the one place that sets entries, writes them
+    through the slot descriptors (``_set_a`` .. ``_set_d``).  Copies and
+    pickles rebuild through ``_signed`` (see ``__reduce__``), which never
+    renormalizes, so they keep every bit.
     """
+
+    __slots__ = ("a", "b", "c", "d")
+    __match_args__ = ("a", "b", "c", "d")
 
     a: float
     b: float
@@ -76,10 +89,31 @@ class MobiusMap:
     def _store(self, a: float, b: float, c: float, d: float) -> None:
         """Set the entries, negated if their trace is < 0."""
         s = -1.0 if a + d < 0 else 1.0
-        object.__setattr__(self, "a", a * s)
-        object.__setattr__(self, "b", b * s)
-        object.__setattr__(self, "c", c * s)
-        object.__setattr__(self, "d", d * s)
+        _set_a(self, a * s)
+        _set_b(self, b * s)
+        _set_c(self, c * s)
+        _set_d(self, d * s)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return (f"{self.__class__.__qualname__}"
+                f"(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})")
+
+    def __reduce__(self):
+        return MobiusMap._signed, (self.a, self.b, self.c, self.d)
 
     @staticmethod
     def _signed(a: float, b: float, c: float, d: float) -> "MobiusMap":
@@ -95,19 +129,36 @@ class MobiusMap:
 
     @staticmethod
     def translation(t: float) -> "MobiusMap":
-        """Translation by t along the imaginary axis (0 -> infinity)."""
-        e = math.exp(t / 2.0)
-        return MobiusMap._signed(e, 0.0, 0.0, 1.0 / e)
+        """Translation by t along the imaginary axis (0 -> infinity).
+        Raises NumericalInstability unless both entries are finite (|t|
+        above about 1419, or t not finite)."""
+        try:
+            e = math.exp(t / 2.0)
+            f = 1.0 / e
+        except (OverflowError, ZeroDivisionError):
+            e = f = math.inf
+        if not (e < math.inf and f < math.inf):
+            raise NumericalInstability(f"translation by {t} has no finite matrix")
+        return MobiusMap._signed(e, 0.0, 0.0, f)
 
     @staticmethod
     def perp_translation(d: float) -> "MobiusMap":
-        """Translation by d along the unit semicircle (-1 -> 1), through i."""
-        ch, sh = math.cosh(d / 2.0), math.sinh(d / 2.0)
+        """Translation by d along the unit semicircle (-1 -> 1), through i.
+        Raises NumericalInstability unless the entries are finite (|d|
+        above about 1421, or d not finite)."""
+        try:
+            ch, sh = math.cosh(d / 2.0), math.sinh(d / 2.0)
+        except OverflowError:
+            ch = sh = math.inf
+        if not ch < math.inf:
+            raise NumericalInstability(f"translation by {d} has no finite matrix")
         return MobiusMap._signed(ch, sh, sh, ch)
 
     @staticmethod
     def rotation(phi: float) -> "MobiusMap":
         """Rotation about i; positive phi turns the forward direction left."""
+        if not math.isfinite(phi):
+            raise InconsistentInput(f"rotation angle must be finite, got {phi}")
         c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
         return MobiusMap._signed(c, s, -s, c)
 
@@ -153,10 +204,23 @@ class MobiusMap:
         return (x2, x1)
 
 
+# the slot setters, bound once: the only writers of a map's entries
+_set_a, _set_b, _set_c, _set_d = (MobiusMap.a.__set__, MobiusMap.b.__set__,
+                                  MobiusMap.c.__set__, MobiusMap.d.__set__)
+
+
 def hyp_dist(z1: complex, z2: complex) -> float:
-    """Hyperbolic distance between two points of the upper half-plane."""
-    num = abs(z1 - z2) ** 2
-    return math.acosh(1.0 + num / (2.0 * z1.imag * z2.imag))
+    """Hyperbolic distance between two points of the upper half-plane.
+    Raises InconsistentInput for a point that is not in it (or not finite)
+    and NumericalInstability where the formula under- or overflows."""
+    for z in (z1, z2):
+        if not (0.0 < z.imag < math.inf and math.isfinite(z.real)):
+            raise InconsistentInput(f"point must lie in the upper half-plane, got {z}")
+    try:
+        num = abs(z1 - z2) ** 2
+        return math.acosh(1.0 + num / (2.0 * z1.imag * z2.imag))
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalInstability(f"distance from {z1} to {z2} under- or overflows") from None
 
 
 @dataclass(frozen=True)
@@ -253,8 +317,9 @@ def collar_involution(length: float) -> float:
 
 def geodesic_length_from_trace(t: float) -> float:
     """Translation length of a hyperbolic matrix from its trace."""
-    if abs(t) <= 2.0:
-        raise NotHyperbolic(f"|trace| must exceed 2 for a hyperbolic element, got {t}")
+    if not 2.0 < abs(t) < math.inf:
+        raise NotHyperbolic(
+            f"|trace| must exceed 2 and be finite for a hyperbolic element, got {t}")
     return 2.0 * math.acosh(abs(t) / 2.0)
 
 
@@ -282,10 +347,9 @@ def quasi_geodesic_stability_R(K: float, length: float) -> float:
     does not use the length argument (a bound uniform in the length is in
     particular a valid length-dependent bound).
     """
-    if K < 1.0:
-        raise InvalidDilatation(f"dilatation must be >= 1, got {K}")
-    if length <= 0:
-        raise NonPositiveLength(f"geodesic length must be positive, got {length}")
+    if not 1.0 <= K < math.inf:
+        raise InvalidDilatation(f"dilatation must be >= 1 and finite, got {K}")
+    check_positive_finite("geodesic length", length)
     if K == 1.0:
         return 0.0
     eps = K * math.log(4.0)

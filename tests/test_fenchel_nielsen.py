@@ -255,6 +255,43 @@ class TestHolonomyFromFN:
         with pytest.raises(NumericalInstability):
             holonomy_from_fn(build_ladder_fn(120, lengths=0.5))
 
+    # valid cuff lengths at which the float arithmetic of a pants breaks
+    # down: sqrt of a negative roundoff discriminant, a division by an
+    # underflowed product, an overflowing exp/cosh, a trace rounded to 2,
+    # a NaN or zero determinant
+    @pytest.mark.parametrize("length", [
+        10 ** -8.3, 10 ** -4.55, 1e-200, 5e-324, 5e-9, 1e-12,
+        80.0, 800.0, 1.6e3, 1e4, 1e300,
+    ])
+    @pytest.mark.parametrize("twist", [0.0, 0.3])
+    def test_breakdown_is_numerical_instability(self, length, twist):
+        with pytest.raises(NumericalInstability):
+            holonomy_from_fn(build_ladder_fn(1, lengths=length, twists=twist))
+
+    def test_every_valid_length_builds_or_is_numerical_instability(self):
+        # cuff lengths 10^e for e from -323.5 to 308 in steps of 1/8
+        for e in range(-2588, 2465):
+            try:
+                holonomy_from_fn(build_ladder_fn(1, lengths=10.0 ** (e / 8)))
+            except NumericalInstability:
+                pass
+
+
+class TestNumericalBreakdown:
+    @pytest.mark.parametrize("lengths", [(2000.0, 1.0, 1.0), (1e-200, 1e-200, 1.0)])
+    def test_orthogeodesics(self, lengths):
+        with pytest.raises(NumericalInstability):
+            pants_orthogeodesics(PantsCuffs(*lengths))
+
+    @pytest.mark.parametrize("lengths", [(1e4, 1.0, 1.0), (1e-200, 1.0, 1.0), (80.0, 80.0, 80.0)])
+    def test_pants_holonomy(self, lengths):
+        with pytest.raises(NumericalInstability):
+            pants_holonomy(["1", "2", "3"], lengths)
+
+    def test_invalid_cuff_is_still_a_length_error(self):
+        with pytest.raises(NonPositiveLength):
+            pants_holonomy(["1", "2", "3"], (1.0, math.nan, 1.0))
+
 
 class TestQuotientByShift:
     def test_genus_three(self):

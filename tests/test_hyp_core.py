@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypladder.errors import (
     DegeneratePentagon,
     HypladderError,
+    InconsistentInput,
     InvalidDilatation,
     NonPositiveDeterminant,
     NonPositiveLength,
@@ -158,6 +161,105 @@ class TestMobiusMap:
         assert m.max_entry() > 1e10
 
 
+def _drifted() -> MobiusMap:
+    """A long product whose float determinant is no longer 1, so going
+    through the normalizing constructor would change its bits."""
+    m = MobiusMap.identity()
+    step = MobiusMap.perp_translation(3.0) @ MobiusMap.rotation(1.0)
+    for _ in range(40):
+        m = m @ step
+    return m
+
+
+def _bits(m: MobiusMap) -> tuple:
+    return (m.a.hex(), m.b.hex(), m.c.hex(), m.d.hex())
+
+
+VALUES = {
+    "identity": MobiusMap.identity,
+    "translation": lambda: MobiusMap.translation(1.3),
+    "product": lambda: MobiusMap.rotation(0.4) @ MobiusMap.perp_translation(2.2),
+    "drifted": _drifted,
+}
+
+
+class TestMobiusMapValue:
+    """The value semantics of a frozen dataclass: immutable, compared and
+    hashed by entries, copied and pickled bit for bit."""
+
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d", "e"])
+    def test_assignment_and_deletion_raise(self, name):
+        m = MobiusMap.translation(1.0)
+        with pytest.raises(AttributeError):
+            setattr(m, name, 2.0)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+        assert _bits(m) == _bits(MobiusMap.translation(1.0))
+
+    def test_equal_entries_are_equal_and_hash_equal(self):
+        m, n = MobiusMap.translation(1.3), MobiusMap.translation(1.3)
+        assert m is not n and m == n and not m != n
+        assert hash(m) == hash(n)
+        assert len({m, n, MobiusMap.translation(1.4)}) == 2
+        assert m != MobiusMap.translation(1.4)
+
+    def test_never_equal_to_a_tuple(self):
+        m = MobiusMap.identity()
+        assert m != (1.0, 0.0, 0.0, 1.0)
+        assert (1.0, 0.0, 0.0, 1.0) != m
+        assert m.__eq__((1.0, 0.0, 0.0, 1.0)) is NotImplemented
+
+    def test_repr(self):
+        assert repr(MobiusMap.identity()) == "MobiusMap(a=1.0, b=0.0, c=0.0, d=1.0)"
+        m = MobiusMap.rotation(0.4)
+        assert repr(m) == f"MobiusMap(a={m.a!r}, b={m.b!r}, c={m.c!r}, d={m.d!r})"
+
+    def test_drifted_map_is_not_normalized(self):
+        m = _drifted()
+        assert _bits(MobiusMap(m.a, m.b, m.c, m.d)) != _bits(m)
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    @pytest.mark.parametrize("how", [
+        copy.copy,
+        copy.deepcopy,
+        *(lambda m, p=p: pickle.loads(pickle.dumps(m, protocol=p))
+          for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ], ids=["copy", "deepcopy", *(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_copies_keep_every_bit(self, name, how):
+        m = VALUES[name]()
+        c = how(m)
+        assert type(c) is MobiusMap
+        assert c == m and hash(c) == hash(m)
+        assert _bits(c) == _bits(m)
+        with pytest.raises(AttributeError):
+            c.a = 0.0
+
+
+class TestFactoriesRefuseNonFinite:
+    @pytest.mark.parametrize("t", [1e4, -1e4, -1430.0, 1e300, math.inf, -math.inf, math.nan])
+    def test_translation(self, t):
+        with pytest.raises(NumericalInstability):
+            MobiusMap.translation(t)
+
+    @pytest.mark.parametrize("d", [1e4, -1e4, 1e300, math.inf, -math.inf, math.nan])
+    def test_perp_translation(self, d):
+        with pytest.raises(NumericalInstability):
+            MobiusMap.perp_translation(d)
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_rotation(self, phi):
+        with pytest.raises(InconsistentInput):
+            MobiusMap.rotation(phi)
+
+    def test_largest_translations_still_build(self):
+        # |t| / 2 just below log(max float): both entries are finite
+        for t in (1419.0, -1419.0):
+            m = MobiusMap.translation(t)
+            assert m.a * m.d == pytest.approx(1.0)
+        m = MobiusMap.perp_translation(1419.0)
+        assert math.isfinite(m.a)
+
+
 class TestHypDist:
     def test_vertical_segment(self):
         assert hyp_dist(1j, math.e * 1j) == pytest.approx(1.0)
@@ -170,6 +272,15 @@ class TestHypDist:
         m = MobiusMap.perp_translation(0.9) @ MobiusMap.rotation(0.4)
         z, w = 0.5 + 2.0j, -0.2 + 0.8j
         assert hyp_dist(m.apply(z), m.apply(w)) == pytest.approx(hyp_dist(z, w))
+
+    @pytest.mark.parametrize("z", [
+        0j, 1.0 + 0j, -1j, complex(0.0, -0.0), complex(math.nan, 1.0),
+        complex(1.0, math.nan), complex(math.inf, 1.0), complex(0.0, math.inf),
+    ], ids=repr)
+    def test_points_off_the_upper_half_plane_rejected(self, z):
+        for pair in ((z, 1j), (1j, z)):
+            with pytest.raises(InconsistentInput):
+                hyp_dist(*pair)
 
     @given(
         st.floats(min_value=-3, max_value=3),
@@ -301,6 +412,11 @@ class TestTraceLength:
         with pytest.raises(NotHyperbolic):
             geodesic_length_from_trace(2.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_trace_rejected(self, t):
+        with pytest.raises(NotHyperbolic):
+            geodesic_length_from_trace(t)
+
     @given(st.floats(min_value=0.01, max_value=20.0))
     @settings(max_examples=80, deadline=None)
     def test_round_trip_property(self, length):
@@ -324,6 +440,17 @@ class TestStabilityR:
             quasi_geodesic_stability_R(0.9, 1.0)
         with pytest.raises(NonPositiveLength):
             quasi_geodesic_stability_R(1.5, 0.0)
+
+    @pytest.mark.parametrize("K", [math.nan, math.inf])
+    def test_rejects_non_finite_dilatation(self, K):
+        with pytest.raises(InvalidDilatation):
+            quasi_geodesic_stability_R(K, 1.0)
+
+    @pytest.mark.parametrize("K", [1.0, 1.5])
+    @pytest.mark.parametrize("length", [math.nan, math.inf])
+    def test_rejects_non_finite_length(self, K, length):
+        with pytest.raises(NonPositiveLength):
+            quasi_geodesic_stability_R(K, length)
 
     def test_dominates_sampled_quasi_geodesics(self):
         # piecewise-geodesic (K, K*log4)-quasi-geodesics built by bending the
