@@ -15,8 +15,6 @@ combinatorial neighborhood, so windowed results are window-stable.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -312,8 +310,9 @@ def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
 
 @dataclass(frozen=True)
 class ShiftQuotient:
-    """Closed surface obtained from a period-2 ladder by the index shift
-    k -> k+2: four pants, six cuffs, Euler characteristic -4, genus 3."""
+    """Closed surface obtained from a ladder invariant under the index shift
+    k -> k+p: 2p pants, 3p cuffs, Euler characteristic -2p, genus p+1.
+    Period 1 gives genus 2 (the theta graph), period 2 genus 3."""
 
     pants: tuple
     cuffs: tuple
@@ -324,8 +323,8 @@ class ShiftQuotient:
 
 def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:
     """Quotient a shift-invariant ladder by the horizontal translation of the
-    given period (default 2, the smallest giving a closed orientable
-    quotient of this decomposition).  The window must hold the
+    given period p (default 2): a closed surface of genus p+1, so period 1
+    is the smallest, with genus 2.  The window must hold the
     representatives 0..period-1."""
     if period < 1:
         raise NonPositiveSize(f"shift period must be at least 1, got {period}")
@@ -380,12 +379,10 @@ def fn_to_json(fn: FNCoordinates) -> str:
 
 
 def fn_to_csv(fn: FNCoordinates) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["k", "l_a", "t_a", "l_b", "t_b", "l_c", "t_c"])
+    lines = ["k,l_a,t_a,l_b,t_b,l_c,t_c"]
     for k in fn.indices():
-        writer.writerow([k, *fn.coords[k]])
-    return buf.getvalue()
+        lines.append(",".join(map(str, (k, *fn.coords[k]))))
+    return "\n".join(lines) + "\n"
 
 
 def fn_from_json(text: str) -> FNCoordinates:

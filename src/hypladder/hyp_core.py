@@ -345,7 +345,8 @@ def quasi_geodesic_stability_R(K: float, length: float) -> float:
     hyperbolic plane.  The bound is deliberately generous; the test suite
     cross-checks it against sampled piecewise-geodesic quasi-geodesics.  It
     does not use the length argument (a bound uniform in the length is in
-    particular a valid length-dependent bound).
+    particular a valid length-dependent bound).  Raises NumericalInstability
+    when K is so large (above about 4e102) that the bound overflows.
     """
     if not 1.0 <= K < math.inf:
         raise InvalidDilatation(f"dilatation must be >= 1 and finite, got {K}")
@@ -353,4 +354,7 @@ def quasi_geodesic_stability_R(K: float, length: float) -> float:
     if K == 1.0:
         return 0.0
     eps = K * math.log(4.0)
-    return K * K * (2.0 * eps + 5.0 * DELTA_H2)
+    R = K * K * (2.0 * eps + 5.0 * DELTA_H2)
+    if not math.isfinite(R):
+        raise NumericalInstability(f"fellow-traveling constant R overflows at K={K}")
+    return R

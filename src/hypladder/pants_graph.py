@@ -11,14 +11,13 @@ decoration, but the relabelled edges alone fix it: every vertex has degree
 3, so its half-edge count is 3 minus its edge degree, and bridges map to
 bridges under relabelling.
 
-Complexity is capped at xi = 3g-3+b <= 4 so enumeration stays exhaustive
-and oracle-checkable.
+Complexity is capped at xi = 3g-3+b <= 4 so enumeration, which builds
+each edge multiset once, stays exhaustive and oracle-checkable.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .errors import ComplexityTooLarge, NegativeSurface, NotTrivalent, UnknownVertex
@@ -154,16 +153,30 @@ def _check_cap(g: int, b: int) -> None:
         )
 
 
-def _stub_matchings(stubs):
-    """All perfect matchings of the list of stub owners (vertex ids)."""
-    if not stubs:
-        yield []
-        return
-    first, rest = stubs[0], stubs[1:]
-    for idx in range(len(rest)):
-        pair = tuple(sorted((first, rest[idx])))
-        for tail in _stub_matchings(rest[:idx] + rest[idx + 1:]):
-            yield [pair] + tail
+def _edge_multisets(free):
+    """Each multiset of internal edges (i, j), i <= j, that fills exactly
+    free[v] cuff ends at every vertex v, once, as a sorted tuple: the lowest
+    vertex with free ends takes partners at or above itself in
+    non-decreasing order, a loop taking two of its ends."""
+    free = list(free)
+    n = len(free)
+
+    def extend(v, low):
+        while v < n and not free[v]:
+            v = low = v + 1
+        if v == n:
+            yield ()
+            return
+        for j in range(low, n):
+            if free[j] >= (2 if j == v else 1):
+                free[v] -= 1
+                free[j] -= 1
+                for tail in extend(v, j):
+                    yield ((v, j),) + tail
+                free[v] += 1
+                free[j] += 1
+
+    return extend(0, 0)
 
 
 def _classes(g: int, b: int) -> dict:
@@ -171,30 +184,23 @@ def _classes(g: int, b: int) -> dict:
     S_{g,b}, in key order.
 
     Distributes boundary legs over the 2g-2+b pants as a non-increasing
-    vector (every class has such a labelling), perfect-matches the
-    remaining cuff stubs, skips edge multisets already tried (stubs of one
-    vertex are interchangeable, so many matchings repeat; the edges fix the
-    legs), then keeps connected graphs realizing the requested genus.
+    vector (every class has such a labelling), generates each edge multiset
+    that fills the remaining cuff ends once, and keeps the connected graphs.
+    Each has genus g: n = 2g-2+b pants with 3n-b cuff ends make E = 3g-3+b
+    edges, so the cycle rank E-n+1 is g.
     """
     _check_cap(g, b)
     n = 2 * g - 2 + b
-    tried = set()
     classes = {}
     for half in itertools.combinations_with_replacement(range(3, -1, -1), n):
         if sum(half) != b:
             continue
-        stubs = [v for v in range(n) for _ in range(3 - half[v])]
-        for match in _stub_matchings(stubs):
-            edges = tuple(sorted(match))
-            if edges in tried:
-                continue
-            tried.add(edges)
+        for edges in _edge_multisets([3 - h for h in half]):
             graph = TrivalentGraph(n=n, edges=edges, half=half)
-            if not graph.is_connected() or graph.cycle_rank() != g:
-                continue
-            key = canonical_key(graph)
-            if key not in classes:
-                classes[key] = from_key(key)
+            if graph.is_connected():
+                key = canonical_key(graph)
+                if key not in classes:
+                    classes[key] = from_key(key)
     return {k: classes[k] for k in sorted(classes)}
 
 
@@ -333,9 +339,6 @@ class ModularPantsGraph:
             "connected": self.connected,
             "diameter": self.diameter,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _bfs_dists(adjacency, start):

@@ -13,7 +13,6 @@ reported as not computed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -171,9 +170,6 @@ class BoundReport:
             },
             "provenance": {"r_formula": self.params.r_formula},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def report(params: QCHParams) -> BoundReport:

@@ -17,7 +17,6 @@ the window minus a one-cell safety margin and state their window size.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +34,7 @@ from .hyp_core import (
 )
 
 EDGE_TOL = 1e-12
+CERT_TOL = 1e-9
 
 _HOLE_MIRROR = {"N": "N", "S": "S", "E": "W", "W": "E"}
 
@@ -357,18 +357,16 @@ class VerticalCertificate:
             "passes": self.passes,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
-
-def certify_vertical_minimizing(t: TiledComplex, n: int, tol: float = 1e-9) -> VerticalCertificate:
+def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     """Certify that the vertical line through the window's middle column
     minimizes distance over n rows.
 
     Two checks: (1) the Dijkstra distance between vertical-line corners n
     rows apart equals 2nb; (2) the multi-source line-to-line distance shows
     every edge path crossing the n horizontal lines has length >= 2nb.
-    Corners stay one row inside the window boundary (safety margin).
+    Both hold to within CERT_TOL.  Corners stay one row inside the window
+    boundary (safety margin).
     """
     if n < 1:
         raise NonPositiveSize(f"row separation must be >= 1, got {n}")
@@ -392,8 +390,8 @@ def certify_vertical_minimizing(t: TiledComplex, n: int, tol: float = 1e-9) -> V
         refined=t.refined,
         distance=d,
         expected=expected,
-        dijkstra_equality=abs(d - expected) < tol,
-        row_crossing_bound=min_cross >= expected - tol,
+        dijkstra_equality=abs(d - expected) < CERT_TOL,
+        row_crossing_bound=min_cross >= expected - CERT_TOL,
     )
 
 

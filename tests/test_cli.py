@@ -210,6 +210,16 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert json.loads(text, parse_constant=pytest.fail)["error"] == error
 
+    @pytest.mark.parametrize("extra", [[], ["--sweep", "l=1:2:0.5"]])
+    def test_bounds_overflowing_R_is_named(self, extra):
+        # the default fellow-traveling constant overflows before the
+        # area-window bound turns NaN, and the error says so
+        code, text = run(["bounds", "--k", "1e155", "--l", "1", "--inj-radius", "0.5", *extra])
+        assert code == EXIT_DOMAIN
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert data["error"] == "NumericalInstability"
+        assert "fellow-traveling constant" in data["message"]
+
     @pytest.mark.parametrize("sweep", ["k=1:1e9:1e-9", "k=1:20000:1", "k=1:inf:1",
                                        "l=-inf:1:1", "k=1:2:inf", "k=1:2:nan", "k=1:x:1"])
     def test_sweep_out_of_range_is_usage_error(self, sweep):

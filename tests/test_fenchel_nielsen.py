@@ -33,6 +33,7 @@ from hypladder.fenchel_nielsen import (
     quotient_by_shift,
 )
 from hypladder.hyp_core import geodesic_length_from_trace
+from hypladder.pants_graph import TrivalentGraph
 
 # orthogeodesic distance between two cuffs of the (1,1,1) pants, from the
 # right-angled hexagon identity
@@ -321,6 +322,22 @@ class TestQuotientByShift:
         assert quotient_by_shift(build_ladder_fn(2), period=3).coords.keys() == {0, 1, 2}
         with pytest.raises(ScaleTooLarge):
             quotient_by_shift(build_ladder_fn(2), period=4)
+
+    @pytest.mark.parametrize("period", [1, 3])
+    def test_period_p_has_genus_p_plus_one(self, period):
+        q = quotient_by_shift(build_ladder_fn(4), period=period)
+        # the dual graph, indices mod p: P1[k] and P2[k] share a_k and b_k,
+        # P2[k] and P1[k+1] share c_{k+1}; period 1 is the theta graph
+        index = {name: i for i, name in enumerate(q.pants)}
+        edges = []
+        for k in range(period):
+            p1, p2 = index[f"P1[{k}]"], index[f"P2[{k}]"]
+            edges += [(p1, p2), (p1, p2), (p2, index[f"P1[{(k + 1) % period}]"])]
+        dual = TrivalentGraph(n=len(q.pants), edges=edges, half=[0] * len(q.pants))
+        assert len(q.pants) == 2 * period
+        assert len(q.cuffs) == len(edges) == 3 * period
+        assert q.euler_characteristic == -2 * period
+        assert dual.surface() == (q.genus, 0) == (period + 1, 0)
 
     def test_coords_restricted_to_fundamental_domain(self):
         q = quotient_by_shift(build_ladder_fn(4))

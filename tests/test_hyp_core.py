@@ -446,6 +446,12 @@ class TestStabilityR:
         with pytest.raises(InvalidDilatation):
             quasi_geodesic_stability_R(K, 1.0)
 
+    @pytest.mark.parametrize("K", [1e155, 1e200, 1.7e308])
+    def test_overflowing_bound_is_refused(self, K):
+        # K^2 * (2*K*log4 + ...) overflows to inf although K is finite
+        with pytest.raises(NumericalInstability):
+            quasi_geodesic_stability_R(K, 1.0)
+
     @pytest.mark.parametrize("K", [1.0, 1.5])
     @pytest.mark.parametrize("length", [math.nan, math.inf])
     def test_rejects_non_finite_length(self, K, length):

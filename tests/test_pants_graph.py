@@ -258,6 +258,28 @@ class TestCanonicalKeyMatchesBruteForce:
             assert all(keys == {oracle} for oracle, keys in classes.items())
 
 
+class TestEdgeMultisets:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_each_feasible_multiset_once(self, n):
+        # against a brute-force degree filter over every edge multiset, whose
+        # sorted tuples are distinct: the generator yields each
+        # degree-feasible multiset once, as a sorted tuple
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+        for half in itertools.combinations_with_replacement(range(3, -1, -1), n):
+            free = [3 - h for h in half]
+            want = []
+            if sum(free) % 2 == 0:
+                for edges in itertools.combinations_with_replacement(slots, sum(free) // 2):
+                    deg = [0] * n
+                    for i, j in edges:
+                        deg[i] += 1
+                        deg[j] += 1
+                    if deg == free:
+                        want.append(edges)
+            got = list(pants_graph._edge_multisets(free))
+            assert sorted(got) == want, half
+
+
 class TestEnumeration:
     def test_counts_match_oracle(self):
         for g, b in [(1, 1), (0, 4), (2, 0)]:
@@ -368,7 +390,7 @@ class TestModularPantsGraph:
     def test_json_contains_decorations(self):
         import json
 
-        data = json.loads(modular_pants_graph(2, 0).to_json())
+        data = json.loads(json.dumps(modular_pants_graph(2, 0).to_dict(), sort_keys=True))
         assert data["connected"] is True
         assert data["diameter"] == 1
         seps = [v["separating_edges"] for v in data["vertices"]]

@@ -1,11 +1,12 @@
 """Byte-identity of ``modular_pants_graph`` on every surface under the cap.
 
 ``tests/data/pants_graph_golden.json`` records the sha256 of
-``modular_pants_graph(g, b).to_json()`` for each of the ten surfaces with
-1 <= xi <= 4, keyed by the library (``min``) and by the brute-force max
-relabelling (``max``, see ``conftest.labelling``).  A change to the
-canonical-key search that claims the same representatives must keep this
-test green.  To re-record after an intended output change, run
+``modular_pants_graph(g, b).to_dict()`` as sorted-key JSON for each of the
+ten surfaces with 1 <= xi <= 4, keyed by the library (``min``) and by the
+brute-force max relabelling (``max``, see ``conftest.labelling``).  A change
+to the enumeration or the canonical-key search that claims the same
+representatives must keep this test green.  To re-record after an intended
+output change, run
 
     PYTHONPATH=src python tests/test_pants_graph_golden.py
 """
@@ -33,7 +34,8 @@ CASES = [(g, b, order) for g, b in SURFACES for order in ("min", "max")]
 
 def _digest(g: int, b: int, order: str, labelling) -> str:
     with labelling(order):
-        return hashlib.sha256(modular_pants_graph(g, b).to_json().encode()).hexdigest()
+        text = json.dumps(modular_pants_graph(g, b).to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _name(case) -> str:

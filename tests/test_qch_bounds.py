@@ -74,6 +74,11 @@ class TestParams:
         with pytest.raises(NonPositiveLength):
             unit_params(R=R)
 
+    def test_overflowing_default_R_is_refused(self):
+        # an explicit R=inf is refused, so a default R that overflows is too
+        with pytest.raises(NumericalInstability):
+            QCHParams(K=1e155, L=1.0, m_inj=0.5)
+
 
 class TestSeparationBounds:
     def test_unit_values_exact(self):

@@ -4,8 +4,8 @@ windows.
 ``tests/data/tiled_golden.json`` records, for each window and variant, sha256
 digests of
 - the complex: its edges (sorted, lengths as ``float.hex``) and its faces;
-- ``certify_vertical_minimizing(t, n).to_json()`` for every n the window
-  allows (1 .. rows - 2);
+- each ``certify_vertical_minimizing(t, n).to_dict()`` as sorted-key JSON,
+  for every n the window allows (1 .. rows - 2);
 - ``dijkstra`` distances as ``float.hex``, run to the end and stopped at a
   target set (every settled vertex, so the early stop is pinned too);
 - ``genus()``.
@@ -85,7 +85,8 @@ def _digests(b, rows, cols, variant) -> dict:
             [list(map(list, f)) for f in t.faces],
         ]),
         "certificates": _sha(
-            [certify_vertical_minimizing(t, n).to_json() for n in range(1, rows - 1)]
+            [json.dumps(certify_vertical_minimizing(t, n).to_dict(), sort_keys=True)
+             for n in range(1, rows - 1)]
         ),
         "dijkstra": _sha([_hex_distances(dijkstra(t, s)) for s in full]),
         "dijkstra_targets": _sha([_hex_distances(dijkstra(t, s, g)) for s, g in stopped]),

@@ -284,7 +284,7 @@ class TestVerticalCertificate:
 
     def test_json_fields(self):
         cert = certify_vertical_minimizing(build_grid(1.2, 3, 2), 1)
-        data = json.loads(cert.to_json())
+        data = json.loads(json.dumps(cert.to_dict(), sort_keys=True))
         assert data["passes"] is True
         assert data["window"] == [3, 2]
         assert data["n"] == 1
