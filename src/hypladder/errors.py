@@ -1,10 +1,60 @@
-"""Exception hierarchy shared by all hypladder modules.
+"""Exception hierarchy shared by all hypladder modules, and the base of
+their value records.
 
 Every error carries a short machine-readable ``rule`` naming the violated
 precondition, so the CLI can emit structured error objects.
 """
 
 import math
+
+
+class _Record:
+    """Base of the library's value records: ``__slots__`` classes that behave
+    as frozen dataclasses do, without importing ``dataclasses``.
+
+    A subclass lists its fields, in order, as ``__slots__`` and sets them in
+    its own ``__init__`` through ``object.__setattr__`` or the slot
+    descriptors.  Records compare and hash by their fields (a field holding a
+    dict makes the record unhashable), print as ``Name(field=value, ...)``,
+    refuse assignment and deletion, and copy and pickle by their fields.  The
+    base lives here because every CLI child loads this module; a module whose
+    records use it does not import ``dataclasses`` and, with it, ``inspect``:
+    together the largest start-up cost among hypladder's imports.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _rebuild, (self.__class__, self._fields())
+
+
+def _rebuild(cls, fields):
+    """A record of class cls with the given fields, its ``__init__`` skipped."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(record, name, value)
+    return record
 
 
 class HypladderError(Exception):

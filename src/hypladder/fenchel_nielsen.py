@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     InconsistentInput,
@@ -27,6 +26,7 @@ from .errors import (
     NotShiftInvariant,
     NumericalInstability,
     ScaleTooLarge,
+    _Record,
     check_positive_finite,
 )
 from .hyp_core import MobiusMap, geodesic_length_from_trace
@@ -42,17 +42,21 @@ CURVE_FAMILIES = ("a", "b", "c")
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PantsCuffs:
+class PantsCuffs(_Record):
     """Boundary geodesic lengths of a pair of pants."""
 
-    l1: float
-    l2: float
-    l3: float
+    __slots__ = __match_args__ = ("l1", "l2", "l3")
 
-    def __post_init__(self):
-        for l in (self.l1, self.l2, self.l3):
+    def __init__(self, l1: float, l2: float, l3: float):
+        for l in (l1, l2, l3):
             check_positive_finite("cuff length", l)
+        # the holonomy builds thousands of pants: store through the slots
+        _set_l1(self, l1)
+        _set_l2(self, l2)
+        _set_l3(self, l3)
+
+
+_set_l1, _set_l2, _set_l3 = PantsCuffs.l1.__set__, PantsCuffs.l2.__set__, PantsCuffs.l3.__set__
 
 
 def _orthogeodesic(li: float, lj: float, lk: float) -> float:
@@ -99,26 +103,27 @@ def normalize_angle(theta: float) -> tuple[float, int]:
     return folded, turns
 
 
-@dataclass(frozen=True)
-class FNCoordinates:
+class FNCoordinates(_Record):
     """Windowed Fenchel-Nielsen data for a ladder pants decomposition.
 
     ``coords[k]`` is the sextuplet (l_a, t_a, l_b, t_b, l_c, t_c) at index k
-    for k in [-window, window].
+    for k in [-window, window].  The dict makes the record unhashable.
     """
 
-    window: int
-    coords: dict[int, tuple[float, float, float, float, float, float]]
+    __slots__ = __match_args__ = ("window", "coords")
 
-    def __post_init__(self):
-        if self.window < 1:
-            raise NonPositiveSize(f"window size must be >= 1, got {self.window}")
-        for k in range(-self.window, self.window + 1):
-            if k not in self.coords:
+    def __init__(self, window: int,
+                 coords: dict[int, tuple[float, float, float, float, float, float]]):
+        if window < 1:
+            raise NonPositiveSize(f"window size must be >= 1, got {window}")
+        for k in range(-window, window + 1):
+            if k not in coords:
                 raise MissingCoordinates(f"missing coordinates at index {k}")
-            sextuple = self.coords[k]
+            sextuple = coords[k]
             for l in sextuple[0::2]:
                 check_positive_finite(f"length at index {k}", l)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "coords", coords)
 
     def length(self, family: str, k: int) -> float:
         return self.coords[k][2 * CURVE_FAMILIES.index(family)]
@@ -177,19 +182,28 @@ def _axis_normalizer(X: MobiusMap) -> MobiusMap:
     return MobiusMap(att, rep, 1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class PantsHolonomy:
+class PantsHolonomy(_Record):
     """Local Fuchsian data of one pair of pants: per-cuff matrices with
     product X1 @ X2 @ X3 = I, and per-cuff axis normalizers."""
 
-    cuffs: tuple  # three (family, k) labels
-    lengths: tuple[float, float, float]
-    matrices: tuple[MobiusMap, MobiusMap, MobiusMap]
-    normalizers: tuple[MobiusMap, MobiusMap, MobiusMap]
+    __slots__ = __match_args__ = ("cuffs", "lengths", "matrices", "normalizers")
+
+    def __init__(self, cuffs: tuple, lengths: tuple[float, float, float],
+                 matrices: tuple[MobiusMap, MobiusMap, MobiusMap],
+                 normalizers: tuple[MobiusMap, MobiusMap, MobiusMap]):
+        _set_cuffs(self, cuffs)  # three (family, k) labels
+        _set_lengths(self, lengths)
+        _set_matrices(self, matrices)
+        _set_normalizers(self, normalizers)
 
     def closure_residual(self) -> float:
         X1, X2, X3 = self.matrices
         return (X1 @ X2 @ X3).dist_to_identity()
+
+
+_set_cuffs, _set_lengths, _set_matrices, _set_normalizers = (
+    PantsHolonomy.cuffs.__set__, PantsHolonomy.lengths.__set__,
+    PantsHolonomy.matrices.__set__, PantsHolonomy.normalizers.__set__)
 
 
 def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
@@ -229,20 +243,30 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
     )
 
 
-@dataclass
-class HolonomyMap:
+class HolonomyMap(_Record):
     """Holonomy of a windowed ladder surface.
 
     Cuff matrices are reported in the frame of their canonical pants P_k1 =
     (c_k, a_k, b_k).  ``frames`` maps each pants to its frame relative to the
     leftmost pants, built by chaining the frame transitions across gluings,
     which carry the twist data; a non-finite frame is refused at build time.
+
+    Unlike the other records it is mutable, and so unhashable:
+    ``holonomy_from_fn`` fills its dicts in place.
     """
 
-    fn: FNCoordinates
-    pants: dict = field(default_factory=dict)  # name -> PantsHolonomy
-    frames: dict = field(default_factory=dict)  # name -> MobiusMap
-    transitions: dict = field(default_factory=dict)  # (p, q, cuff) -> MobiusMap
+    __slots__ = __match_args__ = ("fn", "pants", "frames", "transitions")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, fn: FNCoordinates, pants: dict | None = None,
+                 frames: dict | None = None, transitions: dict | None = None):
+        self.fn = fn
+        self.pants = {} if pants is None else pants  # name -> PantsHolonomy
+        self.frames = {} if frames is None else frames  # name -> MobiusMap
+        # (p, q, cuff) -> MobiusMap
+        self.transitions = {} if transitions is None else transitions
 
     def matrix(self, family: str, k: int) -> MobiusMap:
         """Holonomy of the cuff in the local frame of pants P_k1."""
@@ -308,17 +332,21 @@ def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
     return hol
 
 
-@dataclass(frozen=True)
-class ShiftQuotient:
+class ShiftQuotient(_Record):
     """Closed surface obtained from a ladder invariant under the index shift
     k -> k+p: 2p pants, 3p cuffs, Euler characteristic -2p, genus p+1.
-    Period 1 gives genus 2 (the theta graph), period 2 genus 3."""
+    Period 1 gives genus 2 (the theta graph), period 2 genus 3.  The coords
+    dict makes the record unhashable."""
 
-    pants: tuple
-    cuffs: tuple
-    euler_characteristic: int
-    genus: int
-    coords: dict
+    __slots__ = __match_args__ = ("pants", "cuffs", "euler_characteristic", "genus", "coords")
+
+    def __init__(self, pants: tuple, cuffs: tuple, euler_characteristic: int, genus: int,
+                 coords: dict):
+        object.__setattr__(self, "pants", pants)
+        object.__setattr__(self, "cuffs", cuffs)
+        object.__setattr__(self, "euler_characteristic", euler_characteristic)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "coords", coords)
 
 
 def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:

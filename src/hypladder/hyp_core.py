@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     DegeneratePentagon,
@@ -18,6 +17,7 @@ from .errors import (
     NonPositiveDeterminant,
     NotHyperbolic,
     NumericalInstability,
+    _Record,
     check_positive_finite,
 )
 
@@ -27,7 +27,7 @@ ARCSINH_1 = math.asinh(1.0)
 DELTA_H2 = ARCSINH_1
 
 
-class MobiusMap:
+class MobiusMap(_Record):
     """Unimodular 2x2 real matrix, an orientation-preserving isometry of H^2.
 
     The constructor normalizes raw entries to determinant 1 (rescaling by
@@ -43,16 +43,14 @@ class MobiusMap:
     Products, inverses and the factories start from entries of determinant 1
     up to roundoff, so they only fix the sign.
 
-    A map is an immutable value, compared and hashed by its entries.  It is
-    a plain class with ``__slots__`` rather than a frozen dataclass because
-    the holonomy builds matrices by the hundred thousand, and a frozen
-    dataclass writes each entry through ``object.__setattr__``, which cost
-    more than the product that computed it.  Immutability is kept as the
-    frozen dataclass kept it: ``__setattr__`` and ``__delattr__`` refuse
-    every name, and ``_store``, the one place that sets entries, writes them
-    through the slot descriptors (``_set_a`` .. ``_set_d``).  Copies and
-    pickles rebuild through ``_signed`` (see ``__reduce__``), which never
-    renormalizes, so they keep every bit.
+    A map is an immutable value record (see ``errors._Record``): compared and
+    hashed by its entries, printed as ``MobiusMap(a=..., b=..., c=..., d=...)``,
+    refusing assignment and deletion.  The holonomy builds matrices by the
+    hundred thousand, so ``_store``, the one place that sets entries, writes
+    them through the slot descriptors (``_set_a`` .. ``_set_d``), which is
+    cheaper than ``object.__setattr__``.  Copies and pickles rebuild through
+    ``_signed`` (see ``__reduce__``), which never renormalizes, so they keep
+    every bit.
     """
 
     __slots__ = ("a", "b", "c", "d")
@@ -93,24 +91,6 @@ class MobiusMap:
         _set_b(self, b * s)
         _set_c(self, c * s)
         _set_d(self, d * s)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return (f"{self.__class__.__qualname__}"
-                f"(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})")
 
     def __reduce__(self):
         return MobiusMap._signed, (self.a, self.b, self.c, self.d)
@@ -223,14 +203,16 @@ def hyp_dist(z1: complex, z2: complex) -> float:
         raise NumericalInstability(f"distance from {z1} to {z2} under- or overflows") from None
 
 
-@dataclass(frozen=True)
-class PentagonSolution:
+class PentagonSolution(_Record):
     """Side lengths (b, b, a, c, a) of the right-angled pentagon with two
     consecutive sides of equal length b."""
 
-    b: float
-    a: float
-    c: float
+    __slots__ = __match_args__ = ("b", "a", "c")
+
+    def __init__(self, b: float, a: float, c: float):
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "c", c)
 
 
 def solve_pentagon(b: float) -> PentagonSolution:

@@ -14,7 +14,6 @@ reported as not computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     ArccoshDomainError,
@@ -22,6 +21,7 @@ from .errors import (
     NegativeDiameter,
     NonPositiveLength,
     NumericalInstability,
+    _Record,
     check_positive_finite,
 )
 from .hyp_core import R_FORMULA_NAME, collar_width, quasi_geodesic_stability_R
@@ -29,8 +29,7 @@ from .hyp_core import R_FORMULA_NAME, collar_width, quasi_geodesic_stability_R
 LOG4 = math.log(4.0)
 
 
-@dataclass(frozen=True)
-class QCHParams:
+class QCHParams(_Record):
     """Inputs of the constant chain.
 
     R defaults to the stability bound of hyp_core; pass an explicit value to
@@ -38,30 +37,30 @@ class QCHParams:
     C is always K*log4.
     """
 
-    K: float
-    L: float
-    m_inj: float
-    R: float | None = None
-    r_formula: str = field(init=False)
+    __slots__ = ("K", "L", "m_inj", "R", "r_formula")
+    __match_args__ = ("K", "L", "m_inj", "R")
 
-    def __post_init__(self):
-        if self.K < 1.0:
-            raise InvalidDilatation(f"dilatation must be >= 1, got {self.K}")
-        if not math.isfinite(self.K):
-            raise InvalidDilatation(f"dilatation must be finite, got {self.K}")
-        check_positive_finite("base curve length", self.L)
-        check_positive_finite("injectivity radius bound", self.m_inj)
-        if self.R is None:
-            object.__setattr__(
-                self, "R", quasi_geodesic_stability_R(self.K, self.L)
-            )
-            object.__setattr__(self, "r_formula", R_FORMULA_NAME)
-        elif not 0 <= self.R < math.inf:
+    def __init__(self, K: float, L: float, m_inj: float, R: float | None = None):
+        if K < 1.0:
+            raise InvalidDilatation(f"dilatation must be >= 1, got {K}")
+        if not math.isfinite(K):
+            raise InvalidDilatation(f"dilatation must be finite, got {K}")
+        check_positive_finite("base curve length", L)
+        check_positive_finite("injectivity radius bound", m_inj)
+        if R is None:
+            R = quasi_geodesic_stability_R(K, L)
+            r_formula = R_FORMULA_NAME
+        elif not 0 <= R < math.inf:
             raise NonPositiveLength(
-                f"fellow-traveling constant must be finite and >= 0, got {self.R}"
+                f"fellow-traveling constant must be finite and >= 0, got {R}"
             )
         else:
-            object.__setattr__(self, "r_formula", "user-supplied")
+            r_formula = "user-supplied"
+        object.__setattr__(self, "K", K)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "m_inj", m_inj)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "r_formula", r_formula)
 
     @property
     def C(self) -> float:
@@ -135,19 +134,24 @@ def shortpants_global(M: float, m_inj: float, diameter: int) -> float:
     return bound
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Full constant chain for one parameter set."""
 
-    params: QCHParams
-    C: float
-    D: float
-    a: float
-    rho_upper: float
-    hausdorff_factor: float
-    b: float
-    m_window: int
-    pants_bound_per_step: float
+    __slots__ = __match_args__ = ("params", "C", "D", "a", "rho_upper", "hausdorff_factor",
+                                  "b", "m_window", "pants_bound_per_step")
+
+    def __init__(self, params: QCHParams, C: float, D: float, a: float, rho_upper: float,
+                 hausdorff_factor: float, b: float, m_window: int,
+                 pants_bound_per_step: float):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "rho_upper", rho_upper)
+        object.__setattr__(self, "hausdorff_factor", hausdorff_factor)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "m_window", m_window)
+        object.__setattr__(self, "pants_bound_per_step", pants_bound_per_step)
 
     def to_dict(self) -> dict:
         return {

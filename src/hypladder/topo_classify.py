@@ -15,10 +15,9 @@ about are returned with ``validated=False``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InconsistentInput
+from .errors import InconsistentInput, _Record
 
 
 class Ends(Enum):
@@ -38,25 +37,25 @@ class CoverType(Enum):
     LADDER = "ladder"
 
 
-@dataclass(frozen=True)
-class SurfaceType:
+class SurfaceType(_Record):
     """Topological type: genus (int or math.inf), end space, and whether the
     non-planar ends are none or all of the ends."""
 
-    genus: float
-    ends: Ends
-    nonplanar_ends: str  # "none" or "all"
+    __slots__ = __match_args__ = ("genus", "ends", "nonplanar_ends")
 
-    def __post_init__(self):
-        if self.nonplanar_ends not in ("none", "all"):
+    def __init__(self, genus: float, ends: Ends, nonplanar_ends: str):
+        if nonplanar_ends not in ("none", "all"):
             raise InconsistentInput(
-                f"nonplanar_ends must be 'none' or 'all', got {self.nonplanar_ends}"
+                f"nonplanar_ends must be 'none' or 'all', got {nonplanar_ends}"
             )
-        compact = self.ends == Ends.NONE
-        if compact and math.isinf(self.genus):
+        compact = ends == Ends.NONE
+        if compact and math.isinf(genus):
             raise InconsistentInput("a compact surface has finite genus")
-        if self.nonplanar_ends == "all" and not compact and not math.isinf(self.genus):
+        if nonplanar_ends == "all" and not compact and not math.isinf(genus):
             raise InconsistentInput("non-planar ends require infinite genus")
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "ends", ends)
+        object.__setattr__(self, "nonplanar_ends", nonplanar_ends)
 
     @property
     def compact(self) -> bool:
@@ -73,35 +72,39 @@ _SURFACE_OF_TYPE = {
 }
 
 
-@dataclass(frozen=True)
-class DeckDescriptor:
+class DeckDescriptor(_Record):
     """Deck transformation group: finite of a given order, or infinite with
-    1, 2, or infinitely many ends of the cover."""
+    1, 2, or infinitely many ends of the cover.  An order of None means
+    infinite; end_count is "1", "2" or "infinitely_many"."""
 
-    order: int | None  # None means infinite
-    end_count: str | None = None  # "1", "2", "infinitely_many"
+    __slots__ = __match_args__ = ("order", "end_count")
 
-    def __post_init__(self):
-        if self.order is not None:
-            if self.order < 1:
-                raise InconsistentInput(f"finite deck order must be >= 1, got {self.order}")
-        elif self.end_count not in ("1", "2", "infinitely_many"):
+    def __init__(self, order: int | None, end_count: str | None = None):
+        if order is not None:
+            if order < 1:
+                raise InconsistentInput(f"finite deck order must be >= 1, got {order}")
+        elif end_count not in ("1", "2", "infinitely_many"):
             raise InconsistentInput(
                 "an infinite deck group needs end_count in "
-                f"{{'1', '2', 'infinitely_many'}}, got {self.end_count}"
+                f"{{'1', '2', 'infinitely_many'}}, got {end_count}"
             )
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "end_count", end_count)
 
     @property
     def finite(self) -> bool:
         return self.order is not None
 
 
-@dataclass(frozen=True)
-class Classification:
-    cover_type: CoverType
-    surface: SurfaceType
-    rule: str
-    validated: bool
+class Classification(_Record):
+    __slots__ = __match_args__ = ("cover_type", "surface", "rule", "validated")
+
+    def __init__(self, cover_type: CoverType, surface: SurfaceType, rule: str,
+                 validated: bool):
+        object.__setattr__(self, "cover_type", cover_type)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "validated", validated)
 
 
 def finite_cover_genus(base_genus: int, deck_order: int) -> int:

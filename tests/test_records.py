@@ -1,0 +1,270 @@
+"""Value semantics of the ``__slots__`` records that replaced frozen dataclasses.
+
+Each record is compared with a twin that the ``dataclasses`` module builds
+from the same fields and values: the twin's ``repr``, ``==`` and ``hash``
+are what the replaced dataclass gave.  The constructors keep their
+signatures, defaults and error messages.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import math
+import pickle
+
+import pytest
+
+from hypladder import fenchel_nielsen as fnm
+from hypladder import qch_bounds as qb
+from hypladder import topo_classify as tc
+from hypladder.errors import (
+    InconsistentInput,
+    InvalidDilatation,
+    MissingCoordinates,
+    NonPositiveLength,
+    NonPositiveSize,
+    NumericalInstability,
+)
+from hypladder.hyp_core import R_FORMULA_NAME, MobiusMap, PentagonSolution, solve_pentagon
+
+_FN = fnm.build_ladder_fn(2, lengths=1.3, twists=0.4)
+_HOL = fnm.holonomy_from_fn(fnm.build_ladder_fn(1))
+
+# a sample of each record, built the way the library builds it
+SAMPLES = {
+    "PentagonSolution": lambda: solve_pentagon(1.5),
+    "PantsCuffs": lambda: fnm.PantsCuffs(1.0, 2.0, 3.0),
+    "FNCoordinates": lambda: _FN,
+    "PantsHolonomy": lambda: _HOL.pants[("P1", 0)],
+    "HolonomyMap": lambda: _HOL,
+    "ShiftQuotient": lambda: fnm.quotient_by_shift(_FN, 1),
+    "QCHParams": lambda: qb.QCHParams(1.5, 1.0, 0.3),
+    "BoundReport": lambda: qb.report(qb.QCHParams(1.5, 1.0, 0.3)),
+    "SurfaceType": lambda: tc.SurfaceType(math.inf, tc.Ends.TWO, "all"),
+    "DeckDescriptor": lambda: tc.DeckDescriptor(None, "2"),
+    "Classification": lambda: tc.classify_cover(2, tc.DeckDescriptor(3), False),
+}
+UNHASHABLE = {"FNCoordinates", "ShiftQuotient", "HolonomyMap"}
+names = pytest.mark.parametrize("name", sorted(SAMPLES))
+
+
+def _fields(record) -> dict:
+    return {name: getattr(record, name) for name in type(record).__slots__}
+
+
+def _rebuilt(record):
+    """The record built again by its constructor, from its fields."""
+    fields = _fields(record)
+    if type(record) is qb.QCHParams:  # the samples derive R and r_formula
+        del fields["R"], fields["r_formula"]
+    return type(record)(**fields)
+
+
+def _twin(record):
+    """The dataclass with the record's class name, fields and values; frozen
+    except for the mutable HolonomyMap."""
+    cls = type(record)
+    twin_cls = dataclasses.make_dataclass(cls.__name__, cls.__slots__,
+                                          frozen=cls is not fnm.HolonomyMap)
+    return twin_cls(**_fields(record))
+
+
+@names
+def test_repr_is_the_dataclass_repr(name):
+    record = SAMPLES[name]()
+    assert repr(record) == repr(_twin(record))
+
+
+def test_repr_text():
+    p = solve_pentagon(1.5)
+    assert repr(p) == f"PentagonSolution(b=1.5, a={p.a!r}, c={p.c!r})"
+    assert repr(tc.DeckDescriptor(3)) == "DeckDescriptor(order=3, end_count=None)"
+    assert repr(qb.QCHParams(1.5, 1.0, 0.3, R=2.0)) == (
+        "QCHParams(K=1.5, L=1.0, m_inj=0.3, R=2.0, r_formula='user-supplied')")
+    assert repr(tc.SurfaceType(math.inf, tc.Ends.TWO, "all")) == (
+        "SurfaceType(genus=inf, ends=<Ends.TWO: '2'>, nonplanar_ends='all')")
+
+
+@names
+def test_equal_fields_are_equal(name):
+    record, again = SAMPLES[name](), SAMPLES[name]()
+    rebuilt = _rebuilt(record)
+    for other in (again, rebuilt):
+        assert record == other and not record != other
+    if name not in UNHASHABLE:
+        assert hash(record) == hash(rebuilt) == hash(_twin(record))
+
+
+@names
+def test_never_equal_to_another_type(name):
+    record = SAMPLES[name]()
+    twin = _twin(record)
+    assert record.__eq__(twin) is NotImplemented
+    assert record != twin and twin != record
+    assert record.__eq__(tuple(_fields(record).values())) is NotImplemented
+
+
+def test_one_field_apart_is_unequal():
+    assert fnm.PantsCuffs(1.0, 2.0, 3.0) != fnm.PantsCuffs(1.0, 2.0, 3.5)
+    assert tc.DeckDescriptor(None, "1") != tc.DeckDescriptor(None, "2")
+    # r_formula is compared too: the same R from two sources differs
+    default = qb.QCHParams(1.5, 1.0, 0.3)
+    assert default != qb.QCHParams(1.5, 1.0, 0.3, R=default.R)
+    assert len({fnm.PantsCuffs(1.0, 2.0, 3.0), fnm.PantsCuffs(1.0, 2.0, 3.0),
+                fnm.PantsCuffs(3.0, 2.0, 1.0)}) == 2
+
+
+@pytest.mark.parametrize("name", sorted(UNHASHABLE))
+def test_records_holding_a_dict_are_unhashable(name):
+    record = SAMPLES[name]()
+    with pytest.raises(TypeError):
+        hash(record)
+    with pytest.raises(TypeError):
+        hash(_twin(record))
+
+
+@pytest.mark.parametrize("name", sorted(set(SAMPLES) - {"HolonomyMap"}))
+def test_assignment_and_deletion_raise(name):
+    record = SAMPLES[name]()
+    before = repr(record)
+    for field in (*type(record).__slots__, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1.0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert repr(record) == before
+
+
+def test_holonomy_map_stays_mutable():
+    hol = fnm.holonomy_from_fn(fnm.build_ladder_fn(1))
+    hol.frames = {}
+    assert hol.frames == {}
+    assert fnm.HolonomyMap(_FN) == fnm.HolonomyMap(_FN, {}, {}, {})
+
+
+@names
+@pytest.mark.parametrize("how", [
+    copy.copy,
+    copy.deepcopy,
+    *(lambda r, p=p: pickle.loads(pickle.dumps(r, protocol=p))
+      for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+], ids=["copy", "deepcopy", *(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+def test_copies_are_equal(name, how):
+    record = SAMPLES[name]()
+    c = how(record)
+    assert type(c) is type(record)
+    assert c == record and repr(c) == repr(record)
+
+
+@names
+def test_match_args(name):
+    cls = type(SAMPLES[name]())
+    init_fields = tuple(f for f in cls.__slots__ if f != "r_formula")
+    assert cls.__match_args__ == init_fields
+
+
+def test_match_statement():
+    match solve_pentagon(1.5):
+        case PentagonSolution(b, a, c):
+            assert (b, a, c) == (1.5, solve_pentagon(1.5).a, solve_pentagon(1.5).c)
+    match MobiusMap.identity():
+        case MobiusMap(a, b, c, d):
+            assert (a, b, c, d) == (1.0, 0.0, 0.0, 1.0)
+
+
+def test_keyword_and_positional_construction_agree():
+    m = MobiusMap.identity()
+    pairs = [
+        (PentagonSolution(1.5, 0.5, 2.2), PentagonSolution(b=1.5, a=0.5, c=2.2)),
+        (fnm.PantsCuffs(1.0, 2.0, 3.0), fnm.PantsCuffs(l1=1.0, l2=2.0, l3=3.0)),
+        (fnm.FNCoordinates(2, _FN.coords), fnm.FNCoordinates(window=2, coords=_FN.coords)),
+        (fnm.PantsHolonomy((1, 2, 3), (1.0, 1.0, 1.0), (m, m, m), (m, m, m)),
+         fnm.PantsHolonomy(cuffs=(1, 2, 3), lengths=(1.0, 1.0, 1.0), matrices=(m, m, m),
+                           normalizers=(m, m, m))),
+        (fnm.HolonomyMap(_FN, {}, {}, {}),
+         fnm.HolonomyMap(fn=_FN, pants={}, frames={}, transitions={})),
+        (fnm.ShiftQuotient(("P",), ("c",), -2, 2, {}),
+         fnm.ShiftQuotient(pants=("P",), cuffs=("c",), euler_characteristic=-2, genus=2,
+                           coords={})),
+        (qb.QCHParams(1.5, 1.0, 0.3, 2.0), qb.QCHParams(K=1.5, L=1.0, m_inj=0.3, R=2.0)),
+        (tc.SurfaceType(0, tc.Ends.ONE, "none"),
+         tc.SurfaceType(genus=0, ends=tc.Ends.ONE, nonplanar_ends="none")),
+        (tc.DeckDescriptor(3, None), tc.DeckDescriptor(order=3, end_count=None)),
+        (tc.Classification(tc.CoverType.PLANE, tc.SurfaceType(0, tc.Ends.ONE, "none"), "r",
+                           False),
+         tc.Classification(cover_type=tc.CoverType.PLANE,
+                           surface=tc.SurfaceType(0, tc.Ends.ONE, "none"), rule="r",
+                           validated=False)),
+    ]
+    report = SAMPLES["BoundReport"]()
+    pairs.append((qb.BoundReport(*_fields(report).values()), qb.BoundReport(**_fields(report))))
+    for positional, keyword in pairs:
+        assert positional == keyword
+
+
+def test_defaults():
+    assert tc.DeckDescriptor(3).end_count is None
+    assert tc.DeckDescriptor(order=3) == tc.DeckDescriptor(3, None)
+    hol = fnm.HolonomyMap(_FN)
+    assert (hol.pants, hol.frames, hol.transitions) == ({}, {}, {})
+    assert fnm.HolonomyMap(_FN).pants is not fnm.HolonomyMap(_FN).pants
+
+
+def test_qch_params_derive_R_and_its_provenance():
+    p = qb.QCHParams(K=1.5, L=1.0, m_inj=0.3)
+    assert p.R == 1.5 ** 2 * (2 * 1.5 * math.log(4.0) + 5 * math.asinh(1.0))
+    assert p.r_formula == R_FORMULA_NAME
+    assert qb.QCHParams(1.0, 1.0, 0.3).R == 0.0
+    q = qb.QCHParams(1.5, 1.0, 0.3, 0.0)
+    assert (q.R, q.r_formula) == (0.0, "user-supplied")
+    with pytest.raises(TypeError):
+        qb.QCHParams(1.5, 1.0, 0.3, r_formula="user-supplied")
+    with pytest.raises(TypeError):
+        qb.QCHParams(1.5, 1.0, 0.3, 2.0, "user-supplied")
+
+
+# (constructor, args, error class, message), each as the dataclass raised it
+INVALID = [
+    (qb.QCHParams, (0.5, 1, 1), InvalidDilatation, "dilatation must be >= 1, got 0.5"),
+    (qb.QCHParams, (math.nan, 1, 1), InvalidDilatation, "dilatation must be finite, got nan"),
+    (qb.QCHParams, (math.inf, 1, 1), InvalidDilatation, "dilatation must be finite, got inf"),
+    (qb.QCHParams, (1, 0, 1), NonPositiveLength, "base curve length must be positive, got 0"),
+    (qb.QCHParams, (1, math.inf, 1), NonPositiveLength,
+     "base curve length must be finite, got inf"),
+    (qb.QCHParams, (1, 1, -1), NonPositiveLength,
+     "injectivity radius bound must be positive, got -1"),
+    (qb.QCHParams, (1, 1, 1, -1), NonPositiveLength,
+     "fellow-traveling constant must be finite and >= 0, got -1"),
+    (qb.QCHParams, (1, 1, 1, math.nan), NonPositiveLength,
+     "fellow-traveling constant must be finite and >= 0, got nan"),
+    (qb.QCHParams, (1e155, 1, 0.5), NumericalInstability,
+     "fellow-traveling constant R overflows at K=1e+155"),
+    (tc.SurfaceType, (1, tc.Ends.NONE, "x"), InconsistentInput,
+     "nonplanar_ends must be 'none' or 'all', got x"),
+    (tc.SurfaceType, (math.inf, tc.Ends.NONE, "none"), InconsistentInput,
+     "a compact surface has finite genus"),
+    (tc.SurfaceType, (2, tc.Ends.ONE, "all"), InconsistentInput,
+     "non-planar ends require infinite genus"),
+    (tc.DeckDescriptor, (0,), InconsistentInput, "finite deck order must be >= 1, got 0"),
+    (tc.DeckDescriptor, (None,), InconsistentInput,
+     "an infinite deck group needs end_count in {'1', '2', 'infinitely_many'}, got None"),
+    (tc.DeckDescriptor, (None, "3"), InconsistentInput,
+     "an infinite deck group needs end_count in {'1', '2', 'infinitely_many'}, got 3"),
+    (fnm.FNCoordinates, (0, {}), NonPositiveSize, "window size must be >= 1, got 0"),
+    (fnm.FNCoordinates, (1, {0: (1, 0, 1, 0, 1, 0)}), MissingCoordinates,
+     "missing coordinates at index -1"),
+    (fnm.FNCoordinates, (1, {k: (1, 0, 1 - 2 * (k == 1), 0, 1, 0) for k in (-1, 0, 1)}),
+     NonPositiveLength, "length at index 1 must be positive, got -1"),
+    (fnm.PantsCuffs, (1, 2, 0), NonPositiveLength, "cuff length must be positive, got 0"),
+    (fnm.PantsCuffs, (math.nan, 1, 1), NonPositiveLength, "cuff length must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("cls, args, error, message", INVALID,
+                         ids=[f"{c.__name__}-{i}" for i, (c, *_) in enumerate(INVALID)])
+def test_validation_errors_are_unchanged(cls, args, error, message):
+    with pytest.raises(error) as info:
+        cls(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
