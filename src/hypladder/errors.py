@@ -84,8 +84,10 @@ def check_positive_finite(name: str, value: float) -> None:
 
 
 class NonPositiveSize(HypladderError, ValueError):
-    """A window size or row separation below 1.  Also a ``ValueError``, so
-    callers that catch ``ValueError`` for bad sizes keep working."""
+    """A window size or row separation below 1, or a tiled window size,
+    level or row separation that is not an ``int`` (a ``bool`` is not one).
+    Also a ``ValueError``, so callers that catch ``ValueError`` for bad
+    sizes keep working."""
 
     rule = "size-nonpositive"
 

@@ -45,8 +45,9 @@ class _GraphIndex:
 
     Vertex i is ids[i]; ids are sorted, so the order of the ints is the order
     of the ids and heap ties break as they would on the ids themselves.
-    adj[i] lists (j, length) for every edge at i.  row_lines maps a row line
-    to its lattice corners and horizontal-side midpoints.
+    adj[i] is flat, [j0, length0, j1, length1, ...] over the edges at i, so
+    no tuple is made per edge.  row_lines maps a row line to its lattice
+    corners and horizontal-side midpoints.
     """
 
     ids: list
@@ -61,14 +62,29 @@ class _GraphIndex:
         return i
 
 
-def _index_graph(edges: dict) -> _GraphIndex:
-    ids = sorted({v for e in edges for v in e})
-    pos = {v: i for i, v in enumerate(ids)}
+def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
+    """Index of the graph with these edges.  ``order`` is a hint: the sorted
+    vertex list a constructor made.  It is used only if it lists every edge
+    endpoint and every vertex it lists has an edge; otherwise the ids are
+    sorted afresh."""
+    if order is not None:
+        try:
+            g = _index_in_order(edges, order)
+            if all(g.adj):
+                return g
+        except KeyError:  # an endpoint the hint does not list
+            pass
+    return _index_in_order(edges, sorted({v for e in edges for v in e}))
+
+
+def _index_in_order(edges: dict, ids: list) -> _GraphIndex:
+    pos = dict(zip(ids, range(len(ids))))
     adj = [[] for _ in ids]
     for (u, v), w in edges.items():
-        i, j = pos[u], pos[v]
-        adj[i].append((j, w))
-        adj[j].append((i, w))
+        i = pos[u]
+        j = pos[v]
+        adj[i] += j, w
+        adj[j] += i, w
     row_lines = {}
     for i, v in enumerate(ids):
         if v[0] in ("C", "HM"):
@@ -88,8 +104,12 @@ class TiledComplex:
 
     Distance queries share one integer index of the graph, built on the
     first query and dropped by ``add_edge``.  Change ``edges`` only through
-    ``add_edge``, or before the first query; a copy made with
-    ``dataclasses.replace`` starts without an index.
+    ``add_edge``, or before the first query.  ``build_grid``,
+    ``add_diagonals`` and ``glue_to_Rb`` hand the index the sorted vertex
+    list they already have, as a hint: ``add_edge`` drops it, and the index
+    checks it against ``edges`` and sorts the ids afresh when they differ.
+    A copy made with ``dataclasses.replace`` starts with neither the index
+    nor the hint.
     """
 
     pentagon: PentagonSolution
@@ -100,6 +120,7 @@ class TiledComplex:
     glued_pairs: tuple = ()
     refined: bool = False
     _index: _GraphIndex | None = field(default=None, init=False, compare=False, repr=False)
+    _order: list | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def b(self) -> float:
@@ -120,11 +141,11 @@ class TiledComplex:
                 f"edge {key} assigned inconsistent lengths {old} and {length}"
             )
         self.edges[key] = length
-        self._index = None
+        self._index = self._order = None
 
     def _graph(self) -> _GraphIndex:
         if self._index is None:
-            self._index = _index_graph(self.edges)
+            self._index = _index_graph(self.edges, self._order)
         return self._index
 
     def alpha_column(self) -> int:
@@ -183,6 +204,12 @@ def _boundary_component_count(inc: dict) -> int:
     return len({find(u) for e in boundary for u in e})
 
 
+def _check_int(name: str, value) -> None:
+    # a bool is an int to isinstance, but never a size
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise NonPositiveSize(f"{name} must be an integer, got {value!r}")
+
+
 def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     """Window of rows x cols holed squares tiled edge to edge.
 
@@ -190,8 +217,13 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     Every side is written once, straight under its sorted key: a cell writes
     its four ``a`` and four ``c`` sides and the ``b`` halves of its top and
     left sides, and the last row and column also write their bottom and
-    right halves.  Each vertex is one tuple, shared by faces and edges.
+    right halves.  Each vertex is one tuple, shared by faces and edges, and
+    the tuples are listed in sorted order as the index's hint: corners row
+    by row, hole corners cell by cell (E < N < S < W), then the horizontal
+    and the vertical midpoints.
     """
+    _check_int("rows", rows)
+    _check_int("cols", cols)
     if rows < 1 or cols < 1:
         raise NonPositiveSize(f"window must be at least 1x1, got {rows}x{cols}")
     p = solve_pentagon(b)
@@ -201,6 +233,7 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     corner = [[("C", r, c) for c in range(cols + 1)] for r in range(rows + 1)]
     hmid = [[("HM", r, c) for c in range(cols)] for r in range(rows + 1)]
     vmid = [[("VM", r, c) for c in range(cols + 1)] for r in range(rows)]
+    holes = []
     for r in range(rows):
         top, bottom, vm = corner[r], corner[r + 1], vmid[r]
         htop, hbottom = hmid[r], hmid[r + 1]
@@ -209,6 +242,7 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
             c00, c01, c10, c11 = top[c], top[c + 1], bottom[c], bottom[c + 1]
             h0, h1, v0, v1 = htop[c], hbottom[c], vm[c], vm[c + 1]
             n, e, s, w = ("H", r, c, "N"), ("H", r, c, "E"), ("H", r, c, "S"), ("H", r, c, "W")
+            holes += e, n, s, w
             faces += (
                 (h0, c01, v1, e, n),
                 (v1, c11, h1, s, e),
@@ -222,13 +256,15 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
             if last_row:
                 edges[c10, h1] = edges[c11, h1] = pb
         edges[top[cols], vm[cols]] = edges[bottom[cols], vm[cols]] = pb
+    t._order = [v for row in corner for v in row] + holes + [v for row in hmid + vmid for v in row]
     return t
 
 
 def build_Tn(b: float, n: int) -> TiledComplex:
     """Level-n window: a 3^(n-1) x 3^(n-1) grid with 9^(n-1) holes."""
-    if not 1 <= n <= 3:
-        raise ScaleTooLarge(f"tiling level must be in [1, 3], got {n}")
+    _check_int("tiling level", n)
+    if not 1 <= n <= 5:
+        raise ScaleTooLarge(f"tiling level must be in [1, 5], got {n}")
     m = 3 ** (n - 1)
     return build_grid(b, m, m)
 
@@ -242,29 +278,26 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     and S to S and swaps E and W, preserving pentagon-edge labels.
     """
     rep = {}
-
-    def canon(v):
-        while v in rep:
-            v = rep[v]
-        return v
-
     pairs = []
     for r in range(t.rows):
         for c in range(0, t.cols - 1, 2):
             pairs.append(((r, c), (r, c + 1)))
             for pos, mirrored in _HOLE_MIRROR.items():
                 rep[("H", r, c + 1, mirrored)] = ("H", r, c, pos)
+    # a representative sits in an even column, so it is never a key of rep
+    canon = rep.get
     out = TiledComplex(
         pentagon=t.pentagon,
         rows=t.rows,
         cols=t.cols,
+        faces=[tuple(canon(v, v) for v in face) for face in t.faces],
         glued_pairs=tuple(pairs),
         refined=t.refined,
     )
     for (u, v), w in t.edges.items():
-        out.add_edge(canon(u), canon(v), w)
-    for face in t.faces:
-        out.faces.append(tuple(canon(v) for v in face))
+        out.add_edge(canon(u, u), canon(v, v), w)
+    if t._order is not None:
+        out._order = [v for v in t._order if v not in rep]
     return out
 
 
@@ -296,7 +329,8 @@ def _distances(g: _GraphIndex, sources, targets=None) -> list:
             remaining.discard(v)
             if not remaining:
                 break
-        for w, length in adj[v]:
+        it = iter(adj[v])
+        for w, length in zip(it, it):
             nd = d + length
             if nd < best[w]:
                 best[w] = nd
@@ -368,6 +402,7 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     Both hold to within CERT_TOL.  Corners stay one row inside the window
     boundary (safety margin).
     """
+    _check_int("row separation", n)
     if n < 1:
         raise NonPositiveSize(f"row separation must be >= 1, got {n}")
     if n > t.rows - 2:
@@ -414,5 +449,7 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
     for face in t.faces:
         for (i, j), length in diag.items():
             out.add_edge(face[i], face[j], length)
+    # diagonals join corners of one face, so the vertices stay the same
+    out._order = t._order
     return out
 

@@ -6,6 +6,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -123,6 +125,29 @@ def _conjugate_entries(f: MobiusMap, x: MobiusMap) -> tuple[Fraction, ...]:
         (rc * fd - rd * fc) / det,
         (-rc * fb + rd * fa) / det,
     )
+
+
+def golden_main(path, fresh, cases=lambda data: data, sort_keys=True):
+    """Command line of a golden test module, run as a script.
+
+    ``fresh`` is the golden data as the code computes it now, and ``cases``
+    maps golden data to {case name: value}.  With ``--record`` the script
+    writes ``fresh`` to ``path``.  Without it, it prints each case that
+    differs from ``path`` and exits 1 if any does.
+    """
+    if "--record" in sys.argv[1:]:
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(json.dumps(fresh, indent=1, sort_keys=sort_keys) + "\n")
+        print(f"recorded {path}")
+        return
+    recorded, now = cases(json.loads(path.read_text())), cases(fresh)
+    differ = sorted(k for k in recorded.keys() | now.keys() if recorded.get(k) != now.get(k))
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(now)} cases differ from {path.name}"
+          + ("; rerun with --record to re-record" if differ else ""))
+    if differ:
+        sys.exit(1)
 
 
 @pytest.fixture

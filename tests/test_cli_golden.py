@@ -2,9 +2,10 @@
 
 ``tests/data/cli_golden.json`` records the exit code and exact stdout of
 every argv in CORPUS.  A refactor that claims unchanged outputs must keep
-this test green.  To re-record after an intended output change, run
+this test green.  To compare by hand, naming each argv that differs, run
+the module as a script; to re-record after an intended output change, run
 
-    PYTHONPATH=src python tests/test_cli_golden.py
+    PYTHONPATH=src python tests/test_cli_golden.py --record
 """
 
 from __future__ import annotations
@@ -76,5 +77,8 @@ def test_output_byte_identical(argv, golden):
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([_record(a) for a in CORPUS], indent=1) + "\n")
+    from conftest import golden_main
+
+    golden_main(GOLDEN, [_record(a) for a in CORPUS],
+                cases=lambda records: {" ".join(r["argv"]): r for r in records},
+                sort_keys=False)

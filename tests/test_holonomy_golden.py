@@ -9,9 +9,10 @@ thirteen windows N = 1 .. 36, sha256 digests of the ``float.hex`` entries of
 and the ``float.hex`` of ``pentagon_closure_residual`` for a few b.  Every
 number here is a product of ``MobiusMap``s, so a change to the matrix class
 or its formulas that claims the same arithmetic must keep this test green.
-To re-record after an intended output change, run
+To compare by hand, naming each ladder and b that differs, run the module as
+a script; to re-record after an intended output change, run
 
-    PYTHONPATH=src python tests/test_holonomy_golden.py
+    PYTHONPATH=src python tests/test_holonomy_golden.py --record
 """
 
 from __future__ import annotations
@@ -98,8 +99,12 @@ def test_pentagon_closure_residual_bit_identical(golden):
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({
-        "ladders": {name: _digests(name) for name in LADDERS},
-        "pentagon_closure_residual": _pentagon_residuals(),
-    }, indent=1, sort_keys=True) + "\n")
+    from conftest import golden_main
+
+    golden_main(
+        GOLDEN,
+        {"ladders": {name: _digests(name) for name in LADDERS},
+         "pentagon_closure_residual": _pentagon_residuals()},
+        cases=lambda data: {f"{part}/{key}": value
+                            for part, values in data.items() for key, value in values.items()},
+    )

@@ -5,10 +5,11 @@
 ten surfaces with 1 <= xi <= 4, keyed by the library (``min``) and by the
 brute-force max relabelling (``max``, see ``conftest.labelling``).  A change
 to the enumeration or the canonical-key search that claims the same
-representatives must keep this test green.  To re-record after an intended
-output change, run
+representatives must keep this test green.  To compare by hand, naming each
+case that differs, run the module as a script; to re-record after an
+intended output change, run
 
-    PYTHONPATH=src python tests/test_pants_graph_golden.py
+    PYTHONPATH=src python tests/test_pants_graph_golden.py --record
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ def test_to_json_byte_identical(case, golden, labelling):
 
 
 if __name__ == "__main__":
-    from conftest import labelling
+    from conftest import golden_main, labelling
 
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps({_name(c): _digest(*c, labelling) for c in CASES}, indent=1, sort_keys=True)
-        + "\n"
-    )
+    golden_main(GOLDEN, {_name(c): _digest(*c, labelling) for c in CASES})

@@ -11,9 +11,11 @@ digests of
 - ``genus()``.
 
 A change to the tiling layer that claims the same complexes and distances
-must keep this test green.  To re-record after an intended output change, run
+must keep this test green.  To compare by hand, naming each case that
+differs, run the module as a script; to re-record after an intended output
+change, run
 
-    PYTHONPATH=src python tests/test_tiled_golden.py
+    PYTHONPATH=src python tests/test_tiled_golden.py --record
 """
 
 from __future__ import annotations
@@ -115,7 +117,6 @@ def test_tiling_byte_identical(case, golden):
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(
-        json.dumps({_name(c): _digests(*c) for c in CASES}, indent=1, sort_keys=True) + "\n"
-    )
+    from conftest import golden_main
+
+    golden_main(GOLDEN, {_name(c): _digests(*c) for c in CASES})

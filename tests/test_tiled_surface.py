@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from hypladder.tiled_surface import (
     discrete_distance,
     glue_to_Rb,
 )
+from hypladder.tiled_surface import _index_graph
 
 
 class TestHoledSquare:
@@ -79,7 +81,8 @@ class TestBuildGrid:
 
     def test_unrefined_degrees(self):
         t = build_grid(1.2, 4, 4)
-        degrees = {len(nbrs) for nbrs in t._graph().adj}
+        # adj[i] is flat: one (neighbour, length) pair per edge
+        degrees = {len(nbrs) // 2 for nbrs in t._graph().adj}
         assert degrees <= {2, 3, 4}
 
     def test_unglued_topology(self):
@@ -100,7 +103,17 @@ class TestBuildTn:
         with pytest.raises(ScaleTooLarge):
             build_Tn(1.2, 0)
         with pytest.raises(ScaleTooLarge):
-            build_Tn(1.2, 4)
+            build_Tn(1.2, 6)
+
+    @pytest.mark.parametrize("level, m", [(4, 27), (5, 81)])
+    def test_high_levels_build_and_certify(self, level, m):
+        b = 1.2
+        t = build_Tn(b, level)
+        assert (t.rows, t.cols) == (m, m)
+        assert len(t.faces) == 4 * m * m
+        cert = certify_vertical_minimizing(t, m - 2)
+        assert cert.passes
+        assert cert.distance == pytest.approx(2.0 * (m - 2) * b, abs=1e-9)
 
     @staticmethod
     def _assert_middle_block(n):
@@ -121,8 +134,10 @@ class TestBuildTn:
             assert t2.edges[key] == pytest.approx(w)
 
     def test_middle_block_offset(self):
-        # the 3x3 level-2 window sits at offset 3 in the 9x9 level-3 window
+        # the 3x3 level-2 window sits at offset 3 in the 9x9 level-3 window,
+        # and that at offset 9 in the 27x27 level-4 window
         self._assert_middle_block(2)
+        self._assert_middle_block(3)
 
     def test_nesting(self):
         self._assert_middle_block(1)
@@ -212,6 +227,104 @@ class TestDijkstra:
         t.add_edge(x, y, 0.1)
         assert discrete_distance(t, x, y) == 0.1
         assert not certify_vertical_minimizing(t, 2).passes
+
+
+class TestIntegerSizes:
+    # sizes are ints: a float, a bool, a string or None is refused as a size
+    # error, never passed on to range() or to a lookup of ("C", nan, 2)
+    NOT_INTS = [2.0, 2.5, math.nan, math.inf, True, False, "3", None]
+
+    @pytest.mark.parametrize("size", NOT_INTS)
+    def test_build_grid_refuses(self, size):
+        with pytest.raises(NonPositiveSize):
+            build_grid(1.2, size, 3)
+        with pytest.raises(NonPositiveSize):
+            build_grid(1.2, 3, size)
+
+    @pytest.mark.parametrize("level", NOT_INTS)
+    def test_build_Tn_refuses(self, level):
+        with pytest.raises(NonPositiveSize):
+            build_Tn(1.2, level)
+
+    @pytest.mark.parametrize("n", NOT_INTS)
+    def test_certify_refuses(self, n):
+        with pytest.raises(NonPositiveSize):
+            certify_vertical_minimizing(build_grid(1.2, 6, 2), n)
+
+
+def _flat_pairs(flat):
+    return sorted(zip(flat[::2], flat[1::2]))
+
+
+_CONSTRUCTIONS = {
+    "grid": lambda t: t,
+    "glued": glue_to_Rb,
+    "refined": add_diagonals,
+    "glued-refined": lambda t: add_diagonals(glue_to_Rb(t)),
+    "refined-glued": lambda t: glue_to_Rb(add_diagonals(t)),
+}
+
+
+class TestCarriedOrder:
+    # each constructor hands the index its sorted vertex list; the index
+    # checks it against the edges and sorts afresh when they differ
+
+    @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (5, 9)])
+    def test_order_is_sorted_vertices(self, rows, cols, variant):
+        t = _CONSTRUCTIONS[variant](build_grid(1.2, rows, cols))
+        assert t._order == sorted(t.vertices())
+
+    @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (5, 9)])
+    def test_index_matches_index_from_scratch(self, rows, cols, variant):
+        t = _CONSTRUCTIONS[variant](build_grid(1.2, rows, cols))
+        g = t._graph()
+        fresh = _index_graph(t.edges)
+        assert g.ids is t._order  # the hint was taken
+        assert g.ids == fresh.ids
+        assert g.pos == fresh.pos
+        assert g.row_lines == fresh.row_lines
+        assert [_flat_pairs(a) for a in g.adj] == [_flat_pairs(a) for a in fresh.adj]
+
+    def test_add_edge_drops_the_order(self):
+        t = build_grid(1.2, 3, 3)
+        t.add_edge(("C", 0, 0), ("C", 1, 1), 5.0)
+        assert t._order is None
+        assert t._graph().ids == sorted(t.vertices())
+
+    def test_replace_copy_starts_without_the_order(self, inject_edge):
+        t = build_grid(1.2, 3, 3)
+        assert inject_edge(t, ("C", 0, 0), ("C", 1, 1), 5.0)._order is None
+
+    def test_edge_to_new_vertex_set_directly(self):
+        t = build_grid(1.2, 4, 4)
+        new = ("HM", 2, 9)  # on row line 2, outside the window
+        t.edges[("C", 2, 4), new] = 0.25
+        g = t._graph()
+        assert g.ids == sorted(t.vertices())
+        assert g.pos[new] in g.row_lines[2]
+        for sources, targets in [([new], None), ([("C", 0, 0)], [new]), ([("C", 2, 0)], None)]:
+            assert dijkstra(t, sources, targets) == _oracle_dijkstra(t, sources, targets)
+        assert discrete_distance(t, ("C", 0, 0), new) == _oracle_dijkstra(
+            t, [("C", 0, 0)], [new])[new]
+        assert certify_vertical_minimizing(t, 2).passes
+
+    def test_vertex_stripped_of_edges_directly(self):
+        t = build_grid(1.2, 4, 4)
+        gone = ("H", 1, 1, "N")
+        for key in [e for e in t.edges if gone in e]:
+            del t.edges[key]
+        assert gone not in t._graph().pos
+        for query in (lambda: dijkstra(t, [gone]),
+                      lambda: discrete_distance(t, gone, gone),
+                      lambda: discrete_distance(t, gone, ("C", 0, 0)),
+                      lambda: discrete_distance(t, ("C", 0, 0), gone)):
+            with pytest.raises(Unreachable):
+                query()
+        full = dijkstra(t, [("C", 0, 0)])
+        assert full == _oracle_dijkstra(t, [("C", 0, 0)])
+        assert gone not in full
 
 
 def _oracle_dijkstra(t, sources, targets=None):
