@@ -4,7 +4,8 @@ One subcommand per module, machine-readable output (JSON by default, CSV
 for tabular data), deterministic for fixed inputs: floats are rounded to 12
 significant digits and JSON keys are sorted.  Exit codes: 0 on success, 2
 on domain errors (with a structured error object on stdout), 64 on usage
-errors.
+errors.  ``-h``/``--help`` print the help text as a JSON object too, with
+exit code 0.
 
 The library is imported inside the handlers, not here: every call starts a
 fresh interpreter, so each subcommand loads only the modules it runs.
@@ -17,7 +18,7 @@ import json
 import math
 import sys
 
-from .errors import HypladderError, NumericalInstability
+from .errors import HypladderError, NumericalInstability, is_int
 
 SCHEMA_VERSION = "1"
 
@@ -37,9 +38,20 @@ class UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
+
+    def _get_formatter(self):
+        # help is output: wrap it at a fixed width, not the terminal's
+        return self.formatter_class(prog=self.prog, width=80)
 
 
 def _round_floats(obj):
@@ -147,15 +159,11 @@ def _cmd_bounds(args) -> str:
 
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
-        header = "K,L,R,C,D,a,rho_upper,hausdorff_factor,b,m_window,pants_bound_per_step"
-        lines = [header]
+        constants = qb.BoundReport.__match_args__[1:]  # every field after params
+        lines = [",".join(("K", "L", "R", *constants))]
         for v in values:
             rep = qb.report(params(v if name == "k" else args.k, v if name == "l" else args.l))
-            row = [
-                rep.params.K, rep.params.L, rep.params.R, rep.C, rep.D, rep.a,
-                rep.rho_upper, rep.hausdorff_factor, rep.b, rep.m_window,
-                rep.pants_bound_per_step,
-            ]
+            row = [rep.params.K, rep.params.L, rep.params.R, *(getattr(rep, c) for c in constants)]
             lines.append(",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row))
         return "\n".join(lines) + "\n"
     rep = qb.report(params(args.k, args.l))
@@ -215,10 +223,6 @@ def _parse_deck(text: str):
     raise UsageError(f"deck must be finite:N or infinite:1|2|many, got {text!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _read_descriptor(path: str):
     """Base genus, deck and planarity from a JSON descriptor file
     {"base_genus": int, "deck": {"order": int} or {"end_count": str},
@@ -239,7 +243,7 @@ def _read_descriptor(path: str):
     if not isinstance(deck, dict):
         raise malformed
     base_genus, order, planar = desc.get("base_genus"), deck.get("order"), desc.get("planar")
-    if not (_is_int(base_genus) and (order is None or _is_int(order))
+    if not (is_int(base_genus) and (order is None or is_int(order))
             and isinstance(planar, bool)):
         raise malformed
     if order is None:
@@ -341,6 +345,8 @@ def run(argv) -> tuple[int, str]:
     try:
         args = parser.parse_args(argv)
         return EXIT_OK, args.func(args)
+    except _Help as exc:
+        return EXIT_OK, _emit_json({"help": str(exc)})
     except UsageError as exc:
         return EXIT_USAGE, _emit_json({"error": "usage", "message": str(exc)})
     except HypladderError as exc:

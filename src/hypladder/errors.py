@@ -12,17 +12,29 @@ class _Record:
     """Base of the library's value records: ``__slots__`` classes that behave
     as frozen dataclasses do, without importing ``dataclasses``.
 
-    A subclass lists its fields, in order, as ``__slots__`` and sets them in
-    its own ``__init__`` through ``object.__setattr__`` or the slot
-    descriptors.  Records compare and hash by their fields (a field holding a
-    dict makes the record unhashable), print as ``Name(field=value, ...)``,
-    refuse assignment and deletion, and copy and pickle by their fields.  The
-    base lives here because every CLI child loads this module; a module whose
-    records use it does not import ``dataclasses`` and, with it, ``inspect``:
-    together the largest start-up cost among hypladder's imports.
+    A subclass lists its fields, in order, as ``__slots__`` and stores them
+    in its ``__init__`` with one ``_set_fields`` call, through the setters
+    of its slot descriptors, which ``_setters`` holds in slot order; only
+    the records the holonomy builds by the thousand call those setters one
+    by one, which skips the loop.  Records compare and hash by their fields
+    (a field holding a dict makes the record unhashable), print as
+    ``Name(field=value, ...)``, refuse assignment and deletion, and copy and
+    pickle by their fields, which ``_rebuild`` stores again without calling
+    ``__init__``, so a copy keeps every bit.  The base lives here because
+    every CLI child loads this module; a module whose records use it does
+    not import ``dataclasses`` and, with it, ``inspect``: together the
+    largest start-up cost among hypladder's imports.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+    def _set_fields(self, *values) -> None:
+        for store, value in zip(self._setters, values):
+            store(self, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -52,18 +64,12 @@ class _Record:
 def _rebuild(cls, fields):
     """A record of class cls with the given fields, its ``__init__`` skipped."""
     record = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        object.__setattr__(record, name, value)
+    record._set_fields(*fields)
     return record
 
 
 class HypladderError(Exception):
     rule = "error"
-
-    def __init__(self, message, rule=None):
-        super().__init__(message)
-        if rule is not None:
-            self.rule = rule
 
 
 class DegeneratePentagon(HypladderError):
@@ -84,12 +90,24 @@ def check_positive_finite(name: str, value: float) -> None:
 
 
 class NonPositiveSize(HypladderError, ValueError):
-    """A window size or row separation below 1, or a tiled window size,
-    level or row separation that is not an ``int`` (a ``bool`` is not one).
-    Also a ``ValueError``, so callers that catch ``ValueError`` for bad
-    sizes keep working."""
+    """A window size, shift period or row separation below 1, or a size that
+    is not an ``int``: a window, period, genus, boundary count or tiled size
+    (a ``bool`` is not one).  Also a ``ValueError``, so callers that catch
+    ``ValueError`` for bad sizes keep working."""
 
     rule = "size-nonpositive"
+
+
+def is_int(value) -> bool:
+    """Whether value is an ``int`` and not a ``bool``: a bool is an int to
+    ``isinstance``, but never a size, genus or order."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int(name: str, value) -> None:
+    """Raise NonPositiveSize unless value is an int (see ``is_int``)."""
+    if not is_int(value):
+        raise NonPositiveSize(f"{name} must be an integer, got {value!r}")
 
 
 class NegativeSurface(HypladderError, ValueError):

@@ -27,6 +27,7 @@ from .errors import (
     NumericalInstability,
     ScaleTooLarge,
     _Record,
+    check_int,
     check_positive_finite,
 )
 from .hyp_core import MobiusMap, geodesic_length_from_trace
@@ -56,7 +57,7 @@ class PantsCuffs(_Record):
         _set_l3(self, l3)
 
 
-_set_l1, _set_l2, _set_l3 = PantsCuffs.l1.__set__, PantsCuffs.l2.__set__, PantsCuffs.l3.__set__
+_set_l1, _set_l2, _set_l3 = PantsCuffs._setters
 
 
 def _orthogeodesic(li: float, lj: float, lk: float) -> float:
@@ -107,13 +108,15 @@ class FNCoordinates(_Record):
     """Windowed Fenchel-Nielsen data for a ladder pants decomposition.
 
     ``coords[k]`` is the sextuplet (l_a, t_a, l_b, t_b, l_c, t_c) at index k
-    for k in [-window, window].  The dict makes the record unhashable.
+    for k in [-window, window]; the window is an ``int`` >= 1.  The dict
+    makes the record unhashable.
     """
 
     __slots__ = __match_args__ = ("window", "coords")
 
     def __init__(self, window: int,
                  coords: dict[int, tuple[float, float, float, float, float, float]]):
+        check_int("window size", window)
         if window < 1:
             raise NonPositiveSize(f"window size must be >= 1, got {window}")
         for k in range(-window, window + 1):
@@ -122,8 +125,7 @@ class FNCoordinates(_Record):
             sextuple = coords[k]
             for l in sextuple[0::2]:
                 check_positive_finite(f"length at index {k}", l)
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "coords", coords)
+        self._set_fields(window, coords)
 
     def length(self, family: str, k: int) -> float:
         return self.coords[k][2 * CURVE_FAMILIES.index(family)]
@@ -148,8 +150,7 @@ def build_ladder_fn(N: int, lengths=1.0, twists=0.0) -> FNCoordinates:
     With the defaults this is the model surface whose sextuplets are all
     (1, 0, 1, 0, 1, 0).
     """
-    if N < 1:
-        raise NonPositiveSize(f"window size must be >= 1, got {N}")
+    check_int("window size", N)  # FNCoordinates refuses N < 1
     lfun = lengths if callable(lengths) else (lambda fam, k: lengths)
     tfun = twists if callable(twists) else (lambda fam, k: twists)
     coords = {}
@@ -201,9 +202,7 @@ class PantsHolonomy(_Record):
         return (X1 @ X2 @ X3).dist_to_identity()
 
 
-_set_cuffs, _set_lengths, _set_matrices, _set_normalizers = (
-    PantsHolonomy.cuffs.__set__, PantsHolonomy.lengths.__set__,
-    PantsHolonomy.matrices.__set__, PantsHolonomy.normalizers.__set__)
+_set_cuffs, _set_lengths, _set_matrices, _set_normalizers = PantsHolonomy._setters
 
 
 def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
@@ -251,22 +250,19 @@ class HolonomyMap(_Record):
     leftmost pants, built by chaining the frame transitions across gluings,
     which carry the twist data; a non-finite frame is refused at build time.
 
-    Unlike the other records it is mutable, and so unhashable:
-    ``holonomy_from_fn`` fills its dicts in place.
+    Like every record it refuses assignment and deletion of its fields, but
+    ``holonomy_from_fn`` fills its dicts in place, and they make it
+    unhashable.
     """
 
     __slots__ = __match_args__ = ("fn", "pants", "frames", "transitions")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(self, fn: FNCoordinates, pants: dict | None = None,
                  frames: dict | None = None, transitions: dict | None = None):
-        self.fn = fn
-        self.pants = {} if pants is None else pants  # name -> PantsHolonomy
-        self.frames = {} if frames is None else frames  # name -> MobiusMap
-        # (p, q, cuff) -> MobiusMap
-        self.transitions = {} if transitions is None else transitions
+        # pants: name -> PantsHolonomy, frames: name -> MobiusMap,
+        # transitions: (p, q, cuff) -> MobiusMap
+        self._set_fields(fn, {} if pants is None else pants, {} if frames is None else frames,
+                         {} if transitions is None else transitions)
 
     def matrix(self, family: str, k: int) -> MobiusMap:
         """Holonomy of the cuff in the local frame of pants P_k1."""
@@ -342,11 +338,7 @@ class ShiftQuotient(_Record):
 
     def __init__(self, pants: tuple, cuffs: tuple, euler_characteristic: int, genus: int,
                  coords: dict):
-        object.__setattr__(self, "pants", pants)
-        object.__setattr__(self, "cuffs", cuffs)
-        object.__setattr__(self, "euler_characteristic", euler_characteristic)
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "coords", coords)
+        self._set_fields(pants, cuffs, euler_characteristic, genus, coords)
 
 
 def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:
@@ -354,6 +346,7 @@ def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:
     given period p (default 2): a closed surface of genus p+1, so period 1
     is the smallest, with genus 2.  The window must hold the
     representatives 0..period-1."""
+    check_int("shift period", period)
     if period < 1:
         raise NonPositiveSize(f"shift period must be at least 1, got {period}")
     if period > fn.window + 1:

@@ -45,16 +45,15 @@ class MobiusMap(_Record):
 
     A map is an immutable value record (see ``errors._Record``): compared and
     hashed by its entries, printed as ``MobiusMap(a=..., b=..., c=..., d=...)``,
-    refusing assignment and deletion.  The holonomy builds matrices by the
-    hundred thousand, so ``_store``, the one place that sets entries, writes
-    them through the slot descriptors (``_set_a`` .. ``_set_d``), which is
-    cheaper than ``object.__setattr__``.  Copies and pickles rebuild through
-    ``_signed`` (see ``__reduce__``), which never renormalizes, so they keep
-    every bit.
+    refusing assignment and deletion, and copied and pickled by the base,
+    which stores the entries again without renormalizing, so a copy keeps
+    every bit.  The holonomy builds matrices by the hundred thousand, so
+    ``_store``, the one place that sets entries, calls the slot setters
+    (``_set_a`` .. ``_set_d``) one by one, without the loop of the base's
+    ``_set_fields``.
     """
 
-    __slots__ = ("a", "b", "c", "d")
-    __match_args__ = ("a", "b", "c", "d")
+    __slots__ = __match_args__ = ("a", "b", "c", "d")
 
     a: float
     b: float
@@ -91,9 +90,6 @@ class MobiusMap(_Record):
         _set_b(self, b * s)
         _set_c(self, c * s)
         _set_d(self, d * s)
-
-    def __reduce__(self):
-        return MobiusMap._signed, (self.a, self.b, self.c, self.d)
 
     @staticmethod
     def _signed(a: float, b: float, c: float, d: float) -> "MobiusMap":
@@ -185,8 +181,7 @@ class MobiusMap(_Record):
 
 
 # the slot setters, bound once: the only writers of a map's entries
-_set_a, _set_b, _set_c, _set_d = (MobiusMap.a.__set__, MobiusMap.b.__set__,
-                                  MobiusMap.c.__set__, MobiusMap.d.__set__)
+_set_a, _set_b, _set_c, _set_d = MobiusMap._setters
 
 
 def hyp_dist(z1: complex, z2: complex) -> float:
@@ -210,9 +205,7 @@ class PentagonSolution(_Record):
     __slots__ = __match_args__ = ("b", "a", "c")
 
     def __init__(self, b: float, a: float, c: float):
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "c", c)
+        self._set_fields(b, a, c)
 
 
 def solve_pentagon(b: float) -> PentagonSolution:

@@ -20,7 +20,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import ComplexityTooLarge, NegativeSurface, NotTrivalent, UnknownVertex
+from .errors import (
+    ComplexityTooLarge,
+    NegativeSurface,
+    NotTrivalent,
+    UnknownVertex,
+    _Record,
+    check_int,
+)
 from .qch_bounds import shortpants_global
 
 COMPLEXITY_CAP = 4
@@ -30,22 +37,18 @@ def xi(g: int, b: int) -> int:
     return 3 * g - 3 + b
 
 
-@dataclass(frozen=True)
-class TrivalentGraph:
+class TrivalentGraph(_Record):
     """Dual graph of a pants decomposition.
 
     ``edges`` is a sorted multiset of internal edges (i, j) with i <= j
     (i == j for loops); ``half`` counts boundary half-edges per vertex.
     """
 
-    n: int
-    edges: tuple
-    half: tuple
+    __slots__ = __match_args__ = ("n", "edges", "half")
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(tuple(sorted(e)) for e in self.edges)))
-        object.__setattr__(self, "half", tuple(self.half))
-        for v in range(self.n):
+    def __init__(self, n: int, edges, half):
+        self._set_fields(n, tuple(sorted(tuple(sorted(e)) for e in edges)), tuple(half))
+        for v in range(n):
             if self.degree(v) != 3:
                 raise NotTrivalent(
                     f"vertex {v} has degree {self.degree(v)}, every pants has 3 cuffs"
@@ -140,6 +143,8 @@ def from_key(key: tuple) -> TrivalentGraph:
 
 
 def _check_cap(g: int, b: int) -> None:
+    check_int("genus", g)
+    check_int("boundary count", b)
     if g < 0 or b < 0:
         raise NegativeSurface(f"surface ({g},{b}) needs genus and boundary count >= 0")
     x = xi(g, b)

@@ -56,11 +56,7 @@ class QCHParams(_Record):
             )
         else:
             r_formula = "user-supplied"
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "m_inj", m_inj)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "r_formula", r_formula)
+        self._set_fields(K, L, m_inj, R, r_formula)
 
     @property
     def C(self) -> float:
@@ -143,15 +139,8 @@ class BoundReport(_Record):
     def __init__(self, params: QCHParams, C: float, D: float, a: float, rho_upper: float,
                  hausdorff_factor: float, b: float, m_window: int,
                  pants_bound_per_step: float):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "rho_upper", rho_upper)
-        object.__setattr__(self, "hausdorff_factor", hausdorff_factor)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "m_window", m_window)
-        object.__setattr__(self, "pants_bound_per_step", pants_bound_per_step)
+        self._set_fields(params, C, D, a, rho_upper, hausdorff_factor, b, m_window,
+                         pants_bound_per_step)
 
     def to_dict(self) -> dict:
         return {

@@ -25,6 +25,7 @@ from .errors import (
     NonPositiveSize,
     ScaleTooLarge,
     Unreachable,
+    check_int,
 )
 from .hyp_core import (
     PentagonSolution,
@@ -204,12 +205,6 @@ def _boundary_component_count(inc: dict) -> int:
     return len({find(u) for e in boundary for u in e})
 
 
-def _check_int(name: str, value) -> None:
-    # a bool is an int to isinstance, but never a size
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise NonPositiveSize(f"{name} must be an integer, got {value!r}")
-
-
 def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     """Window of rows x cols holed squares tiled edge to edge.
 
@@ -222,8 +217,8 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     by row, hole corners cell by cell (E < N < S < W), then the horizontal
     and the vertical midpoints.
     """
-    _check_int("rows", rows)
-    _check_int("cols", cols)
+    check_int("rows", rows)
+    check_int("cols", cols)
     if rows < 1 or cols < 1:
         raise NonPositiveSize(f"window must be at least 1x1, got {rows}x{cols}")
     p = solve_pentagon(b)
@@ -262,7 +257,7 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
 
 def build_Tn(b: float, n: int) -> TiledComplex:
     """Level-n window: a 3^(n-1) x 3^(n-1) grid with 9^(n-1) holes."""
-    _check_int("tiling level", n)
+    check_int("tiling level", n)
     if not 1 <= n <= 5:
         raise ScaleTooLarge(f"tiling level must be in [1, 5], got {n}")
     m = 3 ** (n - 1)
@@ -402,7 +397,7 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     Both hold to within CERT_TOL.  Corners stay one row inside the window
     boundary (safety margin).
     """
-    _check_int("row separation", n)
+    check_int("row separation", n)
     if n < 1:
         raise NonPositiveSize(f"row separation must be >= 1, got {n}")
     if n > t.rows - 2:

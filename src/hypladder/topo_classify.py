@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .errors import InconsistentInput, _Record
+from .errors import InconsistentInput, _Record, is_int
 
 
 class Ends(Enum):
@@ -53,9 +53,7 @@ class SurfaceType(_Record):
             raise InconsistentInput("a compact surface has finite genus")
         if nonplanar_ends == "all" and not compact and not math.isinf(genus):
             raise InconsistentInput("non-planar ends require infinite genus")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "ends", ends)
-        object.__setattr__(self, "nonplanar_ends", nonplanar_ends)
+        self._set_fields(genus, ends, nonplanar_ends)
 
     @property
     def compact(self) -> bool:
@@ -74,13 +72,16 @@ _SURFACE_OF_TYPE = {
 
 class DeckDescriptor(_Record):
     """Deck transformation group: finite of a given order, or infinite with
-    1, 2, or infinitely many ends of the cover.  An order of None means
-    infinite; end_count is "1", "2" or "infinitely_many"."""
+    1, 2, or infinitely many ends of the cover.  A finite order is an
+    ``int`` (not a ``bool``), None means infinite; end_count is "1", "2" or
+    "infinitely_many"."""
 
     __slots__ = __match_args__ = ("order", "end_count")
 
     def __init__(self, order: int | None, end_count: str | None = None):
         if order is not None:
+            if not is_int(order):
+                raise InconsistentInput(f"finite deck order must be an integer, got {order!r}")
             if order < 1:
                 raise InconsistentInput(f"finite deck order must be >= 1, got {order}")
         elif end_count not in ("1", "2", "infinitely_many"):
@@ -88,8 +89,7 @@ class DeckDescriptor(_Record):
                 "an infinite deck group needs end_count in "
                 f"{{'1', '2', 'infinitely_many'}}, got {end_count}"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "end_count", end_count)
+        self._set_fields(order, end_count)
 
     @property
     def finite(self) -> bool:
@@ -101,16 +101,14 @@ class Classification(_Record):
 
     def __init__(self, cover_type: CoverType, surface: SurfaceType, rule: str,
                  validated: bool):
-        object.__setattr__(self, "cover_type", cover_type)
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "validated", validated)
+        self._set_fields(cover_type, surface, rule, validated)
 
 
 def finite_cover_genus(base_genus: int, deck_order: int) -> int:
     """Genus of a degree-n cover of a closed genus-g surface: 1 + n(g-1)."""
-    if base_genus < 1 or deck_order < 1:
-        raise InconsistentInput("base genus and deck order must be >= 1")
+    if not (is_int(base_genus) and is_int(deck_order) and base_genus >= 1 and deck_order >= 1):
+        raise InconsistentInput("base genus and deck order must be integers >= 1, "
+                                f"got {base_genus!r} and {deck_order!r}")
     return 1 + deck_order * (base_genus - 1)
 
 
@@ -119,10 +117,11 @@ def classify_cover(base_genus: int, deck: DeckDescriptor, cover_planar: bool) ->
 
     Inconsistent inputs (a planar cover with a finite deck group; a planar
     two-ended cover of a genus >= 2 base, forbidden because a hyperbolic
-    surface group has no normal cyclic subgroup) raise InconsistentInput.
+    surface group has no normal cyclic subgroup) raise InconsistentInput, and
+    so does a base genus that is not an ``int`` (a ``bool`` is not one).
     """
-    if base_genus < 1:
-        raise InconsistentInput(f"base genus must be >= 1, got {base_genus}")
+    if not (is_int(base_genus) and base_genus >= 1):
+        raise InconsistentInput(f"base genus must be an integer >= 1, got {base_genus!r}")
     if deck.finite:
         if cover_planar:
             raise InconsistentInput(

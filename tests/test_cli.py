@@ -128,6 +128,29 @@ class TestOutputs:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["pentagon", "-h"]])
+    def test_help_is_one_json_object(self, argv, capsys):
+        code, text = run(argv)
+        assert code == EXIT_OK
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert sorted(data) == ["help", "schema_version"]
+        assert data["help"].startswith(f"usage: hypladder {' '.join(argv[:-1])}".rstrip())
+        assert "-h, --help" in data["help"]
+        assert capsys.readouterr().out == ""
+
+    def test_help_ignores_the_terminal_width(self, monkeypatch):
+        texts = set()
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            texts.add(run(["bounds", "-h"])[1])
+        assert len(texts) == 1
+
+    def test_help_child_writes_only_json(self):
+        out = _fresh_python("-m", "hypladder.cli", "pentagon", "--help")
+        assert out.returncode == EXIT_OK
+        assert json.loads(out.stdout, parse_constant=pytest.fail)["help"].startswith(
+            "usage: hypladder pentagon")
+
     def test_domain_error(self):
         code, text = run(["pentagon", "--b", "0.5"])
         data = json.loads(text)

@@ -117,6 +117,17 @@ class TestBuildLadderFN:
         with pytest.raises(NonPositiveSize):
             FNCoordinates(window=0, coords={0: (1, 0, 1, 0, 1, 0)})
 
+    # a window or period is an int: a float, a bool, a string or None is a
+    # size error, never passed on to range() or to a lookup of coords[1.5]
+    NOT_INTS = [1.0, 2.5, math.nan, math.inf, True, False, "2", None]
+
+    @pytest.mark.parametrize("window", NOT_INTS)
+    def test_rejects_window_that_is_not_an_int(self, window):
+        with pytest.raises(NonPositiveSize, match="window size must be an integer"):
+            build_ladder_fn(window)
+        with pytest.raises(NonPositiveSize, match="window size must be an integer"):
+            FNCoordinates(window, build_ladder_fn(1).coords)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite_coordinates(self, value):
         with pytest.raises(NonPositiveLength):
@@ -316,6 +327,11 @@ class TestQuotientByShift:
     @pytest.mark.parametrize("period", [0, -1, -3])
     def test_rejects_nonpositive_period(self, period):
         with pytest.raises(NonPositiveSize):
+            quotient_by_shift(build_ladder_fn(4), period=period)
+
+    @pytest.mark.parametrize("period", TestBuildLadderFN.NOT_INTS)
+    def test_rejects_period_that_is_not_an_int(self, period):
+        with pytest.raises(NonPositiveSize, match="shift period must be an integer"):
             quotient_by_shift(build_ladder_fn(4), period=period)
 
     def test_period_up_to_window_plus_one(self):

@@ -6,7 +6,13 @@ import random
 import pytest
 
 from hypladder import pants_graph
-from hypladder.errors import ComplexityTooLarge, NegativeSurface, NotTrivalent, UnknownVertex
+from hypladder.errors import (
+    ComplexityTooLarge,
+    NegativeSurface,
+    NonPositiveSize,
+    NotTrivalent,
+    UnknownVertex,
+)
 from hypladder.pants_graph import (
     COMPLEXITY_CAP,
     TrivalentGraph,
@@ -312,6 +318,14 @@ class TestEnumeration:
         with pytest.raises(NegativeSurface):
             enumerate_decompositions(g, b)
         with pytest.raises(NegativeSurface):
+            modular_pants_graph(g, b)
+
+    @pytest.mark.parametrize("g, b", [(2.0, 0), (True, 2), (1, 1.0), (1, True), (2, None),
+                                      ("2", 0), (float("nan"), 1)])
+    def test_genus_and_boundary_that_are_not_ints_rejected(self, g, b):
+        with pytest.raises(NonPositiveSize, match="must be an integer"):
+            enumerate_decompositions(g, b)
+        with pytest.raises(NonPositiveSize, match="must be an integer"):
             modular_pants_graph(g, b)
 
     def test_order_invariant_counts(self, labelling):

@@ -12,10 +12,12 @@ import copy
 import dataclasses
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 
 from hypladder import fenchel_nielsen as fnm
+from hypladder import pants_graph as pg
 from hypladder import qch_bounds as qb
 from hypladder import topo_classify as tc
 from hypladder.errors import (
@@ -44,6 +46,7 @@ SAMPLES = {
     "SurfaceType": lambda: tc.SurfaceType(math.inf, tc.Ends.TWO, "all"),
     "DeckDescriptor": lambda: tc.DeckDescriptor(None, "2"),
     "Classification": lambda: tc.classify_cover(2, tc.DeckDescriptor(3), False),
+    "TrivalentGraph": lambda: pg.TrivalentGraph(2, [[1, 0], (0, 0), (1, 1)], [0, 0]),
 }
 UNHASHABLE = {"FNCoordinates", "ShiftQuotient", "HolonomyMap"}
 names = pytest.mark.parametrize("name", sorted(SAMPLES))
@@ -62,11 +65,9 @@ def _rebuilt(record):
 
 
 def _twin(record):
-    """The dataclass with the record's class name, fields and values; frozen
-    except for the mutable HolonomyMap."""
+    """The frozen dataclass with the record's class name, fields and values."""
     cls = type(record)
-    twin_cls = dataclasses.make_dataclass(cls.__name__, cls.__slots__,
-                                          frozen=cls is not fnm.HolonomyMap)
+    twin_cls = dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)
     return twin_cls(**_fields(record))
 
 
@@ -124,7 +125,7 @@ def test_records_holding_a_dict_are_unhashable(name):
         hash(_twin(record))
 
 
-@pytest.mark.parametrize("name", sorted(set(SAMPLES) - {"HolonomyMap"}))
+@names
 def test_assignment_and_deletion_raise(name):
     record = SAMPLES[name]()
     before = repr(record)
@@ -136,11 +137,27 @@ def test_assignment_and_deletion_raise(name):
     assert repr(record) == before
 
 
-def test_holonomy_map_stays_mutable():
-    hol = fnm.holonomy_from_fn(fnm.build_ladder_fn(1))
-    hol.frames = {}
-    assert hol.frames == {}
+def test_holonomy_map_defaults_to_empty_dicts():
     assert fnm.HolonomyMap(_FN) == fnm.HolonomyMap(_FN, {}, {}, {})
+    # frozen fields, but the dicts in them fill in place
+    hol = fnm.HolonomyMap(_FN)
+    hol.frames[("P1", 0)] = MobiusMap.identity()
+    assert hol == fnm.HolonomyMap(_FN, frames={("P1", 0): MobiusMap.identity()})
+
+
+def test_records_keep_the_base_protocols():
+    assert "__reduce__" not in MobiusMap.__dict__
+    assert not {"__setattr__", "__delattr__", "__hash__"} & fnm.HolonomyMap.__dict__.keys()
+
+
+def test_fields_are_stored_only_in_errors():
+    # every record stores its fields through the slot setters of
+    # errors._Record, in _set_fields or, for the hot ones, one by one: no
+    # other module bypasses a record's refusal to assign
+    src = Path(__file__).resolve().parent.parent / "src" / "hypladder"
+    writers = {p.name for p in src.glob("*.py")
+               if "object.__setattr__" in p.read_text(encoding="utf-8")}
+    assert writers <= {"errors.py"}
 
 
 @names

@@ -43,6 +43,11 @@ TRUTH_TABLE = [
 ]
 
 
+# a genus or deck order is an int, and a bool is not one: no surface has
+# genus 2.5, and a flag is not an order
+NOT_INTS = [2.0, 2.5, 1.5, math.nan, math.inf, True, False, "2"]
+
+
 class TestDeckDescriptor:
     def test_finite(self):
         assert finite(3).finite
@@ -54,6 +59,11 @@ class TestDeckDescriptor:
     def test_order_positive(self):
         with pytest.raises(InconsistentInput):
             DeckDescriptor(order=0)
+
+    @pytest.mark.parametrize("order", NOT_INTS)
+    def test_order_is_an_int(self, order):
+        with pytest.raises(InconsistentInput, match="finite deck order must be an integer"):
+            DeckDescriptor(order)
 
 
 class TestSurfaceType:
@@ -79,6 +89,12 @@ class TestFiniteCoverGenus:
     def test_validation(self):
         with pytest.raises(InconsistentInput):
             finite_cover_genus(0, 2)
+
+    @pytest.mark.parametrize("value", NOT_INTS)
+    def test_genus_and_order_are_ints(self, value):
+        for args in ((2, value), (value, 2)):
+            with pytest.raises(InconsistentInput, match="must be integers"):
+                finite_cover_genus(*args)
 
 
 class TestClassifyCover:
@@ -109,6 +125,12 @@ class TestClassifyCover:
     def test_rejects_base_genus_zero(self):
         with pytest.raises(InconsistentInput):
             classify_cover(0, finite(2), False)
+
+    @pytest.mark.parametrize("base", NOT_INTS)
+    @pytest.mark.parametrize("deck", [finite(2), infinite("2")], ids=["finite", "infinite"])
+    def test_rejects_base_genus_that_is_not_an_int(self, base, deck):
+        with pytest.raises(InconsistentInput, match="base genus must be an integer"):
+            classify_cover(base, deck, False)
 
     def test_noncompact_types_have_expected_invariants(self):
         ladder = classify_cover(2, infinite("2"), False).surface
