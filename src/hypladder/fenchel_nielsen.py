@@ -30,7 +30,15 @@ from .errors import (
     check_int,
     check_positive_finite,
 )
-from .hyp_core import MobiusMap, geodesic_length_from_trace
+from .hyp_core import (
+    MobiusMap,
+    _inv,
+    _map,
+    _mul,
+    _perp_translation,
+    _translation,
+    geodesic_length_from_trace,
+)
 
 TWIST_CONVENTION = (
     "twists are angles in [0,2pi); arc-length twist = theta*length/(2*pi); "
@@ -165,7 +173,10 @@ def build_ladder_fn(N: int, lengths=1.0, twists=0.0) -> FNCoordinates:
     return FNCoordinates(window=N, coords=coords)
 
 
-_J = MobiusMap(0.0, -1.0, 1.0, 0.0)  # z -> -1/z: reverses the imaginary axis
+_J = (0.0, -1.0, 1.0, 0.0)  # entries of z -> -1/z: reverses the imaginary axis
+
+# N1 of every pants and the frame of the leftmost pants
+_IDENTITY = MobiusMap.identity()
 
 
 def _axis_normalizer(X: MobiusMap) -> MobiusMap:
@@ -198,8 +209,11 @@ class PantsHolonomy(_Record):
         _set_normalizers(self, normalizers)
 
     def closure_residual(self) -> float:
+        """Sup-norm distance of X1 @ X2 @ X3 to +-I, multiplied on entry
+        tuples; the one map made is the product's."""
         X1, X2, X3 = self.matrices
-        return (X1 @ X2 @ X3).dist_to_identity()
+        x12 = _mul((X1.a, X1.b, X1.c, X1.d), (X2.a, X2.b, X2.c, X2.d))
+        return _map(_mul(x12, (X3.a, X3.b, X3.c, X3.d))).dist_to_identity()
 
 
 _set_cuffs, _set_lengths, _set_matrices, _set_normalizers = PantsHolonomy._setters
@@ -213,32 +227,39 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
     relation X1 @ X2 @ X3 = I and has |trace| = 2*cosh(l3/2) by the
     right-angled hexagon identities.
 
+    The products are taken on entry tuples, with the sign rule of every
+    intermediate map; only X1, X2, X3, N2 and N3 become maps, and N1 is the
+    shared identity.
+
     Raises NumericalInstability where valid cuffs are too long or too short
-    for that construction in floating point.
+    for that construction in floating point, including where the trace of
+    X1 or X2 rounds to 2 or below, so every stored cuff is hyperbolic.
     """
     l1, l2, l3 = lengths
     cuffs = PantsCuffs(l1, l2, l3)
     d12, _, _ = pants_orthogeodesics(cuffs)
     try:
-        P = MobiusMap.perp_translation(d12)
-        X1 = MobiusMap.translation(l1)
-        X2 = P @ MobiusMap.translation(-l2) @ P.inverse()
-        X3 = (X1 @ X2).inverse()
-        N1 = MobiusMap.identity()
-        N2 = P @ _J  # X2 runs down its axis, so flip the model axis
+        P = _perp_translation(d12)
+        x1 = _translation(l1)
+        x2 = _mul(_mul(P, _translation(-l2)), _inv(P))
+        X3 = _map(_inv(_mul(x1, x2)))
+        N2 = _map(_mul(P, _J))  # X2 runs down its axis, so flip the model axis
         N3 = _axis_normalizer(X3)
+        for name, (a, _, _, d) in (("X1", x1), ("X2", x2)):
+            if not abs(a + d) > 2.0:
+                raise NotHyperbolic(f"|trace| of {name} is {abs(a + d)!r}, not above 2")
     except (ArithmeticError, ValueError, NotHyperbolic) as exc:
-        # the cuffs are valid, so X3's axis is lost to roundoff: its trace
-        # rounds to 2 or below, its discriminant below 0, or its normalizer
-        # has a zero, NaN or overflowing determinant
+        # the cuffs are valid, so an axis is lost to roundoff: X1's or X2's
+        # trace, or X3's, rounds to 2 or below, X3's discriminant below 0,
+        # or its normalizer has a zero, NaN or overflowing determinant
         raise NumericalInstability(
             f"pants holonomy of cuffs {tuple(lengths)} breaks down in floating point: {exc}"
         ) from None
     return PantsHolonomy(
         cuffs=tuple(cuff_labels),
         lengths=(l1, l2, l3),
-        matrices=(X1, X2, X3),
-        normalizers=(N1, N2, N3),
+        matrices=(_map(x1), _map(x2), X3),
+        normalizers=(_IDENTITY, N2, N3),
     )
 
 
@@ -287,11 +308,13 @@ class HolonomyMap(_Record):
 def _twist_transition(pants_from, pants_to, cuff, length, theta):
     """Frame transition across a gluing: align the two cuff axes with the
     model axis, twist by the arc-length theta*length/(2*pi), and reverse
-    orientation so the boundary circles match up."""
+    orientation so the boundary circles match up.  Np @ T(t) @ J @ Nq^-1 is
+    multiplied on entry tuples; the one map made is the result."""
     Np = pants_from.normalizers[pants_from.cuffs.index(cuff)]
     Nq = pants_to.normalizers[pants_to.cuffs.index(cuff)]
     t = theta * length / TWO_PI
-    return Np @ MobiusMap.translation(t) @ _J @ Nq.inverse()
+    x = _mul(_mul((Np.a, Np.b, Np.c, Np.d), _translation(t)), _J)
+    return _map(_mul(x, _inv((Nq.a, Nq.b, Nq.c, Nq.d))))
 
 
 def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
@@ -314,7 +337,7 @@ def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
                 [("a", k), ("b", k), ("c", k + 1)], (la, lb, lc_next)
             )
     # chain frames left to right: P1[-N] -> P2[-N] -> P1[-N+1] -> ...
-    hol.frames[("P1", -N)] = MobiusMap.identity()
+    hol.frames[("P1", -N)] = _IDENTITY
     for k in range(-N, N):
         for src, dst, cuff in ((("P1", k), ("P2", k), ("a", k)),
                                (("P2", k), ("P1", k + 1), ("c", k + 1))):

@@ -41,16 +41,25 @@ class MobiusMap(_Record):
     rounded once.  A determinant that is not > 0 (NaN included) or that
     overflows is refused, and so is a normalized entry that overflows.
     Products, inverses and the factories start from entries of determinant 1
-    up to roundoff, so they only fix the sign.
+    up to roundoff, so they skip that normalization: products and rotations
+    only fix the sign, and an inverse keeps its map's trace and so its sign.
+
+    The arithmetic works on entry 4-tuples (a, b, c, d): ``_mul`` is the one
+    product formula, with the sign rule, ``_inv`` the one inverse, and
+    ``_translation`` and ``_perp_translation`` the factories' entries, each
+    with its finiteness check.  ``@``, ``inverse`` and the factories call
+    them and make one map of the result; the holonomy calls them too and
+    keeps its intermediate products as tuples, making a map only for what
+    it stores.
 
     A map is an immutable value record (see ``errors._Record``): compared and
     hashed by its entries, printed as ``MobiusMap(a=..., b=..., c=..., d=...)``,
     refusing assignment and deletion, and copied and pickled by the base,
     which stores the entries again without renormalizing, so a copy keeps
     every bit.  The holonomy builds matrices by the hundred thousand, so
-    ``_store``, the one place that sets entries, calls the slot setters
-    (``_set_a`` .. ``_set_d``) one by one, without the loop of the base's
-    ``_set_fields``.
+    ``_map``, the one place that sets a new map's entries, calls the slot
+    setters (``_set_a`` .. ``_set_d``) one by one, without the loop of the
+    base's ``_set_fields``.
     """
 
     __slots__ = __match_args__ = ("a", "b", "c", "d")
@@ -60,7 +69,8 @@ class MobiusMap(_Record):
     c: float
     d: float
 
-    def __init__(self, a: float, b: float, c: float, d: float):
+    def __new__(cls, a: float, b: float, c: float, d: float):
+        # __new__, not __init__, so that _map makes every map, this one too;
         # each row times an even power of two, 2**-p and 2**-q: exact, and it
         # brings each row's largest entry into [0.5, 2), so rows of very
         # different size no longer under- or overflow in a*d - b*c
@@ -78,57 +88,28 @@ class MobiusMap(_Record):
         # back to the raw scale: the first row by 2**p / 2**((p + q) / 2)
         r = (p - q) // 2
         try:
-            self._store(math.ldexp(sa * s, r), math.ldexp(sb * s, r),
-                        math.ldexp(sc * s, -r), math.ldexp(sd * s, -r))
+            return _map(_signed(math.ldexp(sa * s, r), math.ldexp(sb * s, r),
+                                math.ldexp(sc * s, -r), math.ldexp(sd * s, -r)))
         except OverflowError:
             raise NumericalInstability("normalized matrix entry overflows") from None
 
-    def _store(self, a: float, b: float, c: float, d: float) -> None:
-        """Set the entries, negated if their trace is < 0."""
-        s = -1.0 if a + d < 0 else 1.0
-        _set_a(self, a * s)
-        _set_b(self, b * s)
-        _set_c(self, c * s)
-        _set_d(self, d * s)
-
-    @staticmethod
-    def _signed(a: float, b: float, c: float, d: float) -> "MobiusMap":
-        """Map from entries of determinant 1 up to roundoff: skips the
-        constructor's normalization and only fixes the sign."""
-        m = object.__new__(MobiusMap)
-        m._store(a, b, c, d)
-        return m
-
     @staticmethod
     def identity() -> "MobiusMap":
-        return MobiusMap._signed(1.0, 0.0, 0.0, 1.0)
+        return _map((1.0, 0.0, 0.0, 1.0))
 
     @staticmethod
     def translation(t: float) -> "MobiusMap":
         """Translation by t along the imaginary axis (0 -> infinity).
         Raises NumericalInstability unless both entries are finite (|t|
         above about 1419, or t not finite)."""
-        try:
-            e = math.exp(t / 2.0)
-            f = 1.0 / e
-        except (OverflowError, ZeroDivisionError):
-            e = f = math.inf
-        if not (e < math.inf and f < math.inf):
-            raise NumericalInstability(f"translation by {t} has no finite matrix")
-        return MobiusMap._signed(e, 0.0, 0.0, f)
+        return _map(_translation(t))
 
     @staticmethod
     def perp_translation(d: float) -> "MobiusMap":
         """Translation by d along the unit semicircle (-1 -> 1), through i.
         Raises NumericalInstability unless the entries are finite (|d|
         above about 1421, or d not finite)."""
-        try:
-            ch, sh = math.cosh(d / 2.0), math.sinh(d / 2.0)
-        except OverflowError:
-            ch = sh = math.inf
-        if not ch < math.inf:
-            raise NumericalInstability(f"translation by {d} has no finite matrix")
-        return MobiusMap._signed(ch, sh, sh, ch)
+        return _map(_perp_translation(d))
 
     @staticmethod
     def rotation(phi: float) -> "MobiusMap":
@@ -136,18 +117,13 @@ class MobiusMap(_Record):
         if not math.isfinite(phi):
             raise InconsistentInput(f"rotation angle must be finite, got {phi}")
         c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-        return MobiusMap._signed(c, s, -s, c)
+        return _map(_signed(c, s, -s, c))
 
     def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
-        return MobiusMap._signed(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return _map(_mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
 
     def inverse(self) -> "MobiusMap":
-        return MobiusMap._signed(self.d, -self.b, -self.c, self.a)
+        return _map(_inv((self.a, self.b, self.c, self.d)))
 
     def trace(self) -> float:
         return self.a + self.d
@@ -182,6 +158,72 @@ class MobiusMap(_Record):
 
 # the slot setters, bound once: the only writers of a map's entries
 _set_a, _set_b, _set_c, _set_d = MobiusMap._setters
+
+
+def _map(e: tuple) -> MobiusMap:
+    """Map with the entries e, whose sign is fixed already; skips the
+    constructor's normalization."""
+    m = object.__new__(MobiusMap)
+    a, b, c, d = e
+    _set_a(m, a)
+    _set_b(m, b)
+    _set_c(m, c)
+    _set_d(m, d)
+    return m
+
+
+def _signed(a: float, b: float, c: float, d: float) -> tuple:
+    """The entries, negated if their trace is < 0: the sign of every map."""
+    if a + d < 0:
+        return -a, -b, -c, -d
+    return a, b, c, d
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of two entry tuples, negated if its trace is < 0: the one
+    product formula, with the sign rule of ``_signed`` inline, as the
+    holonomy takes thousands of products per build.  Every term is kept,
+    ``x * 0.0`` ones included, so no signed zero depends on which entries
+    happen to be 0."""
+    xa, xb, xc, xd = x
+    ya, yb, yc, yd = y
+    a = xa * ya + xb * yc
+    b = xa * yb + xb * yd
+    c = xc * ya + xd * yc
+    d = xc * yb + xd * yd
+    if a + d < 0:
+        return -a, -b, -c, -d
+    return a, b, c, d
+
+
+def _inv(e: tuple) -> tuple:
+    """Inverse of signed entries of determinant 1: its trace is theirs, so
+    it keeps their sign."""
+    a, b, c, d = e
+    return d, -b, -c, a
+
+
+def _translation(t: float) -> tuple:
+    """Entries of ``MobiusMap.translation(t)``, with its check."""
+    try:
+        e = math.exp(t / 2.0)
+        f = 1.0 / e
+    except (OverflowError, ZeroDivisionError):
+        e = f = math.inf
+    if not (e < math.inf and f < math.inf):
+        raise NumericalInstability(f"translation by {t} has no finite matrix")
+    return e, 0.0, 0.0, f
+
+
+def _perp_translation(d: float) -> tuple:
+    """Entries of ``MobiusMap.perp_translation(d)``, with its check."""
+    try:
+        ch, sh = math.cosh(d / 2.0), math.sinh(d / 2.0)
+    except OverflowError:
+        ch = sh = math.inf
+    if not ch < math.inf:
+        raise NumericalInstability(f"translation by {d} has no finite matrix")
+    return ch, sh, sh, ch
 
 
 def hyp_dist(z1: complex, z2: complex) -> float:

@@ -27,6 +27,7 @@ from .errors import (
     UnknownVertex,
     _Record,
     check_int,
+    is_int,
 )
 from .qch_bounds import shortpants_global
 
@@ -390,8 +391,9 @@ def modular_pants_graph(g: int, b: int) -> ModularPantsGraph:
 
 def propagate_bounds(graph: ModularPantsGraph, start: int, M: float, m_inj: float) -> dict:
     """Cuff-length bound per vertex: iterate the short-pants step along BFS
-    distance from the start vertex; the start keeps exactly M."""
-    if start < 0 or start >= graph.vertex_count():
+    distance from the start vertex, an ``int`` (not a ``bool``); the start
+    keeps exactly M."""
+    if not (is_int(start) and 0 <= start < graph.vertex_count()):
         raise UnknownVertex(f"start vertex {start} not in graph")
     dists = _bfs_dists(graph.adjacency, start)
     return {v: shortpants_global(M, m_inj, d) for v, d in sorted(dists.items())}

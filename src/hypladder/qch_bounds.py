@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveLength,
     NumericalInstability,
     _Record,
+    check_int,
     check_positive_finite,
 )
 from .hyp_core import R_FORMULA_NAME, collar_width, quasi_geodesic_stability_R
@@ -34,13 +35,20 @@ class QCHParams(_Record):
 
     R defaults to the stability bound of hyp_core; pass an explicit value to
     override.  r_formula names where R came from and is set from R alone.
-    C is always K*log4.
+    C is always K*log4.  A ``bool`` is refused for every input: it would be
+    kept, and serialised as JSON true or false where a number belongs.
     """
 
     __slots__ = ("K", "L", "m_inj", "R", "r_formula")
     __match_args__ = ("K", "L", "m_inj", "R")
 
     def __init__(self, K: float, L: float, m_inj: float, R: float | None = None):
+        if isinstance(K, bool):
+            raise InvalidDilatation(f"dilatation must be a number, got {K!r}")
+        for name, value in (("base curve length", L), ("injectivity radius bound", m_inj),
+                            ("fellow-traveling constant", R)):
+            if isinstance(value, bool):
+                raise NonPositiveLength(f"{name} must be a number, got {value!r}")
         if K < 1.0:
             raise InvalidDilatation(f"dilatation must be >= 1, got {K}")
         if not math.isfinite(K):
@@ -119,7 +127,8 @@ def shortpants_step(M: float, m_inj: float) -> float:
 
 def shortpants_global(M: float, m_inj: float, diameter: int) -> float:
     """Iterate shortpants_step along a modular-pants-graph path of the given
-    length; diameter 0 returns M unchanged."""
+    length, an ``int`` (not a ``bool``); diameter 0 returns M unchanged."""
+    check_int("diameter", diameter)
     if diameter < 0:
         raise NegativeDiameter(f"diameter must be >= 0, got {diameter}")
     check_positive_finite("length bound", M)

@@ -38,12 +38,15 @@ class CoverType(Enum):
 
 
 class SurfaceType(_Record):
-    """Topological type: genus (int or math.inf), end space, and whether the
-    non-planar ends are none or all of the ends."""
+    """Topological type: genus (an ``int`` >= 0, not a ``bool``, or
+    ``math.inf``), end space, and whether the non-planar ends are none or all
+    of the ends."""
 
     __slots__ = __match_args__ = ("genus", "ends", "nonplanar_ends")
 
     def __init__(self, genus: float, ends: Ends, nonplanar_ends: str):
+        if not (is_int(genus) and genus >= 0 or genus == math.inf):
+            raise InconsistentInput(f"genus must be an integer >= 0 or inf, got {genus!r}")
         if nonplanar_ends not in ("none", "all"):
             raise InconsistentInput(
                 f"nonplanar_ends must be 'none' or 'all', got {nonplanar_ends}"

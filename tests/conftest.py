@@ -7,13 +7,21 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import sys
 from fractions import Fraction
 
 import pytest
 
 from hypladder import pants_graph
-from hypladder.errors import NonPositiveSize
+from hypladder.errors import NonPositiveSize, NotHyperbolic, NumericalInstability
+from hypladder.fenchel_nielsen import (
+    TWO_PI,
+    HolonomyMap,
+    PantsCuffs,
+    PantsHolonomy,
+    pants_orthogeodesics,
+)
 from hypladder.hyp_core import MobiusMap, solve_pentagon
 from hypladder.pants_graph import TrivalentGraph
 from hypladder.tiled_surface import EDGE_TOL, TiledComplex
@@ -127,6 +135,117 @@ def _conjugate_entries(f: MobiusMap, x: MobiusMap) -> tuple[Fraction, ...]:
     )
 
 
+# the holonomy built through MobiusMap products: pants_holonomy,
+# _twist_transition, PantsHolonomy.closure_residual and holonomy_from_fn
+# kept verbatim from the implementation that made a map for every
+# intermediate product, with the _J and _axis_normalizer they called, so
+# that the entry-tuple holonomy can be compared with it bit for bit
+
+
+_J = MobiusMap(0.0, -1.0, 1.0, 0.0)  # z -> -1/z: reverses the imaginary axis
+
+
+def _axis_normalizer(X: MobiusMap) -> MobiusMap:
+    """Isometry taking the imaginary axis (0 -> inf) onto the axis of X,
+    repelling to attracting; X == N @ translation(l) @ N^-1."""
+    rep, att = X.fixed_points()
+    if att == math.inf:
+        return MobiusMap(1.0, rep, 0.0, 1.0)
+    if rep == math.inf:
+        return MobiusMap(att, -1.0, 1.0, 0.0)
+    s = att - rep
+    if s <= 0:
+        # normalize orientation: scale columns to keep determinant positive
+        return MobiusMap(att, -rep, 1.0, -1.0)
+    return MobiusMap(att, rep, 1.0, 1.0)
+
+
+def oracle_closure_residual(self) -> float:
+    X1, X2, X3 = self.matrices
+    return (X1 @ X2 @ X3).dist_to_identity()
+
+
+def oracle_pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
+    """Fuchsian triple of a pair of pants from its three cuff lengths.
+
+    X1 translates along the imaginary axis; X2 along the geodesic at
+    orthogeodesic distance d_12 across the unit semicircle; X3 closes the
+    relation X1 @ X2 @ X3 = I and has |trace| = 2*cosh(l3/2) by the
+    right-angled hexagon identities.
+
+    Raises NumericalInstability where valid cuffs are too long or too short
+    for that construction in floating point.
+    """
+    l1, l2, l3 = lengths
+    cuffs = PantsCuffs(l1, l2, l3)
+    d12, _, _ = pants_orthogeodesics(cuffs)
+    try:
+        P = MobiusMap.perp_translation(d12)
+        X1 = MobiusMap.translation(l1)
+        X2 = P @ MobiusMap.translation(-l2) @ P.inverse()
+        X3 = (X1 @ X2).inverse()
+        N1 = MobiusMap.identity()
+        N2 = P @ _J  # X2 runs down its axis, so flip the model axis
+        N3 = _axis_normalizer(X3)
+    except (ArithmeticError, ValueError, NotHyperbolic) as exc:
+        # the cuffs are valid, so X3's axis is lost to roundoff: its trace
+        # rounds to 2 or below, its discriminant below 0, or its normalizer
+        # has a zero, NaN or overflowing determinant
+        raise NumericalInstability(
+            f"pants holonomy of cuffs {tuple(lengths)} breaks down in floating point: {exc}"
+        ) from None
+    return PantsHolonomy(
+        cuffs=tuple(cuff_labels),
+        lengths=(l1, l2, l3),
+        matrices=(X1, X2, X3),
+        normalizers=(N1, N2, N3),
+    )
+
+
+def oracle_twist_transition(pants_from, pants_to, cuff, length, theta):
+    """Frame transition across a gluing: align the two cuff axes with the
+    model axis, twist by the arc-length theta*length/(2*pi), and reverse
+    orientation so the boundary circles match up."""
+    Np = pants_from.normalizers[pants_from.cuffs.index(cuff)]
+    Nq = pants_to.normalizers[pants_to.cuffs.index(cuff)]
+    t = theta * length / TWO_PI
+    return Np @ MobiusMap.translation(t) @ _J @ Nq.inverse()
+
+
+def oracle_holonomy_from_fn(fn) -> HolonomyMap:
+    """Build per-pants Fuchsian triples and chained frames for a ladder FN
+    datum.  Every cuff's trace recovers its coordinate length exactly up to
+    roundoff; twists enter only the frame transitions.  Raises
+    NumericalInstability when a pants triple cannot be built in floating
+    point (see pants_holonomy) or a chained frame overflows to a non-finite
+    entry."""
+    hol = HolonomyMap(fn=fn)
+    N = fn.window
+    for k in fn.indices():
+        la, _, lb, _, lc, _ = fn.coords[k]
+        hol.pants[("P1", k)] = oracle_pants_holonomy(
+            [("c", k), ("a", k), ("b", k)], (lc, la, lb)
+        )
+        if k + 1 <= N:
+            lc_next = fn.length("c", k + 1)
+            hol.pants[("P2", k)] = oracle_pants_holonomy(
+                [("a", k), ("b", k), ("c", k + 1)], (la, lb, lc_next)
+            )
+    # chain frames left to right: P1[-N] -> P2[-N] -> P1[-N+1] -> ...
+    hol.frames[("P1", -N)] = MobiusMap.identity()
+    for k in range(-N, N):
+        for src, dst, cuff in ((("P1", k), ("P2", k), ("a", k)),
+                               (("P2", k), ("P1", k + 1), ("c", k + 1))):
+            T = oracle_twist_transition(hol.pants[src], hol.pants[dst], cuff,
+                                        fn.length(*cuff), fn.twist(*cuff))
+            hol.transitions[(src, dst, cuff)] = T
+            frame = hol.frames[src] @ T
+            if not all(map(math.isfinite, (frame.a, frame.b, frame.c, frame.d))):
+                raise NumericalInstability(f"frame of pants {dst[0]}[{dst[1]}] is not finite")
+            hol.frames[dst] = frame
+    return hol
+
+
 def golden_main(path, fresh, cases=lambda data: data, sort_keys=True):
     """Command line of a golden test module, run as a script.
 
@@ -173,3 +292,15 @@ def _labelling_fixture():
 @pytest.fixture(scope="session")
 def conjugate_entries():
     return _conjugate_entries
+
+
+@pytest.fixture(scope="session")
+def oracle_holonomy():
+    """The map-product holonomy: pants_holonomy, _twist_transition,
+    closure_residual and holonomy_from_fn, by name."""
+    return {
+        "pants_holonomy": oracle_pants_holonomy,
+        "twist_transition": oracle_twist_transition,
+        "closure_residual": oracle_closure_residual,
+        "holonomy_from_fn": oracle_holonomy_from_fn,
+    }

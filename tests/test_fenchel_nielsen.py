@@ -281,12 +281,22 @@ class TestHolonomyFromFN:
             holonomy_from_fn(build_ladder_fn(1, lengths=length, twists=twist))
 
     def test_every_valid_length_builds_or_is_numerical_instability(self):
-        # cuff lengths 10^e for e from -323.5 to 308 in steps of 1/8
+        # cuff lengths 10^e for e from -323.5 to 308 in steps of 1/8; every
+        # cuff of a holonomy that builds recovers a length from its trace,
+        # so no X1 or X2 with a trace rounded to 2 or below is stored
         for e in range(-2588, 2465):
             try:
-                holonomy_from_fn(build_ladder_fn(1, lengths=10.0 ** (e / 8)))
+                hol = holonomy_from_fn(build_ladder_fn(1, lengths=10.0 ** (e / 8)))
             except NumericalInstability:
-                pass
+                continue
+            for fam, k in hol.fn.curves():
+                assert hol.recovered_length(fam, k) > 0.0
+
+    @pytest.mark.parametrize("length", [1e-5, 10 ** -3.75])
+    def test_cuff_whose_trace_rounds_to_two_is_refused(self, length):
+        # X2's trace is 1.99999237 at 1e-5: a hyperbolic cuff that is not one
+        with pytest.raises(NumericalInstability, match="trace"):
+            pants_holonomy(["1", "2", "3"], (length, length, length))
 
 
 class TestNumericalBreakdown:

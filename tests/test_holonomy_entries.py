@@ -1,0 +1,176 @@
+"""The holonomy built on entry tuples against the one built through a
+``MobiusMap`` for every intermediate product.
+
+``conftest.py`` keeps that map-product implementation verbatim
+(``oracle_holonomy``).  The library must give the same bits, by
+``float.hex``, for every pants triple, normalizer, frame transition, frame
+and closure residual, and where the oracle refuses, the same error class
+with the same message.  The one intended difference: the library refuses a
+pants whose X1 or X2 has a trace rounded to 2 or below, which the oracle
+stored.
+
+A second test counts the maps a build makes: each must be one the result
+stores, so an intermediate product that comes back fails without timing.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+
+from hypladder import fenchel_nielsen as fnm
+from hypladder import hyp_core
+from hypladder.errors import NumericalInstability
+from hypladder.fenchel_nielsen import build_ladder_fn, holonomy_from_fn, pants_holonomy
+from hypladder.hyp_core import MobiusMap
+
+RANGES = {"tiny": (1e-3, 1e-2), "short": (0.05, 0.5), "medium": (0.3, 3.0), "long": (3.0, 30.0)}
+SEEDS = range(12)
+
+
+def _hex(m: MobiusMap) -> tuple:
+    return m.a.hex(), m.b.hex(), m.c.hex(), m.d.hex()
+
+
+def _outcome(build, *args):
+    """("ok", result) or ("raised", class, message)."""
+    try:
+        return "ok", build(*args)
+    except Exception as exc:  # compared class and message below
+        return "raised", type(exc), str(exc)
+
+
+def _pants_bits(p, closure_residual) -> tuple:
+    return (p.cuffs, p.lengths, [_hex(m) for m in p.matrices + p.normalizers],
+            closure_residual(p).hex())
+
+
+def _holonomy_bits(hol, closure_residual) -> tuple:
+    return ({key: _pants_bits(p, closure_residual) for key, p in hol.pants.items()},
+            {key: _hex(m) for key, m in hol.transitions.items()},
+            {key: _hex(m) for key, m in hol.frames.items()})
+
+
+def _ladder(seed: int, lo: float, hi: float):
+    rng = random.Random(seed)
+    N = rng.randint(1, 12)
+    table = {(fam, k): (rng.uniform(lo, hi), rng.uniform(-50.0, 50.0))
+             for k in range(-N, N + 1) for fam in "abc"}
+    return build_ladder_fn(N, lengths=lambda fam, k: table[fam, k][0],
+                           twists=lambda fam, k: table[fam, k][1])
+
+
+def _mixed_ladder(seed: int):
+    """Each curve from a range of its own, so short and long cuffs share pants."""
+    rng = random.Random(seed)
+    N = rng.randint(1, 8)
+    table = {(fam, k): (rng.uniform(*rng.choice(list(RANGES.values()))),
+                        rng.uniform(-50.0, 50.0))
+             for k in range(-N, N + 1) for fam in "abc"}
+    return build_ladder_fn(N, lengths=lambda fam, k: table[fam, k][0],
+                           twists=lambda fam, k: table[fam, k][1])
+
+
+def _assert_same_holonomy(fn, oracle):
+    want = _outcome(oracle["holonomy_from_fn"], fn)
+    got = _outcome(holonomy_from_fn, fn)
+    assert got[0] == want[0], (got, want)
+    if want[0] == "raised":
+        assert got[1:] == want[1:]
+    else:
+        assert (_holonomy_bits(got[1], fnm.PantsHolonomy.closure_residual)
+                == _holonomy_bits(want[1], oracle["closure_residual"]))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("lengths", sorted(RANGES))
+def test_ladder_bit_identical(lengths, seed, oracle_holonomy):
+    _assert_same_holonomy(_ladder(seed, *RANGES[lengths]), oracle_holonomy)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mixed_ladder_bit_identical(seed, oracle_holonomy):
+    _assert_same_holonomy(_mixed_ladder(1000 + seed), oracle_holonomy)
+
+
+def test_pants_bit_identical_or_same_refusal(oracle_holonomy):
+    # cuffs log-uniform over 10^-12 .. 10^3: builds, roundoff breakdowns and
+    # overflows; only the trace check on X1 and X2 may refuse more
+    rng = random.Random(7)
+    refused = extra = 0
+    for _ in range(3000):
+        lengths = tuple(10.0 ** rng.uniform(-12.0, 3.0) for _ in range(3))
+        want = _outcome(oracle_holonomy["pants_holonomy"], ("1", "2", "3"), lengths)
+        got = _outcome(pants_holonomy, ("1", "2", "3"), lengths)
+        if want[0] == "raised":
+            refused += 1
+            assert got[1:] == want[1:]
+        elif got[0] == "raised":
+            extra += 1
+            X1, X2, _ = want[1].matrices
+            assert got[1] is NumericalInstability and "trace" in got[2]
+            assert min(abs(X1.trace()), abs(X2.trace())) <= 2.0
+        else:
+            assert (_pants_bits(got[1], fnm.PantsHolonomy.closure_residual)
+                    == _pants_bits(want[1], oracle_holonomy["closure_residual"]))
+    assert refused and extra  # the sample reaches both kinds of refusal
+
+
+def test_transition_bit_identical_for_raw_twists(oracle_holonomy):
+    # build_ladder_fn folds twists into [0, 2*pi); a transition takes any
+    # angle, here within +-50, and lengths up to 30
+    rng = random.Random(11)
+    for _ in range(400):
+        lo, hi = rng.choice(list(RANGES.values()))
+        la, lb, lc, lc2 = (rng.uniform(lo, hi) for _ in range(4))
+        try:
+            p = pants_holonomy([("c", 0), ("a", 0), ("b", 0)], (lc, la, lb))
+            q = pants_holonomy([("a", 0), ("b", 0), ("c", 1)], (la, lb, lc2))
+        except NumericalInstability:  # short cuffs can break down
+            continue
+        theta = rng.uniform(-50.0, 50.0)
+        for src, dst, cuff, length in ((p, q, ("a", 0), la), (q, p, ("b", 0), lb)):
+            want = _outcome(oracle_holonomy["twist_transition"], src, dst, cuff, length, theta)
+            got = _outcome(fnm._twist_transition, src, dst, cuff, length, theta)
+            if want[0] == "raised":
+                assert got[1:] == want[1:]
+            else:
+                assert got[0] == "ok" and _hex(got[1]) == _hex(want[1])
+
+
+def test_transition_refusal_is_unchanged(oracle_holonomy):
+    p = pants_holonomy([("c", 0), ("a", 0), ("b", 0)], (1.0, 1.0, 1.0))
+    for t in (1e4, -1e4, math.nan, math.inf):
+        want = _outcome(oracle_holonomy["twist_transition"], p, p, ("a", 0), 2 * math.pi, t)
+        got = _outcome(fnm._twist_transition, p, p, ("a", 0), 2 * math.pi, t)
+        assert want[0] == "raised" and got[1:] == want[1:]
+
+
+def _stored_maps(hol) -> list:
+    maps = list(hol.frames.values()) + list(hol.transitions.values())
+    for p in hol.pants.values():
+        maps += p.matrices + p.normalizers
+    return maps
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 9])
+def test_build_makes_only_the_maps_it_stores(N, monkeypatch):
+    # every map's entries are written through hyp_core's slot setters;
+    # keeping each new map alive keeps its id from being reused
+    made = []
+    set_a = hyp_core._set_a
+
+    def counting_set_a(m, value):
+        made.append(m)
+        set_a(m, value)
+
+    monkeypatch.setattr(hyp_core, "_set_a", counting_set_a)
+    hol = holonomy_from_fn(build_ladder_fn(N, lengths=0.8, twists=0.3))
+    monkeypatch.undo()
+    made_ids = {id(m) for m in made}
+    stored_new = {id(m) for m in _stored_maps(hol)} & made_ids
+    assert len(made) == len(made_ids) == len(stored_new)
+    # five per pants (X1, X2, X3, N2, N3), a transition and a frame per gluing
+    assert len(made) == 5 * (4 * N + 1) + 2 * (4 * N)

@@ -5,6 +5,7 @@ thirteen windows N = 1 .. 36, sha256 digests of the ``float.hex`` entries of
 - every chained frame (``frames``);
 - every frame transition (``transitions``);
 - every pants triple and its axis normalizers (``pants``);
+- the ``float.hex`` of every pants's ``closure_residual`` (``residuals``);
 
 and the ``float.hex`` of ``pentagon_closure_residual`` for a few b.  Every
 number here is a product of ``MobiusMap``s, so a change to the matrix class
@@ -32,7 +33,7 @@ GOLDEN = Path(__file__).parent / "data" / "holonomy_golden.json"
 # dense at small windows, then sparser up to 36: each
 # window has its own frames (they are relative to its leftmost pants)
 WINDOWS = (1, 2, 3, 4, 5, 6, 8, 10, 13, 17, 22, 28, 36)
-PARTS = ("frames", "transitions", "pants")
+PARTS = ("frames", "transitions", "pants", "residuals")
 PENTAGON_B = (0.9, 1.0, 1.3, 2.0, 5.0, 20.0)
 
 
@@ -65,14 +66,16 @@ def _sha(obj) -> str:
 
 def _digests(name: str) -> dict:
     lengths, twists = LADDERS[name]
-    frames, transitions, pants = [], [], []
+    frames, transitions, pants, residuals = [], [], [], []
     for N in WINDOWS:
         hol = holonomy_from_fn(build_ladder_fn(N, lengths=lengths, twists=twists))
         frames.append([[list(key), _hex(m)] for key, m in hol.frames.items()])
         transitions.append([[repr(key), _hex(m)] for key, m in hol.transitions.items()])
         pants.append([[list(key), [_hex(m) for m in p.matrices + p.normalizers]]
                       for key, p in hol.pants.items()])
-    return {"frames": _sha(frames), "transitions": _sha(transitions), "pants": _sha(pants)}
+        residuals.append([[list(key), p.closure_residual().hex()] for key, p in hol.pants.items()])
+    return {"frames": _sha(frames), "transitions": _sha(transitions), "pants": _sha(pants),
+            "residuals": _sha(residuals)}
 
 
 def _pentagon_residuals() -> dict:

@@ -423,7 +423,7 @@ class TestPropagateBounds:
         with pytest.raises(ValueError):
             propagate_bounds(mg, 9, 1.0, 1.0)
 
-    @pytest.mark.parametrize("start", [-1, 2])
+    @pytest.mark.parametrize("start", [-1, 2, 0.5, 1.0, True, False, "0", None])
     def test_bad_start_is_a_domain_error(self, start):
         mg = modular_pants_graph(2, 0)
         assert mg.vertex_count() == 2

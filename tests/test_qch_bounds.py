@@ -11,6 +11,7 @@ from hypladder.errors import (
     InvalidDilatation,
     NegativeDiameter,
     NonPositiveLength,
+    NonPositiveSize,
     NumericalInstability,
 )
 from hypladder.hyp_core import ARCSINH_1, R_FORMULA_NAME, collar_width
@@ -73,6 +74,22 @@ class TestParams:
     def test_rejects_bad_user_R(self, R):
         with pytest.raises(NonPositiveLength):
             unit_params(R=R)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool_inputs(self, flag):
+        # a bool would be stored and serialised as JSON true or false
+        with pytest.raises(InvalidDilatation, match="dilatation must be a number"):
+            QCHParams(K=flag, L=1.0, m_inj=0.5)
+        with pytest.raises(NonPositiveLength, match="base curve length must be a number"):
+            QCHParams(K=1.5, L=flag, m_inj=0.5)
+        with pytest.raises(NonPositiveLength, match="injectivity radius bound must be a number"):
+            QCHParams(K=1.5, L=1.0, m_inj=flag)
+        with pytest.raises(NonPositiveLength, match="fellow-traveling constant must be a number"):
+            QCHParams(K=1.5, L=1.0, m_inj=0.5, R=flag)
+
+    def test_report_inputs_stay_numbers(self):
+        d = report(QCHParams(K=1, L=1, m_inj=0.5)).to_dict()
+        assert not any(isinstance(v, bool) for v in d["inputs"].values())
 
     def test_overflowing_default_R_is_refused(self):
         # an explicit R=inf is refused, so a default R that overflows is too
@@ -186,6 +203,12 @@ class TestShortPants:
     def test_global_rejects_negative_diameter(self):
         with pytest.raises(ValueError):
             shortpants_global(1.0, 1.0, -1)
+
+    @pytest.mark.parametrize("diameter", [2.5, 1.0, True, False, "2"])
+    def test_global_rejects_diameter_that_is_not_an_int(self, diameter):
+        # a bool would count as one step, and a float raised TypeError
+        with pytest.raises(NonPositiveSize, match="diameter must be an integer"):
+            shortpants_global(1.0, 1.0, diameter)
 
     def test_negative_diameter_is_a_domain_error(self):
         with pytest.raises(NegativeDiameter) as info:

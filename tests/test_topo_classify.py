@@ -79,6 +79,20 @@ class TestSurfaceType:
         with pytest.raises(InconsistentInput):
             SurfaceType(3, Ends.ONE, "all")
 
+    @pytest.mark.parametrize("genus", [2.0, 2.5, math.nan, -math.inf, -1, True, False, "2"])
+    @pytest.mark.parametrize("ends", [Ends.NONE, Ends.ONE])
+    def test_genus_is_an_int_or_inf(self, genus, ends):
+        # no surface has genus 2.5, and qch_admissible would call one closed
+        with pytest.raises(InconsistentInput, match="genus must be an integer >= 0 or inf"):
+            SurfaceType(genus, ends, "none")
+
+    @pytest.mark.parametrize("genus, ends, nonplanar", [
+        (0, Ends.NONE, "none"), (7, Ends.NONE, "none"), (0, Ends.CANTOR, "none"),
+        (math.inf, Ends.TWO, "all"),
+    ])
+    def test_valid_genus_builds(self, genus, ends, nonplanar):
+        assert SurfaceType(genus, ends, nonplanar).genus == genus
+
 
 class TestFiniteCoverGenus:
     def test_formula(self):
