@@ -173,18 +173,20 @@ def _cmd_bounds(args) -> str:
 def _cmd_pants_graph(args) -> str:
     from . import pants_graph as pg
 
+    if args.propagate_m is not None and args.format == "text":
+        raise UsageError("--propagate-m needs --format json: text output has no bounds")
     graph = pg.modular_pants_graph(args.genus, args.boundary)
+    if args.format == "text":
+        out = graph.to_adjacency_text()
+        out += f"vertices: {graph.vertex_count()}\n"
+        out += f"connected: {graph.connected}\ndiameter: {graph.diameter}\n"
+        return out
     payload = graph.to_dict()
     if args.propagate_m is not None:
         if args.inj_radius is None:
             raise UsageError("--propagate-m requires --inj-radius")
         bounds = pg.propagate_bounds(graph, 0, args.propagate_m, args.inj_radius)
         payload["bounds_from_vertex_0"] = {str(k): v for k, v in bounds.items()}
-    if args.format == "text":
-        out = graph.to_adjacency_text()
-        out += f"vertices: {graph.vertex_count()}\n"
-        out += f"connected: {graph.connected}\ndiameter: {graph.diameter}\n"
-        return out
     return _emit_json(payload)
 
 
@@ -200,6 +202,7 @@ def _cmd_tiled(args) -> str:
         t = ts.add_diagonals(t)
     if args.action == "certify":
         return _emit_json(ts.certify_vertical_minimizing(t, args.n).to_dict())
+    ts._check_row_separation(args.n)  # export refuses what certify refuses
     lines = ["u,v,length"]
     for (u, v), w in sorted(t.edges.items()):
         lines.append(f"{'/'.join(map(str, u))},{'/'.join(map(str, v))},{w:.12g}")
@@ -255,13 +258,16 @@ def _cmd_classify(args) -> str:
     from . import topo_classify as tc
 
     if args.input:
+        if args.base_genus is not None or args.deck is not None or args.planar is not None:
+            raise UsageError("--input names the base genus, deck and planarity; "
+                             "--base-genus, --deck and --[no-]planar go without it")
         base_genus, deck, planar = _read_descriptor(args.input)
     else:
         if args.base_genus is None or args.deck is None:
             raise UsageError("classify needs --input or both --base-genus and --deck")
         base_genus = args.base_genus
         deck = _parse_deck(args.deck)
-        planar = args.planar
+        planar = bool(args.planar)
     cls = tc.classify_cover(base_genus, deck, planar)
     admissible, reason = tc.qch_admissible(cls.surface)
     return _emit_json(
@@ -333,7 +339,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", type=str, default=None, help="JSON descriptor file")
     p.add_argument("--base-genus", type=int, default=None)
     p.add_argument("--deck", type=str, default=None, help="finite:N or infinite:1|2|many")
-    p.add_argument("--planar", action=argparse.BooleanOptionalAction, default=False)
+    p.add_argument("--planar", action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(func=_cmd_classify)
 
     return parser

@@ -15,7 +15,7 @@ class _Record:
     A subclass lists its fields, in order, as ``__slots__`` and stores them
     in its ``__init__`` with one ``_set_fields`` call, through the setters
     of its slot descriptors, which ``_setters`` holds in slot order; only
-    the records the holonomy builds by the thousand call those setters one
+    ``MobiusMap``, stored by the hundred thousand, calls those setters one
     by one, which skips the loop.  Records compare and hash by their fields
     (a field holding a dict makes the record unhashable), print as
     ``Name(field=value, ...)``, refuse assignment and deletion, and copy and

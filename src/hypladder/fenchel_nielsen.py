@@ -32,6 +32,8 @@ from .errors import (
 )
 from .hyp_core import (
     MobiusMap,
+    _I,
+    _dist_to_identity,
     _inv,
     _map,
     _mul,
@@ -59,13 +61,7 @@ class PantsCuffs(_Record):
     def __init__(self, l1: float, l2: float, l3: float):
         for l in (l1, l2, l3):
             check_positive_finite("cuff length", l)
-        # the holonomy builds thousands of pants: store through the slots
-        _set_l1(self, l1)
-        _set_l2(self, l2)
-        _set_l3(self, l3)
-
-
-_set_l1, _set_l2, _set_l3 = PantsCuffs._setters
+        self._set_fields(l1, l2, l3)
 
 
 def _orthogeodesic(li: float, lj: float, lk: float) -> float:
@@ -203,20 +199,15 @@ class PantsHolonomy(_Record):
     def __init__(self, cuffs: tuple, lengths: tuple[float, float, float],
                  matrices: tuple[MobiusMap, MobiusMap, MobiusMap],
                  normalizers: tuple[MobiusMap, MobiusMap, MobiusMap]):
-        _set_cuffs(self, cuffs)  # three (family, k) labels
-        _set_lengths(self, lengths)
-        _set_matrices(self, matrices)
-        _set_normalizers(self, normalizers)
+        # cuffs: three (family, k) labels
+        self._set_fields(cuffs, lengths, matrices, normalizers)
 
     def closure_residual(self) -> float:
         """Sup-norm distance of X1 @ X2 @ X3 to +-I, multiplied on entry
-        tuples; the one map made is the product's."""
+        tuples; it makes no map."""
         X1, X2, X3 = self.matrices
         x12 = _mul((X1.a, X1.b, X1.c, X1.d), (X2.a, X2.b, X2.c, X2.d))
-        return _map(_mul(x12, (X3.a, X3.b, X3.c, X3.d))).dist_to_identity()
-
-
-_set_cuffs, _set_lengths, _set_matrices, _set_normalizers = PantsHolonomy._setters
+        return _dist_to_identity(_mul(x12, (X3.a, X3.b, X3.c, X3.d)))
 
 
 def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
@@ -305,25 +296,28 @@ class HolonomyMap(_Record):
         return self.recovered_length(family, k)
 
 
-def _twist_transition(pants_from, pants_to, cuff, length, theta):
-    """Frame transition across a gluing: align the two cuff axes with the
-    model axis, twist by the arc-length theta*length/(2*pi), and reverse
-    orientation so the boundary circles match up.  Np @ T(t) @ J @ Nq^-1 is
-    multiplied on entry tuples; the one map made is the result."""
+def _twist_transition(pants_from, pants_to, cuff, length, theta) -> tuple:
+    """Entries of the frame transition across a gluing: align the two cuff
+    axes with the model axis, twist by the arc-length theta*length/(2*pi),
+    and reverse orientation so the boundary circles match up.
+    Np @ T(t) @ J @ Nq^-1 is multiplied on entry tuples and makes no map."""
     Np = pants_from.normalizers[pants_from.cuffs.index(cuff)]
     Nq = pants_to.normalizers[pants_to.cuffs.index(cuff)]
     t = theta * length / TWO_PI
     x = _mul(_mul((Np.a, Np.b, Np.c, Np.d), _translation(t)), _J)
-    return _map(_mul(x, _inv((Nq.a, Nq.b, Nq.c, Nq.d))))
+    return _mul(x, _inv((Nq.a, Nq.b, Nq.c, Nq.d)))
 
 
 def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
     """Build per-pants Fuchsian triples and chained frames for a ladder FN
     datum.  Every cuff's trace recovers its coordinate length exactly up to
-    roundoff; twists enter only the frame transitions.  Raises
-    NumericalInstability when a pants triple cannot be built in floating
-    point (see pants_holonomy) or a chained frame overflows to a non-finite
-    entry."""
+    roundoff; twists enter only the frame transitions.
+
+    The frames are chained left to right on one running entry tuple, each
+    times the entries of the next transition; every transition and every
+    frame becomes a map only to be stored.  Raises NumericalInstability
+    when a pants triple cannot be built in floating point (see
+    pants_holonomy) or a chained frame overflows to a non-finite entry."""
     hol = HolonomyMap(fn=fn)
     N = fn.window
     for k in fn.indices():
@@ -338,16 +332,17 @@ def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
             )
     # chain frames left to right: P1[-N] -> P2[-N] -> P1[-N+1] -> ...
     hol.frames[("P1", -N)] = _IDENTITY
+    frame = _I
     for k in range(-N, N):
         for src, dst, cuff in ((("P1", k), ("P2", k), ("a", k)),
                                (("P2", k), ("P1", k + 1), ("c", k + 1))):
-            T = _twist_transition(hol.pants[src], hol.pants[dst], cuff,
+            t = _twist_transition(hol.pants[src], hol.pants[dst], cuff,
                                   fn.length(*cuff), fn.twist(*cuff))
-            hol.transitions[(src, dst, cuff)] = T
-            frame = hol.frames[src] @ T
-            if not all(map(math.isfinite, (frame.a, frame.b, frame.c, frame.d))):
+            hol.transitions[(src, dst, cuff)] = _map(t)
+            frame = _mul(frame, t)
+            if not all(map(math.isfinite, frame)):
                 raise NumericalInstability(f"frame of pants {dst[0]}[{dst[1]}] is not finite")
-            hol.frames[dst] = frame
+            hol.frames[dst] = _map(frame)
     return hol
 
 
@@ -401,20 +396,14 @@ def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:
     )
 
 
+# the fields of one FN record after its index k, in sextuple order: the
+# JSON record keys and the CSV columns
+_FN_FIELDS = ("l_a", "t_a", "l_b", "t_b", "l_c", "t_c")
+
+
 def fn_to_dict(fn: FNCoordinates) -> dict:
     """FN records with the window and twist convention, ready for JSON."""
-    records = [
-        {
-            "k": k,
-            "l_a": fn.coords[k][0],
-            "t_a": fn.coords[k][1],
-            "l_b": fn.coords[k][2],
-            "t_b": fn.coords[k][3],
-            "l_c": fn.coords[k][4],
-            "t_c": fn.coords[k][5],
-        }
-        for k in fn.indices()
-    ]
+    records = [{"k": k, **dict(zip(_FN_FIELDS, fn.coords[k]))} for k in fn.indices()]
     return {"twist_convention": TWIST_CONVENTION, "window": fn.window, "records": records}
 
 
@@ -423,7 +412,7 @@ def fn_to_json(fn: FNCoordinates) -> str:
 
 
 def fn_to_csv(fn: FNCoordinates) -> str:
-    lines = ["k,l_a,t_a,l_b,t_b,l_c,t_c"]
+    lines = [",".join(("k", *_FN_FIELDS))]
     for k in fn.indices():
         lines.append(",".join(map(str, (k, *fn.coords[k]))))
     return "\n".join(lines) + "\n"
@@ -431,8 +420,5 @@ def fn_to_csv(fn: FNCoordinates) -> str:
 
 def fn_from_json(text: str) -> FNCoordinates:
     data = json.loads(text)
-    coords = {
-        r["k"]: (r["l_a"], r["t_a"], r["l_b"], r["t_b"], r["l_c"], r["t_c"])
-        for r in data["records"]
-    }
+    coords = {r["k"]: tuple(r[name] for name in _FN_FIELDS) for r in data["records"]}
     return FNCoordinates(window=data["window"], coords=coords)

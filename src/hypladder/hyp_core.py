@@ -45,21 +45,23 @@ class MobiusMap(_Record):
     only fix the sign, and an inverse keeps its map's trace and so its sign.
 
     The arithmetic works on entry 4-tuples (a, b, c, d): ``_mul`` is the one
-    product formula, with the sign rule, ``_inv`` the one inverse, and
+    product formula, with the sign rule, ``_inv`` the one inverse,
     ``_translation`` and ``_perp_translation`` the factories' entries, each
-    with its finiteness check.  ``@``, ``inverse`` and the factories call
-    them and make one map of the result; the holonomy calls them too and
-    keeps its intermediate products as tuples, making a map only for what
-    it stores.
+    with its finiteness check, and ``_dist_to_identity`` the one distance
+    to +-I.  ``@``, ``inverse`` and the factories call them and make one
+    map of the result; ``dist_to_identity`` calls the last.  Every walk of
+    the library runs on entries: the polygon walk behind the pentagon
+    residual and vertices makes no map, and the holonomy makes one only for
+    what it stores.
 
     A map is an immutable value record (see ``errors._Record``): compared and
     hashed by its entries, printed as ``MobiusMap(a=..., b=..., c=..., d=...)``,
     refusing assignment and deletion, and copied and pickled by the base,
     which stores the entries again without renormalizing, so a copy keeps
-    every bit.  The holonomy builds matrices by the hundred thousand, so
+    every bit.  The holonomy stores matrices by the hundred thousand, so
     ``_map``, the one place that sets a new map's entries, calls the slot
     setters (``_set_a`` .. ``_set_d``) one by one, without the loop of the
-    base's ``_set_fields``.
+    base's ``_set_fields``: the one record that does.
     """
 
     __slots__ = __match_args__ = ("a", "b", "c", "d")
@@ -95,7 +97,7 @@ class MobiusMap(_Record):
 
     @staticmethod
     def identity() -> "MobiusMap":
-        return _map((1.0, 0.0, 0.0, 1.0))
+        return _map(_I)
 
     @staticmethod
     def translation(t: float) -> "MobiusMap":
@@ -136,9 +138,7 @@ class MobiusMap(_Record):
 
     def dist_to_identity(self) -> float:
         """min over signs of the sup-norm distance to +-I."""
-        plus = max(abs(self.a - 1), abs(self.b), abs(self.c), abs(self.d - 1))
-        minus = max(abs(self.a + 1), abs(self.b), abs(self.c), abs(self.d + 1))
-        return min(plus, minus)
+        return _dist_to_identity((self.a, self.b, self.c, self.d))
 
     def fixed_points(self) -> tuple[float, float]:
         """Real fixed points (attracting last) of a hyperbolic element."""
@@ -158,6 +158,8 @@ class MobiusMap(_Record):
 
 # the slot setters, bound once: the only writers of a map's entries
 _set_a, _set_b, _set_c, _set_d = MobiusMap._setters
+
+_I = (1.0, 0.0, 0.0, 1.0)  # entries of the identity
 
 
 def _map(e: tuple) -> MobiusMap:
@@ -201,6 +203,14 @@ def _inv(e: tuple) -> tuple:
     it keeps their sign."""
     a, b, c, d = e
     return d, -b, -c, a
+
+
+def _dist_to_identity(e: tuple) -> float:
+    """min over signs of the sup-norm distance of the entries e to +-I."""
+    a, b, c, d = e
+    plus = max(abs(a - 1), abs(b), abs(c), abs(d - 1))
+    minus = max(abs(a + 1), abs(b), abs(c), abs(d + 1))
+    return min(plus, minus)
 
 
 def _translation(t: float) -> tuple:
@@ -271,6 +281,21 @@ def solve_pentagon(b: float) -> PentagonSolution:
     return PentagonSolution(b=b, a=a, c=c)
 
 
+# entries of MobiusMap.rotation(pi / 2): the quarter left turn at a corner
+_QUARTER_TURN = (math.cos(math.pi / 4.0), math.sin(math.pi / 4.0),
+                 -math.sin(math.pi / 4.0), math.cos(math.pi / 4.0))
+
+
+def _walk(sides) -> list:
+    """Entries of the frames of the walk around a right-angled polygon: the
+    identity at the start, then one frame after each side, walked forward
+    and followed by a quarter left turn."""
+    frames = [_I]
+    for s in sides:
+        frames.append(_mul(_mul(frames[-1], _translation(s)), _QUARTER_TURN))
+    return frames
+
+
 def polygon_closure_residual(sides: list[float]) -> float:
     """Closure defect of the right-angled polygon with the given side lengths.
 
@@ -278,11 +303,7 @@ def polygon_closure_residual(sides: list[float]) -> float:
     corner) and returns the sup-norm distance of the total holonomy to +-I.
     Zero exactly when the sides close up into a right-angled polygon.
     """
-    g = MobiusMap.identity()
-    turn = MobiusMap.rotation(math.pi / 2.0)
-    for s in sides:
-        g = g @ MobiusMap.translation(s) @ turn
-    return g.dist_to_identity()
+    return _dist_to_identity(_walk(sides)[-1])
 
 
 def pentagon_closure_residual(p: PentagonSolution) -> float:
@@ -292,15 +313,18 @@ def pentagon_closure_residual(p: PentagonSolution) -> float:
 def pentagon_vertices(p: PentagonSolution) -> list[complex]:
     """Embed the pentagon in H^2; vertices in boundary order (b, b, a, c, a).
 
-    Vertex k is the start point of side k; vertex 0 sits at i with the first
-    b-side heading up the imaginary axis.
+    Vertex k is the start point of side k, the image of i under the walk's
+    frame there; vertex 0 sits at i with the first b-side heading up the
+    imaginary axis.  Raises NumericalInstability for a vertex that roundoff
+    puts outside H^2 or makes not finite (b above about 36.8).
     """
-    g = MobiusMap.identity()
-    turn = MobiusMap.rotation(math.pi / 2.0)
     pts = []
-    for s in [p.b, p.b, p.a, p.c, p.a]:
-        pts.append(g.apply(1j))
-        g = g @ MobiusMap.translation(s) @ turn
+    for a, b, c, d in _walk([p.b, p.b, p.a, p.c, p.a])[:-1]:
+        z = (a * 1j + b) / (c * 1j + d)
+        if not (0.0 < z.imag < math.inf and math.isfinite(z.real)):
+            raise NumericalInstability(
+                f"pentagon vertex {len(pts)} at {z} is not in the upper half-plane (b = {p.b})")
+        pts.append(z)
     return pts
 
 

@@ -107,12 +107,13 @@ def area_window_m(params: QCHParams) -> int:
 def shortpants_step(M: float, m_inj: float) -> float:
     """One elementary-move step of the cuff-length bound:
     M -> M + arccosh(cosh(M/2)/sinh(m_inj/2)).  Raises NumericalInstability
-    when the step overflows."""
+    when the step overflows, also where sinh(m_inj/2) underflows to 0 (m_inj
+    the smallest subnormal)."""
     check_positive_finite("length bound", M)
     check_positive_finite("injectivity radius bound", m_inj)
     try:
         ratio = math.cosh(M / 2.0) / math.sinh(m_inj / 2.0)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         ratio = math.inf  # the step below is then infinite and refused
     if ratio < 1.0:
         raise ArccoshDomainError(

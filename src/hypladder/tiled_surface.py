@@ -387,6 +387,13 @@ class VerticalCertificate:
         }
 
 
+def _check_row_separation(n) -> None:
+    """Raise NonPositiveSize unless n is an int >= 1."""
+    check_int("row separation", n)
+    if n < 1:
+        raise NonPositiveSize(f"row separation must be >= 1, got {n}")
+
+
 def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     """Certify that the vertical line through the window's middle column
     minimizes distance over n rows.
@@ -397,9 +404,7 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     Both hold to within CERT_TOL.  Corners stay one row inside the window
     boundary (safety margin).
     """
-    check_int("row separation", n)
-    if n < 1:
-        raise NonPositiveSize(f"row separation must be >= 1, got {n}")
+    _check_row_separation(n)
     if n > t.rows - 2:
         raise ScaleTooLarge(
             f"window with {t.rows} rows is too short for n={n} plus margin"

@@ -227,11 +227,49 @@ class TestExitCodes:
         (["pentagon", "--b", "1e200"], "NumericalInstability"),
         (["collar", "--l", "1e200"], "NumericalInstability"),
         (["tiled", "certify", "--b", "1e308", "--n", "1"], "NumericalInstability"),
+        (["bounds", "--k", "1.5", "--l", "1", "--inj-radius", "5e-324"], "NumericalInstability"),
+        (["pants-graph", "--genus", "1", "--boundary", "2", "--propagate-m", "1",
+          "--inj-radius", "5e-324"], "NumericalInstability"),
+        (["tiled", "certify", "--b", "40", "--n", "1", "--refine-diagonals"],
+         "NumericalInstability"),
+        (["tiled", "export", "--b", "1.2", "--n", "-5"], "NonPositiveSize"),
+        (["tiled", "export", "--b", "1.2", "--n", "0", "--refine-diagonals"], "NonPositiveSize"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_input_boundary_rejected(self, argv, error):
         code, text = run(argv)
         assert code == EXIT_DOMAIN
         assert json.loads(text, parse_constant=pytest.fail)["error"] == error
+
+    @pytest.mark.parametrize("extra", [
+        ["pants-graph", "--genus", "2", "--format", "text", "--propagate-m", "1",
+         "--inj-radius", "0.5"],
+        ["classify", "--base-genus", "5"],
+        ["classify", "--deck", "infinite:2"],
+        ["classify", "--planar"],
+        ["classify", "--no-planar"],
+    ], ids=" ".join)
+    def test_option_that_would_be_dropped_is_usage_error(self, extra, tmp_path):
+        # pants-graph text has no place for the bounds, and a classify
+        # descriptor file already names the base genus, deck and planarity
+        argv = extra
+        if extra[0] == "classify":
+            path = tmp_path / "cover.json"
+            path.write_text(json.dumps({"base_genus": 2, "deck": {"order": 3},
+                                        "planar": False}))
+            argv = ["classify", "--input", str(path), *extra[1:]]
+        code, text = run(argv)
+        assert code == EXIT_USAGE
+        assert json.loads(text, parse_constant=pytest.fail)["error"] == "usage"
+
+    def test_pants_graph_text_builds_no_payload(self, monkeypatch):
+        from hypladder import pants_graph
+
+        def refuse(graph):
+            raise AssertionError("payload built for text output")
+
+        monkeypatch.setattr(pants_graph.ModularPantsGraph, "to_dict", refuse)
+        code, text = run(["pants-graph", "--genus", "2", "--format", "text"])
+        assert code == EXIT_OK and text.startswith("# modular pants graph")
 
     @pytest.mark.parametrize("extra", [[], ["--sweep", "l=1:2:0.5"]])
     def test_bounds_overflowing_R_is_named(self, extra):
@@ -422,16 +460,17 @@ def test_subcommand_loads_only_its_modules(command):
 
 # -- argv fuzz -----------------------------------------------------------------
 # every subcommand with its numeric flags drawn from ordinary values, 0,
-# negatives, +-inf, NaN and huge magnitudes; integer flags also get sizes
-# above 4, past the window and tiled-grid caps, and the float spellings,
-# which argparse must refuse.  classify --input names a file the
+# negatives, +-inf, NaN, huge magnitudes and subnormals; integer flags also
+# get sizes above 4, past the window and tiled-grid caps, and the float
+# spellings, which argparse must refuse.  classify --input names a file the
 # test writes: missing, raw bytes, any JSON value, or a descriptor whose keys
 # may be missing or of the wrong type
 
 NUMBER = st.one_of(
     st.floats(min_value=0.1, max_value=5.0),
     st.floats(min_value=-5.0, max_value=-0.1),
-    st.sampled_from([0.0, math.inf, -math.inf, math.nan, 1e200, 1e308, -1e308]),
+    st.sampled_from([0.0, math.inf, -math.inf, math.nan, 1e200, 1e308, -1e308,
+                     5e-324, -5e-324, 1e-320]),
 ).map(str)
 INTEGER = st.one_of(
     st.integers(min_value=-2, max_value=4).map(str),

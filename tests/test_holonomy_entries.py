@@ -11,6 +11,8 @@ stored.
 
 A second test counts the maps a build makes: each must be one the result
 stores, so an intermediate product that comes back fails without timing.
+The pentagon walk and a pants closure check store nothing, so they must
+make no map at all.
 """
 
 from __future__ import annotations
@@ -136,8 +138,8 @@ def test_transition_bit_identical_for_raw_twists(oracle_holonomy):
             got = _outcome(fnm._twist_transition, src, dst, cuff, length, theta)
             if want[0] == "raised":
                 assert got[1:] == want[1:]
-            else:
-                assert got[0] == "ok" and _hex(got[1]) == _hex(want[1])
+            else:  # the library returns entries, the oracle a map
+                assert got[0] == "ok" and tuple(x.hex() for x in got[1]) == _hex(want[1])
 
 
 def test_transition_refusal_is_unchanged(oracle_holonomy):
@@ -155,10 +157,10 @@ def _stored_maps(hol) -> list:
     return maps
 
 
-@pytest.mark.parametrize("N", [1, 2, 5, 9])
-def test_build_makes_only_the_maps_it_stores(N, monkeypatch):
-    # every map's entries are written through hyp_core's slot setters;
-    # keeping each new map alive keeps its id from being reused
+def _maps_made(monkeypatch, call) -> tuple:
+    """(maps made, result) of call(): every map's entries are written
+    through hyp_core's slot setters; keeping each new map alive keeps its id
+    from being reused."""
     made = []
     set_a = hyp_core._set_a
 
@@ -167,10 +169,31 @@ def test_build_makes_only_the_maps_it_stores(N, monkeypatch):
         set_a(m, value)
 
     monkeypatch.setattr(hyp_core, "_set_a", counting_set_a)
-    hol = holonomy_from_fn(build_ladder_fn(N, lengths=0.8, twists=0.3))
+    result = call()
     monkeypatch.undo()
+    return made, result
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 9])
+def test_build_makes_only_the_maps_it_stores(N, monkeypatch):
+    made, hol = _maps_made(
+        monkeypatch, lambda: holonomy_from_fn(build_ladder_fn(N, lengths=0.8, twists=0.3)))
     made_ids = {id(m) for m in made}
     stored_new = {id(m) for m in _stored_maps(hol)} & made_ids
     assert len(made) == len(made_ids) == len(stored_new)
     # five per pants (X1, X2, X3, N2, N3), a transition and a frame per gluing
     assert len(made) == 5 * (4 * N + 1) + 2 * (4 * N)
+
+
+@pytest.mark.parametrize("walk", ["pentagon_closure_residual", "pentagon_vertices"])
+@pytest.mark.parametrize("b", [0.9, 1.3, 20.0])
+def test_pentagon_walk_makes_no_maps(walk, b, monkeypatch):
+    p = hyp_core.solve_pentagon(b)
+    made, _ = _maps_made(monkeypatch, lambda: getattr(hyp_core, walk)(p))
+    assert made == []
+
+
+def test_closure_residual_makes_no_maps(monkeypatch):
+    p = pants_holonomy(("1", "2", "3"), (0.8, 1.3, 2.1))
+    made, residual = _maps_made(monkeypatch, p.closure_residual)
+    assert made == [] and residual < 1e-12

@@ -337,6 +337,22 @@ class TestPentagon:
         for i, s in enumerate(sides):
             assert hyp_dist(pts[i], pts[(i + 1) % 5]) == pytest.approx(s, abs=1e-9)
 
+    @pytest.mark.parametrize("b", [36.8, 40.0, 100.0, 300.0, 355.0])
+    def test_vertex_lost_to_roundoff_is_numerical_instability(self, b):
+        # b is valid, but roundoff in the walk puts a vertex on the real axis
+        # (-x-0j): a breakdown of the computation, not a bad input
+        with pytest.raises(NumericalInstability, match="vertex"):
+            pentagon_vertices(solve_pentagon(b))
+
+    def test_vertices_in_upper_half_plane_or_refused(self):
+        for i in range(1417):
+            b = 1.0 + 0.25 * i
+            try:
+                pts = pentagon_vertices(solve_pentagon(b))
+            except NumericalInstability:
+                continue
+            assert all(0.0 < z.imag < math.inf and math.isfinite(z.real) for z in pts), b
+
     @given(st.floats(min_value=0.9, max_value=4.0))
     @settings(max_examples=60, deadline=None)
     def test_closure_property(self, b):

@@ -200,6 +200,15 @@ class TestShortPants:
         with pytest.raises(NumericalInstability):
             shortpants_step(M, m)
 
+    @pytest.mark.parametrize("m", [5e-324, 1e-323])
+    def test_subnormal_inj_radius_overflows(self, m):
+        # sinh(m/2) is 0 at the smallest subnormal and a subnormal just
+        # above it; either way the ratio has no finite value
+        with pytest.raises(NumericalInstability, match="short-pants step overflows"):
+            shortpants_step(1.5, m)
+        with pytest.raises(NumericalInstability, match="short-pants step overflows"):
+            shortpants_global(1.0, m, 2)
+
     def test_global_rejects_negative_diameter(self):
         with pytest.raises(ValueError):
             shortpants_global(1.0, 1.0, -1)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypladder.errors import (
     InconsistentEdgeLength,
     NonPositiveSize,
+    NumericalInstability,
     ScaleTooLarge,
     Unreachable,
 )
@@ -423,6 +424,12 @@ class TestDiagonals:
         longest_side = max(t.edges.values())
         for e in new_edges:
             assert refined.edges[e] < 2.0 * longest_side
+
+    @pytest.mark.parametrize("b", [36.8, 40.0, 355.0])
+    def test_vertex_lost_to_roundoff_is_numerical_instability(self, b):
+        # a valid b whose pentagon walk loses a vertex to roundoff
+        with pytest.raises(NumericalInstability):
+            add_diagonals(build_grid(b, 3, 2))
 
 
 class TestGluing:
