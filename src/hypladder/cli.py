@@ -175,6 +175,8 @@ def _cmd_pants_graph(args) -> str:
 
     if args.propagate_m is not None and args.format == "text":
         raise UsageError("--propagate-m needs --format json: text output has no bounds")
+    if args.inj_radius is not None and args.propagate_m is None:
+        raise UsageError("--inj-radius needs --propagate-m: only the bounds use it")
     graph = pg.modular_pants_graph(args.genus, args.boundary)
     if args.format == "text":
         out = graph.to_adjacency_text()

@@ -12,7 +12,6 @@ import sys
 
 from .errors import (
     DegeneratePentagon,
-    InconsistentInput,
     InvalidDilatation,
     NonPositiveDeterminant,
     NotHyperbolic,
@@ -40,19 +39,17 @@ class MobiusMap(_Record):
     (each has a factor 0 or +-1), so the float determinant is the exact one
     rounded once.  A determinant that is not > 0 (NaN included) or that
     overflows is refused, and so is a normalized entry that overflows.
-    Products, inverses and the factories start from entries of determinant 1
-    up to roundoff, so they skip that normalization: products and rotations
-    only fix the sign, and an inverse keeps its map's trace and so its sign.
+    Products start from entries of determinant 1 up to roundoff, so they
+    skip that normalization and only fix the sign.
 
     The arithmetic works on entry 4-tuples (a, b, c, d): ``_mul`` is the one
     product formula, with the sign rule, ``_inv`` the one inverse,
-    ``_translation`` and ``_perp_translation`` the factories' entries, each
-    with its finiteness check, and ``_dist_to_identity`` the one distance
-    to +-I.  ``@``, ``inverse`` and the factories call them and make one
-    map of the result; ``dist_to_identity`` calls the last.  Every walk of
-    the library runs on entries: the polygon walk behind the pentagon
-    residual and vertices makes no map, and the holonomy makes one only for
-    what it stores.
+    ``_translation`` and ``_perp_translation`` the translations' entries,
+    each with its finiteness check, and ``_dist_to_identity`` the one
+    distance to +-I.  A map is a stored value: the polygon walk behind the
+    pentagon residual makes none, and the holonomy makes one only for what
+    it stores.  ``@`` makes one map of ``_mul``'s product, for callers
+    outside the library.
 
     A map is an immutable value record (see ``errors._Record``): compared and
     hashed by its entries, printed as ``MobiusMap(a=..., b=..., c=..., d=...)``,
@@ -99,46 +96,14 @@ class MobiusMap(_Record):
     def identity() -> "MobiusMap":
         return _map(_I)
 
-    @staticmethod
-    def translation(t: float) -> "MobiusMap":
-        """Translation by t along the imaginary axis (0 -> infinity).
-        Raises NumericalInstability unless both entries are finite (|t|
-        above about 1419, or t not finite)."""
-        return _map(_translation(t))
-
-    @staticmethod
-    def perp_translation(d: float) -> "MobiusMap":
-        """Translation by d along the unit semicircle (-1 -> 1), through i.
-        Raises NumericalInstability unless the entries are finite (|d|
-        above about 1421, or d not finite)."""
-        return _map(_perp_translation(d))
-
-    @staticmethod
-    def rotation(phi: float) -> "MobiusMap":
-        """Rotation about i; positive phi turns the forward direction left."""
-        if not math.isfinite(phi):
-            raise InconsistentInput(f"rotation angle must be finite, got {phi}")
-        c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
-        return _map(_signed(c, s, -s, c))
-
     def __matmul__(self, other: "MobiusMap") -> "MobiusMap":
         return _map(_mul((self.a, self.b, self.c, self.d), (other.a, other.b, other.c, other.d)))
-
-    def inverse(self) -> "MobiusMap":
-        return _map(_inv((self.a, self.b, self.c, self.d)))
 
     def trace(self) -> float:
         return self.a + self.d
 
     def max_entry(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-
-    def apply(self, z: complex) -> complex:
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def dist_to_identity(self) -> float:
-        """min over signs of the sup-norm distance to +-I."""
-        return _dist_to_identity((self.a, self.b, self.c, self.d))
 
     def fixed_points(self) -> tuple[float, float]:
         """Real fixed points (attracting last) of a hyperbolic element."""
@@ -214,7 +179,9 @@ def _dist_to_identity(e: tuple) -> float:
 
 
 def _translation(t: float) -> tuple:
-    """Entries of ``MobiusMap.translation(t)``, with its check."""
+    """Entries of the translation by t along the imaginary axis (0 ->
+    infinity).  Raises NumericalInstability unless both are finite (|t|
+    above about 1419, or t not finite)."""
     try:
         e = math.exp(t / 2.0)
         f = 1.0 / e
@@ -226,7 +193,9 @@ def _translation(t: float) -> tuple:
 
 
 def _perp_translation(d: float) -> tuple:
-    """Entries of ``MobiusMap.perp_translation(d)``, with its check."""
+    """Entries of the translation by d along the unit semicircle (-1 -> 1),
+    through i.  Raises NumericalInstability unless they are finite (|d|
+    above about 1421, or d not finite)."""
     try:
         ch, sh = math.cosh(d / 2.0), math.sinh(d / 2.0)
     except OverflowError:
@@ -234,20 +203,6 @@ def _perp_translation(d: float) -> tuple:
     if not ch < math.inf:
         raise NumericalInstability(f"translation by {d} has no finite matrix")
     return ch, sh, sh, ch
-
-
-def hyp_dist(z1: complex, z2: complex) -> float:
-    """Hyperbolic distance between two points of the upper half-plane.
-    Raises InconsistentInput for a point that is not in it (or not finite)
-    and NumericalInstability where the formula under- or overflows."""
-    for z in (z1, z2):
-        if not (0.0 < z.imag < math.inf and math.isfinite(z.real)):
-            raise InconsistentInput(f"point must lie in the upper half-plane, got {z}")
-    try:
-        num = abs(z1 - z2) ** 2
-        return math.acosh(1.0 + num / (2.0 * z1.imag * z2.imag))
-    except (OverflowError, ZeroDivisionError):
-        raise NumericalInstability(f"distance from {z1} to {z2} under- or overflows") from None
 
 
 class PentagonSolution(_Record):
@@ -281,51 +236,27 @@ def solve_pentagon(b: float) -> PentagonSolution:
     return PentagonSolution(b=b, a=a, c=c)
 
 
-# entries of MobiusMap.rotation(pi / 2): the quarter left turn at a corner
+# entries of the rotation by pi/2 about i: the quarter left turn at a corner
 _QUARTER_TURN = (math.cos(math.pi / 4.0), math.sin(math.pi / 4.0),
                  -math.sin(math.pi / 4.0), math.cos(math.pi / 4.0))
-
-
-def _walk(sides) -> list:
-    """Entries of the frames of the walk around a right-angled polygon: the
-    identity at the start, then one frame after each side, walked forward
-    and followed by a quarter left turn."""
-    frames = [_I]
-    for s in sides:
-        frames.append(_mul(_mul(frames[-1], _translation(s)), _QUARTER_TURN))
-    return frames
 
 
 def polygon_closure_residual(sides: list[float]) -> float:
     """Closure defect of the right-angled polygon with the given side lengths.
 
     Walks the boundary (forward along each side, quarter left turn at each
-    corner) and returns the sup-norm distance of the total holonomy to +-I.
-    Zero exactly when the sides close up into a right-angled polygon.
+    corner) on one running entry tuple and returns the sup-norm distance of
+    the total holonomy to +-I.  Zero exactly when the sides close up into a
+    right-angled polygon.
     """
-    return _dist_to_identity(_walk(sides)[-1])
+    frame = _I
+    for s in sides:
+        frame = _mul(_mul(frame, _translation(s)), _QUARTER_TURN)
+    return _dist_to_identity(frame)
 
 
 def pentagon_closure_residual(p: PentagonSolution) -> float:
     return polygon_closure_residual([p.b, p.b, p.a, p.c, p.a])
-
-
-def pentagon_vertices(p: PentagonSolution) -> list[complex]:
-    """Embed the pentagon in H^2; vertices in boundary order (b, b, a, c, a).
-
-    Vertex k is the start point of side k, the image of i under the walk's
-    frame there; vertex 0 sits at i with the first b-side heading up the
-    imaginary axis.  Raises NumericalInstability for a vertex that roundoff
-    puts outside H^2 or makes not finite (b above about 36.8).
-    """
-    pts = []
-    for a, b, c, d in _walk([p.b, p.b, p.a, p.c, p.a])[:-1]:
-        z = (a * 1j + b) / (c * 1j + d)
-        if not (0.0 < z.imag < math.inf and math.isfinite(z.real)):
-            raise NumericalInstability(
-                f"pentagon vertex {len(pts)} at {z} is not in the upper half-plane (b = {p.b})")
-        pts.append(z)
-    return pts
 
 
 def collar_width(length: float) -> float:

@@ -10,8 +10,10 @@ window up into a positive-genus surface.
 
 The discrete model has the pentagon corners as vertices and the pentagon
 sides as weighted edges; an optional refinement adds the pentagon diagonals
-at their exact hyperbolic lengths.  Certificates are valid for paths inside
-the window minus a one-cell safety margin and state their window size.
+at their hyperbolic lengths, each from the two sides it spans by hyperbolic
+Pythagoras, so it is valid for every b that ``solve_pentagon`` accepts.
+Certificates are valid for paths inside the window minus a one-cell safety
+margin and state their window size.
 """
 
 from __future__ import annotations
@@ -27,12 +29,7 @@ from .errors import (
     Unreachable,
     check_int,
 )
-from .hyp_core import (
-    PentagonSolution,
-    hyp_dist,
-    pentagon_vertices,
-    solve_pentagon,
-)
+from .hyp_core import PentagonSolution, solve_pentagon
 
 EDGE_TOL = 1e-12
 CERT_TOL = 1e-9
@@ -430,13 +427,27 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     )
 
 
+def _hypotenuse(u: float, v: float) -> float:
+    """Hypotenuse of the right-angled triangle with legs u and v, by
+    hyperbolic Pythagoras: cosh d = cosh u * cosh v.  Where that product
+    overflows, d = u + v - ln 2 + log1p(e^-2u) + log1p(e^-2v), which drops
+    only a term of order e^-2d."""
+    ch = math.cosh(u) * math.cosh(v)
+    if ch < math.inf:
+        return math.acosh(ch)
+    return u + v - math.log(2.0) + math.log1p(math.exp(-2.0 * u)) + math.log1p(math.exp(-2.0 * v))
+
+
 def add_diagonals(t: TiledComplex) -> TiledComplex:
-    """Refinement adding the five pentagon diagonals, at their exact
-    hyperbolic chord lengths, to every face."""
-    pts = pentagon_vertices(t.pentagon)
-    diag = {
-        (i, (i + 2) % 5): hyp_dist(pts[i], pts[(i + 2) % 5]) for i in range(5)
-    }
+    """Refinement adding the five pentagon diagonals to every face.
+
+    Diagonal (i, i+2) cuts off the right-angled triangle whose legs are the
+    sides i and i+1 of the (b, b, a, c, a) pentagon, so its length is their
+    hypotenuse (see ``_hypotenuse``): no walk places the vertices, and the
+    lengths hold for every b that ``solve_pentagon`` accepts."""
+    p = t.pentagon
+    sides = (p.b, p.b, p.a, p.c, p.a)
+    diag = {(i, (i + 2) % 5): _hypotenuse(sides[i], sides[(i + 1) % 5]) for i in range(5)}
     out = TiledComplex(
         pentagon=t.pentagon,
         rows=t.rows,

@@ -10,18 +10,18 @@ import json
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from hypladder import pants_graph
-from hypladder.errors import NonPositiveSize, NotHyperbolic, NumericalInstability
-from hypladder.fenchel_nielsen import (
-    TWO_PI,
-    HolonomyMap,
-    PantsCuffs,
-    PantsHolonomy,
-    pants_orthogeodesics,
+from hypladder.errors import (
+    InconsistentInput,
+    NonPositiveSize,
+    NotHyperbolic,
+    NumericalInstability,
 )
+from hypladder.fenchel_nielsen import TWO_PI, PantsCuffs, pants_orthogeodesics
 from hypladder.hyp_core import MobiusMap, solve_pentagon
 from hypladder.pants_graph import TrivalentGraph
 from hypladder.tiled_surface import EDGE_TOL, TiledComplex
@@ -135,37 +135,152 @@ def _conjugate_entries(f: MobiusMap, x: MobiusMap) -> tuple[Fraction, ...]:
     )
 
 
-# the holonomy built through MobiusMap products: pants_holonomy,
+# the test geometry: 2x2 unimodular matrices as entry 4-tuples (a, b, c, d)
+# acting on the upper half-plane, written apart from hyp_core, so that the
+# oracles below check the library against arithmetic that is not its own.
+# Every tuple keeps trace >= 0, the sign rule of MobiusMap.
+
+IDENTITY = (1.0, 0.0, 0.0, 1.0)
+
+
+def mul(x: tuple, y: tuple) -> tuple:
+    """Product x @ y, negated if its trace is < 0."""
+    a = x[0] * y[0] + x[1] * y[2]
+    b = x[0] * y[1] + x[1] * y[3]
+    c = x[2] * y[0] + x[3] * y[2]
+    d = x[2] * y[1] + x[3] * y[3]
+    return (-a, -b, -c, -d) if a + d < 0 else (a, b, c, d)
+
+
+def inverse(e: tuple) -> tuple:
+    """Inverse of entries of determinant 1 (their adjugate)."""
+    return e[3], -e[1], -e[2], e[0]
+
+
+def translation(t: float) -> tuple:
+    """Translation by t along the imaginary axis (0 -> infinity); refused,
+    in the library's words, where an entry is not finite."""
+    try:
+        e = math.exp(t / 2.0)
+        out = (e, 0.0, 0.0, 1.0 / e)
+    except (OverflowError, ZeroDivisionError):
+        out = (math.inf,) * 4
+    if not (out[0] < math.inf and out[3] < math.inf):
+        raise NumericalInstability(f"translation by {t} has no finite matrix")
+    return out
+
+
+def perp_translation(d: float) -> tuple:
+    """Translation by d along the unit semicircle (-1 -> 1), through i;
+    refused as ``translation`` is."""
+    try:
+        ch, sh = math.cosh(d / 2.0), math.sinh(d / 2.0)
+    except OverflowError:
+        ch = sh = math.inf
+    if not ch < math.inf:
+        raise NumericalInstability(f"translation by {d} has no finite matrix")
+    return ch, sh, sh, ch
+
+
+def rotation(phi: float) -> tuple:
+    """Rotation about i; positive phi turns the forward direction left."""
+    c, s = math.cos(phi / 2.0), math.sin(phi / 2.0)
+    return (-c, -s, s, -c) if c < 0 else (c, s, -s, c)
+
+
+def apply(e: tuple, z: complex) -> complex:
+    a, b, c, d = e
+    return (a * z + b) / (c * z + d)
+
+
+def dist_to_identity(e: tuple) -> float:
+    """min over signs of the sup-norm distance to +-I."""
+    a, b, c, d = e
+    return min(max(abs(a - 1), abs(b), abs(c), abs(d - 1)),
+               max(abs(a + 1), abs(b), abs(c), abs(d + 1)))
+
+
+def fixed_points(e: tuple) -> tuple[float, float]:
+    """Real fixed points (attracting last) of a hyperbolic element."""
+    a, b, c, d = e
+    if abs(a + d) <= 2.0:
+        raise NotHyperbolic("fixed points on the boundary require |trace| > 2")
+    disc = math.sqrt((a - d) ** 2 + 4.0 * b * c)
+    if c == 0:
+        x = -b / (a - d)
+        return (x, math.inf) if abs(a) > abs(d) else (math.inf, x)
+    x1 = (a - d - disc) / (2.0 * c)
+    x2 = (a - d + disc) / (2.0 * c)
+    # derivative |a - c x|^{-2} < 1 at the attracting point
+    return (x1, x2) if abs(a - c * x2) < 1.0 else (x2, x1)
+
+
+def entries(m) -> tuple:
+    """The entries of a MobiusMap, or of a tuple that already is them."""
+    return m if isinstance(m, tuple) else (m.a, m.b, m.c, m.d)
+
+
+def hyp_dist(z1: complex, z2: complex) -> float:
+    """Hyperbolic distance between two points of the upper half-plane;
+    InconsistentInput for a point that is not in it (or not finite)."""
+    for z in (z1, z2):
+        if not (0.0 < z.imag < math.inf and math.isfinite(z.real)):
+            raise InconsistentInput(f"point must lie in the upper half-plane, got {z}")
+    return math.acosh(1.0 + abs(z1 - z2) ** 2 / (2.0 * z1.imag * z2.imag))
+
+
+def pentagon_vertices(p) -> list[complex]:
+    """Vertices of the pentagon with sides (b, b, a, c, a), in boundary
+    order, by walking it: vertex k is the start of side k, the image of i
+    under the frame there, and each side is walked forward and followed by
+    a quarter left turn.  The frames grow with b, so roundoff moves the
+    vertices off the true ones (relative error of a diagonal 3.5e-13 at
+    b = 10) and from b ~ 36.8 off H^2, where this raises
+    NumericalInstability."""
+    frame, pts = IDENTITY, []
+    for side in (p.b, p.b, p.a, p.c, p.a):
+        z = apply(frame, 1j)
+        if not (0.0 < z.imag < math.inf and math.isfinite(z.real)):
+            raise NumericalInstability(
+                f"pentagon vertex {len(pts)} at {z} is not in the upper half-plane (b = {p.b})")
+        pts.append(z)
+        frame = mul(mul(frame, translation(side)), rotation(math.pi / 2.0))
+    return pts
+
+
+# the holonomy as it was built through MobiusMap products: pants_holonomy,
 # _twist_transition, PantsHolonomy.closure_residual and holonomy_from_fn
-# kept verbatim from the implementation that made a map for every
-# intermediate product, with the _J and _axis_normalizer they called, so
-# that the entry-tuple holonomy can be compared with it bit for bit
+# with the _J and _axis_normalizer they called, on the test geometry, so
+# that the library can be compared with it bit for bit.  Pants and
+# holonomies are namespaces with the library's field names, holding entry
+# tuples; a normalizer is made by the public MobiusMap constructor.
 
 
-_J = MobiusMap(0.0, -1.0, 1.0, 0.0)  # z -> -1/z: reverses the imaginary axis
+_J = (0.0, -1.0, 1.0, 0.0)  # z -> -1/z: reverses the imaginary axis
 
 
-def _axis_normalizer(X: MobiusMap) -> MobiusMap:
+def _axis_normalizer(X: tuple) -> tuple:
     """Isometry taking the imaginary axis (0 -> inf) onto the axis of X,
     repelling to attracting; X == N @ translation(l) @ N^-1."""
-    rep, att = X.fixed_points()
+    rep, att = fixed_points(X)
     if att == math.inf:
-        return MobiusMap(1.0, rep, 0.0, 1.0)
-    if rep == math.inf:
-        return MobiusMap(att, -1.0, 1.0, 0.0)
-    s = att - rep
-    if s <= 0:
+        N = MobiusMap(1.0, rep, 0.0, 1.0)
+    elif rep == math.inf:
+        N = MobiusMap(att, -1.0, 1.0, 0.0)
+    elif att - rep <= 0:
         # normalize orientation: scale columns to keep determinant positive
-        return MobiusMap(att, -rep, 1.0, -1.0)
-    return MobiusMap(att, rep, 1.0, 1.0)
+        N = MobiusMap(att, -rep, 1.0, -1.0)
+    else:
+        N = MobiusMap(att, rep, 1.0, 1.0)
+    return entries(N)
 
 
 def oracle_closure_residual(self) -> float:
     X1, X2, X3 = self.matrices
-    return (X1 @ X2 @ X3).dist_to_identity()
+    return dist_to_identity(mul(mul(X1, X2), X3))
 
 
-def oracle_pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
+def oracle_pants_holonomy(cuff_labels, lengths) -> SimpleNamespace:
     """Fuchsian triple of a pair of pants from its three cuff lengths.
 
     X1 translates along the imaginary axis; X2 along the geodesic at
@@ -180,12 +295,11 @@ def oracle_pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
     cuffs = PantsCuffs(l1, l2, l3)
     d12, _, _ = pants_orthogeodesics(cuffs)
     try:
-        P = MobiusMap.perp_translation(d12)
-        X1 = MobiusMap.translation(l1)
-        X2 = P @ MobiusMap.translation(-l2) @ P.inverse()
-        X3 = (X1 @ X2).inverse()
-        N1 = MobiusMap.identity()
-        N2 = P @ _J  # X2 runs down its axis, so flip the model axis
+        P = perp_translation(d12)
+        X1 = translation(l1)
+        X2 = mul(mul(P, translation(-l2)), inverse(P))
+        X3 = inverse(mul(X1, X2))
+        N2 = mul(P, _J)  # X2 runs down its axis, so flip the model axis
         N3 = _axis_normalizer(X3)
     except (ArithmeticError, ValueError, NotHyperbolic) as exc:
         # the cuffs are valid, so X3's axis is lost to roundoff: its trace
@@ -194,32 +308,33 @@ def oracle_pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
         raise NumericalInstability(
             f"pants holonomy of cuffs {tuple(lengths)} breaks down in floating point: {exc}"
         ) from None
-    return PantsHolonomy(
+    return SimpleNamespace(
         cuffs=tuple(cuff_labels),
         lengths=(l1, l2, l3),
         matrices=(X1, X2, X3),
-        normalizers=(N1, N2, N3),
+        normalizers=(IDENTITY, N2, N3),
     )
 
 
-def oracle_twist_transition(pants_from, pants_to, cuff, length, theta):
+def oracle_twist_transition(pants_from, pants_to, cuff, length, theta) -> tuple:
     """Frame transition across a gluing: align the two cuff axes with the
     model axis, twist by the arc-length theta*length/(2*pi), and reverse
-    orientation so the boundary circles match up."""
-    Np = pants_from.normalizers[pants_from.cuffs.index(cuff)]
-    Nq = pants_to.normalizers[pants_to.cuffs.index(cuff)]
+    orientation so the boundary circles match up.  Takes the library's
+    pants or the oracle's."""
+    Np = entries(pants_from.normalizers[pants_from.cuffs.index(cuff)])
+    Nq = entries(pants_to.normalizers[pants_to.cuffs.index(cuff)])
     t = theta * length / TWO_PI
-    return Np @ MobiusMap.translation(t) @ _J @ Nq.inverse()
+    return mul(mul(mul(Np, translation(t)), _J), inverse(Nq))
 
 
-def oracle_holonomy_from_fn(fn) -> HolonomyMap:
+def oracle_holonomy_from_fn(fn) -> SimpleNamespace:
     """Build per-pants Fuchsian triples and chained frames for a ladder FN
     datum.  Every cuff's trace recovers its coordinate length exactly up to
     roundoff; twists enter only the frame transitions.  Raises
     NumericalInstability when a pants triple cannot be built in floating
     point (see pants_holonomy) or a chained frame overflows to a non-finite
     entry."""
-    hol = HolonomyMap(fn=fn)
+    hol = SimpleNamespace(fn=fn, pants={}, frames={}, transitions={})
     N = fn.window
     for k in fn.indices():
         la, _, lb, _, lc, _ = fn.coords[k]
@@ -232,15 +347,15 @@ def oracle_holonomy_from_fn(fn) -> HolonomyMap:
                 [("a", k), ("b", k), ("c", k + 1)], (la, lb, lc_next)
             )
     # chain frames left to right: P1[-N] -> P2[-N] -> P1[-N+1] -> ...
-    hol.frames[("P1", -N)] = MobiusMap.identity()
+    hol.frames[("P1", -N)] = IDENTITY
     for k in range(-N, N):
         for src, dst, cuff in ((("P1", k), ("P2", k), ("a", k)),
                                (("P2", k), ("P1", k + 1), ("c", k + 1))):
             T = oracle_twist_transition(hol.pants[src], hol.pants[dst], cuff,
                                         fn.length(*cuff), fn.twist(*cuff))
             hol.transitions[(src, dst, cuff)] = T
-            frame = hol.frames[src] @ T
-            if not all(map(math.isfinite, (frame.a, frame.b, frame.c, frame.d))):
+            frame = mul(hol.frames[src], T)
+            if not all(map(math.isfinite, frame)):
                 raise NumericalInstability(f"frame of pants {dst[0]}[{dst[1]}] is not finite")
             hol.frames[dst] = frame
     return hol
@@ -292,6 +407,18 @@ def _labelling_fixture():
 @pytest.fixture(scope="session")
 def conjugate_entries():
     return _conjugate_entries
+
+
+@pytest.fixture(scope="session")
+def geometry():
+    """The test geometry, by name: entry-tuple products, inverse,
+    translations, rotation, action, distances and the pentagon walk."""
+    return SimpleNamespace(
+        IDENTITY=IDENTITY, mul=mul, inverse=inverse, translation=translation,
+        perp_translation=perp_translation, rotation=rotation, apply=apply,
+        dist_to_identity=dist_to_identity, fixed_points=fixed_points, entries=entries,
+        hyp_dist=hyp_dist, pentagon_vertices=pentagon_vertices,
+    )
 
 
 @pytest.fixture(scope="session")

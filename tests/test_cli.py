@@ -230,7 +230,7 @@ class TestExitCodes:
         (["bounds", "--k", "1.5", "--l", "1", "--inj-radius", "5e-324"], "NumericalInstability"),
         (["pants-graph", "--genus", "1", "--boundary", "2", "--propagate-m", "1",
           "--inj-radius", "5e-324"], "NumericalInstability"),
-        (["tiled", "certify", "--b", "40", "--n", "1", "--refine-diagonals"],
+        (["tiled", "certify", "--b", "356", "--n", "1", "--refine-diagonals"],
          "NumericalInstability"),
         (["tiled", "export", "--b", "1.2", "--n", "-5"], "NonPositiveSize"),
         (["tiled", "export", "--b", "1.2", "--n", "0", "--refine-diagonals"], "NonPositiveSize"),
@@ -240,17 +240,30 @@ class TestExitCodes:
         assert code == EXIT_DOMAIN
         assert json.loads(text, parse_constant=pytest.fail)["error"] == error
 
+    @pytest.mark.parametrize("b", ["36.8", "40", "100", "300", "355"])
+    def test_refined_certificate_for_every_valid_b(self, b):
+        # the diagonals come from the pentagon's sides, so refinement holds
+        # up to the largest b that solve_pentagon accepts
+        code, text = run(["tiled", "certify", "--b", b, "--n", "3", "--refine-diagonals"])
+        assert code == EXIT_OK
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert data["refined"] is True and data["passes"] is True
+        assert data["distance"] == pytest.approx(6.0 * float(b), rel=1e-15)
+
     @pytest.mark.parametrize("extra", [
         ["pants-graph", "--genus", "2", "--format", "text", "--propagate-m", "1",
          "--inj-radius", "0.5"],
+        ["pants-graph", "--genus", "2", "--inj-radius", "nan"],
+        ["pants-graph", "--genus", "2", "--inj-radius", "0.5"],
         ["classify", "--base-genus", "5"],
         ["classify", "--deck", "infinite:2"],
         ["classify", "--planar"],
         ["classify", "--no-planar"],
     ], ids=" ".join)
     def test_option_that_would_be_dropped_is_usage_error(self, extra, tmp_path):
-        # pants-graph text has no place for the bounds, and a classify
-        # descriptor file already names the base genus, deck and planarity
+        # pants-graph text has no place for the bounds, --inj-radius feeds
+        # only --propagate-m, and a classify descriptor file already names
+        # the base genus, deck and planarity
         argv = extra
         if extra[0] == "classify":
             path = tmp_path / "cover.json"

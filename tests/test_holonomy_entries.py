@@ -1,18 +1,18 @@
-"""The holonomy built on entry tuples against the one built through a
-``MobiusMap`` for every intermediate product.
+"""The library's holonomy against an oracle on arithmetic of its own.
 
-``conftest.py`` keeps that map-product implementation verbatim
-(``oracle_holonomy``).  The library must give the same bits, by
-``float.hex``, for every pants triple, normalizer, frame transition, frame
-and closure residual, and where the oracle refuses, the same error class
-with the same message.  The one intended difference: the library refuses a
-pants whose X1 or X2 has a trace rounded to 2 or below, which the oracle
-stored.
+``conftest.py`` keeps the holonomy as it was built through a ``MobiusMap``
+for every intermediate product (``oracle_holonomy``), on the test geometry:
+products, inverse and translations written apart from ``hyp_core``.  The
+library must give the same bits, by ``float.hex``, for every pants triple,
+normalizer, frame transition, frame and closure residual, and where the
+oracle refuses, the same error class with the same message.  The one
+intended difference: the library refuses a pants whose X1 or X2 has a trace
+rounded to 2 or below, which the oracle stored.
 
 A second test counts the maps a build makes: each must be one the result
 stores, so an intermediate product that comes back fails without timing.
-The pentagon walk and a pants closure check store nothing, so they must
-make no map at all.
+The pentagon residual and a pants closure check store nothing, so they
+must make no map at all.
 """
 
 from __future__ import annotations
@@ -26,14 +26,15 @@ from hypladder import fenchel_nielsen as fnm
 from hypladder import hyp_core
 from hypladder.errors import NumericalInstability
 from hypladder.fenchel_nielsen import build_ladder_fn, holonomy_from_fn, pants_holonomy
-from hypladder.hyp_core import MobiusMap
 
 RANGES = {"tiny": (1e-3, 1e-2), "short": (0.05, 0.5), "medium": (0.3, 3.0), "long": (3.0, 30.0)}
 SEEDS = range(12)
 
 
-def _hex(m: MobiusMap) -> tuple:
-    return m.a.hex(), m.b.hex(), m.c.hex(), m.d.hex()
+def _hex(m) -> tuple:
+    """float.hex of the entries of a library map or an oracle tuple."""
+    e = m if isinstance(m, tuple) else (m.a, m.b, m.c, m.d)
+    return tuple(x.hex() for x in e)
 
 
 def _outcome(build, *args):
@@ -113,7 +114,7 @@ def test_pants_bit_identical_or_same_refusal(oracle_holonomy):
             extra += 1
             X1, X2, _ = want[1].matrices
             assert got[1] is NumericalInstability and "trace" in got[2]
-            assert min(abs(X1.trace()), abs(X2.trace())) <= 2.0
+            assert min(abs(X1[0] + X1[3]), abs(X2[0] + X2[3])) <= 2.0
         else:
             assert (_pants_bits(got[1], fnm.PantsHolonomy.closure_residual)
                     == _pants_bits(want[1], oracle_holonomy["closure_residual"]))
@@ -138,8 +139,8 @@ def test_transition_bit_identical_for_raw_twists(oracle_holonomy):
             got = _outcome(fnm._twist_transition, src, dst, cuff, length, theta)
             if want[0] == "raised":
                 assert got[1:] == want[1:]
-            else:  # the library returns entries, the oracle a map
-                assert got[0] == "ok" and tuple(x.hex() for x in got[1]) == _hex(want[1])
+            else:  # both return entries
+                assert got[0] == "ok" and _hex(got[1]) == _hex(want[1])
 
 
 def test_transition_refusal_is_unchanged(oracle_holonomy):
@@ -185,7 +186,7 @@ def test_build_makes_only_the_maps_it_stores(N, monkeypatch):
     assert len(made) == 5 * (4 * N + 1) + 2 * (4 * N)
 
 
-@pytest.mark.parametrize("walk", ["pentagon_closure_residual", "pentagon_vertices"])
+@pytest.mark.parametrize("walk", ["pentagon_closure_residual"])
 @pytest.mark.parametrize("b", [0.9, 1.3, 20.0])
 def test_pentagon_walk_makes_no_maps(walk, b, monkeypatch):
     p = hyp_core.solve_pentagon(b)

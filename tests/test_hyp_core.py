@@ -19,14 +19,18 @@ from hypladder.errors import (
     NumericalInstability,
 )
 from hypladder.hyp_core import (
+    _QUARTER_TURN,
     ARCSINH_1,
     MobiusMap,
+    _dist_to_identity,
+    _inv,
+    _mul,
+    _perp_translation,
+    _translation,
     collar_involution,
     collar_width,
     geodesic_length_from_trace,
-    hyp_dist,
     pentagon_closure_residual,
-    pentagon_vertices,
     polygon_closure_residual,
     quasi_geodesic_stability_R,
     solve_pentagon,
@@ -99,73 +103,69 @@ class TestMobiusMap:
         m = MobiusMap(*entries)
         assert (m.a, m.b, m.c, m.d) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
-    def test_translation_moves_i_up(self):
-        z = MobiusMap.translation(1.0).apply(1j)
+    # the entry helpers behind the holonomy and the pentagon residual,
+    # checked against the test geometry (conftest) and plain geometric facts
+
+    def test_translation_moves_i_up(self, geometry):
+        z = geometry.apply(_translation(1.0), 1j)
         assert z.real == pytest.approx(0.0)
         assert z.imag == pytest.approx(math.e)
 
     def test_translation_length_matches_trace(self):
-        t = MobiusMap.translation(2.5).trace()
-        assert geodesic_length_from_trace(t) == pytest.approx(2.5)
+        a, _, _, d = _translation(2.5)
+        assert geodesic_length_from_trace(a + d) == pytest.approx(2.5)
 
     def test_perp_translation_fixes_unit_circle_ends(self):
-        p = MobiusMap.perp_translation(1.3)
-        rep, att = p.fixed_points()
+        rep, att = MobiusMap(*_perp_translation(1.3)).fixed_points()
         assert rep == pytest.approx(-1.0)
         assert att == pytest.approx(1.0)
 
-    def test_rotation_fixes_i(self):
-        r = MobiusMap.rotation(0.7)
-        assert r.apply(1j) == pytest.approx(1j)
+    def test_rotation_fixes_i(self, geometry):
+        # the quarter turn at each corner of the pentagon walk
+        assert geometry.apply(_QUARTER_TURN, 1j) == pytest.approx(1j)
 
-    def test_rotation_composes(self):
-        r = MobiusMap.rotation(0.3) @ MobiusMap.rotation(0.4)
-        assert r.dist_to_identity() == pytest.approx(
-            MobiusMap.rotation(0.7).dist_to_identity(), abs=1e-12
-        )
+    def test_rotation_composes(self, geometry):
+        half_turn = _mul(_QUARTER_TURN, _QUARTER_TURN)
+        assert half_turn == pytest.approx(geometry.rotation(math.pi), abs=1e-15)
 
     def test_full_turn_is_identity(self):
-        r = MobiusMap.rotation(2.0 * math.pi)
-        assert r.dist_to_identity() < 1e-12
+        half_turn = _mul(_QUARTER_TURN, _QUARTER_TURN)
+        assert _dist_to_identity(_mul(half_turn, half_turn)) < 1e-12
 
     def test_inverse(self):
-        m = MobiusMap.translation(1.0) @ MobiusMap.rotation(0.5)
-        assert (m @ m.inverse()).dist_to_identity() < 1e-12
+        m = _mul(_translation(1.0), _QUARTER_TURN)
+        assert _dist_to_identity(_mul(m, _inv(m))) < 1e-12
 
-    def test_matmul_associates_numerically(self):
-        a = MobiusMap.translation(0.4)
-        b = MobiusMap.rotation(1.1)
-        c = MobiusMap.perp_translation(0.9)
+    def test_matmul_associates_numerically(self, geometry):
+        a = MobiusMap(*geometry.translation(0.4))
+        b = MobiusMap(*geometry.rotation(1.1))
+        c = MobiusMap(*geometry.perp_translation(0.9))
         lhs = (a @ b) @ c
         rhs = a @ (b @ c)
         assert lhs.a == pytest.approx(rhs.a, abs=1e-12)
         assert lhs.d == pytest.approx(rhs.d, abs=1e-12)
 
-    def test_fixed_points_of_elliptic_raise(self):
+    def test_fixed_points_of_elliptic_raise(self, geometry):
         with pytest.raises(NotHyperbolic):
-            MobiusMap.rotation(0.5).fixed_points()
+            MobiusMap(*geometry.rotation(0.5)).fixed_points()
 
-    def test_fixed_points_of_translation(self):
-        rep, att = MobiusMap.translation(1.0).fixed_points()
+    def test_fixed_points_of_translation(self, geometry):
+        rep, att = MobiusMap(*geometry.translation(1.0)).fixed_points()
         assert rep == pytest.approx(0.0)
         assert att == math.inf
 
-    def test_long_products_stay_constructible(self):
+    def test_long_products_stay_constructible(self, geometry):
         # frame-chain regression: entries grow geometrically and the float
         # determinant drifts; composition only fixes the sign, so the product
         # still builds
-        m = MobiusMap.identity()
-        step = MobiusMap.perp_translation(3.0) @ MobiusMap.rotation(1.0)
-        for _ in range(40):
-            m = m @ step
-        assert m.max_entry() > 1e10
+        assert _drifted(geometry).max_entry() > 1e10
 
 
-def _drifted() -> MobiusMap:
+def _drifted(g) -> MobiusMap:
     """A long product whose float determinant is no longer 1, so going
     through the normalizing constructor would change its bits."""
     m = MobiusMap.identity()
-    step = MobiusMap.perp_translation(3.0) @ MobiusMap.rotation(1.0)
+    step = MobiusMap(*g.perp_translation(3.0)) @ MobiusMap(*g.rotation(1.0))
     for _ in range(40):
         m = m @ step
     return m
@@ -175,10 +175,11 @@ def _bits(m: MobiusMap) -> tuple:
     return (m.a.hex(), m.b.hex(), m.c.hex(), m.d.hex())
 
 
+# each made from the test geometry g
 VALUES = {
-    "identity": MobiusMap.identity,
-    "translation": lambda: MobiusMap.translation(1.3),
-    "product": lambda: MobiusMap.rotation(0.4) @ MobiusMap.perp_translation(2.2),
+    "identity": lambda g: MobiusMap.identity(),
+    "translation": lambda g: MobiusMap(*g.translation(1.3)),
+    "product": lambda g: MobiusMap(*g.rotation(0.4)) @ MobiusMap(*g.perp_translation(2.2)),
     "drifted": _drifted,
 }
 
@@ -188,20 +189,21 @@ class TestMobiusMapValue:
     hashed by entries, copied and pickled bit for bit."""
 
     @pytest.mark.parametrize("name", ["a", "b", "c", "d", "e"])
-    def test_assignment_and_deletion_raise(self, name):
-        m = MobiusMap.translation(1.0)
+    def test_assignment_and_deletion_raise(self, name, geometry):
+        m = MobiusMap(*geometry.translation(1.0))
         with pytest.raises(AttributeError):
             setattr(m, name, 2.0)
         with pytest.raises(AttributeError):
             delattr(m, name)
-        assert _bits(m) == _bits(MobiusMap.translation(1.0))
+        assert _bits(m) == _bits(MobiusMap(*geometry.translation(1.0)))
 
-    def test_equal_entries_are_equal_and_hash_equal(self):
-        m, n = MobiusMap.translation(1.3), MobiusMap.translation(1.3)
+    def test_equal_entries_are_equal_and_hash_equal(self, geometry):
+        m, n = (MobiusMap(*geometry.translation(1.3)) for _ in range(2))
+        other = MobiusMap(*geometry.translation(1.4))
         assert m is not n and m == n and not m != n
         assert hash(m) == hash(n)
-        assert len({m, n, MobiusMap.translation(1.4)}) == 2
-        assert m != MobiusMap.translation(1.4)
+        assert len({m, n, other}) == 2
+        assert m != other
 
     def test_never_equal_to_a_tuple(self):
         m = MobiusMap.identity()
@@ -209,13 +211,13 @@ class TestMobiusMapValue:
         assert (1.0, 0.0, 0.0, 1.0) != m
         assert m.__eq__((1.0, 0.0, 0.0, 1.0)) is NotImplemented
 
-    def test_repr(self):
+    def test_repr(self, geometry):
         assert repr(MobiusMap.identity()) == "MobiusMap(a=1.0, b=0.0, c=0.0, d=1.0)"
-        m = MobiusMap.rotation(0.4)
+        m = MobiusMap(*geometry.rotation(0.4))
         assert repr(m) == f"MobiusMap(a={m.a!r}, b={m.b!r}, c={m.c!r}, d={m.d!r})"
 
-    def test_drifted_map_is_not_normalized(self):
-        m = _drifted()
+    def test_drifted_map_is_not_normalized(self, geometry):
+        m = _drifted(geometry)
         assert _bits(MobiusMap(m.a, m.b, m.c, m.d)) != _bits(m)
 
     @pytest.mark.parametrize("name", sorted(VALUES))
@@ -225,8 +227,8 @@ class TestMobiusMapValue:
         *(lambda m, p=p: pickle.loads(pickle.dumps(m, protocol=p))
           for p in range(pickle.HIGHEST_PROTOCOL + 1)),
     ], ids=["copy", "deepcopy", *(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1))])
-    def test_copies_keep_every_bit(self, name, how):
-        m = VALUES[name]()
+    def test_copies_keep_every_bit(self, name, how, geometry):
+        m = VALUES[name](geometry)
         c = how(m)
         assert type(c) is MobiusMap
         assert c == m and hash(c) == hash(m)
@@ -236,51 +238,52 @@ class TestMobiusMapValue:
 
 
 class TestFactoriesRefuseNonFinite:
+    """The translations' entries, which the holonomy takes, refuse an entry
+    that is not finite."""
+
     @pytest.mark.parametrize("t", [1e4, -1e4, -1430.0, 1e300, math.inf, -math.inf, math.nan])
     def test_translation(self, t):
         with pytest.raises(NumericalInstability):
-            MobiusMap.translation(t)
+            _translation(t)
 
     @pytest.mark.parametrize("d", [1e4, -1e4, 1e300, math.inf, -math.inf, math.nan])
     def test_perp_translation(self, d):
         with pytest.raises(NumericalInstability):
-            MobiusMap.perp_translation(d)
-
-    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
-    def test_rotation(self, phi):
-        with pytest.raises(InconsistentInput):
-            MobiusMap.rotation(phi)
+            _perp_translation(d)
 
     def test_largest_translations_still_build(self):
         # |t| / 2 just below log(max float): both entries are finite
         for t in (1419.0, -1419.0):
-            m = MobiusMap.translation(t)
-            assert m.a * m.d == pytest.approx(1.0)
-        m = MobiusMap.perp_translation(1419.0)
-        assert math.isfinite(m.a)
+            a, _, _, d = _translation(t)
+            assert a * d == pytest.approx(1.0)
+        assert math.isfinite(_perp_translation(1419.0)[0])
 
 
 class TestHypDist:
-    def test_vertical_segment(self):
-        assert hyp_dist(1j, math.e * 1j) == pytest.approx(1.0)
+    """The test geometry's distance (conftest), which the quasi-geodesic,
+    isometry and diagonal tests measure with."""
 
-    def test_symmetry(self):
+    def test_vertical_segment(self, geometry):
+        assert geometry.hyp_dist(1j, math.e * 1j) == pytest.approx(1.0)
+
+    def test_symmetry(self, geometry):
         z, w = 0.3 + 1.2j, -0.7 + 0.4j
-        assert hyp_dist(z, w) == pytest.approx(hyp_dist(w, z))
+        assert geometry.hyp_dist(z, w) == pytest.approx(geometry.hyp_dist(w, z))
 
-    def test_isometry_invariance(self):
-        m = MobiusMap.perp_translation(0.9) @ MobiusMap.rotation(0.4)
+    def test_isometry_invariance(self, geometry):
+        g = geometry
+        m = g.mul(g.perp_translation(0.9), g.rotation(0.4))
         z, w = 0.5 + 2.0j, -0.2 + 0.8j
-        assert hyp_dist(m.apply(z), m.apply(w)) == pytest.approx(hyp_dist(z, w))
+        assert g.hyp_dist(g.apply(m, z), g.apply(m, w)) == pytest.approx(g.hyp_dist(z, w))
 
     @pytest.mark.parametrize("z", [
         0j, 1.0 + 0j, -1j, complex(0.0, -0.0), complex(math.nan, 1.0),
         complex(1.0, math.nan), complex(math.inf, 1.0), complex(0.0, math.inf),
     ], ids=repr)
-    def test_points_off_the_upper_half_plane_rejected(self, z):
+    def test_points_off_the_upper_half_plane_rejected(self, z, geometry):
         for pair in ((z, 1j), (1j, z)):
             with pytest.raises(InconsistentInput):
-                hyp_dist(*pair)
+                geometry.hyp_dist(*pair)
 
     @given(
         st.floats(min_value=-3, max_value=3),
@@ -289,8 +292,8 @@ class TestHypDist:
         st.floats(min_value=0.05, max_value=5),
     )
     @settings(max_examples=50, deadline=None)
-    def test_nonnegative_and_zero_iff_equal(self, x1, y1, x2, y2):
-        d = hyp_dist(complex(x1, y1), complex(x2, y2))
+    def test_nonnegative_and_zero_iff_equal(self, geometry, x1, y1, x2, y2):
+        d = geometry.hyp_dist(complex(x1, y1), complex(x2, y2))
         assert d >= 0.0
         if (x1, y1) == (x2, y2):
             assert d == 0.0
@@ -325,30 +328,33 @@ class TestPentagon:
     def test_closure_residual_detects_wrong_sides(self):
         assert polygon_closure_residual([1.0, 1.0, 1.0, 1.0, 1.0]) > 1e-3
 
-    def test_vertices_are_in_upper_half_plane(self):
-        pts = pentagon_vertices(solve_pentagon(1.2))
+    # the pentagon walk of the test geometry (conftest), the oracle of the
+    # tiled diagonals up to b = 10
+
+    def test_vertices_are_in_upper_half_plane(self, geometry):
+        pts = geometry.pentagon_vertices(solve_pentagon(1.2))
         assert len(pts) == 5
         assert all(z.imag > 0 for z in pts)
 
-    def test_vertex_side_lengths(self):
+    def test_vertex_side_lengths(self, geometry):
         p = solve_pentagon(1.2)
-        pts = pentagon_vertices(p)
+        pts = geometry.pentagon_vertices(p)
         sides = [p.b, p.b, p.a, p.c, p.a]
         for i, s in enumerate(sides):
-            assert hyp_dist(pts[i], pts[(i + 1) % 5]) == pytest.approx(s, abs=1e-9)
+            assert geometry.hyp_dist(pts[i], pts[(i + 1) % 5]) == pytest.approx(s, abs=1e-9)
 
     @pytest.mark.parametrize("b", [36.8, 40.0, 100.0, 300.0, 355.0])
-    def test_vertex_lost_to_roundoff_is_numerical_instability(self, b):
+    def test_vertex_lost_to_roundoff_is_numerical_instability(self, b, geometry):
         # b is valid, but roundoff in the walk puts a vertex on the real axis
         # (-x-0j): a breakdown of the computation, not a bad input
         with pytest.raises(NumericalInstability, match="vertex"):
-            pentagon_vertices(solve_pentagon(b))
+            geometry.pentagon_vertices(solve_pentagon(b))
 
-    def test_vertices_in_upper_half_plane_or_refused(self):
+    def test_vertices_in_upper_half_plane_or_refused(self, geometry):
         for i in range(1417):
             b = 1.0 + 0.25 * i
             try:
-                pts = pentagon_vertices(solve_pentagon(b))
+                pts = geometry.pentagon_vertices(solve_pentagon(b))
             except NumericalInstability:
                 continue
             assert all(0.0 < z.imag < math.inf and math.isfinite(z.real) for z in pts), b
@@ -474,21 +480,23 @@ class TestStabilityR:
         with pytest.raises(NonPositiveLength):
             quasi_geodesic_stability_R(K, length)
 
-    def test_dominates_sampled_quasi_geodesics(self):
+    def test_dominates_sampled_quasi_geodesics(self, geometry):
         # piecewise-geodesic (K, K*log4)-quasi-geodesics built by bending the
         # imaginary axis stay within R(K) of their straightening: sample
         # zigzags with segment length 1 and bend angles up to the largest
         # angle keeping the K-quasi-geodesic inequality, and measure how far
         # the bent path strays from the geodesic through its endpoints
+        geo = geometry
+        hyp_dist = geo.hyp_dist
         K = 2.0
         R = quasi_geodesic_stability_R(K, 1.0)
         for phi in (0.2, 0.5, 0.9):
-            g = MobiusMap.identity()
+            g = geo.IDENTITY
             pts = [1j]
             for i in range(12):
                 bend = phi if i % 2 == 0 else -phi
-                g = g @ MobiusMap.translation(1.0) @ MobiusMap.rotation(bend)
-                pts.append(g.apply(1j))
+                g = geo.mul(geo.mul(g, geo.translation(1.0)), geo.rotation(bend))
+                pts.append(geo.apply(g, 1j))
             # keep only zigzags that really are K-quasi-geodesic for arc
             # length vs endpoint distance at every scale
             ok = all(

@@ -1,11 +1,18 @@
-"""The library composes matrices and stores record fields one way each.
+"""The library composes matrices and stores record fields one way each, and
+the tests' oracle computes apart from it.
 
 Every 2x2 product in ``src/hypladder`` goes through ``hyp_core._mul`` on
 entry tuples, so no ``@`` operator appears there; ``MobiusMap.__matmul__``
 is kept for callers outside the library.  Every record stores its fields
 through ``_Record._set_fields``; only ``MobiusMap._map`` calls the slot
 setters one by one, so ``_setters`` is read in ``errors.py``, which builds
-them, and ``hyp_core.py`` alone.  The test only reads source files.
+them, and ``hyp_core.py`` alone.
+
+``tests/conftest.py`` holds the test geometry and the holonomy oracle that
+the bit-identity tests compare the library with.  It reaches no private
+name of a hypladder module and no ``MobiusMap`` member that the library
+dropped, so it cannot share the library's arithmetic.  The test only reads
+source files.
 """
 
 from __future__ import annotations
@@ -17,6 +24,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hypladder"
 MODULES = sorted(SRC.glob("*.py"))
+CONFTEST = Path(__file__).resolve().parent / "conftest.py"
+
+# MobiusMap members with no caller in the library, deleted from it
+DELETED_MEMBERS = {"translation", "perp_translation", "rotation", "inverse", "apply",
+                   "dist_to_identity"}
 
 
 def _nodes(path: Path):
@@ -35,3 +47,37 @@ def test_slot_setters_read_only_by_the_base_and_mobius_map():
     readers = {path.name for path in MODULES for node in _nodes(path)
                if isinstance(node, ast.Attribute) and node.attr == "_setters"}
     assert readers <= {"errors.py", "hyp_core.py"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_conftest_reaches_no_private_library_name():
+    modules = set()  # local names bound to hypladder modules
+    private = []
+    nodes = list(_nodes(CONFTEST))
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hypladder"):
+            private += [a.name for a in node.names if _private(a.name)]
+            if node.module == "hypladder":
+                modules.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.startswith("hypladder"):
+                    private += [part for part in a.name.split(".") if _private(part)]
+                    modules.add(a.asname or a.name.split(".")[0])
+    for node in nodes:
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                private.append(node.attr)
+    assert private == [], f"conftest.py reaches private hypladder names {private}"
+
+
+def test_conftest_uses_no_deleted_mobius_member():
+    used = sorted({node.attr for node in _nodes(CONFTEST)
+                   if isinstance(node, ast.Attribute) and node.attr in DELETED_MEMBERS})
+    assert used == [], f"conftest.py refers to deleted MobiusMap members {used}"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from hypladder.tiled_surface import (
     discrete_distance,
     glue_to_Rb,
 )
-from hypladder.tiled_surface import _index_graph
+from hypladder.tiled_surface import _hypotenuse, _index_graph
 
 
 class TestHoledSquare:
@@ -425,11 +426,56 @@ class TestDiagonals:
         for e in new_edges:
             assert refined.edges[e] < 2.0 * longest_side
 
-    @pytest.mark.parametrize("b", [36.8, 40.0, 355.0])
-    def test_vertex_lost_to_roundoff_is_numerical_instability(self, b):
-        # a valid b whose pentagon walk loses a vertex to roundoff
-        with pytest.raises(NumericalInstability):
-            add_diagonals(build_grid(b, 3, 2))
+    @pytest.mark.parametrize("b", [36.8, 40.0, 100.0, 300.0, 355.0])
+    def test_refined_window_certifies_for_every_valid_b(self, b):
+        # where a pentagon walk would lose a vertex to roundoff, the
+        # diagonals still come from the sides
+        t = add_diagonals(build_grid(b, 5, 2))
+        for n in (1, 2, 3):
+            assert certify_vertical_minimizing(t, n).passes
+
+    def test_range_ends_where_solve_pentagon_refuses(self):
+        with pytest.raises(NumericalInstability, match="overflows"):
+            add_diagonals(build_grid(356.0, 5, 2))
+
+    def test_diagonals_match_closed_form(self):
+        # from b just above arcsinh(1) to the largest b solve_pentagon accepts
+        for b in [0.8814, 0.9, 1.5, 2.0, 5.0, 10.0, 20.0, 36.7, 36.8, 100.0, 355.0, 355.58]:
+            p = solve_pentagon(b)
+            sides = (p.b, p.b, p.a, p.c, p.a)
+            for i, d in _face_diagonals(b).items():
+                want = _hypotenuse_reference(sides[i], sides[(i + 1) % 5])
+                assert d == pytest.approx(want, rel=1e-14, abs=0.0), (b, i)
+
+    def test_diagonals_match_pentagon_walk(self, geometry):
+        # the walk of the test geometry places the vertices; it is exact
+        # enough to be an oracle up to b = 10
+        for b in [0.9, 1.2, 1.5, 2.0, 3.0, 5.0, 7.5, 10.0]:
+            pts = geometry.pentagon_vertices(solve_pentagon(b))
+            for i, d in _face_diagonals(b).items():
+                want = geometry.hyp_dist(pts[i], pts[(i + 2) % 5])
+                assert d == pytest.approx(want, rel=1e-12, abs=0.0), (b, i)
+
+    @pytest.mark.parametrize("u, v", [(709.0, 5.0), (700.0, 700.0), (1e-300, 710.0)])
+    def test_hypotenuse_past_overflow(self, u, v):
+        # cosh u * cosh v overflows for the first two: the log form
+        assert _hypotenuse(u, v) == pytest.approx(_hypotenuse_reference(u, v), rel=1e-14)
+
+
+def _face_diagonals(b) -> dict:
+    """Diagonal (i, i+2) of the one face of a refined 1x1 window -> length."""
+    t = add_diagonals(build_grid(b, 1, 1))
+    face = t.faces[0]
+    return {i: t.edges[tuple(sorted((face[i], face[(i + 2) % 5])))] for i in range(5)}
+
+
+def _hypotenuse_reference(u: float, v: float) -> float:
+    """acosh(cosh u * cosh v) in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        u, v = Decimal(u), Decimal(v)
+        y = (u.exp() + (-u).exp()) * (v.exp() + (-v).exp()) / 4
+        return float((y + (y * y - 1).sqrt()).ln())
 
 
 class TestGluing:
