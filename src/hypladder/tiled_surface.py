@@ -28,6 +28,7 @@ from .errors import (
     ScaleTooLarge,
     Unreachable,
     check_int,
+    check_positive_finite,
 )
 from .hyp_core import PentagonSolution, solve_pentagon
 
@@ -102,12 +103,13 @@ class TiledComplex:
 
     Distance queries share one integer index of the graph, built on the
     first query and dropped by ``add_edge``.  Change ``edges`` only through
-    ``add_edge``, or before the first query.  ``build_grid``,
-    ``add_diagonals`` and ``glue_to_Rb`` hand the index the sorted vertex
-    list they already have, as a hint: ``add_edge`` drops it, and the index
-    checks it against ``edges`` and sorts the ids afresh when they differ.
-    A copy made with ``dataclasses.replace`` starts with neither the index
-    nor the hint.
+    ``add_edge``, or before the first query; it refuses lengths that are not
+    positive and finite, which Dijkstra and the certificates' pruning need.
+    ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` hand the index the
+    sorted vertex list they already have, as a hint: ``add_edge`` drops it,
+    and the index checks it against ``edges`` and sorts the ids afresh when
+    they differ.  A copy made with ``dataclasses.replace`` starts with
+    neither the index nor the hint.
     """
 
     pentagon: PentagonSolution
@@ -132,6 +134,7 @@ class TiledComplex:
         return out
 
     def add_edge(self, u, v, length: float) -> None:
+        check_positive_finite("edge length", length)
         key = (u, v) if u <= v else (v, u)
         old = self.edges.get(key)
         if old is not None and abs(old - length) > EDGE_TOL:
@@ -400,6 +403,14 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     every edge path crossing the n horizontal lines has length >= 2nb.
     Both hold to within CERT_TOL.  Corners stay one row inside the window
     boundary (safety margin).
+
+    The line search runs up from the bottom line, so its distance L(w), or
+    ``min_cross`` where it stopped short of w, bounds dist(w, y) from below.
+    The corner search skips w reached at d if d + L(w) > U (1 + 4 gamma_N),
+    U = 2nb + CERT_TOL: a float sum of k <= N lengths is within gamma_N =
+    Nu / (1 - Nu) of exact (Higham 4.2; N vertices, u = 2^-53), so no vertex
+    of a path below U is skipped and a result below U is the full search's to
+    the bit, whatever order ties pop in.  Others fall back to the full search.
     """
     _check_row_separation(n)
     if n > t.rows - 2:
@@ -407,14 +418,21 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
             f"window with {t.rows} rows is too short for n={n} plus margin"
         )
     r0 = max(1, (t.rows - n) // 2)
-    x = t.alpha_corner(r0)
-    y = t.alpha_corner(r0 + n)
+    x, y = t.alpha_corner(r0), t.alpha_corner(r0 + n)
     expected = 2.0 * n * t.b
-    d = discrete_distance(t, x, y)
     g = t._graph()
-    bottom = g.row_lines[r0 + n]
-    line_dist = _distances(g, g.row_lines[r0], targets=bottom)
-    min_cross = min(line_dist[j] for j in bottom if line_dist[j] is not None)
+    i, j, top = g.vertex(x), g.pos.get(y), g.row_lines[r0]
+    lower = None if j is None else _distances(g, g.row_lines[r0 + n], targets=top)
+    if lower is None or lower[i] is None:
+        raise Unreachable(f"no edge path connects {x} and {y}")
+    min_cross = min(lower[k] for k in top if lower[k] is not None)
+    for k, v in enumerate(lower):
+        if v is None:
+            lower[k] = min_cross
+    bound, nu = expected + CERT_TOL, len(lower) * 2.0**-53
+    d = _bounded_distance(g.adj, i, j, lower, bound * (1.0 + 4.0 * nu / (1.0 - nu)))
+    if d is None or not d < bound:
+        d = discrete_distance(t, x, y)
     return VerticalCertificate(
         b=t.b,
         n=n,
@@ -425,6 +443,27 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
         dijkstra_equality=abs(d - expected) < CERT_TOL,
         row_crossing_bound=min_cross >= expected - CERT_TOL,
     )
+
+
+def _bounded_distance(adj, i, j, lower, limit):
+    """Distance i -> j, or None, by a Dijkstra that pushes no w reached at nd
+    with nd + lower[w] > limit.  Pushes improve ``best``: pops above it are stale."""
+    best = [math.inf] * len(adj)
+    best[i] = 0.0
+    heap = [(0.0, i)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v == j:
+            return d
+        if d > best[v]:
+            continue
+        it = iter(adj[v])
+        for w, length in zip(it, it):
+            nd = d + length
+            if nd < best[w] and nd + lower[w] <= limit:
+                best[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return None
 
 
 def _hypotenuse(u: float, v: float) -> float:

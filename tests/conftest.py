@@ -24,7 +24,13 @@ from hypladder.errors import (
 from hypladder.fenchel_nielsen import TWO_PI, PantsCuffs, pants_orthogeodesics
 from hypladder.hyp_core import MobiusMap, solve_pentagon
 from hypladder.pants_graph import TrivalentGraph
-from hypladder.tiled_surface import EDGE_TOL, TiledComplex
+from hypladder.tiled_surface import (
+    CERT_TOL,
+    EDGE_TOL,
+    TiledComplex,
+    VerticalCertificate,
+    dijkstra,
+)
 
 
 def _inject_edge(t, u, v, length):
@@ -78,6 +84,32 @@ def oracle_build_grid(b: float, rows: int, cols: int) -> TiledComplex:
                 for i in range(5):
                     _oracle_add_edge(t, face[i], face[(i + 1) % 5], side_lengths[i])
     return t
+
+
+def oracle_certificate(t: TiledComplex, n: int) -> VerticalCertificate:
+    """``certify_vertical_minimizing`` as it was defined before its corner
+    search was bounded, on the public ``dijkstra`` alone: the full search
+    from the top corner x to the bottom corner y, and the line-to-line
+    distance from the top row line.  Assumes a window tall enough for n."""
+    r0 = max(1, (t.rows - n) // 2)
+    col = t.cols // 2
+    x, y = ("C", r0, col), ("C", r0 + n, col)
+    expected = 2.0 * n * t.b
+    d = dijkstra(t, [x], [y])[y]
+    top = [v for v in t.vertices() if v[0] in ("C", "HM") and v[1] == r0]
+    bottom = [v for v in t.vertices() if v[0] in ("C", "HM") and v[1] == r0 + n]
+    line = dijkstra(t, top, bottom)
+    min_cross = min(line[v] for v in bottom if v in line)
+    return VerticalCertificate(
+        b=t.b,
+        n=n,
+        window=(t.rows, t.cols),
+        refined=t.refined,
+        distance=d,
+        expected=expected,
+        dijkstra_equality=abs(d - expected) < CERT_TOL,
+        row_crossing_bound=min_cross >= expected - CERT_TOL,
+    )
 
 
 # brute-force canonical key: the n! search over full (n, edges, half, deco)
@@ -392,6 +424,11 @@ def inject_edge():
 @pytest.fixture(name="oracle_build_grid", scope="session")
 def _oracle_build_grid_fixture():
     return oracle_build_grid
+
+
+@pytest.fixture(name="oracle_certificate", scope="session")
+def _oracle_certificate_fixture():
+    return oracle_certificate
 
 
 @pytest.fixture(name="brute_force_key", scope="session")

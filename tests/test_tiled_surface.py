@@ -3,14 +3,18 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import random
+import re
 from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypladder import tiled_surface
 from hypladder.errors import (
     InconsistentEdgeLength,
+    NonPositiveLength,
     NonPositiveSize,
     NumericalInstability,
     ScaleTooLarge,
@@ -18,6 +22,7 @@ from hypladder.errors import (
 )
 from hypladder.hyp_core import solve_pentagon
 from hypladder.tiled_surface import (
+    CERT_TOL,
     add_diagonals,
     build_grid,
     build_Tn,
@@ -80,6 +85,18 @@ class TestBuildGrid:
             t.add_edge(v, u, w + 1e-3)
         assert isinstance(info.value, ValueError)
         assert info.value.rule == "edge-length-inconsistent"
+
+    @pytest.mark.parametrize("length", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0])
+    def test_add_edge_refuses_length_not_positive_finite(self, length):
+        # a NaN edge is never relaxed and a negative one undercuts every
+        # path, so either would leave a certificate that lies
+        t = build_grid(1.2, 5, 3)
+        edges = dict(t.edges)
+        with pytest.raises(NonPositiveLength):
+            t.add_edge(("C", 1, 1), ("C", 4, 1), length)
+        assert t.edges == edges
+        cert = certify_vertical_minimizing(t, 3)
+        assert cert.passes and cert.distance == pytest.approx(3 * 2.4)
 
     def test_unrefined_degrees(self):
         t = build_grid(1.2, 4, 4)
@@ -410,6 +427,107 @@ class TestVerticalCertificate:
         cert = certify_vertical_minimizing(build_grid(b, 3, 2), 1)
         assert cert.passes
         assert cert.distance == pytest.approx(2.0 * b, abs=1e-9)
+
+
+def _hex_fields(cert) -> dict:
+    return {k: v.hex() if isinstance(v, float) else v for k, v in cert.to_dict().items()}
+
+
+def _seeded_window(seed, variant):
+    rng = random.Random(seed)
+    b = rng.uniform(0.9, 40.0)
+    t = build_grid(b, rng.randint(3, 12), rng.randint(2, 12))
+    if "glued" in variant:
+        t = glue_to_Rb(t)
+    if "refined" in variant:
+        t = add_diagonals(t)
+    return t, rng
+
+
+@pytest.fixture
+def full_searches(monkeypatch):
+    """The corner pairs that certificates hand to the full search."""
+    calls = []
+    full = tiled_surface.discrete_distance
+
+    def recorded(t, x, y):
+        calls.append((x, y))
+        return full(t, x, y)
+
+    monkeypatch.setattr(tiled_surface, "discrete_distance", recorded)
+    return calls
+
+
+class TestCertificateMatchesOracle:
+    # the certificate against its definition (conftest.oracle_certificate):
+    # full searches on the public dijkstra, compared bit for bit
+    VARIANTS = ["plain", "refined", "glued", "glued-refined"]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_windows(self, seed, variant, oracle_certificate, full_searches):
+        t, _ = _seeded_window(seed, variant)
+        for n in range(1, t.rows - 1):
+            cert = certify_vertical_minimizing(t, n)
+            assert cert.passes
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n))
+        assert full_searches == []  # the bounded corner search sufficed
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_injected_shortcuts(self, seed, variant, oracle_certificate, inject_edge):
+        t, rng = _seeded_window(seed, variant)
+        failing = 0
+        for n in range(1, t.rows - 1):
+            r0 = max(1, (t.rows - n) // 2)
+            u = ("C", r0 + rng.randint(0, n - 1), rng.randint(0, t.cols))
+            v = ("C", rng.randint(u[1] + 1, r0 + n), rng.randint(0, t.cols))
+            bad = inject_edge(t, u, v, rng.uniform(0.01, t.b))
+            cert = certify_vertical_minimizing(bad, n)
+            failing += not cert.passes
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(bad, n))
+        assert failing
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lengthened_corner_edges(self, seed, variant, oracle_certificate, full_searches):
+        # every edge at a lattice corner 1.25 times as long, set before the
+        # first query: each is at least b long, so the corner distance exceeds
+        # 2nb + CERT_TOL, the bounded corner search gives up and the full one
+        # reports the distance.  (Lengthening only the vertical sides leaves a
+        # path through the diagonals that rounds to 2nb once b is near 40.)
+        t, _ = _seeded_window(seed, variant)
+        for key, w in t.edges.items():
+            if "C" in (key[0][0], key[1][0]):
+                t.edges[key] = 1.25 * w
+        for n in range(1, t.rows - 1):
+            cert = certify_vertical_minimizing(t, n)
+            assert cert.distance > cert.expected + CERT_TOL
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n))
+        assert len(full_searches) == t.rows - 2
+
+
+class TestCutWindows:
+    # a window cut in two, or missing a corner, keeps the error of a plain
+    # distance query
+    def test_rows_cut_apart(self):
+        t = build_grid(1.2, 4, 2)
+        for key in [e for e in t.edges if any(v[0] in ("VM", "H") and v[1] == 1 for v in e)]:
+            del t.edges[key]
+        msg = "no edge path connects ('C', 1, 1) and ('C', 3, 1)"
+        with pytest.raises(Unreachable, match=re.escape(msg)):
+            certify_vertical_minimizing(t, 2)
+
+    @pytest.mark.parametrize("corner, msg", [
+        (("C", 3, 1), "no edge path connects ('C', 1, 1) and ('C', 3, 1)"),
+        (("C", 1, 1), "vertex ('C', 1, 1) not present in the complex"),
+    ])
+    def test_corner_without_edges(self, corner, msg):
+        t = build_grid(1.2, 4, 2)
+        for key in [e for e in t.edges if corner in e]:
+            del t.edges[key]
+        with pytest.raises(Unreachable, match=re.escape(msg)):
+            certify_vertical_minimizing(t, 2)
 
 
 class TestDiagonals:
