@@ -81,12 +81,12 @@ class NonPositiveLength(HypladderError):
 
 
 def check_positive_finite(name: str, value: float) -> None:
-    """Raise NonPositiveLength unless value is positive and finite; NaN
-    passes every ``<= 0`` test, so the second check catches it."""
-    if value <= 0:
-        raise NonPositiveLength(f"{name} must be positive, got {value}")
-    if not math.isfinite(value):
-        raise NonPositiveLength(f"{name} must be finite, got {value}")
+    """Raise NonPositiveLength unless value is a positive, finite number: a
+    ``bool`` is not one, though True compares as 1, and NaN is not finite.
+    A float bound keeps a float's comparisons on their fast path."""
+    if not 0.0 < value < math.inf or value is True:
+        kind = "a number" if isinstance(value, bool) else "positive" if value <= 0 else "finite"
+        raise NonPositiveLength(f"{name} must be {kind}, got {value}")
 
 
 class NonPositiveSize(HypladderError, ValueError):

@@ -222,11 +222,11 @@ def solve_pentagon(b: float) -> PentagonSolution:
     Degenerates when b <= arcsinh(1), where cosh(c) <= 1 forces c <= 0.
     Raises NumericalInstability when sinh(b)^2 overflows (b above about 355).
     """
-    if b <= ARCSINH_1:
-        raise DegeneratePentagon(
-            f"b must exceed arcsinh(1) ~ {ARCSINH_1:.6f}, got {b}"
-        )
-    if not math.isfinite(b):
+    if not ARCSINH_1 < b < math.inf or b is True:
+        if isinstance(b, bool):
+            raise DegeneratePentagon(f"b must be a number, got {b}")
+        if b <= ARCSINH_1:
+            raise DegeneratePentagon(f"b must exceed arcsinh(1) ~ {ARCSINH_1:.6f}, got {b}")
         raise DegeneratePentagon(f"b must be finite, got {b}")
     try:
         c = math.acosh(math.sinh(b) ** 2)
@@ -320,8 +320,9 @@ def quasi_geodesic_stability_R(K: float, length: float) -> float:
     particular a valid length-dependent bound).  Raises NumericalInstability
     when K is so large (above about 4e102) that the bound overflows.
     """
-    if not 1.0 <= K < math.inf:
-        raise InvalidDilatation(f"dilatation must be >= 1 and finite, got {K}")
+    if not 1.0 <= K < math.inf or K is True:
+        what = "a number" if isinstance(K, bool) else ">= 1 and finite"
+        raise InvalidDilatation(f"dilatation must be {what}, got {K}")
     check_positive_finite("geodesic length", length)
     if K == 1.0:
         return 0.0

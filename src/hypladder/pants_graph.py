@@ -216,46 +216,42 @@ def enumerate_decompositions(g: int, b: int) -> list[TrivalentGraph]:
     return list(_classes(g, b).values())
 
 
-def _to_darts(g: TrivalentGraph):
-    """Dart structure: dart ids with owner map and pairing involution."""
-    owner = {}
+def _pairing(g: TrivalentGraph) -> dict:
+    """Dart pairing involution of the graph.  Vertex v owns darts 3v, 3v+1
+    and 3v+2; each edge takes the highest free dart at each end, and the
+    darts left free are the boundary legs."""
+    free = [3] * g.n
     pairing = {}
-    next_dart = 0
-    free = {v: [] for v in range(g.n)}
-    for v in range(g.n):
-        for _ in range(3):
-            owner[next_dart] = v
-            free[v].append(next_dart)
-            next_dart += 1
     for i, j in g.edges:
-        d1 = free[i].pop()
-        d2 = free[j].pop()
+        free[i] -= 1
+        d1 = 3 * i + free[i]
+        free[j] -= 1  # after i's: a loop takes two darts
+        d2 = 3 * j + free[j]
         pairing[d1] = d2
         pairing[d2] = d1
-    # leftover darts are boundary legs
-    return owner, pairing
+    return pairing
 
 
-def _from_darts(n, owner, pairing):
+def _moved_graph(n: int, pairing: dict, moved: dict) -> TrivalentGraph:
+    """Graph of the paired darts, dart d owned by moved.get(d, d // 3)."""
     edges = []
-    done = set()
-    for d1, d2 in pairing.items():
-        if d1 in done:
-            continue
-        done.update((d1, d2))
-        edges.append(tuple(sorted((owner[d1], owner[d2]))))
     half = [0] * n
-    for d, v in owner.items():
-        if d not in pairing:
+    for d in range(3 * n):
+        v = moved.get(d, d // 3)
+        e = pairing.get(d)
+        if e is None:
             half[v] += 1
-    return TrivalentGraph(n=n, edges=tuple(edges), half=tuple(half))
+        elif d < e:
+            edges.append((v, moved.get(e, e // 3)))
+    return TrivalentGraph(n=n, edges=edges, half=half)
 
 
 def elementary_moves(g: TrivalentGraph):
     """Neighbors of a decomposition class under elementary moves.
 
-    Returns (neighbors, annotations).  Each internal edge is replaced inside
-    the complement of the remaining cuffs:
+    Returns (neighbors, annotations), neighbours as ``from_key`` builds them,
+    in key order.  Each internal edge is replaced inside the complement of
+    the remaining cuffs:
 
     * a loop edge sits in a 1-holed torus; its replacement returns the same
       class, recorded as a ``torus_move`` annotation (never a modular edge);
@@ -265,45 +261,42 @@ def elementary_moves(g: TrivalentGraph):
       the opposite pants, variant B crosses them); outcomes equal to the
       input class are recorded as ``sphere_move_fixed`` annotations.
     """
-    neighbors, annotations = _moves(g, canonical_key(g))
-    return [neighbors[k] for k in sorted(neighbors)], annotations
+    keys, annotations = _moves(g, canonical_key(g))
+    return [from_key(k) for k in sorted(keys)], annotations
 
 
 def _moves(g: TrivalentGraph, self_key: tuple):
-    """``elementary_moves`` for a graph whose key is known: (canonical key ->
-    neighbour representative, annotations).  Each distinct labelled outcome
-    is keyed once."""
-    owner, pairing = _to_darts(g)
+    """``elementary_moves`` for a graph whose key is known: (neighbour keys,
+    annotations).  The move across darts dp < dq of pants p and q hands p's
+    higher other dart to q and each other dart of q, ascending, to p.  Each
+    distinct labelled outcome is keyed once."""
+    pairing = _pairing(g)
     outcome_keys = {}
-    neighbors = {}
+    neighbors = set()
     annotations = []
     done_edges = set()
     for dp in sorted(pairing):
         dq = pairing[dp]
         if dp > dq:
             continue
-        p, q = owner[dp], owner[dq]
+        p, q = dp // 3, dq // 3
         if p == q:
             annotations.append(("torus_move", (p, q)))
             continue
-        edge_sig = tuple(sorted((p, q)))
+        edge_sig = (p, q)
         if edge_sig in done_edges:
             continue  # parallel copies give isomorphic outcomes
         done_edges.add(edge_sig)
-        u1, u2 = sorted(d for d in owner if owner[d] == p and d != dp)
-        w1, w2 = sorted(d for d in owner if owner[d] == q and d != dq)
-        for wa, wb in ((w1, w2), (w2, w1)):
-            new_owner = dict(owner)
-            new_owner[wa] = p
-            new_owner[u2] = q
-            moved = _from_darts(g.n, new_owner, pairing)
+        u2 = max(d for d in range(3 * p, 3 * p + 3) if d != dp)
+        for wa in (d for d in range(3 * q, 3 * q + 3) if d != dq):
+            moved = _moved_graph(g.n, pairing, {wa: p, u2: q})
             key = outcome_keys.get(moved.edges)
             if key is None:
                 key = outcome_keys[moved.edges] = canonical_key(moved)
             if key == self_key:
                 annotations.append(("sphere_move_fixed", edge_sig))
             else:
-                neighbors[key] = from_key(key)
+                neighbors.add(key)
     return neighbors, annotations
 
 
@@ -363,7 +356,8 @@ def _bfs_dists(adjacency, start):
 
 def modular_pants_graph(g: int, b: int) -> ModularPantsGraph:
     """The modular pants graph of S_{g,b} with BFS-verified connectivity and
-    exact diameter (move annotations are excluded from the metric)."""
+    exact diameter (move annotations are excluded from the metric).  Moves
+    are indexed by their canonical keys, so no neighbour is built."""
     classes = _classes(g, b)
     verts = list(classes.values())
     index = {key: i for i, key in enumerate(classes)}
@@ -373,7 +367,7 @@ def modular_pants_graph(g: int, b: int) -> ModularPantsGraph:
         nbrs, notes = _moves(v, key)
         adjacency.append(tuple(sorted(index[k] for k in nbrs)))
         annotations.append(tuple(notes))
-    connected = len(_bfs_dists(adjacency, 0)) == len(verts) if verts else False
+    connected = len(_bfs_dists(adjacency, 0)) == len(verts)
     diameter = 0
     if connected:
         for i in range(len(verts)):

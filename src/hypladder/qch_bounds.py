@@ -45,10 +45,8 @@ class QCHParams(_Record):
     def __init__(self, K: float, L: float, m_inj: float, R: float | None = None):
         if isinstance(K, bool):
             raise InvalidDilatation(f"dilatation must be a number, got {K!r}")
-        for name, value in (("base curve length", L), ("injectivity radius bound", m_inj),
-                            ("fellow-traveling constant", R)):
-            if isinstance(value, bool):
-                raise NonPositiveLength(f"{name} must be a number, got {value!r}")
+        if isinstance(R, bool):
+            raise NonPositiveLength(f"fellow-traveling constant must be a number, got {R!r}")
         if K < 1.0:
             raise InvalidDilatation(f"dilatation must be >= 1, got {K}")
         if not math.isfinite(K):

@@ -296,7 +296,7 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     return out
 
 
-def _distances(g: _GraphIndex, sources, targets=None) -> list:
+def _distances(g: _GraphIndex, sources, targets=None, best=None) -> list:
     """Dijkstra on the integer index: dist[i] for every settled vertex i,
     None elsewhere.  With a non-empty target set, stops once all targets are
     settled; an empty one stops nothing.
@@ -305,10 +305,13 @@ def _distances(g: _GraphIndex, sources, targets=None) -> list:
     pushed only when it improves on it (with lengths >= 0 a settled vertex
     never does); an entry it improved on stays in the heap and is skipped
     when popped.  Vertices settle in (d, i) order, so the settled set at an
-    early stop is the same as with a push per edge."""
+    early stop is the same as with a push per edge.  A caller's ``best`` is
+    used in place as a cap per vertex: no vertex is reached at or above its
+    cap, and caps above every distance change nothing."""
     adj = g.adj
     dist = [None] * len(adj)
-    best = [math.inf] * len(adj)
+    if best is None:
+        best = [math.inf] * len(adj)
     for s in sources:
         best[s] = 0.0
     heap = [(0.0, s) for s in sources]
@@ -406,11 +409,13 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
 
     The line search runs up from the bottom line, so its distance L(w), or
     ``min_cross`` where it stopped short of w, bounds dist(w, y) from below.
-    The corner search skips w reached at d if d + L(w) > U (1 + 4 gamma_N),
-    U = 2nb + CERT_TOL: a float sum of k <= N lengths is within gamma_N =
-    Nu / (1 - Nu) of exact (Higham 4.2; N vertices, u = 2^-53), so no vertex
-    of a path below U is skipped and a result below U is the full search's to
-    the bit, whatever order ties pop in.  Others fall back to the full search.
+    The corner search is the same Dijkstra started from the caps
+    U (1 + 4 gamma_N) - L(w), U = 2nb + CERT_TOL, which its relaxation never
+    reaches.  A float sum of k <= N lengths is within gamma_N = Nu / (1 - Nu)
+    of exact (Higham 4.2; N vertices, u = 2^-53) and a cap's one subtraction
+    within an ulp, far inside the slack, so no vertex of a path below U is
+    cut and a result below U is the full search's to the bit, whatever order
+    ties pop in.  Others fall back to the full search.
     """
     _check_row_separation(n)
     if n > t.rows - 2:
@@ -426,11 +431,11 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     if lower is None or lower[i] is None:
         raise Unreachable(f"no edge path connects {x} and {y}")
     min_cross = min(lower[k] for k in top if lower[k] is not None)
-    for k, v in enumerate(lower):
-        if v is None:
-            lower[k] = min_cross
     bound, nu = expected + CERT_TOL, len(lower) * 2.0**-53
-    d = _bounded_distance(g.adj, i, j, lower, bound * (1.0 + 4.0 * nu / (1.0 - nu)))
+    limit = bound * (1.0 + 4.0 * nu / (1.0 - nu))
+    for k, v in enumerate(lower):
+        lower[k] = limit - (min_cross if v is None else v)
+    d = _distances(g, [i], [j], best=lower)[j]
     if d is None or not d < bound:
         d = discrete_distance(t, x, y)
     return VerticalCertificate(
@@ -443,27 +448,6 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
         dijkstra_equality=abs(d - expected) < CERT_TOL,
         row_crossing_bound=min_cross >= expected - CERT_TOL,
     )
-
-
-def _bounded_distance(adj, i, j, lower, limit):
-    """Distance i -> j, or None, by a Dijkstra that pushes no w reached at nd
-    with nd + lower[w] > limit.  Pushes improve ``best``: pops above it are stale."""
-    best = [math.inf] * len(adj)
-    best[i] = 0.0
-    heap = [(0.0, i)]
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v == j:
-            return d
-        if d > best[v]:
-            continue
-        it = iter(adj[v])
-        for w, length in zip(it, it):
-            nd = d + length
-            if nd < best[w] and nd + lower[w] <= limit:
-                best[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return None
 
 
 def _hypotenuse(u: float, v: float) -> float:

@@ -50,6 +50,11 @@ class TestPantsCuffs:
         with pytest.raises(NonPositiveLength):
             PantsCuffs(1.0, length, 1.0)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool(self, flag):
+        with pytest.raises(NonPositiveLength, match="cuff length must be a number"):
+            PantsCuffs(flag, 1.0, 1.0)
+
 
 class TestOrthogeodesics:
     def test_symmetric_pants_reference_value(self):
@@ -106,6 +111,12 @@ class TestBuildLadderFN:
         fn = build_ladder_fn(2, lengths=lambda fam, k: 2.0 if fam == "c" else 1.0)
         assert fn.length("c", 1) == 2.0
         assert fn.length("a", 1) == 1.0
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool_lengths(self, flag):
+        # True would be kept and written as JSON true and CSV True
+        with pytest.raises(NonPositiveLength, match="length for a_-1 must be a number"):
+            build_ladder_fn(1, lengths=flag)
 
     def test_twists_folded(self):
         fn = build_ladder_fn(1, twists=2.0 * math.pi + 0.25)

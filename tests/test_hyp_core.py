@@ -316,6 +316,12 @@ class TestPentagon:
         with pytest.raises(DegeneratePentagon):
             solve_pentagon(0.5)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool(self, flag):
+        # True is 1 > arcsinh(1) to a comparison, and would be kept as b
+        with pytest.raises(DegeneratePentagon, match="b must be a number"):
+            solve_pentagon(flag)
+
     @pytest.mark.parametrize("b", [356.0, 1e200, 1e308])
     def test_overflow_raises(self, b):
         with pytest.raises(NumericalInstability):
@@ -379,6 +385,11 @@ class TestCollar:
 
     def test_fixed_point(self):
         assert abs(collar_width(2.0 * ARCSINH_1) - ARCSINH_1) < 1e-12
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool(self, flag):
+        with pytest.raises(NonPositiveLength, match="geodesic length must be a number"):
+            collar_width(flag)
 
     def test_subnormal_lengths(self):
         # 1/sinh(l/2) overflows below l ~ 2.2e-308; the width is log(4/l)
@@ -462,6 +473,14 @@ class TestStabilityR:
             quasi_geodesic_stability_R(0.9, 1.0)
         with pytest.raises(NonPositiveLength):
             quasi_geodesic_stability_R(1.5, 0.0)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bool(self, flag):
+        # True is K = 1 to a comparison: R would read 0.0
+        with pytest.raises(InvalidDilatation, match="dilatation must be a number"):
+            quasi_geodesic_stability_R(flag, 1.0)
+        with pytest.raises(NonPositiveLength, match="geodesic length must be a number"):
+            quasi_geodesic_stability_R(1.5, flag)
 
     @pytest.mark.parametrize("K", [math.nan, math.inf])
     def test_rejects_non_finite_dilatation(self, K):

@@ -1,12 +1,14 @@
-"""The library composes matrices and stores record fields one way each, and
-the tests' oracle computes apart from it.
+"""The library composes matrices, stores record fields and searches graphs
+one way each, and the tests' oracle computes apart from it.
 
 Every 2x2 product in ``src/hypladder`` goes through ``hyp_core._mul`` on
 entry tuples, so no ``@`` operator appears there; ``MobiusMap.__matmul__``
 is kept for callers outside the library.  Every record stores its fields
 through ``_Record._set_fields``; only ``MobiusMap._map`` calls the slot
 setters one by one, so ``_setters`` is read in ``errors.py``, which builds
-them, and ``hyp_core.py`` alone.
+them, and ``hyp_core.py`` alone.  Every shortest-path search, pruned or
+not, is the one Dijkstra loop of ``tiled_surface._distances``, so no other
+function pops a heap.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
@@ -47,6 +49,26 @@ def test_slot_setters_read_only_by_the_base_and_mobius_map():
     readers = {path.name for path in MODULES for node in _nodes(path)
                if isinstance(node, ast.Attribute) and node.attr == "_setters"}
     assert readers <= {"errors.py", "hyp_core.py"}
+
+
+HEAP_POPS = {"heappop", "heappushpop", "heapreplace"}
+
+
+def _pops_heap(node) -> bool:
+    return ((isinstance(node, ast.Name) and node.id in HEAP_POPS)
+            or (isinstance(node, ast.Attribute) and node.attr in HEAP_POPS)
+            or (isinstance(node, ast.alias) and node.name in HEAP_POPS))
+
+
+def test_one_function_pops_a_heap():
+    # each module-level statement that names a heap pop, by module and name
+    users = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for top in tree.body:
+            if any(_pops_heap(node) for node in ast.walk(top)):
+                users.add((path.stem, getattr(top, "name", f"line {top.lineno}")))
+    assert users == {("tiled_surface", "_distances")}
 
 
 def _private(name: str) -> bool:

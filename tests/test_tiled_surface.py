@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hypladder import tiled_surface
 from hypladder.errors import (
+    DegeneratePentagon,
     InconsistentEdgeLength,
     NonPositiveLength,
     NonPositiveSize,
@@ -31,7 +32,7 @@ from hypladder.tiled_surface import (
     discrete_distance,
     glue_to_Rb,
 )
-from hypladder.tiled_surface import _hypotenuse, _index_graph
+from hypladder.tiled_surface import _distances, _hypotenuse, _index_graph
 
 
 class TestHoledSquare:
@@ -97,6 +98,15 @@ class TestBuildGrid:
         assert t.edges == edges
         cert = certify_vertical_minimizing(t, 3)
         assert cert.passes and cert.distance == pytest.approx(3 * 2.4)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_is_no_length(self, flag):
+        # True passes every comparison as 1, and would be kept as a length
+        t = build_grid(1.2, 2, 2)
+        with pytest.raises(NonPositiveLength, match="edge length must be a number"):
+            t.add_edge(("C", 0, 0), ("C", 2, 2), flag)
+        with pytest.raises(DegeneratePentagon, match="b must be a number"):
+            build_grid(flag, 4, 2)
 
     def test_unrefined_degrees(self):
         t = build_grid(1.2, 4, 4)
@@ -221,6 +231,32 @@ class TestDijkstra:
         x, y = ("C", 1, mid), ("VM", m - 1, 0)
         assert discrete_distance(t, x, y) == _oracle_dijkstra(t, [x], [y])[y]
 
+    @pytest.mark.parametrize("window", ["plain", "glued-refined"])
+    def test_caps_above_every_distance_change_no_bit(self, window):
+        g = _capped_window(window)._graph()
+        sources = [g.vertex(("C", 1, 3)), g.vertex(("HM", 2, 0))]
+        full = _distances(g, sources)
+        caps = [math.nextafter(d, math.inf) for d in full]
+        assert _distances(g, sources, best=caps) == full
+        assert caps == full  # used in place: each vertex ends at its distance
+        targets = {g.vertex(("C", 5, 3)), g.vertex(("VM", 4, 6))}
+        caps = [math.nextafter(d, math.inf) for d in full]
+        assert _distances(g, sources, targets, best=caps) == _distances(g, sources, targets)
+
+    @pytest.mark.parametrize("window", ["plain", "glued-refined"])
+    def test_vertex_capped_at_or_below_its_distance_never_settles(self, window):
+        g = _capped_window(window)._graph()
+        i = g.vertex(("C", 1, 3))
+        full = _distances(g, [i])
+        caps = [math.inf] * len(full)
+        capped = range(1, len(full), 5)
+        for k in capped:
+            caps[k] = full[k] if k % 2 else math.nextafter(full[k], -math.inf)
+        dist = _distances(g, [i], best=caps)
+        assert [dist[k] for k in capped] == [None] * len(capped)
+        assert all(d is None or d >= full[k] for k, d in enumerate(dist))
+        assert dist[i] == 0.0
+
     def test_unknown_target_runs_to_the_end(self):
         t = build_grid(1.1, 3, 2)
         targets = [("C", 3, 1), ("C", 99, 99)]
@@ -269,6 +305,11 @@ class TestIntegerSizes:
     def test_certify_refuses(self, n):
         with pytest.raises(NonPositiveSize):
             certify_vertical_minimizing(build_grid(1.2, 6, 2), n)
+
+
+def _capped_window(window):
+    t = build_grid(1.3, 6, 6)
+    return add_diagonals(glue_to_Rb(t)) if window == "glued-refined" else t
 
 
 def _flat_pairs(flat):
@@ -433,9 +474,9 @@ def _hex_fields(cert) -> dict:
     return {k: v.hex() if isinstance(v, float) else v for k, v in cert.to_dict().items()}
 
 
-def _seeded_window(seed, variant):
+def _seeded_window(seed, variant, b_range):
     rng = random.Random(seed)
-    b = rng.uniform(0.9, 40.0)
+    b = rng.uniform(*b_range)
     t = build_grid(b, rng.randint(3, 12), rng.randint(2, 12))
     if "glued" in variant:
         t = glue_to_Rb(t)
@@ -462,11 +503,12 @@ class TestCertificateMatchesOracle:
     # the certificate against its definition (conftest.oracle_certificate):
     # full searches on the public dijkstra, compared bit for bit
     VARIANTS = ["plain", "refined", "glued", "glued-refined"]
+    B_RANGE = (0.9, 40.0)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", range(8))
     def test_seeded_windows(self, seed, variant, oracle_certificate, full_searches):
-        t, _ = _seeded_window(seed, variant)
+        t, _ = _seeded_window(seed, variant, self.B_RANGE)
         for n in range(1, t.rows - 1):
             cert = certify_vertical_minimizing(t, n)
             assert cert.passes
@@ -476,7 +518,7 @@ class TestCertificateMatchesOracle:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", range(4))
     def test_injected_shortcuts(self, seed, variant, oracle_certificate, inject_edge):
-        t, rng = _seeded_window(seed, variant)
+        t, rng = _seeded_window(seed, variant, self.B_RANGE)
         failing = 0
         for n in range(1, t.rows - 1):
             r0 = max(1, (t.rows - n) // 2)
@@ -496,7 +538,7 @@ class TestCertificateMatchesOracle:
         # 2nb + CERT_TOL, the bounded corner search gives up and the full one
         # reports the distance.  (Lengthening only the vertical sides leaves a
         # path through the diagonals that rounds to 2nb once b is near 40.)
-        t, _ = _seeded_window(seed, variant)
+        t, _ = _seeded_window(seed, variant, self.B_RANGE)
         for key, w in t.edges.items():
             if "C" in (key[0][0], key[1][0]):
                 t.edges[key] = 1.25 * w
@@ -505,6 +547,12 @@ class TestCertificateMatchesOracle:
             assert cert.distance > cert.expected + CERT_TOL
             assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n))
         assert len(full_searches) == t.rows - 2
+
+
+class TestCertificateMatchesOracleLargeB(TestCertificateMatchesOracle):
+    # the same windows with b up to the largest solve_pentagon accepts:
+    # corner-search caps near 2nb ~ 7,000
+    B_RANGE = (40.0, 355.58)
 
 
 class TestCutWindows:
