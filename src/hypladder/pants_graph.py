@@ -43,26 +43,39 @@ class TrivalentGraph(_Record):
 
     ``edges`` is a sorted multiset of internal edges (i, j) with i <= j
     (i == j for loops); ``half`` counts boundary half-edges per vertex.
+    ``NotTrivalent`` refuses an ``n`` that is not an int >= 0, a ``half``
+    that is not n ints in 0..3, an edge that is not two int endpoints in
+    ``range(n)`` (a bool is not an int), and a vertex of degree other than 3.
     """
 
     __slots__ = __match_args__ = ("n", "edges", "half")
 
     def __init__(self, n: int, edges, half):
-        self._set_fields(n, tuple(sorted(tuple(sorted(e)) for e in edges)), tuple(half))
-        for v in range(n):
-            if self.degree(v) != 3:
-                raise NotTrivalent(
-                    f"vertex {v} has degree {self.degree(v)}, every pants has 3 cuffs"
-                )
-
-    def degree(self, v: int) -> int:
-        d = self.half[v]
-        for i, j in self.edges:
-            if i == v:
-                d += 1
-            if j == v:
-                d += 1
-        return d
+        half = tuple(half)
+        if not (is_int(n) and n >= 0 and len(half) == n):
+            raise NotTrivalent(
+                f"a graph on n >= 0 vertices needs an int n and n half-edge counts, "
+                f"got n={n!r} and {len(half)} counts"
+            )
+        for h in half:
+            if not (type(h) is int and 0 <= h <= 3):  # a bool is not a count
+                raise NotTrivalent(f"half-edge counts must be ints in 0..3, got {half}")
+        degree = list(half)
+        pairs = []
+        for e in edges:
+            e = tuple(e)
+            if not (len(e) == 2 and type(e[0]) is int and type(e[1]) is int
+                    and 0 <= e[0] < n and 0 <= e[1] < n):
+                raise NotTrivalent(f"edge {e} needs two int endpoints in range({n})")
+            i, j = e
+            degree[i] += 1
+            degree[j] += 1
+            pairs.append(e if i <= j else (j, i))
+        for v, d in enumerate(degree):
+            if d != 3:
+                raise NotTrivalent(f"vertex {v} has degree {d}, every pants has 3 cuffs")
+        pairs.sort()
+        self._set_fields(n, tuple(pairs), half)
 
     def boundary_count(self) -> int:
         return sum(self.half)
@@ -76,13 +89,14 @@ class TrivalentGraph(_Record):
 
     def bridges(self) -> tuple:
         """Internal edges whose dual curves separate the surface."""
+        edges = self.edges
         out = []
-        for idx, (i, j) in enumerate(self.edges):
-            if i == j:
-                continue  # a loop curve never separates
-            if j not in _reachable(self.edges[:idx] + self.edges[idx + 1:], i):
+        for idx, (i, j) in enumerate(edges):
+            if i == j or edges.count((i, j)) > 1:
+                continue  # neither a loop nor a parallel copy separates
+            if j not in _reachable(edges[:idx] + edges[idx + 1:], i):
                 out.append((i, j))
-        return tuple(sorted(set(out)))
+        return tuple(out)
 
     def surface(self) -> tuple[int, int]:
         """(genus, boundary components) of the decomposed surface."""
@@ -117,24 +131,59 @@ def canonical_key(g: TrivalentGraph) -> tuple:
     relabelled edges determine ``half`` (3 minus the edge degree) and
     ``deco`` (the bridges of the relabelled graph).  So the search compares
     edge lists alone, each edge (i, j) coded as i*n + j, which keeps the
-    order of the pairs; ``half`` and ``deco`` are built once, for the
-    winning permutation."""
+    order of the pairs, and it scores only the relabellings that can be least:
+
+    * The sorted coded list is label 0's block (0 for its loop, then its
+      partners' labels, once per parallel edge), all below n, followed by
+      codes of at least n + 1, and every relabelling has E codes.  So a
+      longer block wins a tie on its prefix, and the least list has the
+      least block 0.
+    * With v at label 0, block 0 is least exactly when v's d distinct
+      partners take labels 1..d, more parallel edges first; it then reads
+      v's first block (-loop, -m1, -m2, -m3), padded with 0.  So every
+      minimizing relabelling puts a vertex of least first block at 0 and its
+      partners at 1..d by multiplicity, on disconnected graphs too.  The
+      search tries those, tied partners and the other vertices in every order.
+    * Tied relabellings give the same relabelled edges, of which ``half``
+      and ``deco`` are functions, so the key does not depend on which one
+      the search returns; both are built once, for it.
+    """
     n = g.n
     edges = g.edges
-
-    def coded(perm):
-        return sorted([perm[i] * n + perm[j] if perm[i] <= perm[j] else perm[j] * n + perm[i]
-                       for i, j in edges])
-
-    perm = min(itertools.permutations(range(n)), key=coded)
-    inverse = [0] * n
-    for v, image in enumerate(perm):
-        inverse[image] = v
+    loop = [0] * n
+    partners = [{} for _ in range(n)]  # partner -> number of parallel edges
+    for i, j in edges:
+        if i == j:
+            loop[i] = 1
+        else:
+            partners[i][j] = partners[i].get(j, 0) + 1
+            partners[j][i] = partners[j].get(i, 0) + 1
+    # the first block compared as (loop, m1, m2, m3), largest wins: the same
+    # order as (-loop, -m1, -m2, -m3) padded with 0, least wins
+    blocks = [(loop[v], sorted(mult.values(), reverse=True)) for v, mult in enumerate(partners)]
+    first = max(blocks, default=None)
+    best = order = ()
+    for v, mult in enumerate(partners):
+        if blocks[v] != first:
+            continue
+        rest = [u for u in range(n) if u != v and u not in mult]
+        for head in itertools.permutations(mult):
+            if [mult[u] for u in head] != first[1]:
+                continue
+            head = (v, *head)
+            for tail in itertools.permutations(rest):
+                candidate = head + tail  # vertices in label order
+                label = sorted(range(n), key=candidate.__getitem__)  # label[v]: v's place
+                codes = sorted([label[i] * n + label[j] if label[i] <= label[j]
+                                else label[j] * n + label[i] for i, j in edges])
+                if not order or codes < best:
+                    best, order = codes, candidate
+    label = sorted(range(n), key=order.__getitem__)
     return (
         n,
-        _relabel(edges, perm),
-        tuple(g.half[inverse[v]] for v in range(n)),
-        _relabel(g.bridges(), perm),
+        tuple([divmod(code, n) for code in best]),
+        tuple(map(g.half.__getitem__, order)),
+        _relabel(g.bridges(), label),
     )
 
 

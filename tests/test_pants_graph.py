@@ -141,8 +141,11 @@ class TestTrivalentGraph:
         assert dumbbell.bridges() == ((0, 1),)
 
     def test_loops_count_twice(self):
+        # one loop and one leg make a trivalent vertex: the one-holed torus
         g = TrivalentGraph(n=1, edges=((0, 0),), half=(1,))
-        assert g.degree(0) == 3
+        assert g.surface() == (1, 1)
+        with pytest.raises(NotTrivalent, match="vertex 0 has degree 2"):
+            TrivalentGraph(n=1, edges=((0, 0),), half=(0,))
 
     def test_rejects_wrong_degree(self):
         with pytest.raises(ValueError):
@@ -158,6 +161,67 @@ class TestTrivalentGraph:
             n=4, edges=((0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3)), half=(0, 0, 0, 0)
         )
         assert not g.is_connected()
+
+    @pytest.mark.parametrize("n, edges, half", [
+        (1, [(0, 5)], [2]),  # an endpoint past the last vertex
+        (2, [(0, 1), (0, 1), (0, 1), (-1, 7)], [0, 0]),  # endpoints below 0 and past n
+        (2, [(0, 1), (0, 1), (0, -1)], [0, 0]),  # -1 would count as vertex 1
+        (2, [(0, 1)] * 3, [0]),  # fewer half-edge counts than vertices
+        (1, [(0, 0)], [1, 0]),  # more half-edge counts than vertices
+        (1, [(0, 0)], [1.0]),  # a half-edge count that is not an int
+        (1, [(0, 0)], [True]),
+        (2, [(0, 1), (0, 1), (0, 0)], [-1, 1]),  # a count below 0
+        (1, [], [4]),
+        (1, [(0.0, 0)], [1]),  # an endpoint that is not an int
+        (2, [(0, 1), (0, 1), (True, 0)], [0, 0]),
+        (1, [(0, 0, 0)], [1]),  # an edge with three ends
+        (1, [(0,), (0,)], [1]),
+        (-1, [], []),  # n below 0, or not an int
+        (1.0, [(0, 0)], [1]),
+        (True, [(0, 0)], [1]),
+        (None, [], []),
+    ])
+    def test_input_boundary(self, n, edges, half):
+        with pytest.raises(NotTrivalent):
+            TrivalentGraph(n=n, edges=edges, half=half)
+
+    def test_empty_graph(self):
+        g = TrivalentGraph(n=0, edges=(), half=())
+        assert g.bridges() == ()
+        assert canonical_key(g) == (0, (), (), ())
+
+
+def _bridges_oracle(g):
+    """Edges (i, j), i != j, whose removal (one copy of it) disconnects j
+    from i, by a breadth-first search on what is left."""
+    out = set()
+    for idx, (i, j) in enumerate(g.edges):
+        rest = g.edges[:idx] + g.edges[idx + 1:]
+        seen, frontier = {i}, [i]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for a, b in rest:
+                    for u, w in ((a, b), (b, a)):
+                        if u == v and w not in seen:
+                            seen.add(w)
+                            nxt.append(w)
+            frontier = nxt
+        if j not in seen:
+            out.add((i, j))
+    return tuple(sorted(out))
+
+
+class TestBridges:
+    def test_matches_oracle_on_doubled_edges(self):
+        rng = random.Random(1981)
+        checked = 0
+        while checked < 300:
+            graph = _random_graph(rng, rng.randint(2, 8))
+            if len(set(graph.edges)) == len(graph.edges):
+                continue  # no doubled edge
+            assert graph.bridges() == _bridges_oracle(graph), graph
+            checked += 1
 
 
 class TestCanonicalKey:
@@ -262,6 +326,68 @@ class TestCanonicalKeyMatchesBruteForce:
         assert len(set().union(*classes.values())) == len(classes)
         if order == "min":
             assert all(keys == {oracle} for oracle, keys in classes.items())
+
+
+def _first_block(graph, v):
+    """(-loop, -m1, -m2, -m3) of vertex v: its loop count, then its distinct
+    partners' edge multiplicities, largest first, padded with 0."""
+    loops = sum(1 for e in graph.edges if e == (v, v))
+    mult = sorted((-sum(1 for e in graph.edges if e == tuple(sorted((v, u))))
+                   for u in range(graph.n) if u != v and tuple(sorted((v, u))) in graph.edges))
+    return (-loops, *mult, 0, 0, 0)[:4]
+
+
+def _minimizing_relabellings(graph):
+    """Every permutation perm (vertex v renamed perm[v]) whose relabelled,
+    sorted edge list is least, by brute force."""
+    best, out = None, []
+    for perm in itertools.permutations(range(graph.n)):
+        edges = sorted(tuple(sorted((perm[i], perm[j]))) for i, j in graph.edges)
+        if best is None or edges < best:
+            best, out = edges, [perm]
+        elif edges == best:
+            out.append(perm)
+    return out
+
+
+class TestFirstBlockLemma:
+    """The search behind ``canonical_key`` keeps only relabellings that put
+    label 0 on a vertex of least first block and labels 1..d on its d
+    distinct partners, more parallel edges first.  Checked here on its own,
+    against every brute-force minimizing relabelling."""
+
+    def test_minimizers_start_with_a_least_first_block(self):
+        rng = random.Random(1981)
+        for _ in range(150):
+            graph = _random_graph(rng, rng.randint(1, 6))
+            blocks = [_first_block(graph, v) for v in range(graph.n)]
+            for perm in _minimizing_relabellings(graph):
+                first = perm.index(0)
+                assert blocks[first] == min(blocks), graph
+                mult = {}
+                for e in graph.edges:
+                    if first in e and e[0] != e[1]:
+                        other = e[0] + e[1] - first
+                        mult[other] = mult.get(other, 0) + 1
+                ranked = sorted(mult, key=lambda u: perm[u])
+                assert [perm[u] for u in ranked] == list(range(1, len(mult) + 1)), graph
+                assert [mult[u] for u in ranked] == sorted(mult.values(), reverse=True), graph
+
+
+class TestCanonicalKeyPastTheCap:
+    """Graphs with more pants than any surface under the complexity cap,
+    built directly: the key is still the brute-force least relabelling."""
+
+    @pytest.mark.parametrize("n, count", [(6, 30), (7, 8)])
+    def test_matches_brute_force(self, n, count, brute_force_key):
+        rng = random.Random(n)
+        for _ in range(count):
+            graph = _random_graph(rng, n)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            key = canonical_key(graph)
+            assert key == brute_force_key(graph, "min"), graph
+            assert canonical_key(_relabel(graph, perm)) == key
 
 
 class TestEdgeMultisets:
