@@ -261,20 +261,15 @@ class HolonomyMap(_Record):
     (c_k, a_k, b_k).  ``frames`` maps each pants to its frame relative to the
     leftmost pants, built by chaining the frame transitions across gluings,
     which carry the twist data; a non-finite frame is refused at build time.
-
-    Like every record it refuses assignment and deletion of its fields, but
-    ``holonomy_from_fn`` fills its dicts in place, and they make it
-    unhashable.
+    The dicts make the record unhashable.
     """
 
     __slots__ = __match_args__ = ("fn", "pants", "frames", "transitions")
 
-    def __init__(self, fn: FNCoordinates, pants: dict | None = None,
-                 frames: dict | None = None, transitions: dict | None = None):
+    def __init__(self, fn: FNCoordinates, pants: dict, frames: dict, transitions: dict):
         # pants: name -> PantsHolonomy, frames: name -> MobiusMap,
         # transitions: (p, q, cuff) -> MobiusMap
-        self._set_fields(fn, {} if pants is None else pants, {} if frames is None else frames,
-                         {} if transitions is None else transitions)
+        self._set_fields(fn, pants, frames, transitions)
 
     def matrix(self, family: str, k: int) -> MobiusMap:
         """Holonomy of the cuff in the local frame of pants P_k1."""
@@ -318,32 +313,30 @@ def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
     frame becomes a map only to be stored.  Raises NumericalInstability
     when a pants triple cannot be built in floating point (see
     pants_holonomy) or a chained frame overflows to a non-finite entry."""
-    hol = HolonomyMap(fn=fn)
+    pants, frames, transitions = {}, {}, {}
     N = fn.window
     for k in fn.indices():
         la, _, lb, _, lc, _ = fn.coords[k]
-        hol.pants[("P1", k)] = pants_holonomy(
-            [("c", k), ("a", k), ("b", k)], (lc, la, lb)
-        )
+        pants[("P1", k)] = pants_holonomy([("c", k), ("a", k), ("b", k)], (lc, la, lb))
         if k + 1 <= N:
             lc_next = fn.length("c", k + 1)
-            hol.pants[("P2", k)] = pants_holonomy(
+            pants[("P2", k)] = pants_holonomy(
                 [("a", k), ("b", k), ("c", k + 1)], (la, lb, lc_next)
             )
     # chain frames left to right: P1[-N] -> P2[-N] -> P1[-N+1] -> ...
-    hol.frames[("P1", -N)] = _IDENTITY
+    frames[("P1", -N)] = _IDENTITY
     frame = _I
     for k in range(-N, N):
         for src, dst, cuff in ((("P1", k), ("P2", k), ("a", k)),
                                (("P2", k), ("P1", k + 1), ("c", k + 1))):
-            t = _twist_transition(hol.pants[src], hol.pants[dst], cuff,
+            t = _twist_transition(pants[src], pants[dst], cuff,
                                   fn.length(*cuff), fn.twist(*cuff))
-            hol.transitions[(src, dst, cuff)] = _map(t)
+            transitions[(src, dst, cuff)] = _map(t)
             frame = _mul(frame, t)
             if not all(map(math.isfinite, frame)):
                 raise NumericalInstability(f"frame of pants {dst[0]}[{dst[1]}] is not finite")
-            hol.frames[dst] = _map(frame)
-    return hol
+            frames[dst] = _map(frame)
+    return HolonomyMap(fn, pants, frames, transitions)
 
 
 class ShiftQuotient(_Record):

@@ -11,6 +11,10 @@ decoration, but the relabelled edges alone fix it: every vertex has degree
 3, so its half-edge count is 3 minus its edge degree, and bridges map to
 bridges under relabelling.
 
+Connectivity, bridges and the modular graph's distances share one search,
+``_bfs_dists``, on a dual graph's partner table (a bridge test cuts one
+single edge from it) or on the modular graph's adjacency.
+
 Complexity is capped at xi = 3g-3+b <= 4 so enumeration, which builds
 each edge multiset once, stays exhaustive and oracle-checkable.
 """
@@ -43,15 +47,19 @@ class TrivalentGraph(_Record):
 
     ``edges`` is a sorted multiset of internal edges (i, j) with i <= j
     (i == j for loops); ``half`` counts boundary half-edges per vertex.
-    ``NotTrivalent`` refuses an ``n`` that is not an int >= 0, a ``half``
-    that is not n ints in 0..3, an edge that is not two int endpoints in
-    ``range(n)`` (a bool is not an int), and a vertex of degree other than 3.
+    ``NotTrivalent`` refuses ``edges`` or ``half`` that cannot be iterated,
+    an ``n`` that is not an int >= 0, a ``half`` that is not n ints in 0..3,
+    an edge that is not two int endpoints in ``range(n)`` (a bool is not an
+    int), and a vertex of degree other than 3.
     """
 
     __slots__ = __match_args__ = ("n", "edges", "half")
 
     def __init__(self, n: int, edges, half):
-        half = tuple(half)
+        try:
+            half, edges = tuple(half), [tuple(e) for e in edges]
+        except TypeError:
+            raise NotTrivalent(f"edges {edges!r} and half {half!r} must be iterables") from None
         if not (is_int(n) and n >= 0 and len(half) == n):
             raise NotTrivalent(
                 f"a graph on n >= 0 vertices needs an int n and n half-edge counts, "
@@ -63,7 +71,6 @@ class TrivalentGraph(_Record):
         degree = list(half)
         pairs = []
         for e in edges:
-            e = tuple(e)
             if not (len(e) == 2 and type(e[0]) is int and type(e[1]) is int
                     and 0 <= e[0] < n and 0 <= e[1] < n):
                 raise NotTrivalent(f"edge {e} needs two int endpoints in range({n})")
@@ -81,46 +88,45 @@ class TrivalentGraph(_Record):
         return sum(self.half)
 
     def is_connected(self) -> bool:
-        return self.n > 0 and len(_reachable(self.edges, 0)) == self.n
+        return self.n > 0 and len(_bfs_dists(_partners(self.n, self.edges), 0)) == self.n
 
     def cycle_rank(self) -> int:
         """First Betti number; equals the genus of the decomposed surface."""
         return len(self.edges) - self.n + 1
 
     def bridges(self) -> tuple:
-        """Internal edges whose dual curves separate the surface."""
-        edges = self.edges
-        out = []
-        for idx, (i, j) in enumerate(edges):
-            if i == j or edges.count((i, j)) > 1:
-                continue  # neither a loop nor a parallel copy separates
-            if j not in _reachable(edges[:idx] + edges[idx + 1:], i):
-                out.append((i, j))
-        return tuple(out)
+        """Internal edges whose dual curves separate the surface, in edge
+        order: the bridges of the graph."""
+        return _bridges(self.n, self.edges)
 
     def surface(self) -> tuple[int, int]:
         """(genus, boundary components) of the decomposed surface."""
         return self.cycle_rank(), self.boundary_count()
 
 
-def _reachable(edges, start) -> set:
-    """Vertices joined to start by a path in the edge multiset."""
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        v = frontier.pop()
-        for i, j in edges:
-            for u, w in ((i, j), (j, i)):
-                if u == v and w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return seen
+def _partners(n: int, edges) -> list:
+    """partners[v]: each neighbour u != v of v -> its number of parallel edges."""
+    partners = [{} for _ in range(n)]
+    for i, j in edges:
+        if i != j:
+            partners[i][j] = partners[i].get(j, 0) + 1
+            partners[j][i] = partners[j].get(i, 0) + 1
+    return partners
 
 
-def _relabel(edges, perm) -> tuple:
-    """Sorted edge multiset after renaming vertex v to perm[v]."""
-    return tuple(sorted((perm[i], perm[j]) if perm[i] <= perm[j] else (perm[j], perm[i])
-                        for i, j in edges))
+def _bridges(n: int, edges) -> tuple:
+    """Edges (i, j) of the sorted multiset, in its order, whose one copy cut
+    leaves j out of the search from i.  Neither a loop nor a parallel copy
+    separates, so only single edges between two vertices are cut."""
+    partners = _partners(n, edges)
+    out = []
+    for i, j in edges:
+        if i != j and partners[i][j] == 1:
+            del partners[i][j], partners[j][i]
+            if j not in _bfs_dists(partners, i):
+                out.append((i, j))
+            partners[i][j] = partners[j][i] = 1
+    return tuple(out)
 
 
 def canonical_key(g: TrivalentGraph) -> tuple:
@@ -146,21 +152,16 @@ def canonical_key(g: TrivalentGraph) -> tuple:
       search tries those, tied partners and the other vertices in every order.
     * Tied relabellings give the same relabelled edges, of which ``half``
       and ``deco`` are functions, so the key does not depend on which one
-      the search returns; both are built once, for it.
+      the search returns.  Both are built once, for it: ``half`` read in its
+      label order and ``deco`` as the bridges of the relabelled edges.
     """
     n = g.n
     edges = g.edges
-    loop = [0] * n
-    partners = [{} for _ in range(n)]  # partner -> number of parallel edges
-    for i, j in edges:
-        if i == j:
-            loop[i] = 1
-        else:
-            partners[i][j] = partners[i].get(j, 0) + 1
-            partners[j][i] = partners[j].get(i, 0) + 1
+    loops = {i for i, j in edges if i == j}
+    partners = _partners(n, edges)
     # the first block compared as (loop, m1, m2, m3), largest wins: the same
     # order as (-loop, -m1, -m2, -m3) padded with 0, least wins
-    blocks = [(loop[v], sorted(mult.values(), reverse=True)) for v, mult in enumerate(partners)]
+    blocks = [(v in loops, sorted(mult.values(), reverse=True)) for v, mult in enumerate(partners)]
     first = max(blocks, default=None)
     best = order = ()
     for v, mult in enumerate(partners):
@@ -178,13 +179,8 @@ def canonical_key(g: TrivalentGraph) -> tuple:
                                 else label[j] * n + label[i] for i, j in edges])
                 if not order or codes < best:
                     best, order = codes, candidate
-    label = sorted(range(n), key=order.__getitem__)
-    return (
-        n,
-        tuple([divmod(code, n) for code in best]),
-        tuple(map(g.half.__getitem__, order)),
-        _relabel(g.bridges(), label),
-    )
+    relabelled = tuple([divmod(code, n) for code in best])
+    return n, relabelled, tuple(map(g.half.__getitem__, order)), _bridges(n, relabelled)
 
 
 def from_key(key: tuple) -> TrivalentGraph:

@@ -113,12 +113,34 @@ def oracle_certificate(t: TiledComplex, n: int) -> VerticalCertificate:
 
 
 # brute-force canonical key: the n! search over full (n, edges, half, deco)
-# keys, kept verbatim from the implementation it pins down
+# keys, kept verbatim from the implementation it pins down, but for the
+# bridges, which it finds by its own search rather than by the library's
+
+
+def oracle_bridges(g: TrivalentGraph) -> tuple:
+    """Edges (i, j), i != j, whose removal (one copy of it) disconnects j
+    from i, by a breadth-first search on what is left."""
+    out = set()
+    for idx, (i, j) in enumerate(g.edges):
+        rest = g.edges[:idx] + g.edges[idx + 1:]
+        seen, frontier = {i}, [i]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for a, b in rest:
+                    for u, w in ((a, b), (b, a)):
+                        if u == v and w not in seen:
+                            seen.add(w)
+                            nxt.append(w)
+            frontier = nxt
+        if j not in seen:
+            out.add((i, j))
+    return tuple(sorted(out))
 
 
 def brute_force_key(g: TrivalentGraph, order: str = "min") -> tuple:
     pick = min if order == "min" else max
-    bridges = g.bridges()
+    bridges = oracle_bridges(g)
     best = None
     for perm in itertools.permutations(range(g.n)):
         edges = tuple(sorted(tuple(sorted((perm[i], perm[j]))) for i, j in g.edges))
@@ -434,6 +456,11 @@ def _oracle_certificate_fixture():
 @pytest.fixture(name="brute_force_key", scope="session")
 def _brute_force_key_fixture():
     return brute_force_key
+
+
+@pytest.fixture(name="oracle_bridges", scope="session")
+def _oracle_bridges_fixture():
+    return oracle_bridges
 
 
 @pytest.fixture(name="labelling", scope="session")

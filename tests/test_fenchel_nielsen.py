@@ -323,6 +323,16 @@ class TestNumericalBreakdown:
         with pytest.raises(NumericalInstability):
             pants_holonomy(["1", "2", "3"], lengths)
 
+    @pytest.mark.parametrize("lengths", [
+        (0.002531905736032896, 499.4533087574522, 40.984018174258146),
+        (597.2337404858614, 710.699544806672, 1001.0362764998868),
+    ])
+    def test_unused_orthogeodesics_guard_the_holonomy(self, lengths):
+        # pants_holonomy uses d12 alone, but d23 is not finite here; built
+        # from d12 alone, X3 would recover 10.7 times, or 0.11 times, l3
+        with pytest.raises(NumericalInstability, match="orthogeodesic .* is not finite"):
+            pants_holonomy(["1", "2", "3"], lengths)
+
     def test_invalid_cuff_is_still_a_length_error(self):
         with pytest.raises(NonPositiveLength):
             pants_holonomy(["1", "2", "3"], (1.0, math.nan, 1.0))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -180,6 +181,9 @@ class TestTrivalentGraph:
         (1.0, [(0, 0)], [1]),
         (True, [(0, 0)], [1]),
         (None, [], []),
+        (1, [5], [1]),  # an edge, the edges or the counts that cannot be iterated
+        (1, None, [1]),
+        (1, [(0, 0)], 1),
     ])
     def test_input_boundary(self, n, edges, half):
         with pytest.raises(NotTrivalent):
@@ -191,37 +195,29 @@ class TestTrivalentGraph:
         assert canonical_key(g) == (0, (), (), ())
 
 
-def _bridges_oracle(g):
-    """Edges (i, j), i != j, whose removal (one copy of it) disconnects j
-    from i, by a breadth-first search on what is left."""
-    out = set()
-    for idx, (i, j) in enumerate(g.edges):
-        rest = g.edges[:idx] + g.edges[idx + 1:]
-        seen, frontier = {i}, [i]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for a, b in rest:
-                    for u, w in ((a, b), (b, a)):
-                        if u == v and w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-            frontier = nxt
-        if j not in seen:
-            out.add((i, j))
-    return tuple(sorted(out))
-
-
 class TestBridges:
-    def test_matches_oracle_on_doubled_edges(self):
+    def test_matches_oracle_on_doubled_edges(self, oracle_bridges):
         rng = random.Random(1981)
         checked = 0
         while checked < 300:
             graph = _random_graph(rng, rng.randint(2, 8))
             if len(set(graph.edges)) == len(graph.edges):
                 continue  # no doubled edge
-            assert graph.bridges() == _bridges_oracle(graph), graph
+            assert graph.bridges() == oracle_bridges(graph), graph
             checked += 1
+
+    def test_matches_oracle_on_simple_and_disconnected_graphs(self, oracle_bridges):
+        rng = random.Random(1998)
+        simple = disconnected = 0
+        for _ in range(400):
+            graph = _random_graph(rng, rng.randint(1, 8))
+            connected = _connected(graph.n, graph.edges)
+            assert graph.bridges() == oracle_bridges(graph), graph
+            assert graph.is_connected() == connected, graph
+            simple += len(set(graph.edges)) == len(graph.edges) and all(
+                i != j for i, j in graph.edges)
+            disconnected += not connected
+        assert simple >= 50 and disconnected >= 50
 
 
 class TestCanonicalKey:
@@ -388,6 +384,21 @@ class TestCanonicalKeyPastTheCap:
             key = canonical_key(graph)
             assert key == brute_force_key(graph, "min"), graph
             assert canonical_key(_relabel(graph, perm)) == key
+
+    def test_classes_moves_and_bridges_past_the_cap(self, monkeypatch):
+        # sha256 of every class key, move and bridge of four surfaces of
+        # complexity 5 to 7, recorded from the implementation that found
+        # bridges by a search over the edge list and relabelled them into
+        # the key
+        monkeypatch.setattr(pants_graph, "COMPLEXITY_CAP", 7)
+        digest = hashlib.sha256()
+        for g, b in [(2, 4), (3, 0), (3, 1), (2, 2)]:
+            for key, rep in pants_graph._classes(g, b).items():
+                nbrs, notes = elementary_moves(rep)
+                moves = [(v.n, v.edges, v.half, v.bridges()) for v in nbrs]
+                digest.update(repr((key, moves, notes, rep.bridges())).encode())
+        assert digest.hexdigest() == (
+            "020e2f96ed22bf3572d44ffe25d6301d5677d35aa4fe8448d5dc6d1a8b21b194")
 
 
 class TestEdgeMultisets:

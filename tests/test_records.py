@@ -3,7 +3,8 @@
 Each record is compared with a twin that the ``dataclasses`` module builds
 from the same fields and values: the twin's ``repr``, ``==`` and ``hash``
 are what the replaced dataclass gave.  The constructors keep their
-signatures, defaults and error messages.
+signatures, defaults and error messages, but ``HolonomyMap`` has since
+dropped its empty-dict defaults, which only tests passed.
 """
 
 from __future__ import annotations
@@ -137,14 +138,6 @@ def test_assignment_and_deletion_raise(name):
     assert repr(record) == before
 
 
-def test_holonomy_map_defaults_to_empty_dicts():
-    assert fnm.HolonomyMap(_FN) == fnm.HolonomyMap(_FN, {}, {}, {})
-    # frozen fields, but the dicts in them fill in place
-    hol = fnm.HolonomyMap(_FN)
-    hol.frames[("P1", 0)] = MobiusMap.identity()
-    assert hol == fnm.HolonomyMap(_FN, frames={("P1", 0): MobiusMap.identity()})
-
-
 def test_records_keep_the_base_protocols():
     assert "__reduce__" not in MobiusMap.__dict__
     assert not {"__setattr__", "__delattr__", "__hash__"} & fnm.HolonomyMap.__dict__.keys()
@@ -223,9 +216,9 @@ def test_keyword_and_positional_construction_agree():
 def test_defaults():
     assert tc.DeckDescriptor(3).end_count is None
     assert tc.DeckDescriptor(order=3) == tc.DeckDescriptor(3, None)
-    hol = fnm.HolonomyMap(_FN)
-    assert (hol.pants, hol.frames, hol.transitions) == ({}, {}, {})
-    assert fnm.HolonomyMap(_FN).pants is not fnm.HolonomyMap(_FN).pants
+    # no defaults: holonomy_from_fn builds the dicts before the record
+    with pytest.raises(TypeError):
+        fnm.HolonomyMap(_FN)
 
 
 def test_qch_params_derive_R_and_its_provenance():

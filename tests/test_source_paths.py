@@ -8,7 +8,9 @@ through ``_Record._set_fields``; only ``MobiusMap._map`` calls the slot
 setters one by one, so ``_setters`` is read in ``errors.py``, which builds
 them, and ``hyp_core.py`` alone.  Every shortest-path search, pruned or
 not, is the one Dijkstra loop of ``tiled_surface._distances``, so no other
-function pops a heap.
+function pops a heap.  Every graph search of ``pants_graph`` (connectivity,
+bridges, the modular graph's distances) is the breadth-first search of
+``_bfs_dists``, so no other function there loops over a frontier.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
@@ -69,6 +71,16 @@ def test_one_function_pops_a_heap():
             if any(_pops_heap(node) for node in ast.walk(top)):
                 users.add((path.stem, getattr(top, "name", f"line {top.lineno}")))
     assert users == {("tiled_surface", "_distances")}
+
+
+def test_one_function_in_pants_graph_walks_a_frontier():
+    # a frontier walk loops ``while <name>:``; _edge_multisets' bounded
+    # ``while v < n and ...`` is not one
+    walkers = {func.name for func in _nodes(SRC / "pants_graph.py")
+               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(node, ast.While) and isinstance(node.test, ast.Name)
+                       for node in ast.walk(func))}
+    assert walkers == {"_bfs_dists"}
 
 
 def _private(name: str) -> bool:
