@@ -11,12 +11,18 @@ decoration, but the relabelled edges alone fix it: every vertex has degree
 3, so its half-edge count is 3 minus its edge degree, and bridges map to
 bridges under relabelling.
 
-Connectivity, bridges and the modular graph's distances share one search,
-``_bfs_dists``, on a dual graph's partner table (a bridge test cuts one
-single edge from it) or on the modular graph's adjacency.
+The classes of a surface are found by walking its pants graph.  That graph
+is connected (Hatcher and Thurston, Topology 19, 1980), so its quotient, the
+modular pants graph, is connected too, and one breadth-first walk over
+elementary moves from a single constructed decomposition reaches every
+class.  Bridges, that walk and the modular graph's distances share one
+search, ``_bfs_dists``, on a dual graph's partner table (a bridge test cuts
+one single edge from it), on the walk's table of moves, or on the modular
+graph's adjacency.
 
-Complexity is capped at xi = 3g-3+b <= 4 so enumeration, which builds
-each edge multiset once, stays exhaustive and oracle-checkable.
+Complexity is capped at xi = 3g-3+b <= 4.  With the cap raised, the tests
+check the walk against an enumeration of every edge multiset up to xi = 7
+and against counts from the literature past it.
 """
 
 from __future__ import annotations
@@ -86,9 +92,6 @@ class TrivalentGraph(_Record):
 
     def boundary_count(self) -> int:
         return sum(self.half)
-
-    def is_connected(self) -> bool:
-        return self.n > 0 and len(_bfs_dists(_partners(self.n, self.edges), 0)) == self.n
 
     def cycle_rank(self) -> int:
         """First Betti number; equals the genus of the decomposed surface."""
@@ -204,61 +207,49 @@ def _check_cap(g: int, b: int) -> None:
         )
 
 
-def _edge_multisets(free):
-    """Each multiset of internal edges (i, j), i <= j, that fills exactly
-    free[v] cuff ends at every vertex v, once, as a sorted tuple: the lowest
-    vertex with free ends takes partners at or above itself in
-    non-decreasing order, a loop taking two of its ends."""
-    free = list(free)
-    n = len(free)
-
-    def extend(v, low):
-        while v < n and not free[v]:
-            v = low = v + 1
-        if v == n:
-            yield ()
-            return
-        for j in range(low, n):
-            if free[j] >= (2 if j == v else 1):
-                free[v] -= 1
-                free[j] -= 1
-                for tail in extend(v, j):
-                    yield ((v, j),) + tail
-                free[v] += 1
-                free[j] += 1
-
-    return extend(0, 0)
+def _seed(g: int, b: int) -> TrivalentGraph:
+    """One decomposition of S_{g,b}: a path of s = g+b-2 pants whose s+2 free
+    cuff ends take g handles (a pants with a loop) and b legs.  With s = 0
+    the path is the first handle, whose free end takes the other pendant."""
+    s = g + b - 2
+    n = s + g
+    ends = [0, *range(s), s - 1] if s else [0]  # free cuff ends, by owner
+    hung = range(max(s, 1), n)  # handles hung on the first ends
+    half = [0] * n
+    for v in ends[len(hung):]:
+        half[v] += 1
+    edges = [(i, i + 1) for i in range(s - 1)] + [(h, h) for h in range(s, n)]
+    return TrivalentGraph(n=n, edges=edges + list(zip(ends, hung)), half=half)
 
 
-def _classes(g: int, b: int) -> dict:
-    """Canonical key -> class representative for every decomposition of
-    S_{g,b}, in key order.
+class _MoveTable(dict):
+    """Canonical key -> neighbour keys, each entry made by ``_moves`` when
+    first looked up; ``notes[key]`` keeps that class's annotations."""
 
-    Distributes boundary legs over the 2g-2+b pants as a non-increasing
-    vector (every class has such a labelling), generates each edge multiset
-    that fills the remaining cuff ends once, and keeps the connected graphs.
-    Each has genus g: n = 2g-2+b pants with 3n-b cuff ends make E = 3g-3+b
-    edges, so the cycle rank E-n+1 is g.
-    """
+    def __init__(self):
+        super().__init__()
+        self.notes = {}
+
+    def __missing__(self, key):
+        self[key], self.notes[key] = _moves(from_key(key), key)
+        return self[key]
+
+
+def _classes(g: int, b: int) -> _MoveTable:
+    """Every decomposition class of S_{g,b} with its moves: the table of a
+    breadth-first walk over elementary moves from ``_seed(g, b)``.  The
+    pants graph is connected, so the walk reaches every class."""
     _check_cap(g, b)
-    n = 2 * g - 2 + b
-    classes = {}
-    for half in itertools.combinations_with_replacement(range(3, -1, -1), n):
-        if sum(half) != b:
-            continue
-        for edges in _edge_multisets([3 - h for h in half]):
-            graph = TrivalentGraph(n=n, edges=edges, half=half)
-            if graph.is_connected():
-                key = canonical_key(graph)
-                if key not in classes:
-                    classes[key] = from_key(key)
-    return {k: classes[k] for k in sorted(classes)}
+    table = _MoveTable()
+    _bfs_dists(table, canonical_key(_seed(g, b)))
+    return table
 
 
 def enumerate_decompositions(g: int, b: int) -> list[TrivalentGraph]:
     """All pants decompositions of S_{g,b} up to homeomorphism, one
-    canonical representative per class, in key order."""
-    return list(_classes(g, b).values())
+    canonical representative per class, in key order, found by walking the
+    pants graph from one decomposition."""
+    return [from_key(k) for k in sorted(_classes(g, b))]
 
 
 def _pairing(g: TrivalentGraph) -> dict:
@@ -347,6 +338,10 @@ def _moves(g: TrivalentGraph, self_key: tuple):
 
 @dataclass(frozen=True)
 class ModularPantsGraph:
+    """Decomposition classes of S_{genus,boundary} joined by elementary
+    moves.  ``connected`` is true by construction: the vertices are the
+    classes one walk over moves reaches."""
+
     genus: int
     boundary: int
     vertices: tuple
@@ -400,31 +395,22 @@ def _bfs_dists(adjacency, start):
 
 
 def modular_pants_graph(g: int, b: int) -> ModularPantsGraph:
-    """The modular pants graph of S_{g,b} with BFS-verified connectivity and
-    exact diameter (move annotations are excluded from the metric).  Moves
-    are indexed by their canonical keys, so no neighbour is built."""
-    classes = _classes(g, b)
-    verts = list(classes.values())
-    index = {key: i for i, key in enumerate(classes)}
-    adjacency = []
-    annotations = []
-    for key, v in classes.items():
-        nbrs, notes = _moves(v, key)
-        adjacency.append(tuple(sorted(index[k] for k in nbrs)))
-        annotations.append(tuple(notes))
-    connected = len(_bfs_dists(adjacency, 0)) == len(verts)
-    diameter = 0
-    if connected:
-        for i in range(len(verts)):
-            diameter = max(diameter, max(_bfs_dists(adjacency, i).values()))
+    """The modular pants graph of S_{g,b} with exact diameter (move
+    annotations are excluded from the metric).  Vertices, edges and
+    annotations come from the one walk of ``_classes``, so each class's
+    moves are found once."""
+    table = _classes(g, b)
+    keys = sorted(table)
+    index = {key: i for i, key in enumerate(keys)}
+    adjacency = tuple(tuple(sorted(index[k] for k in table[key])) for key in keys)
     return ModularPantsGraph(
         genus=g,
         boundary=b,
-        vertices=tuple(verts),
-        adjacency=tuple(adjacency),
-        annotations=tuple(annotations),
-        connected=connected,
-        diameter=diameter,
+        vertices=tuple(map(from_key, keys)),
+        adjacency=adjacency,
+        annotations=tuple(tuple(table.notes[key]) for key in keys),
+        connected=True,
+        diameter=max(max(_bfs_dists(adjacency, i).values()) for i in range(len(keys))),
     )
 
 

@@ -151,6 +151,80 @@ def brute_force_key(g: TrivalentGraph, order: str = "min") -> tuple:
     return best
 
 
+# the enumeration the library used before it walked the pants graph, kept
+# verbatim but for its connectivity test, which is a search of its own: each
+# edge multiset of each leg distribution, keyed if the graph is connected
+
+
+def oracle_connected(n: int, edges) -> bool:
+    """Whether the graph on n vertices with these edges is connected; the
+    empty graph is not."""
+    if n == 0:
+        return False
+    seen = {0}
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            if i in seen and j not in seen:
+                seen.add(j)
+                changed = True
+            if j in seen and i not in seen:
+                seen.add(i)
+                changed = True
+    return len(seen) == n
+
+
+def edge_multisets(free):
+    """Each multiset of internal edges (i, j), i <= j, that fills exactly
+    free[v] cuff ends at every vertex v, once, as a sorted tuple: the lowest
+    vertex with free ends takes partners at or above itself in
+    non-decreasing order, a loop taking two of its ends."""
+    free = list(free)
+    n = len(free)
+
+    def extend(v, low):
+        while v < n and not free[v]:
+            v = low = v + 1
+        if v == n:
+            yield ()
+            return
+        for j in range(low, n):
+            if free[j] >= (2 if j == v else 1):
+                free[v] -= 1
+                free[j] -= 1
+                for tail in extend(v, j):
+                    yield ((v, j),) + tail
+                free[v] += 1
+                free[j] += 1
+
+    return extend(0, 0)
+
+
+def enumerated_classes(g: int, b: int) -> dict:
+    """Canonical key -> class representative for every decomposition of
+    S_{g,b}, in key order, with no complexity cap.
+
+    Distributes boundary legs over the 2g-2+b pants as a non-increasing
+    vector (every class has such a labelling), generates each edge multiset
+    that fills the remaining cuff ends once, and keeps the connected graphs.
+    Each has genus g: n = 2g-2+b pants with 3n-b cuff ends make E = 3g-3+b
+    edges, so the cycle rank E-n+1 is g.  Keys are ``pants_graph``'s, so
+    they follow ``labelling``.
+    """
+    n = 2 * g - 2 + b
+    classes = {}
+    for half in itertools.combinations_with_replacement(range(3, -1, -1), n):
+        if sum(half) != b:
+            continue
+        for edges in edge_multisets([3 - h for h in half]):
+            if oracle_connected(n, edges):
+                key = pants_graph.canonical_key(TrivalentGraph(n=n, edges=edges, half=half))
+                if key not in classes:
+                    classes[key] = pants_graph.from_key(key)
+    return {k: classes[k] for k in sorted(classes)}
+
+
 @contextlib.contextmanager
 def labelling(order: str):
     """Run ``pants_graph`` with the brute-force ``order`` relabelling as its
@@ -461,6 +535,21 @@ def _brute_force_key_fixture():
 @pytest.fixture(name="oracle_bridges", scope="session")
 def _oracle_bridges_fixture():
     return oracle_bridges
+
+
+@pytest.fixture(name="oracle_connected", scope="session")
+def _oracle_connected_fixture():
+    return oracle_connected
+
+
+@pytest.fixture(name="edge_multisets", scope="session")
+def _edge_multisets_fixture():
+    return edge_multisets
+
+
+@pytest.fixture(name="enumerated_classes", scope="session")
+def _enumerated_classes_fixture():
+    return enumerated_classes
 
 
 @pytest.fixture(name="labelling", scope="session")

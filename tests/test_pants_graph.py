@@ -47,24 +47,7 @@ def _iso(g1, g2):
     return False
 
 
-def _connected(n, edges):
-    if n == 0:
-        return False
-    seen = {0}
-    changed = True
-    while changed:
-        changed = False
-        for i, j in edges:
-            if i in seen and j not in seen:
-                seen.add(j)
-                changed = True
-            if j in seen and i not in seen:
-                seen.add(i)
-                changed = True
-    return len(seen) == n
-
-
-def oracle_count(g, b):
+def oracle_count(g, b, connected):
     n = 2 * g - 2 + b
     possible = list(itertools.combinations_with_replacement(
         [(i, j) for i in range(n) for j in range(i, n)],
@@ -81,7 +64,7 @@ def oracle_count(g, b):
                 deg[j] += 1
             if any(d != 3 for d in deg):
                 continue
-            if not _connected(n, edges):
+            if not connected(n, edges):
                 continue
             if len(edges) - n + 1 != g:
                 continue
@@ -91,12 +74,13 @@ def oracle_count(g, b):
     return len(classes)
 
 
-SURFACES = [
-    (g, b)
-    for g in range(3)
-    for b in range(8)
-    if 1 <= xi(g, b) <= COMPLEXITY_CAP and 2 * g - 2 + b >= 1
-]
+def _surfaces(top):
+    """Every surface with 1 <= xi <= top and at least one pants."""
+    return [(g, b) for g in range(top // 3 + 2) for b in range(top + 4)
+            if 1 <= xi(g, b) <= top and 2 * g - 2 + b >= 1]
+
+
+SURFACES = _surfaces(COMPLEXITY_CAP)
 ORDERS = ("min", "max")
 
 
@@ -117,6 +101,31 @@ def _relabel(g, perm):
     edges = [(perm[i], perm[j]) for i, j in g.edges]
     half = [g.half[perm.index(v)] for v in range(g.n)]
     return TrivalentGraph(n=g.n, edges=edges, half=half)
+
+
+def _otter_trivalent_trees(b):
+    """Trees with b >= 3 leaves whose inner vertices have degree 3, up to
+    isomorphism, by Otter's dissimilarity theorem: every tree has one more
+    orbit of vertices than of edges that no automorphism flips.  Leaves and
+    leaf edges cancel, so this counts inner-vertex-rooted trees (3 rooted
+    binary trees at the root), minus inner-edge-rooted ones (2, each of at
+    least 2 leaves), plus the trees with a flippable inner edge."""
+    w = [0, 1]  # Wedderburn-Etherington: rooted binary trees by leaf count
+    for k in range(2, b + 1):
+        w.append(_pairs(w, k))
+    inner = [0, 0] + w[2:]
+    triples = sum(w[i] * w[j] * w[b - i - j] for i in range(1, b) for j in range(1, b - i))
+    triples += 3 * sum(w[i] * w[b - 2 * i] for i in range(1, (b + 1) // 2))
+    triples += 2 * w[b // 3] if b % 3 == 0 else 0
+    flippable = inner[b // 2] if b % 2 == 0 else 0
+    return triples // 6 - _pairs(inner, b) + flippable
+
+
+def _pairs(w, t):
+    """Unordered pairs of rooted trees, w[k] of them with k leaves, whose
+    leaves number t in all."""
+    ordered = sum(w[i] * w[t - i] for i in range(1, t))
+    return (ordered + (w[t // 2] if t % 2 == 0 else 0)) // 2
 
 
 # -- tests -------------------------------------------------------------------
@@ -156,12 +165,6 @@ class TestTrivalentGraph:
         with pytest.raises(NotTrivalent) as info:
             TrivalentGraph(n=1, edges=((0, 0),), half=(2,))
         assert info.value.rule == "graph-not-trivalent"
-
-    def test_connectivity(self):
-        g = TrivalentGraph(
-            n=4, edges=((0, 1), (0, 1), (0, 1), (2, 3), (2, 3), (2, 3)), half=(0, 0, 0, 0)
-        )
-        assert not g.is_connected()
 
     @pytest.mark.parametrize("n, edges, half", [
         (1, [(0, 5)], [2]),  # an endpoint past the last vertex
@@ -206,14 +209,14 @@ class TestBridges:
             assert graph.bridges() == oracle_bridges(graph), graph
             checked += 1
 
-    def test_matches_oracle_on_simple_and_disconnected_graphs(self, oracle_bridges):
+    def test_matches_oracle_on_simple_and_disconnected_graphs(self, oracle_bridges,
+                                                              oracle_connected):
         rng = random.Random(1998)
         simple = disconnected = 0
         for _ in range(400):
             graph = _random_graph(rng, rng.randint(1, 8))
-            connected = _connected(graph.n, graph.edges)
+            connected = oracle_connected(graph.n, graph.edges)
             assert graph.bridges() == oracle_bridges(graph), graph
-            assert graph.is_connected() == connected, graph
             simple += len(set(graph.edges)) == len(graph.edges) and all(
                 i != j for i, j in graph.edges)
             disconnected += not connected
@@ -386,27 +389,30 @@ class TestCanonicalKeyPastTheCap:
             assert canonical_key(_relabel(graph, perm)) == key
 
     def test_classes_moves_and_bridges_past_the_cap(self, monkeypatch):
-        # sha256 of every class key, move and bridge of four surfaces of
-        # complexity 5 to 7, recorded from the implementation that found
-        # bridges by a search over the edge list and relabelled them into
-        # the key
+        # sha256 of every class key, move, annotation and bridge of the 21
+        # surfaces of complexity 1 to 7, recorded from the implementation
+        # that enumerated every connected edge multiset (it took about 4 s
+        # on (0,10), which is why the digest, not the enumeration, pins it)
         monkeypatch.setattr(pants_graph, "COMPLEXITY_CAP", 7)
+        surfaces = _surfaces(7)
+        assert len(surfaces) == 21
         digest = hashlib.sha256()
-        for g, b in [(2, 4), (3, 0), (3, 1), (2, 2)]:
-            for key, rep in pants_graph._classes(g, b).items():
+        for g, b in surfaces:
+            for key in sorted(pants_graph._classes(g, b)):
+                rep = from_key(key)
                 nbrs, notes = elementary_moves(rep)
                 moves = [(v.n, v.edges, v.half, v.bridges()) for v in nbrs]
                 digest.update(repr((key, moves, notes, rep.bridges())).encode())
         assert digest.hexdigest() == (
-            "020e2f96ed22bf3572d44ffe25d6301d5677d35aa4fe8448d5dc6d1a8b21b194")
+            "8039572be439f3f34c9302a344d29e45e9510a3a11b47830451a2403599adf1a")
 
 
 class TestEdgeMultisets:
     @pytest.mark.parametrize("n", range(1, 6))
-    def test_each_feasible_multiset_once(self, n):
-        # against a brute-force degree filter over every edge multiset, whose
-        # sorted tuples are distinct: the generator yields each
-        # degree-feasible multiset once, as a sorted tuple
+    def test_each_feasible_multiset_once(self, n, edge_multisets):
+        # the enumeration oracle's generator, against a brute-force degree
+        # filter over every edge multiset, whose sorted tuples are distinct:
+        # it yields each degree-feasible multiset once, as a sorted tuple
         slots = [(i, j) for i in range(n) for j in range(i, n)]
         for half in itertools.combinations_with_replacement(range(3, -1, -1), n):
             free = [3 - h for h in half]
@@ -419,18 +425,18 @@ class TestEdgeMultisets:
                         deg[j] += 1
                     if deg == free:
                         want.append(edges)
-            got = list(pants_graph._edge_multisets(free))
+            got = list(edge_multisets(free))
             assert sorted(got) == want, half
 
 
 class TestEnumeration:
-    def test_counts_match_oracle(self):
+    def test_counts_match_oracle(self, oracle_connected):
         for g, b in [(1, 1), (0, 4), (2, 0)]:
-            assert len(enumerate_decompositions(g, b)) == oracle_count(g, b)
+            assert len(enumerate_decompositions(g, b)) == oracle_count(g, b, oracle_connected)
 
-    def test_more_counts_match_oracle(self):
+    def test_more_counts_match_oracle(self, oracle_connected):
         for g, b in [(1, 2), (0, 5), (2, 1)]:
-            assert len(enumerate_decompositions(g, b)) == oracle_count(g, b)
+            assert len(enumerate_decompositions(g, b)) == oracle_count(g, b, oracle_connected)
 
     def test_genus_two_classes(self):
         keys = {canonical_key(g) for g in enumerate_decompositions(2, 0)}
@@ -438,11 +444,41 @@ class TestEnumeration:
         dumbbell = TrivalentGraph(n=2, edges=((0, 0), (0, 1), (1, 1)), half=(0, 0))
         assert keys == {canonical_key(theta), canonical_key(dumbbell)}
 
-    def test_every_class_realizes_surface(self):
+    def test_every_class_realizes_surface(self, oracle_connected):
         for g, b in [(1, 1), (0, 4), (2, 0), (1, 2)]:
             for graph in enumerate_decompositions(g, b):
                 assert graph.surface() == (g, b)
-                assert graph.is_connected()
+                assert oracle_connected(graph.n, graph.edges)
+
+    def test_seed_realizes_surface(self, oracle_connected):
+        # the walk's start, on every surface up to complexity 12, among them
+        # the paths of no pants, (1,1) and (2,0), and of one, (1,2), (2,1)
+        # and (3,0)
+        surfaces = _surfaces(12)
+        assert {(1, 1), (2, 0), (1, 2), (2, 1), (3, 0)} <= set(surfaces)
+        for g, b in surfaces:
+            seed = pants_graph._seed(g, b)
+            assert seed.surface() == (g, b)
+            assert oracle_connected(seed.n, seed.edges), (g, b)
+
+    # Otter, "The number of trees", Ann. of Math. 49 (1948): classes of
+    # S_{0,b} are the trees whose b leaves are the boundaries and whose
+    # inner vertices have degree 3, counted by _otter_trivalent_trees from
+    # the Wedderburn-Etherington numbers.  The walk finds the 18 of b = 11 in
+    # about 1.5 s.
+    @pytest.mark.parametrize("b, count", zip(range(4, 12), (1, 1, 2, 2, 4, 6, 11, 18)))
+    def test_sphere_counts_match_otter(self, b, count, monkeypatch):
+        monkeypatch.setattr(pants_graph, "COMPLEXITY_CAP", 8)
+        assert _otter_trivalent_trees(b) == count
+        assert len(enumerate_decompositions(0, b)) == count
+
+    # OEIS A005967: connected 3-regular multigraphs on 2g - 2 vertices, loops
+    # allowed, the decompositions of the closed S_g.  g = 5 has 71, which
+    # takes the walk several seconds, so it is left out
+    @pytest.mark.parametrize("g, count", [(2, 2), (3, 5), (4, 17)])
+    def test_closed_counts_match_a005967(self, g, count, monkeypatch):
+        monkeypatch.setattr(pants_graph, "COMPLEXITY_CAP", 9)
+        assert len(enumerate_decompositions(g, 0)) == count
 
     def test_complexity_cap(self):
         with pytest.raises(ComplexityTooLarge):
@@ -499,15 +535,17 @@ class TestElementaryMoves:
             for nb in nbrs:
                 assert nb.surface() == graph.surface()
 
-    def test_symmetry(self):
-        # if the move takes class u to class v, some move takes v back to u
-        for g, b in [(2, 0), (1, 2), (2, 1)]:
-            graphs = enumerate_decompositions(g, b)
-            keys = {canonical_key(x): x for x in graphs}
+    def test_symmetry(self, enumerated_classes):
+        # if the move takes class u to class v, some move takes v back to u:
+        # the modular graph's edges are undirected, and the walk that finds
+        # every class relies on it, so it is checked on every class the
+        # enumeration finds up to complexity 6
+        for g, b in _surfaces(6):
+            keys = enumerated_classes(g, b)
             for u_key, u in keys.items():
                 for v in elementary_moves(u)[0]:
                     back, _ = elementary_moves(keys[canonical_key(v)])
-                    assert u_key in {canonical_key(w) for w in back}
+                    assert u_key in {canonical_key(w) for w in back}, (g, b)
 
 
 class TestModularPantsGraph:
@@ -523,15 +561,22 @@ class TestModularPantsGraph:
                 diameter_max = modular_pants_graph(g, b).diameter
             assert modular_pants_graph(g, b).diameter == diameter_max
 
-    def test_connected_for_all_small_surfaces(self):
-        for g in range(0, 3):
-            for b in range(0, 8):
-                if not 1 <= xi(g, b) <= COMPLEXITY_CAP:
-                    continue
-                if 2 * g - 2 + b < 1:
-                    continue
-                mg = modular_pants_graph(g, b)
-                assert mg.connected, (g, b)
+    def test_connected_for_all_small_surfaces(self, enumerated_classes, monkeypatch):
+        # connected is true by construction, so what is checked is that the
+        # walk is complete: it finds every class the enumeration finds, up
+        # to complexity 6, each with the moves and annotations of
+        # elementary_moves
+        monkeypatch.setattr(pants_graph, "COMPLEXITY_CAP", 6)
+        for g, b in _surfaces(6):
+            mg = modular_pants_graph(g, b)
+            classes = enumerated_classes(g, b)
+            assert mg.connected
+            assert list(mg.vertices) == list(classes.values()), (g, b)
+            index = {key: i for i, key in enumerate(classes)}
+            for i, rep in enumerate(mg.vertices):
+                nbrs, notes = elementary_moves(rep)
+                assert mg.adjacency[i] == tuple(index[canonical_key(v)] for v in nbrs)
+                assert mg.annotations[i] == tuple(notes)
 
     def test_adjacency_text(self):
         text = modular_pants_graph(2, 0).to_adjacency_text()

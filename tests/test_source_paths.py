@@ -8,9 +8,10 @@ through ``_Record._set_fields``; only ``MobiusMap._map`` calls the slot
 setters one by one, so ``_setters`` is read in ``errors.py``, which builds
 them, and ``hyp_core.py`` alone.  Every shortest-path search, pruned or
 not, is the one Dijkstra loop of ``tiled_surface._distances``, so no other
-function pops a heap.  Every graph search of ``pants_graph`` (connectivity,
-bridges, the modular graph's distances) is the breadth-first search of
-``_bfs_dists``, so no other function there loops over a frontier.
+function pops a heap.  Every graph search of ``pants_graph`` (bridges, the
+walk over elementary moves, the modular graph's distances) is the
+breadth-first search of ``_bfs_dists``, so no other function there loops
+over a frontier.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
@@ -74,8 +75,9 @@ def test_one_function_pops_a_heap():
 
 
 def test_one_function_in_pants_graph_walks_a_frontier():
-    # a frontier walk loops ``while <name>:``; _edge_multisets' bounded
-    # ``while v < n and ...`` is not one
+    # a frontier walk loops ``while <name>:``; the walk over elementary
+    # moves is _bfs_dists on a table that computes each class's moves when
+    # first looked up
     walkers = {func.name for func in _nodes(SRC / "pants_graph.py")
                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                and any(isinstance(node, ast.While) and isinstance(node.test, ast.Name)
