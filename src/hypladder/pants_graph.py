@@ -203,7 +203,7 @@ def _check_cap(g: int, b: int) -> None:
         )
     if x > COMPLEXITY_CAP:
         raise ComplexityTooLarge(
-            f"complexity {x} exceeds the exhaustive-enumeration cap {COMPLEXITY_CAP}"
+            f"complexity {x} exceeds the key-search cap {COMPLEXITY_CAP}"
         )
 
 

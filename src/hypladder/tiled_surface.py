@@ -14,12 +14,17 @@ at their hyperbolic lengths, each from the two sides it spans by hyperbolic
 Pythagoras, so it is valid for every b that ``solve_pentagon`` accepts.
 Certificates are valid for paths inside the window minus a one-cell safety
 margin and state their window size.
+
+Every edge lies in one closed cell, so each row line separates the rows
+above it from those below; the graph index checks this, and while it holds
+a certificate's line search stops at its source line.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -37,6 +42,11 @@ CERT_TOL = 1e-9
 
 _HOLE_MIRROR = {"N": "N", "S": "S", "E": "W", "W": "E"}
 
+# a vertex's band is twice its row plus this parity: a corner or horizontal
+# midpoint on row line r is in band 2r, a hole corner or vertical midpoint of
+# cell row r in band 2r + 1
+_BAND_PARITY = {"C": 0, "HM": 0, "H": 1, "VM": 1}
+
 
 @dataclass(frozen=True)
 class _GraphIndex:
@@ -47,12 +57,19 @@ class _GraphIndex:
     adj[i] is flat, [j0, length0, j1, length1, ...] over the edges at i, so
     no tuple is made per edge.  row_lines maps a row line to its lattice
     corners and horizontal-side midpoints.
+
+    ``separated``: every vertex has a band (``_BAND_PARITY``: one of the four
+    kinds and an ``int`` row) and every edge joins bands at most one apart,
+    so a path between bands 2r - 1 and 2r + 1 passes row line r.  It holds
+    for every window built here; an edge across a row line, a vertex of
+    another kind or a row that is no ``int`` turns it off.
     """
 
     ids: list
     pos: dict
     adj: list
     row_lines: dict
+    separated: bool
 
     def vertex(self, v) -> int:
         i = self.pos.get(v)
@@ -78,17 +95,54 @@ def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
 
 def _index_in_order(edges: dict, ids: list) -> _GraphIndex:
     pos = dict(zip(ids, range(len(ids))))
+    bands = _bands(ids)
+    separated = bands is not None
+    if bands is None:
+        bands = [0] * len(ids)
     adj = [[] for _ in ids]
     for (u, v), w in edges.items():
         i = pos[u]
         j = pos[v]
         adj[i] += j, w
         adj[j] += i, w
+        if not -2 < bands[i] - bands[j] < 2:
+            separated = False
     row_lines = {}
     for i, v in enumerate(ids):
         if v[0] in ("C", "HM"):
             row_lines.setdefault(v[1], []).append(i)
-    return _GraphIndex(ids, pos, adj, row_lines)
+    return _GraphIndex(ids, pos, adj, row_lines, separated)
+
+
+def _bands(ids: list) -> list | None:
+    """Each vertex's band, or None if some vertex has none: a kind other
+    than the four, or a row that is no ``int``."""
+    try:
+        bands = [2 * v[1] + _BAND_PARITY[v[0]] for v in ids]
+    except (KeyError, IndexError, TypeError):
+        return None
+    # a row that is no int makes its band, and so the sum, no int
+    return bands if type(sum(bands)) is int else None
+
+
+def _far_side(g: _GraphIndex, line: int) -> list:
+    """(start, stop) slices of the sorted ``g.ids`` holding the vertices
+    below row line ``line`` (band > 2 line), one per kind, since
+    ``g.separated`` makes every row an ``int``."""
+    ids = g.ids
+    return [
+        (bisect_left(ids, (kind, line + 1 - parity)), bisect_left(ids, (kind, math.inf)))
+        for kind, parity in _BAND_PARITY.items()
+    ]
+
+
+def _line_caps(g: _GraphIndex, far) -> list:
+    """A line search's ``best``: 0 on ``far``, inf elsewhere.  No name
+    keeps it, or its tentative distances, past the search."""
+    caps = [math.inf] * len(g.ids)
+    for start, stop in far:
+        caps[start:stop] = [0.0] * (stop - start)
+    return caps
 
 
 @dataclass
@@ -138,9 +192,7 @@ class TiledComplex:
         key = (u, v) if u <= v else (v, u)
         old = self.edges.get(key)
         if old is not None and abs(old - length) > EDGE_TOL:
-            raise InconsistentEdgeLength(
-                f"edge {key} assigned inconsistent lengths {old} and {length}"
-            )
+            raise _inconsistent(key, old, length)
         self.edges[key] = length
         self._index = self._order = None
 
@@ -184,6 +236,10 @@ class TiledComplex:
         inc = self._face_edge_incidence()
         chi = self._euler_characteristic(inc)
         return (2 - chi - _boundary_component_count(inc)) // 2
+
+
+def _inconsistent(key, old: float, length: float) -> InconsistentEdgeLength:
+    return InconsistentEdgeLength(f"edge {key} assigned inconsistent lengths {old} and {length}")
 
 
 def _boundary_component_count(inc: dict) -> int:
@@ -271,6 +327,9 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     column count the last column's holes stay unglued (they sit in the
     safety margin of any certificate).  The identification matches N to N
     and S to S and swaps E and W, preserving pentagon-edge labels.
+
+    Only the edges at a glued-away hole corner are rewritten in the copied
+    edge map, each checked as ``add_edge`` checks it.
     """
     rep = {}
     pairs = []
@@ -281,16 +340,27 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
                 rep[("H", r, c + 1, mirrored)] = ("H", r, c, pos)
     # a representative sits in an even column, so it is never a key of rep
     canon = rep.get
+    edges = dict(t.edges)
+    for key, w in t.edges.items():
+        u, v = key
+        if u in rep or v in rep:
+            del edges[key]
+            u, v = canon(u, u), canon(v, v)
+            key = (u, v) if u <= v else (v, u)
+            old = edges.setdefault(key, w)
+            if old is not w:  # the key was there: check it, then overwrite
+                if abs(old - w) > EDGE_TOL:
+                    raise _inconsistent(key, old, w)
+                edges[key] = w
     out = TiledComplex(
         pentagon=t.pentagon,
         rows=t.rows,
         cols=t.cols,
+        edges=edges,
         faces=[tuple(canon(v, v) for v in face) for face in t.faces],
         glued_pairs=tuple(pairs),
         refined=t.refined,
     )
-    for (u, v), w in t.edges.items():
-        out.add_edge(canon(u, u), canon(v, v), w)
     if t._order is not None:
         out._order = [v for v in t._order if v not in rep]
     return out
@@ -416,6 +486,13 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     within an ulp, far inside the slack, so no vertex of a path below U is
     cut and a result below U is the full search's to the bit, whatever order
     ties pop in.  Others fall back to the full search.
+
+    When the index is ``separated``, the vertices below the source line
+    r0 + n are capped at 0 and never settle: a path that dips below the line
+    comes back through a source, so the vertices on or above it settle in
+    the same order, up to the same stop and with the same bits, ``min_cross``
+    included.  The corner search takes L = 0 below the line, a valid lower
+    bound since no distance is negative.  Otherwise nothing is cut.
     """
     _check_row_separation(n)
     if n > t.rows - 2:
@@ -427,7 +504,8 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     expected = 2.0 * n * t.b
     g = t._graph()
     i, j, top = g.vertex(x), g.pos.get(y), g.row_lines[r0]
-    lower = None if j is None else _distances(g, g.row_lines[r0 + n], targets=top)
+    far = _far_side(g, r0 + n) if g.separated else ()
+    lower = None if j is None else _distances(g, g.row_lines[r0 + n], top, _line_caps(g, far))
     if lower is None or lower[i] is None:
         raise Unreachable(f"no edge path connects {x} and {y}")
     min_cross = min(lower[k] for k in top if lower[k] is not None)
@@ -435,6 +513,8 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     limit = bound * (1.0 + 4.0 * nu / (1.0 - nu))
     for k, v in enumerate(lower):
         lower[k] = limit - (min_cross if v is None else v)
+    for start, stop in far:
+        lower[start:stop] = [limit] * (stop - start)
     d = _distances(g, [i], [j], best=lower)[j]
     if d is None or not d < bound:
         d = discrete_distance(t, x, y)
@@ -467,22 +547,34 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
     Diagonal (i, i+2) cuts off the right-angled triangle whose legs are the
     sides i and i+1 of the (b, b, a, c, a) pentagon, so its length is their
     hypotenuse (see ``_hypotenuse``): no walk places the vertices, and the
-    lengths hold for every b that ``solve_pentagon`` accepts."""
+    lengths hold for every b that ``solve_pentagon`` accepts.
+
+    The diagonals go straight into a copy of ``t.edges``, checked as
+    ``add_edge`` checks, each length once."""
     p = t.pentagon
     sides = (p.b, p.b, p.a, p.c, p.a)
-    diag = {(i, (i + 2) % 5): _hypotenuse(sides[i], sides[(i + 1) % 5]) for i in range(5)}
+    diag = [(i, (i + 2) % 5, _hypotenuse(sides[i], sides[(i + 1) % 5])) for i in range(5)]
+    for _, _, length in diag:
+        check_positive_finite("edge length", length)
+    edges = dict(t.edges)
+    for face in t.faces:
+        for i, j, length in diag:
+            u, v = face[i], face[j]
+            key = (u, v) if u <= v else (v, u)
+            old = edges.setdefault(key, length)
+            if old is not length:  # the key was there: check it, then overwrite
+                if abs(old - length) > EDGE_TOL:
+                    raise _inconsistent(key, old, length)
+                edges[key] = length
     out = TiledComplex(
         pentagon=t.pentagon,
         rows=t.rows,
         cols=t.cols,
-        edges=dict(t.edges),
+        edges=edges,
         faces=list(t.faces),
         glued_pairs=t.glued_pairs,
         refined=True,
     )
-    for face in t.faces:
-        for (i, j), length in diag.items():
-            out.add_edge(face[i], face[j], length)
     # diagonals join corners of one face, so the vertices stay the same
     out._order = t._order
     return out

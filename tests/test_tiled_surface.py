@@ -24,6 +24,7 @@ from hypladder.errors import (
 from hypladder.hyp_core import solve_pentagon
 from hypladder.tiled_surface import (
     CERT_TOL,
+    TiledComplex,
     add_diagonals,
     build_grid,
     build_Tn,
@@ -555,6 +556,137 @@ class TestCertificateMatchesOracleLargeB(TestCertificateMatchesOracle):
     B_RANGE = (40.0, 355.58)
 
 
+def _band(v) -> int:
+    """2r for a corner or horizontal midpoint on row line r, 2r + 1 for a
+    hole corner or vertical midpoint of cell row r."""
+    return 2 * v[1] + (v[0] in ("H", "VM"))
+
+
+def _adjacency(t) -> dict:
+    adj = {}
+    for u, v in t.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def _reached(adj, sources, avoid=lambda v: False) -> set:
+    """Breadth-first: every vertex joined to a source by a path that
+    passes no vertex ``avoid`` holds for."""
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        frontier = {w for u in frontier for w in adj[u] if w not in seen and not avoid(w)}
+        seen.update(frontier)
+    return seen
+
+
+class TestRowLineSeparation:
+    # every row line separates the rows above it from the rows below, which
+    # lets a certificate's line search stop at its source line; checked here
+    # on the graph itself, and then against the index's flag
+
+    @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (4, 5), (7, 6)])
+    def test_deleting_a_row_line_cuts_the_window(self, rows, cols, variant):
+        t = _CONSTRUCTIONS[variant](build_grid(1.2, rows, cols))
+        adj = _adjacency(t)
+        assert _reached(adj, [("C", 0, 0)]) == set(adj)  # connected
+        for line in range(rows + 1):
+            above = [v for v in adj if _band(v) < 2 * line]
+            seen = _reached(adj, above, avoid=lambda v: _band(v) == 2 * line)
+            assert all(_band(v) < 2 * line for v in seen), line
+        assert t._graph().separated
+
+    def test_flag_off_after_an_edge_across_a_row_line(self):
+        t = build_grid(1.2, 6, 4)
+        t.add_edge(("C", 1, 0), ("VM", 1, 4), 9.0)  # bands 2 and 3
+        assert t._graph().separated
+        t.add_edge(("C", 1, 1), ("C", 3, 1), 9.0)  # bands 2 and 6
+        adj = _adjacency(t)
+        seen = _reached(adj, [("C", 1, 1)], avoid=lambda v: _band(v) == 4)
+        assert ("C", 3, 1) in seen
+        assert not t._graph().separated
+
+    @pytest.mark.parametrize("vertex", [("X", 2, 1), ("HM", 2.5, 1), ("H",)])
+    def test_flag_off_for_a_vertex_without_a_band(self, vertex, oracle_certificate):
+        t = build_grid(1.2, 6, 4)
+        t.edges[("C", 2, 2), vertex] = 0.5
+        cert = certify_vertical_minimizing(t, 3)
+        assert not t._graph().separated
+        assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 3))
+
+    @pytest.mark.parametrize("write", ["inject_edge", "direct"])
+    def test_shortcut_from_below_the_source_line_fails(self, write, inject_edge,
+                                                        oracle_certificate):
+        # the source line is row line 8; the shortcut leaves it downwards, to
+        # row line 9, and jumps to the target line 4: a line search that
+        # stopped at row line 8 regardless would never see it
+        t = build_grid(1.2, 12, 12)
+        u, v, length = ("C", 9, 3), ("C", 4, 8), 0.05
+        if write == "inject_edge":
+            t = inject_edge(t, u, v, length)
+        else:
+            t.edges[v, u] = length  # before the first query
+        cert = certify_vertical_minimizing(t, 4)
+        assert cert.dijkstra_equality and not cert.row_crossing_bound
+        assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 4))
+        assert not t._graph().separated
+
+
+    def test_shortcut_through_a_vertex_below_the_source_line(self, oracle_certificate,
+                                                              full_searches):
+        # edges between neighbouring bands keep the flag on, and the corner
+        # search still finds the path through the capped vertex ("VM", 8, 6),
+        # its cap taking L = 0 there
+        t = build_grid(1.2, 12, 12)
+        t.add_edge(("HM", 8, 5), ("VM", 7, 6), 0.1)
+        t.add_edge(("HM", 8, 5), ("VM", 8, 6), 0.1)
+        t.edges[("C", 8, 6), ("VM", 8, 6)] = 0.1  # before the first query
+        cert = certify_vertical_minimizing(t, 4)
+        assert t._graph().separated
+        assert cert.distance == pytest.approx(8.7) and not cert.passes
+        assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 4))
+        assert full_searches == []  # the bounded corner search found it
+
+
+class TestLineSearchCut:
+    # with the cut, the line search settles no vertex below its source line,
+    # and every vertex it settles has the uncut search's distance to the bit
+
+    @pytest.mark.parametrize("variant", TestCertificateMatchesOracle.VARIANTS)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_settles_nothing_below_and_keeps_bits(self, seed, variant, monkeypatch):
+        t, _ = _seeded_window(seed, variant, TestCertificateMatchesOracle.B_RANGE)
+        searches = []
+        full = tiled_surface._distances
+
+        def recorded(g, sources, targets=None, best=None):
+            dist = full(g, sources, targets, best)
+            searches.append((sources, targets, list(dist)))
+            return dist
+
+        monkeypatch.setattr(tiled_surface, "_distances", recorded)
+        g = t._graph()
+        assert g.separated
+        for n in range(1, t.rows - 1):
+            searches.clear()
+            certify_vertical_minimizing(t, n)
+            sources, targets, cut = searches[0]  # the line search
+            line = max(1, (t.rows - n) // 2) + n
+            assert {g.ids[k] for k in sources} == {
+                v for v in g.ids if v[0] in ("C", "HM") and v[1] == line}
+            uncut = full(g, sources, targets)
+            below = [_band(v) > 2 * line for v in g.ids]
+            assert all(d is None for d, b in zip(cut, below) if b)
+            assert any(d is not None for d, b in zip(uncut, below) if b)
+            assert _hex_above(cut, below) == _hex_above(uncut, below)
+
+
+def _hex_above(dist, below) -> list:
+    return [None if d is None else d.hex() for d, b in zip(dist, below) if not b]
+
+
 class TestCutWindows:
     # a window cut in two, or missing a corner, keeps the error of a plain
     # distance query
@@ -627,6 +759,26 @@ class TestDiagonals:
         # cosh u * cosh v overflows for the first two: the log form
         assert _hypotenuse(u, v) == pytest.approx(_hypotenuse_reference(u, v), rel=1e-14)
 
+    def test_refuses_a_planted_edge_of_another_length(self):
+        # an edge planted between two corners a diagonal joins, set before
+        # refining: the diagonal's length must agree with it
+        t = build_grid(1.2, 3, 3)
+        face = t.faces[4]
+        u, v = sorted((face[1], face[3]))
+        t.edges[u, v] = 0.5
+        with pytest.raises(InconsistentEdgeLength, match="inconsistent lengths"):
+            add_diagonals(t)
+
+    @pytest.mark.parametrize("shift", [None, 1e-13])
+    @pytest.mark.parametrize("variant", ["grid", "glued"])
+    def test_same_edges_as_one_add_edge_per_diagonal(self, variant, shift):
+        t = _CONSTRUCTIONS[variant](build_grid(1.3, 4, 5))
+        if shift is not None:
+            # a planted edge within EDGE_TOL of the diagonal: overwritten
+            face = t.faces[4]
+            t.edges[tuple(sorted((face[1], face[3])))] = _hypotenuse(t.b, t.pentagon.a) + shift
+        assert _hex_edges(add_diagonals(t)) == _hex_edges(_add_diagonals_per_edge(t))
+
 
 def _face_diagonals(b) -> dict:
     """Diagonal (i, i+2) of the one face of a refined 1x1 window -> length."""
@@ -690,4 +842,56 @@ class TestGluing:
         g = glue_to_Rb(build_grid(1.2, rows, cols))
         assert len(g.glued_pairs) == rows * (cols // 2)
         assert g.genus() == rows * (cols // 2)
+
+    def test_refuses_an_a_edge_of_another_length_at_a_glued_midpoint(self):
+        # the glued-away hole's W corner merges into the E corner of the hole
+        # on its left, so its ``a`` edge to their shared midpoint merges with
+        # that hole's ``a`` edge there: set before gluing, they must agree
+        t = build_grid(1.2, 2, 4)
+        key = (("H", 1, 3, "W"), ("VM", 1, 3))
+        assert (("H", 1, 2, "E"), ("VM", 1, 3)) in t.edges
+        t.edges[key] += 1e-3
+        with pytest.raises(InconsistentEdgeLength, match="inconsistent lengths"):
+            glue_to_Rb(t)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-13])
+    @pytest.mark.parametrize("variant", ["grid", "refined"])
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (3, 5), (4, 6)])
+    def test_same_edges_as_one_add_edge_per_side(self, rows, cols, variant, shift):
+        t = _CONSTRUCTIONS[variant](build_grid(1.3, rows, cols))
+        # within EDGE_TOL, the glued-away side's length is the one kept
+        t.edges[("H", 0, 1, "W"), ("VM", 0, 1)] += shift
+        assert _hex_edges(glue_to_Rb(t)) == _hex_edges(_glue_per_edge(t))
+
+
+def _hex_edges(t) -> dict:
+    return {key: w.hex() for key, w in t.edges.items()}
+
+
+def _glue_per_edge(t):
+    """The edges of ``glue_to_Rb(t)`` as written one ``add_edge`` per side."""
+    out = TiledComplex(pentagon=t.pentagon, rows=t.rows, cols=t.cols)
+    for (u, v), w in t.edges.items():
+        out.add_edge(_glued_hole(u), _glued_hole(v), w)
+    return out
+
+
+def _glued_hole(v):
+    # a hole corner in an odd column, with a column on its left to glue to
+    if v[0] == "H" and v[2] % 2 == 1:
+        return ("H", v[1], v[2] - 1, {"E": "W", "W": "E"}.get(v[3], v[3]))
+    return v
+
+
+def _add_diagonals_per_edge(t):
+    """The edges of ``add_diagonals(t)`` as written one ``add_edge`` per
+    diagonal."""
+    p = t.pentagon
+    sides = (p.b, p.b, p.a, p.c, p.a)
+    out = TiledComplex(pentagon=t.pentagon, rows=t.rows, cols=t.cols, edges=dict(t.edges))
+    for face in t.faces:
+        for i in range(5):
+            j = (i + 2) % 5
+            out.add_edge(face[i], face[j], _hypotenuse(sides[i], sides[(i + 1) % 5]))
+    return out
 
