@@ -17,7 +17,9 @@ margin and state their window size.
 
 Every edge lies in one closed cell, so each row line separates the rows
 above it from those below; the graph index checks this, and while it holds
-a certificate's line search stops at its source line.
+a certificate's line search stops at its source line.  The topology is
+counted on the index's vertex numbers, so it keeps the index's edit rule,
+and bad lengths are refused at the first query (see ``TiledComplex``).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 from .errors import (
     InconsistentEdgeLength,
@@ -82,7 +85,13 @@ def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
     """Index of the graph with these edges.  ``order`` is a hint: the sorted
     vertex list a constructor made.  It is used only if it lists every edge
     endpoint and every vertex it lists has an edge; otherwise the ids are
-    sorted afresh."""
+    sorted afresh.
+
+    Refuses lengths as ``add_edge`` does; each is checked only if ``min`` and
+    ``sum``, which pass over them in C (a NaN makes the sum NaN), fail."""
+    if edges and not (min(edges.values()) > 0 and sum(edges.values()) < math.inf):
+        for key, w in edges.items():
+            check_positive_finite(f"edge {key} length", w)
     if order is not None:
         try:
             g = _index_in_order(edges, order)
@@ -155,10 +164,11 @@ class TiledComplex:
     ``build_grid`` makes one tuple per vertex, which the faces and the edge
     keys share, and writes each pentagon side once.
 
-    Distance queries share one integer index of the graph, built on the
-    first query and dropped by ``add_edge``.  Change ``edges`` only through
-    ``add_edge``, or before the first query; it refuses lengths that are not
-    positive and finite, which Dijkstra and the certificates' pruning need.
+    Distance queries and the topology (``genus()`` too) share one integer
+    index of the graph, built on the first query and dropped by ``add_edge``.
+    Change ``edges`` only through ``add_edge``, or before the first query:
+    both ignore a later direct write.  The index refuses, when built, lengths
+    that are not positive and finite, which Dijkstra and the pruning need.
     ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` hand the index the
     sorted vertex list they already have, as a hint: ``add_edge`` drops it,
     and the index checks it against ``edges`` and sorts the ids afresh when
@@ -181,11 +191,7 @@ class TiledComplex:
         return self.pentagon.b
 
     def vertices(self) -> set:
-        out = set()
-        for u, v in self.edges:
-            out.add(u)
-            out.add(v)
-        return out
+        return {v for edge in self.edges for v in edge}
 
     def add_edge(self, u, v, length: float) -> None:
         check_positive_finite("edge length", length)
@@ -207,58 +213,63 @@ class TiledComplex:
     def alpha_corner(self, row_line: int):
         return ("C", row_line, self.alpha_column())
 
-    # -- topology -----------------------------------------------------------
-
-    def _face_edge_incidence(self) -> dict:
-        """Vertex pair -> number of faces it bounds.  A pair on k faces is
-        ceil(k/2) edges: gluing can merge two edges with the same endpoints
-        (the ``a`` edges at a glued pair's shared midpoint) into a pair on
-        four faces, and k % 2 of them lie on the boundary."""
-        inc = {}
-        for face in self.faces:
-            for i in range(5):
-                u, v = face[i], face[(i + 1) % 5]
-                key = (u, v) if u <= v else (v, u)
-                inc[key] = inc.get(key, 0) + 1
-        return inc
-
-    def _euler_characteristic(self, inc: dict) -> int:
-        edge_count = sum((k + 1) // 2 for k in inc.values())
-        return len(self.vertices()) - edge_count + len(self.faces)
+    # -- topology: on the index's vertex numbers (see ``_topology``) ---------
 
     def euler_characteristic(self) -> int:
-        return self._euler_characteristic(self._face_edge_incidence())
+        return _topology(self)[0]
 
     def boundary_component_count(self) -> int:
-        return _boundary_component_count(self._face_edge_incidence())
+        return _topology(self)[1]
 
     def genus(self) -> int:
-        inc = self._face_edge_incidence()
-        chi = self._euler_characteristic(inc)
-        return (2 - chi - _boundary_component_count(inc)) // 2
+        chi, boundary = _topology(self)
+        return (2 - chi - boundary) // 2
 
 
 def _inconsistent(key, old: float, length: float) -> InconsistentEdgeLength:
     return InconsistentEdgeLength(f"edge {key} assigned inconsistent lengths {old} and {length}")
 
 
-def _boundary_component_count(inc: dict) -> int:
-    boundary = [e for e, k in inc.items() if k % 2]
-    parent = {}
+def _odd_sides(faces: list, num: dict) -> set:
+    """Sides on an odd number of the 5-gon ``faces``, side {i, j} of vertex
+    numbers ``num`` as the int i * n + j, i < j, toggled in a parity set."""
+    n, odd, get = len(num), set(), num.__getitem__
+    for face in faces:
+        a, b, c, d, e = map(get, face)
+        for i, j in ((a, b), (b, c), (c, d), (d, e), (e, a)):
+            k = i * n + j if i < j else j * n + i
+            odd.remove(k) if k in odd else odd.add(k)
+    return odd
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for u, v in boundary:
-        for x in (u, v):
-            parent.setdefault(x, x)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return len({find(u) for e in boundary for u in e})
+def _topology(t: TiledComplex) -> tuple:
+    """(Euler characteristic, boundary components) of ``t``'s faces.  V is
+    the index's vertex count; a face vertex that no edge touches is numbered
+    after the ids, outside V.  A side on k faces is (k + k % 2) / 2 edges,
+    k % 2 of them on the boundary (a glued pair's two ``a`` edges at their
+    shared midpoint are one side on four faces).  The boundary components
+    are the odd sides' ends less the merges of a union-find over them."""
+    g, faces = t._graph(), t.faces
+    num = g.pos
+    try:
+        odd = _odd_sides(faces, num)
+    except KeyError:
+        num = dict(zip(dict.fromkeys(chain(g.ids, *faces)), count()))
+        odd = _odd_sides(faces, num)
+    n = len(num)
+    parent, merges = list(range(n)), 0
+    ends = {x for k in odd for x in divmod(k, n)}
+    for k in odd:
+        i, j = divmod(k, n)
+        while parent[i] != i:  # path halving: i's parent, then i, become its grandparent
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[i] = j
+            merges += 1
+    edge_count = (5 * len(faces) + len(odd)) // 2
+    return len(g.ids) - edge_count + len(faces), len(ends) - merges
 
 
 def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
@@ -352,15 +363,10 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
                 if abs(old - w) > EDGE_TOL:
                     raise _inconsistent(key, old, w)
                 edges[key] = w
-    out = TiledComplex(
-        pentagon=t.pentagon,
-        rows=t.rows,
-        cols=t.cols,
-        edges=edges,
-        faces=[tuple(canon(v, v) for v in face) for face in t.faces],
-        glued_pairs=tuple(pairs),
-        refined=t.refined,
-    )
+    faces = [(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
+             for a, b, c, d, e in t.faces]
+    out = TiledComplex(pentagon=t.pentagon, rows=t.rows, cols=t.cols, edges=edges,
+                       faces=faces, glued_pairs=tuple(pairs), refined=t.refined)
     if t._order is not None:
         out._order = [v for v in t._order if v not in rep]
     return out
@@ -566,15 +572,8 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
                 if abs(old - length) > EDGE_TOL:
                     raise _inconsistent(key, old, length)
                 edges[key] = length
-    out = TiledComplex(
-        pentagon=t.pentagon,
-        rows=t.rows,
-        cols=t.cols,
-        edges=edges,
-        faces=list(t.faces),
-        glued_pairs=t.glued_pairs,
-        refined=True,
-    )
+    out = TiledComplex(pentagon=t.pentagon, rows=t.rows, cols=t.cols, edges=edges,
+                       faces=list(t.faces), glued_pairs=t.glued_pairs, refined=True)
     # diagonals join corners of one face, so the vertices stay the same
     out._order = t._order
     return out

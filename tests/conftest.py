@@ -112,6 +112,54 @@ def oracle_certificate(t: TiledComplex, n: int) -> VerticalCertificate:
     )
 
 
+# topology kept verbatim from the implementation that counted it on vertex
+# tuples: a dict of face sides keyed by sorted vertex pairs, V from the edge
+# endpoints, and a union-find over the odd sides
+
+
+def _face_edge_incidence(t: TiledComplex) -> dict:
+    """Vertex pair -> number of faces it bounds.  A pair on k faces is
+    ceil(k/2) edges: gluing can merge two edges with the same endpoints
+    (the ``a`` edges at a glued pair's shared midpoint) into a pair on
+    four faces, and k % 2 of them lie on the boundary."""
+    inc = {}
+    for face in t.faces:
+        for i in range(5):
+            u, v = face[i], face[(i + 1) % 5]
+            key = (u, v) if u <= v else (v, u)
+            inc[key] = inc.get(key, 0) + 1
+    return inc
+
+
+def _boundary_component_count(inc: dict) -> int:
+    boundary = [e for e, k in inc.items() if k % 2]
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in boundary:
+        for x in (u, v):
+            parent.setdefault(x, x)
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return len({find(u) for e in boundary for u in e})
+
+
+def oracle_topology(t: TiledComplex) -> tuple:
+    """(Euler characteristic, boundary components, genus) of ``t``, read
+    from its public ``faces`` and ``edges`` alone."""
+    inc = _face_edge_incidence(t)
+    edge_count = sum((k + 1) // 2 for k in inc.values())
+    chi = len(t.vertices()) - edge_count + len(t.faces)
+    boundary = _boundary_component_count(inc)
+    return chi, boundary, (2 - chi - boundary) // 2
+
+
 # brute-force canonical key: the n! search over full (n, edges, half, deco)
 # keys, kept verbatim from the implementation it pins down, but for the
 # bridges, which it finds by its own search rather than by the library's
@@ -525,6 +573,11 @@ def _oracle_build_grid_fixture():
 @pytest.fixture(name="oracle_certificate", scope="session")
 def _oracle_certificate_fixture():
     return oracle_certificate
+
+
+@pytest.fixture(name="oracle_topology", scope="session")
+def _oracle_topology_fixture():
+    return oracle_topology
 
 
 @pytest.fixture(name="brute_force_key", scope="session")

@@ -29,7 +29,8 @@ KEEP = {
     "fenchel_nielsen.FNCoordinates.curves": "the (family, k) labels of the window, "
         "over which acceptance criterion 3 recovers every cuff length",
     "tiled_surface.TiledComplex.boundary_component_count": "the boundary count that "
-        "genus() is derived from, which the tiling tests check on one holed square",
+        "genus() subtracts, which the tiling tests check on one holed square and "
+        "against the tests' topology oracle",
     "tiled_surface.TiledComplex.add_edge": "the checked way to add an edge to a "
         "built complex, and the one edit that drops its graph index; the "
         "constructors write their edge maps in bulk",

@@ -11,7 +11,9 @@ not, is the one Dijkstra loop of ``tiled_surface._distances``, so no other
 function pops a heap.  Every graph search of ``pants_graph`` (bridges, the
 walk over elementary moves, the modular graph's distances) is the
 breadth-first search of ``_bfs_dists``, so no other function there loops
-over a frontier.
+over a frontier.  ``tiled_surface`` counts its topology on the graph
+index's vertex numbers, so no function there calls ``.vertices()``, and it
+defines no nested function, so its union-find is no closure.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
@@ -83,6 +85,23 @@ def test_one_function_in_pants_graph_walks_a_frontier():
                and any(isinstance(node, ast.While) and isinstance(node.test, ast.Name)
                        for node in ast.walk(func))}
     assert walkers == {"_bfs_dists"}
+
+
+def test_tiled_surface_reads_no_vertex_set():
+    callers = sorted({func.name for func in _nodes(SRC / "tiled_surface.py")
+                      if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      for node in ast.walk(func)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and node.func.attr == "vertices"})
+    assert callers == [], f"tiled_surface calls .vertices() in {callers}"
+
+
+def test_tiled_surface_defines_no_nested_function():
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    nested = sorted({f"{func.name}.{getattr(node, 'name', 'lambda')}"
+                     for func in _nodes(SRC / "tiled_surface.py") if isinstance(func, defs[:2])
+                     for node in ast.walk(func) if node is not func and isinstance(node, defs)})
+    assert nested == [], f"tiled_surface defines nested functions {nested}"
 
 
 def _private(name: str) -> bool:

@@ -895,3 +895,119 @@ def _add_diagonals_per_edge(t):
             out.add_edge(face[i], face[j], _hypotenuse(sides[i], sides[(i + 1) % 5]))
     return out
 
+
+
+WINDOW_KINDS = {
+    "plain": lambda t: t,
+    "refined": add_diagonals,
+    "glued": glue_to_Rb,
+    "glued-refined": lambda t: add_diagonals(glue_to_Rb(t)),
+    "refined-glued": lambda t: glue_to_Rb(add_diagonals(t)),
+}
+
+
+def _library_topology(t) -> tuple:
+    return t.euler_characteristic(), t.boundary_component_count(), t.genus()
+
+
+class TestTopologyMatchesOracle:
+    # the oracle counts on vertex tuples and reads the public fields alone;
+    # the library counts on the graph index's vertex numbers
+
+    @given(rows=st.integers(1, 8), cols=st.integers(1, 8),
+           kind=st.sampled_from(sorted(WINDOW_KINDS)))
+    @settings(max_examples=60, deadline=None)
+    def test_every_window_kind(self, rows, cols, kind, oracle_topology):
+        t = WINDOW_KINDS[kind](build_grid(1.2, rows, cols))
+        assert _library_topology(t) == oracle_topology(t)
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    def test_glued_genus_counts_every_handle(self, kind, oracle_topology):
+        # each glued pair adds one handle; an unglued window is a sphere with
+        # one boundary per hole and one outside
+        t = WINDOW_KINDS[kind](build_grid(1.2, 5, 6))
+        glued = "glued" in kind
+        assert _library_topology(t) == oracle_topology(t)
+        assert t.genus() == (15 if glued else 0)
+        assert t.boundary_component_count() == 1 + (0 if glued else 30)
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    def test_window_edited_before_the_first_query(self, kind, oracle_topology):
+        # one edge to a vertex on no face, and every edge at one hole corner
+        # deleted, so that it stays on its faces but leaves V: V gains one
+        # vertex and loses one, and the index sorts its ids afresh
+        t = WINDOW_KINDS[kind](build_grid(1.2, 4, 4))
+        t.edges[("C", 0, 0), ("X", 0)] = 1.0
+        corner = ("H", 1, 0, "N")
+        for key in [key for key in t.edges if corner in key]:
+            del t.edges[key]
+        assert corner in {v for face in t.faces for v in face}
+        chi, boundary, genus = oracle_topology(t)
+        assert _library_topology(t) == (chi, boundary, genus)
+        assert chi == oracle_topology(WINDOW_KINDS[kind](build_grid(1.2, 4, 4)))[0]
+
+    def test_face_vertex_no_edge_touches(self, oracle_topology):
+        # one pentagon with three of its sides as edges: vertex 4 is on the
+        # face but on no edge, so V counts four vertices
+        p = solve_pentagon(1.2)
+        face = tuple(("P", k) for k in range(5))
+        t = TiledComplex(pentagon=p, rows=1, cols=1, faces=[face])
+        for k in range(3):
+            t.edges[face[k], face[k + 1]] = p.b
+        assert t._graph().ids == list(face[:4])
+        assert _library_topology(t) == oracle_topology(t) == (4 - 5 + 1, 1, 0)
+
+    def test_two_faces_apart(self, oracle_topology):
+        # two pentagons that share no vertex: two boundary components
+        p = solve_pentagon(1.2)
+        faces = [tuple(("P", f, k) for k in range(5)) for f in range(2)]
+        t = TiledComplex(pentagon=p, rows=1, cols=1, faces=faces)
+        for face in faces:
+            for k in range(5):
+                t.add_edge(face[k], face[(k + 1) % 5], p.b)
+        assert _library_topology(t) == oracle_topology(t) == (2, 2, -1)
+
+
+class TestDirectLengthWrites:
+    # a length written straight into ``t.edges`` before the first query is
+    # refused by the index, as ``add_edge`` refuses it; a NaN edge was never
+    # relaxed (the certificate passed at 9.6) and a negative side undercut
+    # every path through it (distance 6.46)
+
+    @pytest.mark.parametrize("key, length", [
+        ((("C", 1, 1), ("C", 5, 1)), math.nan),
+        ((("C", 1, 1), ("HM", 1, 1)), -5.0),
+        ((("C", 1, 1), ("HM", 1, 1)), 0.0),
+        ((("C", 1, 1), ("HM", 1, 1)), -0.0),
+        ((("C", 1, 1), ("HM", 1, 1)), math.inf),
+        ((("C", 1, 1), ("HM", 1, 1)), math.nan),
+    ])
+    def test_certificate_refuses_a_bad_length(self, key, length):
+        t = build_grid(1.2, 6, 3)
+        t.edges[key] = length
+        with pytest.raises(NonPositiveLength, match=re.escape(f"edge {key} length must be")):
+            certify_vertical_minimizing(t, 4)
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    def test_every_query_refuses_a_nan_written_before_it(self, kind):
+        t = build_grid(1.2, 6, 4)
+        t.edges[("C", 2, 2), ("HM", 2, 2)] = math.nan
+        t = WINDOW_KINDS[kind](t)
+        for query in (lambda: certify_vertical_minimizing(t, 3), t.genus,
+                      lambda: discrete_distance(t, ("C", 1, 1), ("C", 4, 1)),
+                      lambda: dijkstra(t, [("C", 1, 1)])):
+            with pytest.raises(NonPositiveLength):
+                query()
+
+    def test_empty_edge_map_is_valid(self):
+        t = TiledComplex(pentagon=solve_pentagon(1.2), rows=1, cols=1)
+        assert dijkstra(t, []) == {}
+        assert _index_graph({}).ids == []
+        assert _library_topology(t) == (0, 0, 1)
+
+    def test_finite_lengths_whose_sum_overflows_pass(self):
+        huge, v = 1e308, [("P", k) for k in range(4)]
+        g = _index_graph({(v[0], v[1]): huge, (v[1], v[2]): huge})
+        assert g.adj == [[1, huge], [0, huge, 2, huge], [1, huge]]
+        with pytest.raises(NonPositiveLength):
+            _index_graph({(v[0], v[1]): huge, (v[1], v[2]): huge, (v[2], v[3]): math.nan})
