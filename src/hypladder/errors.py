@@ -82,11 +82,16 @@ class NonPositiveLength(HypladderError):
 
 def check_positive_finite(name: str, value: float) -> None:
     """Raise NonPositiveLength unless value is a positive, finite number: a
-    ``bool`` is not one, though True compares as 1, and NaN is not finite.
-    A float bound keeps a float's comparisons on their fast path."""
-    if not 0.0 < value < math.inf or value is True:
+    ``bool`` is not one, though True compares as 1, NaN is not finite, and
+    a value that does not compare with a float (a string, None) is no
+    number.  A float bound keeps a float's comparisons on their fast path."""
+    try:
+        if 0.0 < value < math.inf and value is not True:
+            return
         kind = "a number" if isinstance(value, bool) else "positive" if value <= 0 else "finite"
-        raise NonPositiveLength(f"{name} must be {kind}, got {value}")
+    except TypeError:
+        kind = "a number"
+    raise NonPositiveLength(f"{name} must be {kind}, got {value}")
 
 
 class NonPositiveSize(HypladderError, ValueError):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 
 from .errors import (
     InconsistentInput,
@@ -64,30 +65,35 @@ class PantsCuffs(_Record):
         self._set_fields(l1, l2, l3)
 
 
-def _orthogeodesic(li: float, lj: float, lk: float) -> float:
-    """Length of the orthogeodesic between cuffs i and j (lk opposite)."""
+def _orthogeodesics(l1: float, l2: float, l3: float) -> tuple[float, float, float]:
+    """(d_12, d_13, d_23) for these cuffs; see ``pants_orthogeodesics``."""
     try:
-        num = math.cosh(lk / 2.0) + math.cosh(li / 2.0) * math.cosh(lj / 2.0)
-        den = math.sinh(li / 2.0) * math.sinh(lj / 2.0)
-        d = math.acosh(num / den)
-    except (ArithmeticError, ValueError):
-        # a cosh overflows, the sinh product underflows to 0, or both
-        # products overflow and their ratio is 0 or NaN
-        d = math.inf
-    if not d < math.inf:
-        raise NumericalInstability(
-            f"orthogeodesic between cuffs of length {li} and {lj} is not finite")
-    return d
+        c1, c2, c3 = math.cosh(l1 / 2.0), math.cosh(l2 / 2.0), math.cosh(l3 / 2.0)
+        s1, s2, s3 = math.sinh(l1 / 2.0), math.sinh(l2 / 2.0), math.sinh(l3 / 2.0)
+    except OverflowError:  # each orthogeodesic takes all three cosh
+        c1 = c2 = c3 = s1 = s2 = s3 = math.inf
+    out = []
+    for num, den, li, lj in ((c3 + c1 * c2, s1 * s2, l1, l2), (c2 + c1 * c3, s1 * s3, l1, l3),
+                             (c1 + c2 * c3, s2 * s3, l2, l3)):
+        try:
+            d = math.acosh(num / den)
+        except (ArithmeticError, ValueError):
+            # the sinh product underflows to 0, or the ratio rounds below 1
+            d = math.inf
+        if not d < math.inf:  # a cosh overflowed: the ratio is inf or NaN
+            raise NumericalInstability(
+                f"orthogeodesic between cuffs of length {li} and {lj} is not finite")
+        out.append(d)
+    return tuple(out)
 
 
 def pants_orthogeodesics(cuffs: PantsCuffs) -> tuple[float, float, float]:
-    """Orthogeodesic lengths (d_12, d_13, d_23) between the cuff pairs.
-    Raises NumericalInstability where one is not finite in floating point
-    (a cuff above about 1420, or two cuffs whose sinh product underflows)."""
-    d12 = _orthogeodesic(cuffs.l1, cuffs.l2, cuffs.l3)
-    d13 = _orthogeodesic(cuffs.l1, cuffs.l3, cuffs.l2)
-    d23 = _orthogeodesic(cuffs.l2, cuffs.l3, cuffs.l1)
-    return d12, d13, d23
+    """Orthogeodesic lengths (d_12, d_13, d_23) between the cuff pairs, from
+    each half cuff's cosh and sinh taken once, as ``pants_holonomy`` takes
+    them.  Raises NumericalInstability at the first of the three that is not
+    finite in floating point (a cuff above about 1420, or two cuffs whose
+    sinh product underflows, or whose ratio rounds below 1)."""
+    return _orthogeodesics(cuffs.l1, cuffs.l2, cuffs.l3)
 
 
 def normalize_angle(theta: float) -> tuple[float, int]:
@@ -220,15 +226,17 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
 
     The products are taken on entry tuples, with the sign rule of every
     intermediate map; only X1, X2, X3, N2 and N3 become maps, and N1 is the
-    shared identity.
+    shared identity.  The lengths are checked as ``PantsCuffs`` checks them.
 
     Raises NumericalInstability where valid cuffs are too long or too short
-    for that construction in floating point, including where the trace of
-    X1 or X2 rounds to 2 or below, so every stored cuff is hyperbolic.
+    for that construction in floating point: where an orthogeodesic, d_13 and
+    d_23 included, is not finite, or the trace of X1 or X2 rounds to 2 or
+    below, so every stored cuff is hyperbolic.
     """
     l1, l2, l3 = lengths
-    cuffs = PantsCuffs(l1, l2, l3)
-    d12, _, _ = pants_orthogeodesics(cuffs)
+    for l in (l1, l2, l3):
+        check_positive_finite("cuff length", l)
+    d12 = _orthogeodesics(l1, l2, l3)[0]
     try:
         P = _perp_translation(d12)
         x1 = _translation(l1)
@@ -291,13 +299,10 @@ class HolonomyMap(_Record):
         return self.recovered_length(family, k)
 
 
-def _twist_transition(pants_from, pants_to, cuff, length, theta) -> tuple:
-    """Entries of the frame transition across a gluing: align the two cuff
-    axes with the model axis, twist by the arc-length theta*length/(2*pi),
-    and reverse orientation so the boundary circles match up.
-    Np @ T(t) @ J @ Nq^-1 is multiplied on entry tuples and makes no map."""
-    Np = pants_from.normalizers[pants_from.cuffs.index(cuff)]
-    Nq = pants_to.normalizers[pants_to.cuffs.index(cuff)]
+def _twist_transition(Np: MobiusMap, Nq: MobiusMap, length: float, theta: float) -> tuple:
+    """Entries of Np @ T(t) @ J @ Nq^-1, the frame transition across a gluing
+    from the glued cuff's normalizers in the two pants: a twist by the
+    arc-length t = theta*length/(2*pi), then orientation reversed."""
     t = theta * length / TWO_PI
     x = _mul(_mul((Np.a, Np.b, Np.c, Np.d), _translation(t)), _J)
     return _mul(x, _inv((Nq.a, Nq.b, Nq.c, Nq.d)))
@@ -310,27 +315,29 @@ def holonomy_from_fn(fn: FNCoordinates) -> HolonomyMap:
 
     The frames are chained left to right on one running entry tuple, each
     times the entries of the next transition; every transition and every
-    frame becomes a map only to be stored.  Raises NumericalInstability
-    when a pants triple cannot be built in floating point (see
-    pants_holonomy) or a chained frame overflows to a non-finite entry."""
+    frame becomes a map only to be stored.  The cuff slots are known: a_k
+    is slot 1 of P1[k] and 0 of P2[k], c_{k+1} slot 2 of P2[k] and 0 of
+    P1[k+1].  Raises NumericalInstability when a pants triple cannot be
+    built in floating point (see pants_holonomy) or a chained frame
+    overflows to a non-finite entry."""
     pants, frames, transitions = {}, {}, {}
-    N = fn.window
-    for k in fn.indices():
-        la, _, lb, _, lc, _ = fn.coords[k]
+    N, coords = fn.window, fn.coords
+    for k in range(-N, N + 1):
+        la, _, lb, _, lc, _ = coords[k]
         pants[("P1", k)] = pants_holonomy([("c", k), ("a", k), ("b", k)], (lc, la, lb))
-        if k + 1 <= N:
-            lc_next = fn.length("c", k + 1)
-            pants[("P2", k)] = pants_holonomy(
-                [("a", k), ("b", k), ("c", k + 1)], (la, lb, lc_next)
-            )
+        if k < N:
+            pants[("P2", k)] = pants_holonomy([("a", k), ("b", k), ("c", k + 1)],
+                                              (la, lb, coords[k + 1][4]))
     # chain frames left to right: P1[-N] -> P2[-N] -> P1[-N+1] -> ...
     frames[("P1", -N)] = _IDENTITY
     frame = _I
     for k in range(-N, N):
-        for src, dst, cuff in ((("P1", k), ("P2", k), ("a", k)),
-                               (("P2", k), ("P1", k + 1), ("c", k + 1))):
-            t = _twist_transition(pants[src], pants[dst], cuff,
-                                  fn.length(*cuff), fn.twist(*cuff))
+        p1, p2, q1 = ("P1", k), ("P2", k), ("P1", k + 1)
+        n1, n2, m1 = pants[p1].normalizers, pants[p2].normalizers, pants[q1].normalizers
+        for src, dst, cuff, Np, Nq, length, theta in (
+                (p1, p2, ("a", k), n1[1], n2[0], *coords[k][:2]),
+                (p2, q1, ("c", k + 1), n2[2], m1[0], *coords[k + 1][4:])):
+            t = _twist_transition(Np, Nq, length, theta)
             transitions[(src, dst, cuff)] = _map(t)
             frame = _mul(frame, t)
             if not all(map(math.isfinite, frame)):
@@ -395,9 +402,12 @@ _FN_FIELDS = ("l_a", "t_a", "l_b", "t_b", "l_c", "t_c")
 
 
 def fn_to_dict(fn: FNCoordinates) -> dict:
-    """FN records with the window and twist convention, ready for JSON."""
-    records = [{"k": k, **dict(zip(_FN_FIELDS, fn.coords[k]))} for k in fn.indices()]
-    return {"twist_convention": TWIST_CONVENTION, "window": fn.window, "records": records}
+    """FN records with the window and twist convention, ready for JSON.
+    Each dict is built in sorted key order, as ``fn_to_json`` writes it."""
+    rows = zip(fn.indices(), map(fn.coords.__getitem__, fn.indices()))
+    records = [{"k": k, "l_a": la, "l_b": lb, "l_c": lc, "t_a": ta, "t_b": tb, "t_c": tc}
+               for k, (la, ta, lb, tb, lc, tc) in rows]
+    return {"records": records, "twist_convention": TWIST_CONVENTION, "window": fn.window}
 
 
 def fn_to_json(fn: FNCoordinates) -> str:
@@ -413,5 +423,6 @@ def fn_to_csv(fn: FNCoordinates) -> str:
 
 def fn_from_json(text: str) -> FNCoordinates:
     data = json.loads(text)
-    coords = {r["k"]: tuple(r[name] for name in _FN_FIELDS) for r in data["records"]}
+    fields = itemgetter(*_FN_FIELDS)
+    coords = {r["k"]: fields(r) for r in data["records"]}
     return FNCoordinates(window=data["window"], coords=coords)

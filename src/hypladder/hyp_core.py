@@ -31,10 +31,11 @@ class MobiusMap(_Record):
 
     The constructor normalizes raw entries to determinant 1 (rescaling by
     1/sqrt of the float determinant) and trace >= 0 (the sign of the matrix
-    is immaterial in the isometry group).  Each row is first scaled by an
-    even power of two, which is exact, so entries of very different size
-    lose nothing to underflow in the determinant; where nothing under- or
-    overflows, the result is bit for bit that of the unscaled formula.  The
+    is immaterial in the isometry group).  Unless every nonzero entry and
+    the determinant lie in [2**-250, 2**250], where the unscaled formula is
+    taken, each row is first scaled by an even power of two, which is exact,
+    so entries of very different size lose nothing to underflow in the
+    determinant; where nothing under- or overflows, both agree bit for bit.  The
     library calls it only on entries whose products a*d and b*c are exact
     (each has a factor 0 or +-1), so the float determinant is the exact one
     rounded once.  A determinant that is not > 0 (NaN included) or that
@@ -69,7 +70,14 @@ class MobiusMap(_Record):
     d: float
 
     def __new__(cls, a: float, b: float, c: float, d: float):
-        # __new__, not __init__, so that _map makes every map, this one too;
+        # __new__, not __init__, so that _map makes every map, this one too
+        det = a * d - b * c
+        if (_LO <= det <= _HI and (not a or _LO <= abs(a) <= _HI)
+                and (not b or _LO <= abs(b) <= _HI) and (not c or _LO <= abs(c) <= _HI)
+                and (not d or _LO <= abs(d) <= _HI)):
+            # every product, root and quotient is normal: the scaled path's bits
+            s = 1.0 / math.sqrt(det)
+            return _map(_signed(a * s, b * s, c * s, d * s))
         # each row times an even power of two, 2**-p and 2**-q: exact, and it
         # brings each row's largest entry into [0.5, 2), so rows of very
         # different size no longer under- or overflow in a*d - b*c
@@ -77,13 +85,12 @@ class MobiusMap(_Record):
         q = math.frexp(max(abs(c), abs(d)))[1] & -2
         sa, sb = math.ldexp(a, -p), math.ldexp(b, -p)
         sc, sd = math.ldexp(c, -q), math.ldexp(d, -q)
-        det = sa * sd - sb * sc  # the determinant times 2**-(p + q)
-        if not det > 0:
-            raise NonPositiveDeterminant(
-                f"matrix must have positive determinant, got {a * d - b * c}")
-        if det == math.inf or math.frexp(det)[1] + p + q > sys.float_info.max_exp:
+        sdet = sa * sd - sb * sc  # the determinant times 2**-(p + q)
+        if not sdet > 0:
+            raise NonPositiveDeterminant(f"matrix must have positive determinant, got {det}")
+        if sdet == math.inf or math.frexp(sdet)[1] + p + q > sys.float_info.max_exp:
             raise NumericalInstability("matrix determinant overflows")
-        s = 1.0 / math.sqrt(det)
+        s = 1.0 / math.sqrt(sdet)
         # back to the raw scale: the first row by 2**p / 2**((p + q) / 2)
         r = (p - q) // 2
         try:
@@ -125,6 +132,7 @@ class MobiusMap(_Record):
 _set_a, _set_b, _set_c, _set_d = MobiusMap._setters
 
 _I = (1.0, 0.0, 0.0, 1.0)  # entries of the identity
+_LO, _HI = 2.0**-250, 2.0**250  # MobiusMap's unscaled range
 
 
 def _map(e: tuple) -> MobiusMap:
@@ -222,12 +230,13 @@ def solve_pentagon(b: float) -> PentagonSolution:
     Degenerates when b <= arcsinh(1), where cosh(c) <= 1 forces c <= 0.
     Raises NumericalInstability when sinh(b)^2 overflows (b above about 355).
     """
-    if not ARCSINH_1 < b < math.inf or b is True:
-        if isinstance(b, bool):
-            raise DegeneratePentagon(f"b must be a number, got {b}")
-        if b <= ARCSINH_1:
-            raise DegeneratePentagon(f"b must exceed arcsinh(1) ~ {ARCSINH_1:.6f}, got {b}")
-        raise DegeneratePentagon(f"b must be finite, got {b}")
+    try:
+        if not ARCSINH_1 < b < math.inf or b is True:
+            what = ("be a number" if isinstance(b, bool) else
+                    f"exceed arcsinh(1) ~ {ARCSINH_1:.6f}" if b <= ARCSINH_1 else "be finite")
+            raise DegeneratePentagon(f"b must {what}, got {b}")
+    except TypeError:  # b does not compare with a float
+        raise DegeneratePentagon(f"b must be a number, got {b}") from None
     try:
         c = math.acosh(math.sinh(b) ** 2)
     except OverflowError:
@@ -320,9 +329,12 @@ def quasi_geodesic_stability_R(K: float, length: float) -> float:
     particular a valid length-dependent bound).  Raises NumericalInstability
     when K is so large (above about 4e102) that the bound overflows.
     """
-    if not 1.0 <= K < math.inf or K is True:
-        what = "a number" if isinstance(K, bool) else ">= 1 and finite"
-        raise InvalidDilatation(f"dilatation must be {what}, got {K}")
+    try:
+        if not 1.0 <= K < math.inf or K is True:
+            what = "a number" if isinstance(K, bool) else ">= 1 and finite"
+            raise InvalidDilatation(f"dilatation must be {what}, got {K}")
+    except TypeError:  # K does not compare with a float
+        raise InvalidDilatation(f"dilatation must be a number, got {K}") from None
     check_positive_finite("geodesic length", length)
     if K == 1.0:
         return 0.0

@@ -59,7 +59,8 @@ class _GraphIndex:
     of the ids and heap ties break as they would on the ids themselves.
     adj[i] is flat, [j0, length0, j1, length1, ...] over the edges at i, so
     no tuple is made per edge.  row_lines maps a row line to its lattice
-    corners and horizontal-side midpoints.
+    corners and horizontal-side midpoints; ids that have no kind (ints, or
+    a kind without a row) leave it empty.
 
     ``separated``: every vertex has a band (``_BAND_PARITY``: one of the four
     kinds and an ``int`` row) and every edge joins bands at most one apart,
@@ -88,8 +89,13 @@ def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
     sorted afresh.
 
     Refuses lengths as ``add_edge`` does; each is checked only if ``min`` and
-    ``sum``, which pass over them in C (a NaN makes the sum NaN), fail."""
-    if edges and not (min(edges.values()) > 0 and sum(edges.values()) < math.inf):
+    ``sum``, which pass over them in C (a NaN makes the sum NaN), fail or
+    raise TypeError (a length that is no number)."""
+    try:
+        valid = not edges or min(edges.values()) > 0 and sum(edges.values()) < math.inf
+    except TypeError:
+        valid = False
+    if not valid:
         for key, w in edges.items():
             check_positive_finite(f"edge {key} length", w)
     if order is not None:
@@ -117,9 +123,12 @@ def _index_in_order(edges: dict, ids: list) -> _GraphIndex:
         if not -2 < bands[i] - bands[j] < 2:
             separated = False
     row_lines = {}
-    for i, v in enumerate(ids):
-        if v[0] in ("C", "HM"):
-            row_lines.setdefault(v[1], []).append(i)
+    try:
+        for i, v in enumerate(ids):
+            if v[0] in ("C", "HM"):
+                row_lines.setdefault(v[1], []).append(i)
+    except (TypeError, IndexError):  # ids that have no kind, such as ints
+        row_lines = {}
     return _GraphIndex(ids, pos, adj, row_lines, separated)
 
 
@@ -243,12 +252,12 @@ def _odd_sides(faces: list, num: dict) -> set:
 
 
 def _topology(t: TiledComplex) -> tuple:
-    """(Euler characteristic, boundary components) of ``t``'s faces.  V is
-    the index's vertex count; a face vertex that no edge touches is numbered
-    after the ids, outside V.  A side on k faces is (k + k % 2) / 2 edges,
-    k % 2 of them on the boundary (a glued pair's two ``a`` edges at their
-    shared midpoint are one side on four faces).  The boundary components
-    are the odd sides' ends less the merges of a union-find over them."""
+    """(Euler characteristic, boundary components) of ``t``'s faces.  V
+    counts the vertex numbers: the index's ids, then each face vertex that no
+    edge touches.  A side on k faces is (k + k % 2) / 2 edges, k % 2 of them
+    on the boundary (a glued pair's two ``a`` edges at their shared midpoint
+    are one side on four faces).  The boundary components are the odd
+    sides' ends less the merges of a union-find over them."""
     g, faces = t._graph(), t.faces
     num = g.pos
     try:
@@ -269,7 +278,7 @@ def _topology(t: TiledComplex) -> tuple:
             parent[i] = j
             merges += 1
     edge_count = (5 * len(faces) + len(odd)) // 2
-    return len(g.ids) - edge_count + len(faces), len(ends) - merges
+    return n - edge_count + len(faces), len(ends) - merges
 
 
 def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
@@ -453,17 +462,8 @@ class VerticalCertificate:
         return self.dijkstra_equality and self.row_crossing_bound
 
     def to_dict(self) -> dict:
-        return {
-            "b": self.b,
-            "n": self.n,
-            "window": list(self.window),
-            "refined": self.refined,
-            "distance": self.distance,
-            "expected": self.expected,
-            "dijkstra_equality": self.dijkstra_equality,
-            "row_crossing_bound": self.row_crossing_bound,
-            "passes": self.passes,
-        }
+        # the fields in order, the window as a list, then passes
+        return dict(vars(self), window=list(self.window), passes=self.passes)
 
 
 def _check_row_separation(n) -> None:

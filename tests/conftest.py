@@ -21,7 +21,7 @@ from hypladder.errors import (
     NotHyperbolic,
     NumericalInstability,
 )
-from hypladder.fenchel_nielsen import TWO_PI, PantsCuffs, pants_orthogeodesics
+from hypladder.fenchel_nielsen import TWO_PI, PantsCuffs
 from hypladder.hyp_core import MobiusMap, solve_pentagon
 from hypladder.pants_graph import TrivalentGraph
 from hypladder.tiled_surface import (
@@ -152,10 +152,11 @@ def _boundary_component_count(inc: dict) -> int:
 
 def oracle_topology(t: TiledComplex) -> tuple:
     """(Euler characteristic, boundary components, genus) of ``t``, read
-    from its public ``faces`` and ``edges`` alone."""
+    from its public ``faces`` and ``edges`` alone.  V counts edge endpoints
+    and face vertices both."""
     inc = _face_edge_incidence(t)
     edge_count = sum((k + 1) // 2 for k in inc.values())
-    chi = len(t.vertices()) - edge_count + len(t.faces)
+    chi = len(t.vertices().union(*t.faces)) - edge_count + len(t.faces)
     boundary = _boundary_component_count(inc)
     return chi, boundary, (2 - chi - boundary) // 2
 
@@ -456,6 +457,29 @@ def oracle_closure_residual(self) -> float:
     return dist_to_identity(mul(mul(X1, X2), X3))
 
 
+def _oracle_orthogeodesic(li: float, lj: float, lk: float) -> float:
+    """Length of the orthogeodesic between cuffs i and j (lk opposite),
+    every cosh and sinh taken afresh."""
+    try:
+        num = math.cosh(lk / 2.0) + math.cosh(li / 2.0) * math.cosh(lj / 2.0)
+        den = math.sinh(li / 2.0) * math.sinh(lj / 2.0)
+        d = math.acosh(num / den)
+    except (ArithmeticError, ValueError):
+        # a cosh overflows, the sinh product underflows to 0, or both
+        # products overflow and their ratio is 0 or NaN
+        d = math.inf
+    if not d < math.inf:
+        raise NumericalInstability(
+            f"orthogeodesic between cuffs of length {li} and {lj} is not finite")
+    return d
+
+
+def oracle_orthogeodesics(l1: float, l2: float, l3: float) -> tuple:
+    """(d_12, d_13, d_23), one pair at a time, refused in that order."""
+    return (_oracle_orthogeodesic(l1, l2, l3), _oracle_orthogeodesic(l1, l3, l2),
+            _oracle_orthogeodesic(l2, l3, l1))
+
+
 def oracle_pants_holonomy(cuff_labels, lengths) -> SimpleNamespace:
     """Fuchsian triple of a pair of pants from its three cuff lengths.
 
@@ -468,8 +492,8 @@ def oracle_pants_holonomy(cuff_labels, lengths) -> SimpleNamespace:
     for that construction in floating point.
     """
     l1, l2, l3 = lengths
-    cuffs = PantsCuffs(l1, l2, l3)
-    d12, _, _ = pants_orthogeodesics(cuffs)
+    PantsCuffs(l1, l2, l3)  # the cuff checks
+    d12, _, _ = oracle_orthogeodesics(l1, l2, l3)
     try:
         P = perp_translation(d12)
         X1 = translation(l1)
@@ -629,9 +653,10 @@ def geometry():
 
 @pytest.fixture(scope="session")
 def oracle_holonomy():
-    """The map-product holonomy: pants_holonomy, _twist_transition,
-    closure_residual and holonomy_from_fn, by name."""
+    """The map-product holonomy: the orthogeodesics, pants_holonomy,
+    _twist_transition, closure_residual and holonomy_from_fn, by name."""
     return {
+        "orthogeodesics": oracle_orthogeodesics,
         "pants_holonomy": oracle_pants_holonomy,
         "twist_transition": oracle_twist_transition,
         "closure_residual": oracle_closure_residual,

@@ -31,6 +31,10 @@ KEEP = {
     "tiled_surface.TiledComplex.boundary_component_count": "the boundary count that "
         "genus() subtracts, which the tiling tests check on one holed square and "
         "against the tests' topology oracle",
+    "fenchel_nielsen.pants_orthogeodesics": "the three orthogeodesic lengths of a "
+        "pair of pants; pants_holonomy takes d_12 from the same private "
+        "_orthogeodesics, which the holonomy tests compare bit for bit with "
+        "the per-pair oracle through this name",
     "tiled_surface.TiledComplex.add_edge": "the checked way to add an edge to a "
         "built complex, and the one edit that drops its graph index; the "
         "constructors write their edge maps in bulk",

@@ -118,6 +118,15 @@ class TestBuildLadderFN:
         with pytest.raises(NonPositiveLength, match="length for a_-1 must be a number"):
             build_ladder_fn(1, lengths=flag)
 
+    @pytest.mark.parametrize("value", ["x", None, 1j])
+    def test_rejects_non_number_lengths(self, value):
+        with pytest.raises(NonPositiveLength, match="length for a_-1 must be a number"):
+            build_ladder_fn(1, lengths=value)
+        with pytest.raises(NonPositiveLength, match="cuff length must be a number"):
+            PantsCuffs(value, 1.0, 1.0)
+        with pytest.raises(NonPositiveLength, match="cuff length must be a number"):
+            pants_holonomy(["1", "2", "3"], (1.0, 1.0, value))
+
     def test_twists_folded(self):
         fn = build_ladder_fn(1, twists=2.0 * math.pi + 0.25)
         assert fn.twist("b", 0) == pytest.approx(0.25)

@@ -7,7 +7,9 @@ library must give the same bits, by ``float.hex``, for every pants triple,
 normalizer, frame transition, frame and closure residual, and where the
 oracle refuses, the same error class with the same message.  The one
 intended difference: the library refuses a pants whose X1 or X2 has a trace
-rounded to 2 or below, which the oracle stored.
+rounded to 2 or below, which the oracle stored.  The oracle takes every
+cosh and sinh afresh for each orthogeodesic, one pair at a time; the
+library takes each half cuff's once.
 
 A second test counts the maps a build makes: each must be one the result
 stores, so an intermediate product that comes back fails without timing.
@@ -25,7 +27,13 @@ import pytest
 from hypladder import fenchel_nielsen as fnm
 from hypladder import hyp_core
 from hypladder.errors import NumericalInstability
-from hypladder.fenchel_nielsen import build_ladder_fn, holonomy_from_fn, pants_holonomy
+from hypladder.fenchel_nielsen import (
+    PantsCuffs,
+    build_ladder_fn,
+    holonomy_from_fn,
+    pants_holonomy,
+    pants_orthogeodesics,
+)
 
 RANGES = {"tiny": (1e-3, 1e-2), "short": (0.05, 0.5), "medium": (0.3, 3.0), "long": (3.0, 30.0)}
 SEEDS = range(12)
@@ -121,6 +129,48 @@ def test_pants_bit_identical_or_same_refusal(oracle_holonomy):
     assert refused and extra  # the sample reaches both kinds of refusal
 
 
+def test_orthogeodesics_bit_identical_or_same_refusal(oracle_holonomy):
+    # cuffs log-uniform over 10^-250 .. 10^3.5: finite, overflowing and
+    # underflowing orthogeodesics, and ratios that round below 1
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(4000):
+        lengths = tuple(10.0 ** rng.uniform(-250.0, 3.5) for _ in range(3))
+        want = _outcome(oracle_holonomy["orthogeodesics"], *lengths)
+        got = _outcome(lambda: pants_orthogeodesics(PantsCuffs(*lengths)))
+        kinds.add(want[0])
+        if want[0] == "raised":
+            assert got[1:] == want[1:]
+        else:
+            assert got[0] == "ok" and [d.hex() for d in got[1]] == [d.hex() for d in want[1]]
+    assert kinds == {"ok", "raised"}
+
+
+# each refusal as the per-pair formula gave it: a cosh that overflows takes
+# d_12 down first, wherever the long cuff sits; an underflowing sinh product
+# refuses the first pair it is in
+ORTHOGEODESIC_REFUSALS = [
+    ((1500.0, 1.0, 1.0), "1500.0 and 1.0"),
+    ((1.0, 1500.0, 1.0), "1.0 and 1500.0"),
+    ((1.0, 1.0, 1500.0), "1.0 and 1.0"),
+    ((1e-200, 2e-200, 1.0), "1e-200 and 2e-200"),
+    ((1e-200, 1.0, 2e-200), "1e-200 and 2e-200"),
+    ((1.0, 1e-200, 2e-200), "1e-200 and 2e-200"),
+    ((3e-200, 2e-200, 1e-200), "3e-200 and 2e-200"),
+    ((0.002531905736032896, 499.4533087574522, 40.984018174258146),
+     "499.4533087574522 and 40.984018174258146"),
+]
+
+
+@pytest.mark.parametrize("lengths, pair", ORTHOGEODESIC_REFUSALS)
+def test_orthogeodesic_refusal_messages(lengths, pair, oracle_holonomy):
+    message = f"orthogeodesic between cuffs of length {pair} is not finite"
+    for build in (lambda: pants_orthogeodesics(PantsCuffs(*lengths)),
+                  lambda: pants_holonomy(("1", "2", "3"), lengths),
+                  lambda: oracle_holonomy["orthogeodesics"](*lengths)):
+        assert _outcome(build) == ("raised", NumericalInstability, message)
+
+
 def test_transition_bit_identical_for_raw_twists(oracle_holonomy):
     # build_ladder_fn folds twists into [0, 2*pi); a transition takes any
     # angle, here within +-50, and lengths up to 30
@@ -136,7 +186,9 @@ def test_transition_bit_identical_for_raw_twists(oracle_holonomy):
         theta = rng.uniform(-50.0, 50.0)
         for src, dst, cuff, length in ((p, q, ("a", 0), la), (q, p, ("b", 0), lb)):
             want = _outcome(oracle_holonomy["twist_transition"], src, dst, cuff, length, theta)
-            got = _outcome(fnm._twist_transition, src, dst, cuff, length, theta)
+            Np = src.normalizers[src.cuffs.index(cuff)]
+            Nq = dst.normalizers[dst.cuffs.index(cuff)]
+            got = _outcome(fnm._twist_transition, Np, Nq, length, theta)
             if want[0] == "raised":
                 assert got[1:] == want[1:]
             else:  # both return entries
@@ -147,7 +199,7 @@ def test_transition_refusal_is_unchanged(oracle_holonomy):
     p = pants_holonomy([("c", 0), ("a", 0), ("b", 0)], (1.0, 1.0, 1.0))
     for t in (1e4, -1e4, math.nan, math.inf):
         want = _outcome(oracle_holonomy["twist_transition"], p, p, ("a", 0), 2 * math.pi, t)
-        got = _outcome(fnm._twist_transition, p, p, ("a", 0), 2 * math.pi, t)
+        got = _outcome(fnm._twist_transition, p.normalizers[1], p.normalizers[1], 2 * math.pi, t)
         assert want[0] == "raised" and got[1:] == want[1:]
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,95 @@ class TestMobiusMap:
         # determinant drifts; composition only fixes the sign, so the product
         # still builds
         assert _drifted(geometry).max_entry() > 1e10
+
+
+def _scaled(a, b, c, d) -> tuple:
+    """What the constructor gave when every input took its power-of-two
+    scaled formula: the entries' float.hex, or the error class and message."""
+    p = math.frexp(max(abs(a), abs(b)))[1] & -2
+    q = math.frexp(max(abs(c), abs(d)))[1] & -2
+    sa, sb = math.ldexp(a, -p), math.ldexp(b, -p)
+    sc, sd = math.ldexp(c, -q), math.ldexp(d, -q)
+    det = sa * sd - sb * sc
+    if not det > 0:
+        return NonPositiveDeterminant, f"matrix must have positive determinant, got {a * d - b * c}"
+    if det == math.inf or math.frexp(det)[1] + p + q > sys.float_info.max_exp:
+        return NumericalInstability, "matrix determinant overflows"
+    s, r = 1.0 / math.sqrt(det), (p - q) // 2
+    try:
+        e = (math.ldexp(sa * s, r), math.ldexp(sb * s, r),
+             math.ldexp(sc * s, -r), math.ldexp(sd * s, -r))
+    except OverflowError:
+        return NumericalInstability, "normalized matrix entry overflows"
+    if e[0] + e[3] < 0:
+        e = tuple(-x for x in e)
+    return tuple(x.hex() for x in e)
+
+
+def _constructed(a, b, c, d) -> tuple:
+    try:
+        return _bits(MobiusMap(a, b, c, d))
+    except HypladderError as exc:
+        return type(exc), str(exc)
+
+
+def _unscaled_range(a, b, c, d) -> bool:
+    """Every nonzero entry and the determinant in [2**-250, 2**250]."""
+    return all(not x or 2.0**-250 <= abs(x) <= 2.0**250 for x in (a, b, c, d)) \
+        and 2.0**-250 <= a * d - b * c <= 2.0**250
+
+
+def _random_entry(rng, lo: int, hi: int) -> float:
+    if rng.random() < 0.1:
+        return rng.choice((0.0, -0.0))
+    x = math.ldexp(1.0 + rng.getrandbits(52) * 2.0**-52, rng.randint(lo, hi))
+    return rng.choice((x, -x))
+
+
+def _edge_matrices():
+    """Entries and determinants at 2**-250 and 2**250 and one ulp either
+    side, in every slot and sign."""
+    out = []
+    for e in (-250, 250):
+        edge = 2.0**e
+        half = 2.0 ** (e // 2)
+        for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)):
+            out += [(v, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, v), (1.0, v, 0.0, 1.0),
+                    (1.0, 0.0, v, 1.0), (v, 1.0, -1.0, 0.0), (0.0, -v, 1.0, v)]
+        for w in (math.nextafter(half, 0.0), half, math.nextafter(half, math.inf)):
+            out += [(half, 0.0, 0.0, w), (w, 0.5, -0.5, half), (half, w, -w, half)]
+    return [tuple(sign * x for x in m) for m in out for sign in (1.0, -1.0)] + \
+        [(m[0], -m[1], -m[2], m[3]) for m in out]
+
+
+class TestConstructorPaths:
+    """The unscaled formula is taken only where it gives the scaled one's
+    bits; every other input keeps the scaled path and its refusals."""
+
+    @pytest.mark.parametrize("m", _edge_matrices())
+    def test_range_edges(self, m):
+        assert _constructed(*m) == _scaled(*m)
+
+    def test_seeded_sweep(self):
+        rng = random.Random(24)
+        unscaled = scaled = 0
+        for i in range(20000):
+            # binary exponents over all floats, subnormals included, and near the range
+            lo, hi = (-1074, 1023) if i % 2 else (-262, 262)
+            m = tuple(_random_entry(rng, lo, hi) for _ in range(4))
+            assert _constructed(*m) == _scaled(*m), m
+            if _unscaled_range(*m):
+                unscaled += 1
+            else:
+                scaled += 1
+        assert unscaled > 2000 and scaled > 2000
+
+    @pytest.mark.parametrize("m", [(math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 1.0),
+                                   (1.0, math.inf, 0.0, 1.0), (1e308, 0.0, 0.0, 1e308),
+                                   (1e-308, 0.0, 0.0, 1e-308), (5e-324, 0.0, 0.0, 5e-324)])
+    def test_non_finite_and_extreme_keep_the_scaled_path(self, m):
+        assert not _unscaled_range(*m)
+        assert _constructed(*m) == _scaled(*m)
 
 
 def _drifted(g) -> MobiusMap:
@@ -481,6 +572,19 @@ class TestStabilityR:
             quasi_geodesic_stability_R(flag, 1.0)
         with pytest.raises(NonPositiveLength, match="geodesic length must be a number"):
             quasi_geodesic_stability_R(1.5, flag)
+
+    @pytest.mark.parametrize("value", ["x", None, 1j, [1.0]])
+    def test_rejects_non_numbers(self, value):
+        # a comparison with a non-number raises TypeError; each guard turns
+        # it into its own refusal
+        with pytest.raises(InvalidDilatation, match="dilatation must be a number"):
+            quasi_geodesic_stability_R(value, 1.0)
+        with pytest.raises(NonPositiveLength, match="geodesic length must be a number"):
+            quasi_geodesic_stability_R(1.5, value)
+        with pytest.raises(NonPositiveLength, match="geodesic length must be a number"):
+            collar_width(value)
+        with pytest.raises(DegeneratePentagon, match="b must be a number"):
+            solve_pentagon(value)
 
     @pytest.mark.parametrize("K", [math.nan, math.inf])
     def test_rejects_non_finite_dilatation(self, K):

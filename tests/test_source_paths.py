@@ -3,7 +3,9 @@ one way each, and the tests' oracle computes apart from it.
 
 Every 2x2 product in ``src/hypladder`` goes through ``hyp_core._mul`` on
 entry tuples, so no ``@`` operator appears there; ``MobiusMap.__matmul__``
-is kept for callers outside the library.  Every record stores its fields
+is kept for callers outside the library.  Nor is the product written out
+again: no other function holds two ``p*q + r*s`` sums, the form of each
+entry of a product.  Every record stores its fields
 through ``_Record._set_fields``; only ``MobiusMap._map`` calls the slot
 setters one by one, so ``_setters`` is read in ``errors.py``, which builds
 them, and ``hyp_core.py`` alone.  Every shortest-path search, pruned or
@@ -48,6 +50,25 @@ def test_no_matmul_operator(path):
              if isinstance(node, (ast.BinOp, ast.AugAssign))
              and isinstance(node.op, ast.MatMult)]
     assert lines == [], f"{path.name} multiplies with @ on lines {lines}"
+
+
+def _is_product(node) -> bool:
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+
+def test_one_function_writes_the_product_formula():
+    # per function, nested ones included in their outer function: the sums
+    # whose two terms are both products
+    counts = {}
+    for path in MODULES:
+        for func in _nodes(path):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                n = sum(1 for node in ast.walk(func)
+                        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                        and _is_product(node.left) and _is_product(node.right))
+                if n >= 2:
+                    counts[f"{path.stem}.{func.name}"] = n
+    assert counts == {"hyp_core._mul": 4}
 
 
 def test_slot_setters_read_only_by_the_base_and_mobius_map():

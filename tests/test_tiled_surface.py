@@ -934,8 +934,8 @@ class TestTopologyMatchesOracle:
     @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
     def test_window_edited_before_the_first_query(self, kind, oracle_topology):
         # one edge to a vertex on no face, and every edge at one hole corner
-        # deleted, so that it stays on its faces but leaves V: V gains one
-        # vertex and loses one, and the index sorts its ids afresh
+        # deleted, so that it stays on its faces and in V: V gains one
+        # vertex, and the index sorts its ids afresh
         t = WINDOW_KINDS[kind](build_grid(1.2, 4, 4))
         t.edges[("C", 0, 0), ("X", 0)] = 1.0
         corner = ("H", 1, 0, "N")
@@ -944,18 +944,19 @@ class TestTopologyMatchesOracle:
         assert corner in {v for face in t.faces for v in face}
         chi, boundary, genus = oracle_topology(t)
         assert _library_topology(t) == (chi, boundary, genus)
-        assert chi == oracle_topology(WINDOW_KINDS[kind](build_grid(1.2, 4, 4)))[0]
+        assert chi == oracle_topology(WINDOW_KINDS[kind](build_grid(1.2, 4, 4)))[0] + 1
 
     def test_face_vertex_no_edge_touches(self, oracle_topology):
-        # one pentagon with three of its sides as edges: vertex 4 is on the
-        # face but on no edge, so V counts four vertices
+        # one pentagon with two or three of its sides as edges: the vertices
+        # on the face but on no edge still count in V, so the face is a disc
         p = solve_pentagon(1.2)
         face = tuple(("P", k) for k in range(5))
-        t = TiledComplex(pentagon=p, rows=1, cols=1, faces=[face])
-        for k in range(3):
-            t.edges[face[k], face[k + 1]] = p.b
-        assert t._graph().ids == list(face[:4])
-        assert _library_topology(t) == oracle_topology(t) == (4 - 5 + 1, 1, 0)
+        for sides in (2, 3):
+            t = TiledComplex(pentagon=p, rows=1, cols=1, faces=[face])
+            for k in range(sides):
+                t.edges[face[k], face[k + 1]] = p.b
+            assert t._graph().ids == list(face[:sides + 1])
+            assert _library_topology(t) == oracle_topology(t) == (5 - 5 + 1, 1, 0)
 
     def test_two_faces_apart(self, oracle_topology):
         # two pentagons that share no vertex: two boundary components
@@ -999,6 +1000,18 @@ class TestDirectLengthWrites:
             with pytest.raises(NonPositiveLength):
                 query()
 
+    @pytest.mark.parametrize("value", ["x", None, 1j])
+    def test_non_number_is_a_length_error(self, value):
+        # through add_edge, and written straight into the edge map, where
+        # min() over the lengths raises TypeError
+        key = (("C", 1, 1), ("HM", 1, 1))
+        with pytest.raises(NonPositiveLength, match="edge length must be a number"):
+            build_grid(1.2, 3, 3).add_edge(*key, value)
+        t = build_grid(1.2, 6, 3)
+        t.edges[key] = value
+        with pytest.raises(NonPositiveLength, match=re.escape(f"edge {key} length must be a number")):
+            certify_vertical_minimizing(t, 4)
+
     def test_empty_edge_map_is_valid(self):
         t = TiledComplex(pentagon=solve_pentagon(1.2), rows=1, cols=1)
         assert dijkstra(t, []) == {}
@@ -1011,3 +1024,27 @@ class TestDirectLengthWrites:
         assert g.adj == [[1, huge], [0, huge, 2, huge], [1, huge]]
         with pytest.raises(NonPositiveLength):
             _index_graph({(v[0], v[1]): huge, (v[1], v[2]): huge, (v[2], v[3]): math.nan})
+
+
+class TestIdsWithoutKind:
+    # a hand-built complex may name its vertices by any ids that sort; ids
+    # that have no kind, such as ints, leave the index without row lines
+
+    def test_int_ids(self):
+        t = TiledComplex(pentagon=solve_pentagon(1.2), rows=4, cols=2,
+                         edges={(0, 1): 1.0, (1, 2): 2.0})
+        assert dijkstra(t, [0]) == {0: 0.0, 1: 1.0, 2: 3.0}
+        assert discrete_distance(t, 0, 2) == 3.0
+        assert t._graph().row_lines == {}
+        with pytest.raises(Unreachable):
+            certify_vertical_minimizing(t, 1)
+
+    def test_short_tuples_beside_corners(self):
+        # ("P",) has no row; the corners still make their row lines
+        v = [("C", 1, 0), ("C", 1, 1), ("P",), ("X", "y")]
+        t = TiledComplex(pentagon=solve_pentagon(1.2), rows=4, cols=2,
+                         edges={(v[0], v[1]): 1.0, (v[0], v[2]): 1.0, (v[1], v[3]): 1.0})
+        g = t._graph()
+        assert not g.separated
+        assert g.row_lines == {1: [0, 1]}
+        assert discrete_distance(t, ("P",), ("X", "y")) == 3.0
