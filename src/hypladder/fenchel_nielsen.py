@@ -77,9 +77,12 @@ def _orthogeodesics(l1: float, l2: float, l3: float) -> tuple[float, float, floa
                              (c1 + c2 * c3, s2 * s3, l2, l3)):
         try:
             d = math.acosh(num / den)
-        except (ArithmeticError, ValueError):
-            # the sinh product underflows to 0, or the ratio rounds below 1
+        except ArithmeticError:  # the sinh product underflows to 0
             d = math.inf
+        except ValueError:  # the ratio, above 1 exactly, rounds below 1
+            raise NumericalInstability(
+                f"orthogeodesic between cuffs of length {li} and {lj} is lost to rounding: "
+                "its cosh rounds below 1") from None
         if not d < math.inf:  # a cosh overflowed: the ratio is inf or NaN
             raise NumericalInstability(
                 f"orthogeodesic between cuffs of length {li} and {lj} is not finite")
@@ -92,7 +95,8 @@ def pants_orthogeodesics(cuffs: PantsCuffs) -> tuple[float, float, float]:
     each half cuff's cosh and sinh taken once, as ``pants_holonomy`` takes
     them.  Raises NumericalInstability at the first of the three that is not
     finite in floating point (a cuff above about 1420, or two cuffs whose
-    sinh product underflows, or whose ratio rounds below 1)."""
+    sinh product underflows) or whose cosh, above 1 exactly, rounds below 1
+    (two long cuffs beside a short one)."""
     return _orthogeodesics(cuffs.l1, cuffs.l2, cuffs.l3)
 
 
@@ -230,8 +234,8 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
 
     Raises NumericalInstability where valid cuffs are too long or too short
     for that construction in floating point: where an orthogeodesic, d_13 and
-    d_23 included, is not finite, or the trace of X1 or X2 rounds to 2 or
-    below, so every stored cuff is hyperbolic.
+    d_23 included, is not finite or its cosh rounds below 1, or the trace of
+    X1 or X2 rounds to 2 or below, so every stored cuff is hyperbolic.
     """
     l1, l2, l3 = lengths
     for l in (l1, l2, l3):

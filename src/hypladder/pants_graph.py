@@ -18,7 +18,9 @@ elementary moves from a single constructed decomposition reaches every
 class.  Bridges, that walk and the modular graph's distances share one
 search, ``_bfs_dists``, on a dual graph's partner table (a bridge test cuts
 one single edge from it), on the walk's table of moves, or on the modular
-graph's adjacency.
+graph's adjacency.  A key's decoration is read on the partner table its
+search built, and the graphs the library makes from keys and dart moves are
+stored in the constructor's normal form without its checks (``_stored``).
 
 Complexity is capped at xi = 3g-3+b <= 4.  With the cap raised, the tests
 check the walk against an enumeration of every edge multiset up to xi = 7
@@ -27,8 +29,8 @@ and against counts from the literature past it.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import permutations
 
 from .errors import (
     ComplexityTooLarge,
@@ -36,6 +38,7 @@ from .errors import (
     NotTrivalent,
     UnknownVertex,
     _Record,
+    _rebuild,
     check_int,
     is_int,
 )
@@ -100,7 +103,7 @@ class TrivalentGraph(_Record):
     def bridges(self) -> tuple:
         """Internal edges whose dual curves separate the surface, in edge
         order: the bridges of the graph."""
-        return _bridges(self.n, self.edges)
+        return tuple(_cut_edges(_partners(self.n, self.edges), self.edges))
 
     def surface(self) -> tuple[int, int]:
         """(genus, boundary components) of the decomposed surface."""
@@ -117,19 +120,19 @@ def _partners(n: int, edges) -> list:
     return partners
 
 
-def _bridges(n: int, edges) -> tuple:
-    """Edges (i, j) of the sorted multiset, in its order, whose one copy cut
-    leaves j out of the search from i.  Neither a loop nor a parallel copy
-    separates, so only single edges between two vertices are cut."""
-    partners = _partners(n, edges)
-    out = []
+def _cut_edges(partners: list, edges):
+    """Yields the edges (i, j) of the sorted multiset, in its order, whose
+    one copy cut from the partner table leaves j out of the search from i;
+    the table is whole again before each yield.  Neither a loop nor a
+    parallel copy separates, so only single edges between two vertices are
+    cut: the bridges of the graph."""
     for i, j in edges:
         if i != j and partners[i][j] == 1:
             del partners[i][j], partners[j][i]
-            if j not in _bfs_dists(partners, i):
-                out.append((i, j))
+            reached = _bfs_dists(partners, i)
             partners[i][j] = partners[j][i] = 1
-    return tuple(out)
+            if j not in reached:
+                yield i, j
 
 
 def canonical_key(g: TrivalentGraph) -> tuple:
@@ -156,7 +159,12 @@ def canonical_key(g: TrivalentGraph) -> tuple:
     * Tied relabellings give the same relabelled edges, of which ``half``
       and ``deco`` are functions, so the key does not depend on which one
       the search returns.  Both are built once, for it: ``half`` read in its
-      label order and ``deco`` as the bridges of the relabelled edges.
+      label order, and ``deco`` from the input's own bridges.  Whether an
+      edge separates does not depend on the names of the vertices, so a
+      relabelling maps the bridges of the input onto the bridges of the
+      relabelled edges: the input's bridges, found on the partner table the
+      search already built and relabelled by its winner, each as (min, max)
+      and sorted, are the bridges of the key's edges in their order.
     """
     n = g.n
     edges = g.edges
@@ -166,45 +174,38 @@ def canonical_key(g: TrivalentGraph) -> tuple:
     # order as (-loop, -m1, -m2, -m3) padded with 0, least wins
     blocks = [(v in loops, sorted(mult.values(), reverse=True)) for v, mult in enumerate(partners)]
     first = max(blocks, default=None)
-    best = order = ()
+    best = order = win = ()
     for v, mult in enumerate(partners):
         if blocks[v] != first:
             continue
         rest = [u for u in range(n) if u != v and u not in mult]
-        for head in itertools.permutations(mult):
+        for head in permutations(mult):
             if [mult[u] for u in head] != first[1]:
                 continue
             head = (v, *head)
-            for tail in itertools.permutations(rest):
+            for tail in permutations(rest):
                 candidate = head + tail  # vertices in label order
                 label = sorted(range(n), key=candidate.__getitem__)  # label[v]: v's place
                 codes = sorted([label[i] * n + label[j] if label[i] <= label[j]
                                 else label[j] * n + label[i] for i, j in edges])
                 if not order or codes < best:
-                    best, order = codes, candidate
-    relabelled = tuple([divmod(code, n) for code in best])
-    return n, relabelled, tuple(map(g.half.__getitem__, order)), _bridges(n, relabelled)
+                    best, order, win = codes, candidate, label
+    # the input's bridges, on the search's own table, relabelled by the winner
+    deco = sorted([(win[i], win[j]) if win[i] < win[j] else (win[j], win[i])
+                   for i, j in _cut_edges(partners, edges)])
+    return (n, tuple([divmod(code, n) for code in best]), tuple(map(g.half.__getitem__, order)),
+            tuple(deco))
 
 
 def from_key(key: tuple) -> TrivalentGraph:
     n, edges, half, _ = key
-    return TrivalentGraph(n=n, edges=edges, half=half)
+    return TrivalentGraph(n, edges, half)
 
 
-def _check_cap(g: int, b: int) -> None:
-    check_int("genus", g)
-    check_int("boundary count", b)
-    if g < 0 or b < 0:
-        raise NegativeSurface(f"surface ({g},{b}) needs genus and boundary count >= 0")
-    x = xi(g, b)
-    if x < 1:
-        raise ComplexityTooLarge(
-            f"surface ({g},{b}) has complexity {x} < 1: no cuffs to decompose"
-        )
-    if x > COMPLEXITY_CAP:
-        raise ComplexityTooLarge(
-            f"complexity {x} exceeds the key-search cap {COMPLEXITY_CAP}"
-        )
+def _stored(key: tuple) -> TrivalentGraph:
+    """``from_key`` for a key the library made: the fields are already the
+    constructor's normal form, so they are stored without its checks."""
+    return _rebuild(TrivalentGraph, key[:3])
 
 
 def _seed(g: int, b: int) -> TrivalentGraph:
@@ -219,7 +220,7 @@ def _seed(g: int, b: int) -> TrivalentGraph:
     for v in ends[len(hung):]:
         half[v] += 1
     edges = [(i, i + 1) for i in range(s - 1)] + [(h, h) for h in range(s, n)]
-    return TrivalentGraph(n=n, edges=edges + list(zip(ends, hung)), half=half)
+    return TrivalentGraph(n, edges + list(zip(ends, hung)), half)
 
 
 class _MoveTable(dict):
@@ -227,19 +228,27 @@ class _MoveTable(dict):
     first looked up; ``notes[key]`` keeps that class's annotations."""
 
     def __init__(self):
-        super().__init__()
         self.notes = {}
 
     def __missing__(self, key):
-        self[key], self.notes[key] = _moves(from_key(key), key)
+        self[key], self.notes[key] = _moves(_stored(key), key)
         return self[key]
 
 
 def _classes(g: int, b: int) -> _MoveTable:
     """Every decomposition class of S_{g,b} with its moves: the table of a
     breadth-first walk over elementary moves from ``_seed(g, b)``.  The
-    pants graph is connected, so the walk reaches every class."""
-    _check_cap(g, b)
+    pants graph is connected, so the walk reaches every class.  The surface
+    must be one of complexity 1 to ``COMPLEXITY_CAP``."""
+    check_int("genus", g)
+    check_int("boundary count", b)
+    if g < 0 or b < 0:
+        raise NegativeSurface(f"surface ({g},{b}) needs genus and boundary count >= 0")
+    x = xi(g, b)
+    if x < 1:
+        raise ComplexityTooLarge(f"surface ({g},{b}) has complexity {x} < 1: no cuffs to decompose")
+    if x > COMPLEXITY_CAP:
+        raise ComplexityTooLarge(f"complexity {x} exceeds the key-search cap {COMPLEXITY_CAP}")
     table = _MoveTable()
     _bfs_dists(table, canonical_key(_seed(g, b)))
     return table
@@ -249,27 +258,13 @@ def enumerate_decompositions(g: int, b: int) -> list[TrivalentGraph]:
     """All pants decompositions of S_{g,b} up to homeomorphism, one
     canonical representative per class, in key order, found by walking the
     pants graph from one decomposition."""
-    return [from_key(k) for k in sorted(_classes(g, b))]
-
-
-def _pairing(g: TrivalentGraph) -> dict:
-    """Dart pairing involution of the graph.  Vertex v owns darts 3v, 3v+1
-    and 3v+2; each edge takes the highest free dart at each end, and the
-    darts left free are the boundary legs."""
-    free = [3] * g.n
-    pairing = {}
-    for i, j in g.edges:
-        free[i] -= 1
-        d1 = 3 * i + free[i]
-        free[j] -= 1  # after i's: a loop takes two darts
-        d2 = 3 * j + free[j]
-        pairing[d1] = d2
-        pairing[d2] = d1
-    return pairing
+    return [_stored(k) for k in sorted(_classes(g, b))]
 
 
 def _moved_graph(n: int, pairing: dict, moved: dict) -> TrivalentGraph:
-    """Graph of the paired darts, dart d owned by moved.get(d, d // 3)."""
+    """Graph of the paired darts, dart d owned by moved.get(d, d // 3),
+    written in the constructor's normal form and stored without its checks:
+    every pants keeps its three darts."""
     edges = []
     half = [0] * n
     for d in range(3 * n):
@@ -278,8 +273,9 @@ def _moved_graph(n: int, pairing: dict, moved: dict) -> TrivalentGraph:
         if e is None:
             half[v] += 1
         elif d < e:
-            edges.append((v, moved.get(e, e // 3)))
-    return TrivalentGraph(n=n, edges=edges, half=half)
+            w = moved.get(e, e // 3)
+            edges.append((v, w) if v <= w else (w, v))
+    return _stored((n, tuple(sorted(edges)), tuple(half)))
 
 
 def elementary_moves(g: TrivalentGraph):
@@ -298,21 +294,31 @@ def elementary_moves(g: TrivalentGraph):
       input class are recorded as ``sphere_move_fixed`` annotations.
     """
     keys, annotations = _moves(g, canonical_key(g))
-    return [from_key(k) for k in sorted(keys)], annotations
+    return [_stored(k) for k in sorted(keys)], annotations
 
 
 def _moves(g: TrivalentGraph, self_key: tuple):
     """``elementary_moves`` for a graph whose key is known: (neighbour keys,
     annotations).  The move across darts dp < dq of pants p and q hands p's
     higher other dart to q and each other dart of q, ascending, to p.  Each
-    distinct labelled outcome is keyed once."""
-    pairing = _pairing(g)
+    distinct labelled outcome is keyed once.
+
+    The darts pair up as the edges do: vertex v owns darts 3v, 3v+1 and
+    3v+2, each edge takes the highest free dart at each end, and the darts
+    left free are the boundary legs."""
+    free = [3] * g.n
+    pairing = {}
+    for i, j in g.edges:
+        free[i] -= 1
+        d1 = 3 * i + free[i]
+        free[j] -= 1  # after i's: a loop takes two darts
+        d2 = 3 * j + free[j]
+        pairing[d1], pairing[d2] = d2, d1
     outcome_keys = {}
     neighbors = set()
     annotations = []
     done_edges = set()
-    for dp in sorted(pairing):
-        dq = pairing[dp]
+    for dp, dq in sorted(pairing.items()):
         if dp > dq:
             continue
         p, q = dp // 3, dq // 3
@@ -355,29 +361,15 @@ class ModularPantsGraph:
 
     def to_adjacency_text(self) -> str:
         lines = [f"# modular pants graph of surface genus={self.genus} boundary={self.boundary}"]
-        for i, nbrs in enumerate(self.adjacency):
-            lines.append(f"{i}: " + " ".join(str(j) for j in nbrs))
+        lines += (f"{i}: " + " ".join(map(str, nbrs)) for i, nbrs in enumerate(self.adjacency))
         return "\n".join(lines) + "\n"
 
     def to_dict(self) -> dict:
-        verts = [
-            {
-                "pants": v.n,
-                "edges": [list(e) for e in v.edges],
-                "half_edges": list(v.half),
-                "separating_edges": [list(e) for e in v.bridges()],
-            }
-            for v in self.vertices
-        ]
-        return {
-            "genus": self.genus,
-            "boundary": self.boundary,
-            "vertices": verts,
-            "adjacency": [list(a) for a in self.adjacency],
-            "annotations": [list(map(str, a)) for a in self.annotations],
-            "connected": self.connected,
-            "diameter": self.diameter,
-        }
+        # the fields in order, each record and tuple as JSON would hold it
+        verts = [{"pants": v.n, "edges": [list(e) for e in v.edges], "half_edges": list(v.half),
+                  "separating_edges": [list(e) for e in v.bridges()]} for v in self.vertices]
+        return dict(vars(self), vertices=verts, adjacency=[list(a) for a in self.adjacency],
+                    annotations=[list(map(str, a)) for a in self.annotations])
 
 
 def _bfs_dists(adjacency, start):
@@ -406,7 +398,7 @@ def modular_pants_graph(g: int, b: int) -> ModularPantsGraph:
     return ModularPantsGraph(
         genus=g,
         boundary=b,
-        vertices=tuple(map(from_key, keys)),
+        vertices=tuple(map(_stored, keys)),
         adjacency=adjacency,
         annotations=tuple(tuple(table.notes[key]) for key in keys),
         connected=True,

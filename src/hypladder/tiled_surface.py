@@ -27,11 +27,12 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, count
 
 from .errors import (
     InconsistentEdgeLength,
+    InconsistentInput,
     NonPositiveSize,
     ScaleTooLarge,
     Unreachable,
@@ -90,7 +91,9 @@ def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
 
     Refuses lengths as ``add_edge`` does; each is checked only if ``min`` and
     ``sum``, which pass over them in C (a NaN makes the sum NaN), fail or
-    raise TypeError (a length that is no number)."""
+    raise TypeError (a length that is no number).  Ids that do not compare
+    with each other, such as an int beside tuples, cannot be sorted and are
+    refused with ``InconsistentInput``, as ``add_edge`` refuses them."""
     try:
         valid = not edges or min(edges.values()) > 0 and sum(edges.values()) < math.inf
     except TypeError:
@@ -105,7 +108,12 @@ def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
                 return g
         except KeyError:  # an endpoint the hint does not list
             pass
-    return _index_in_order(edges, sorted({v for e in edges for v in e}))
+    ids = {v for e in edges for v in e}
+    try:
+        ids = sorted(ids)
+    except TypeError as exc:  # ids of types that do not compare, such as 0 and ("C", 1, 1)
+        raise InconsistentInput(f"vertex ids that do not compare: {exc}") from None
+    return _index_in_order(edges, ids)
 
 
 def _index_in_order(edges: dict, ids: list) -> _GraphIndex:
@@ -177,7 +185,8 @@ class TiledComplex:
     index of the graph, built on the first query and dropped by ``add_edge``.
     Change ``edges`` only through ``add_edge``, or before the first query:
     both ignore a later direct write.  The index refuses, when built, lengths
-    that are not positive and finite, which Dijkstra and the pruning need.
+    that are not positive and finite, which Dijkstra and the pruning need,
+    and ids that do not compare with each other, which it sorts.
     ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` hand the index the
     sorted vertex list they already have, as a hint: ``add_edge`` drops it,
     and the index checks it against ``edges`` and sorts the ids afresh when
@@ -192,8 +201,7 @@ class TiledComplex:
     faces: list = field(default_factory=list)  # 5-tuples in (b,b,a,c,a) order
     glued_pairs: tuple = ()
     refined: bool = False
-    _index: _GraphIndex | None = field(default=None, init=False, compare=False, repr=False)
-    _order: list | None = field(default=None, init=False, compare=False, repr=False)
+    _index = _order = None  # the index and the hint: class defaults, not fields
 
     @property
     def b(self) -> float:
@@ -204,7 +212,10 @@ class TiledComplex:
 
     def add_edge(self, u, v, length: float) -> None:
         check_positive_finite("edge length", length)
-        key = (u, v) if u <= v else (v, u)
+        try:
+            key = (u, v) if u <= v else (v, u)
+        except TypeError:
+            raise InconsistentInput(f"vertex ids {u!r} and {v!r} do not compare") from None
         old = self.edges.get(key)
         if old is not None and abs(old - length) > EDGE_TOL:
             raise _inconsistent(key, old, length)
@@ -239,21 +250,25 @@ def _inconsistent(key, old: float, length: float) -> InconsistentEdgeLength:
     return InconsistentEdgeLength(f"edge {key} assigned inconsistent lengths {old} and {length}")
 
 
-def _odd_sides(faces: list, num: dict) -> set:
-    """Sides on an odd number of the 5-gon ``faces``, side {i, j} of vertex
-    numbers ``num`` as the int i * n + j, i < j, toggled in a parity set."""
-    n, odd, get = len(num), set(), num.__getitem__
-    for face in faces:
-        a, b, c, d, e = map(get, face)
+def _odd_sides(faces: list, num: dict) -> tuple:
+    """(sides on an odd number of the 5-gon ``faces``, number of face
+    vertices).  The faces are read as five columns of vertex numbers ``num``
+    (faces of another length are refused); side {i, j} is the int
+    i * n + j, i < j, toggled in a parity set."""
+    n, odd = len(num), set()
+    cols = [list(map(num.__getitem__, col)) for col in zip(*faces, strict=True)]
+    for a, b, c, d, e in zip(*cols):
         for i, j in ((a, b), (b, c), (c, d), (d, e), (e, a)):
             k = i * n + j if i < j else j * n + i
             odd.remove(k) if k in odd else odd.add(k)
-    return odd
+    return odd, len(set(chain(*cols)))
 
 
 def _topology(t: TiledComplex) -> tuple:
     """(Euler characteristic, boundary components) of ``t``'s faces.  V
-    counts the vertex numbers: the index's ids, then each face vertex that no
+    counts the face vertices and E the face sides: an edge that is no side
+    (a diagonal, or one to a vertex on no face) is no part of the surface.
+    Sides are numbered on the index's ids, then each face vertex that no
     edge touches.  A side on k faces is (k + k % 2) / 2 edges, k % 2 of them
     on the boundary (a glued pair's two ``a`` edges at their shared midpoint
     are one side on four faces).  The boundary components are the odd
@@ -261,10 +276,10 @@ def _topology(t: TiledComplex) -> tuple:
     g, faces = t._graph(), t.faces
     num = g.pos
     try:
-        odd = _odd_sides(faces, num)
+        odd, v = _odd_sides(faces, num)
     except KeyError:
         num = dict(zip(dict.fromkeys(chain(g.ids, *faces)), count()))
-        odd = _odd_sides(faces, num)
+        odd, v = _odd_sides(faces, num)
     n = len(num)
     parent, merges = list(range(n)), 0
     ends = {x for k in odd for x in divmod(k, n)}
@@ -278,7 +293,7 @@ def _topology(t: TiledComplex) -> tuple:
             parent[i] = j
             merges += 1
     edge_count = (5 * len(faces) + len(odd)) // 2
-    return n - edge_count + len(faces), len(ends) - merges
+    return v - edge_count + len(faces), len(ends) - merges
 
 
 def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
@@ -374,8 +389,7 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
                 edges[key] = w
     faces = [(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
              for a, b, c, d, e in t.faces]
-    out = TiledComplex(pentagon=t.pentagon, rows=t.rows, cols=t.cols, edges=edges,
-                       faces=faces, glued_pairs=tuple(pairs), refined=t.refined)
+    out = replace(t, edges=edges, faces=faces, glued_pairs=tuple(pairs))
     if t._order is not None:
         out._order = [v for v in t._order if v not in rep]
     return out
@@ -572,8 +586,7 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
                 if abs(old - length) > EDGE_TOL:
                     raise _inconsistent(key, old, length)
                 edges[key] = length
-    out = TiledComplex(pentagon=t.pentagon, rows=t.rows, cols=t.cols, edges=edges,
-                       faces=list(t.faces), glued_pairs=t.glued_pairs, refined=True)
+    out = replace(t, edges=edges, faces=list(t.faces), refined=True)
     # diagonals join corners of one face, so the vertices stay the same
     out._order = t._order
     return out

@@ -152,11 +152,12 @@ def _boundary_component_count(inc: dict) -> int:
 
 def oracle_topology(t: TiledComplex) -> tuple:
     """(Euler characteristic, boundary components, genus) of ``t``, read
-    from its public ``faces`` and ``edges`` alone.  V counts edge endpoints
-    and face vertices both."""
+    from its public ``faces`` alone.  V counts face vertices only: an edge
+    that is no face side, and its ends off the faces, are no part of the
+    surface."""
     inc = _face_edge_incidence(t)
     edge_count = sum((k + 1) // 2 for k in inc.values())
-    chi = len(t.vertices().union(*t.faces)) - edge_count + len(t.faces)
+    chi = len(set().union(*t.faces)) - edge_count + len(t.faces)
     boundary = _boundary_component_count(inc)
     return chi, boundary, (2 - chi - boundary) // 2
 
@@ -463,12 +464,15 @@ def _oracle_orthogeodesic(li: float, lj: float, lk: float) -> float:
     try:
         num = math.cosh(lk / 2.0) + math.cosh(li / 2.0) * math.cosh(lj / 2.0)
         den = math.sinh(li / 2.0) * math.sinh(lj / 2.0)
-        d = math.acosh(num / den)
-    except (ArithmeticError, ValueError):
-        # a cosh overflows, the sinh product underflows to 0, or both
-        # products overflow and their ratio is 0 or NaN
-        d = math.inf
-    if not d < math.inf:
+        ratio = num / den
+    except ArithmeticError:  # a cosh overflows, or the sinh product underflows to 0
+        ratio = math.inf
+    if ratio < 1.0:  # the exact ratio is above 1: rounding took it below
+        raise NumericalInstability(
+            f"orthogeodesic between cuffs of length {li} and {lj} is lost to rounding: "
+            "its cosh rounds below 1")
+    d = math.acosh(ratio)
+    if not d < math.inf:  # inf, or NaN where both products overflow
         raise NumericalInstability(
             f"orthogeodesic between cuffs of length {li} and {lj} is not finite")
     return d

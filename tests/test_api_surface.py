@@ -35,6 +35,9 @@ KEEP = {
         "pair of pants; pants_holonomy takes d_12 from the same private "
         "_orthogeodesics, which the holonomy tests compare bit for bit with "
         "the per-pair oracle through this name",
+    "pants_graph.from_key": "the checked way to build a graph from a canonical "
+        "key given from outside; the library stores its own keys' graphs "
+        "without the checks, and the pants tests compare the two",
     "tiled_surface.TiledComplex.add_edge": "the checked way to add an edge to a "
         "built complex, and the one edit that drops its graph index; the "
         "constructors write their edge maps in bulk",

@@ -407,6 +407,102 @@ class TestCanonicalKeyPastTheCap:
             "8039572be439f3f34c9302a344d29e45e9510a3a11b47830451a2403599adf1a")
 
 
+def _is_normal_form(graph) -> bool:
+    """Whether the record holds what the constructor stores for its fields:
+    an int n, a sorted tuple of (min, max) int tuples and a tuple of ints."""
+    rebuilt = TrivalentGraph(graph.n, graph.edges, graph.half)
+    return (graph == rebuilt and hash(graph) == hash(rebuilt) and repr(graph) == repr(rebuilt)
+            and type(graph.edges) is tuple and type(graph.half) is tuple
+            and all(type(e) is tuple for e in graph.edges))
+
+
+class TestKeysAndRecordsAsBuilt:
+    """The key search finds the decoration on its own partner table, and the
+    graphs the library makes from keys and dart moves are stored without the
+    constructor's checks: each must be the record the constructor makes."""
+
+    def test_key_matches_brute_force_under_relabellings(self, brute_force_key, monkeypatch):
+        monkeypatch.setattr(pants_graph, "COMPLEXITY_CAP", 6)
+        surfaces = _surfaces(6)
+        assert len(surfaces) == 17
+        for surface in surfaces:
+            rng = random.Random(f"relabel {surface}")
+            for graph in enumerate_decompositions(*surface):
+                key = canonical_key(graph)
+                assert key == brute_force_key(graph, "min"), graph
+                for _ in range(2):
+                    perm = list(range(graph.n))
+                    rng.shuffle(perm)
+                    relabeled = _relabel(graph, perm)
+                    assert canonical_key(relabeled) == brute_force_key(relabeled, "min") == key
+
+    def test_records_equal_the_constructors(self, monkeypatch):
+        # every move outcome keyed, every graph the walk's table moves from,
+        # and every class the public functions return, up to complexity 7
+        monkeypatch.setattr(pants_graph, "COMPLEXITY_CAP", 7)
+        outcomes, movers = [], []
+        key, moves = pants_graph.canonical_key, pants_graph._moves
+
+        def key_spy(graph):
+            outcomes.append(graph)
+            return key(graph)
+
+        def moves_spy(graph, self_key):
+            movers.append(graph)
+            return moves(graph, self_key)
+
+        monkeypatch.setattr(pants_graph, "canonical_key", key_spy)
+        monkeypatch.setattr(pants_graph, "_moves", moves_spy)
+        records = 0
+        for g, b in _surfaces(7):
+            graphs = enumerate_decompositions(g, b)
+            vertices = modular_pants_graph(g, b).vertices
+            assert list(vertices) == graphs
+            graphs += [nb for graph in graphs for nb in elementary_moves(graph)[0]]
+            for graph in graphs + outcomes + movers:
+                assert _is_normal_form(graph), graph
+            records += len(graphs) + len(outcomes) + len(movers)
+            outcomes.clear()
+            movers.clear()
+        assert records > 5000
+
+    @pytest.mark.parametrize("key", [
+        (2, ((0, 1),), (1, 1), ()),  # degree 2 at both ends
+        (2, ((0, 1), (0, 1), (0, 1)), (0,), ()),  # one count for two vertices
+        (1, ((0, 1),), (2,), ()),  # endpoint out of range
+        (1, ((0, 0),), (True,), ()),  # a bool is not a count
+        (1, ((0, 0),), (4,), ()),
+        (2, (("0", 1), (0, 1), (0, 1)), (0, 0), ()),
+        (2, ((0, 1, 1), (0, 1), (0, 1)), (0, 0), ()),
+        (-1, (), (), ()),
+        (True, ((0, 0),), (1,), ()),
+        (2, 5, (0, 0), ()),
+        (2, ((0, 1),) * 3, None, ()),
+    ], ids=str)
+    def test_from_key_refuses_malformed_keys(self, key):
+        with pytest.raises(NotTrivalent):
+            from_key(key)
+        with pytest.raises(NotTrivalent):
+            TrivalentGraph(*key[:3])
+
+    def test_one_partner_table_per_key(self, monkeypatch):
+        calls = []
+        partners = pants_graph._partners
+
+        def spy(n, edges):
+            calls.append(n)
+            return partners(n, edges)
+
+        monkeypatch.setattr(pants_graph, "_partners", spy)
+        rng = random.Random(1981)
+        graphs = [g for s in SURFACES for g in enumerate_decompositions(*s)]
+        graphs += [_random_graph(rng, rng.randint(0, 6)) for _ in range(100)]
+        for graph in graphs:
+            calls.clear()
+            canonical_key(graph)
+            assert calls == [graph.n], graph
+
+
 class TestEdgeMultisets:
     @pytest.mark.parametrize("n", range(1, 6))
     def test_each_feasible_multiset_once(self, n, edge_multisets):

@@ -8,7 +8,11 @@ again: no other function holds two ``p*q + r*s`` sums, the form of each
 entry of a product.  Every record stores its fields
 through ``_Record._set_fields``; only ``MobiusMap._map`` calls the slot
 setters one by one, so ``_setters`` is read in ``errors.py``, which builds
-them, and ``hyp_core.py`` alone.  Every shortest-path search, pruned or
+them, and ``hyp_core.py`` alone.  ``errors._rebuild`` is the one function
+that makes a record without its ``__init__`` (``_map`` makes each map
+without ``MobiusMap.__new__``'s normalization); ``pants_graph`` stores the
+graphs of its keys and dart moves through it, and ``canonical_key`` finds
+its decoration on the one partner table of its search.  Every shortest-path search, pruned or
 not, is the one Dijkstra loop of ``tiled_surface._distances``, so no other
 function pops a heap.  Every graph search of ``pants_graph`` (bridges, the
 walk over elementary moves, the modular graph's distances) is the
@@ -157,3 +161,36 @@ def test_conftest_uses_no_deleted_mobius_member():
     used = sorted({node.attr for node in _nodes(CONFTEST)
                    if isinstance(node, ast.Attribute) and node.attr in DELETED_MEMBERS})
     assert used == [], f"conftest.py refers to deleted MobiusMap members {used}"
+
+
+def _function(path: Path, name: str):
+    return next(node for node in _nodes(path)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name)
+
+
+def _called_names(node) -> set:
+    return {call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)}
+
+
+def test_canonical_key_finds_bridges_on_its_own_table():
+    # one partner table per key: the decoration is read off the search's own
+    # table, not found again on the relabelled edges
+    func = _function(SRC / "pants_graph.py", "canonical_key")
+    calls = [call.func.id for call in ast.walk(func)
+             if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)]
+    assert calls.count("_partners") == 1 and "_cut_edges" in calls
+    assert not {"_bridges", "bridges"} & _called_names(func)
+
+
+@pytest.mark.parametrize("name", ["_moved_graph", "_moves", "_MoveTable"])
+def test_moves_build_no_graph_through_the_constructor(name):
+    assert "TrivalentGraph" not in _called_names(_function(SRC / "pants_graph.py", name))
+
+
+def test_one_function_skips_a_records_init():
+    # object.__new__ makes a record without running its __init__: the base's
+    # _rebuild does, and _map, for MobiusMap, whose checks are in __new__
+    makers = {(path.stem, func.name) for path in MODULES for func in _nodes(path)
+              if isinstance(func, ast.FunctionDef) and "__new__" in _called_names(func)}
+    assert makers == {("errors", "_rebuild"), ("hyp_core", "_map")}

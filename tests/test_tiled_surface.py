@@ -15,6 +15,7 @@ from hypladder import tiled_surface
 from hypladder.errors import (
     DegeneratePentagon,
     InconsistentEdgeLength,
+    InconsistentInput,
     NonPositiveLength,
     NonPositiveSize,
     NumericalInstability,
@@ -934,8 +935,9 @@ class TestTopologyMatchesOracle:
     @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
     def test_window_edited_before_the_first_query(self, kind, oracle_topology):
         # one edge to a vertex on no face, and every edge at one hole corner
-        # deleted, so that it stays on its faces and in V: V gains one
-        # vertex, and the index sorts its ids afresh
+        # deleted, so that it stays on its faces and in V: V counts face
+        # vertices only, so chi does not move, and the index sorts its ids
+        # afresh
         t = WINDOW_KINDS[kind](build_grid(1.2, 4, 4))
         t.edges[("C", 0, 0), ("X", 0)] = 1.0
         corner = ("H", 1, 0, "N")
@@ -944,7 +946,20 @@ class TestTopologyMatchesOracle:
         assert corner in {v for face in t.faces for v in face}
         chi, boundary, genus = oracle_topology(t)
         assert _library_topology(t) == (chi, boundary, genus)
-        assert chi == oracle_topology(WINDOW_KINDS[kind](build_grid(1.2, 4, 4)))[0] + 1
+        assert chi == oracle_topology(WINDOW_KINDS[kind](build_grid(1.2, 4, 4)))[0]
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    def test_dangling_edge_leaves_chi(self, kind):
+        # an edge whose far end lies on no face is no side of the surface:
+        # neither it nor that end counts, before or after the first query
+        want = _library_topology(WINDOW_KINDS[kind](build_grid(1.2, 4, 4)))
+        t = WINDOW_KINDS[kind](build_grid(1.2, 4, 4))
+        t.edges[("C", 0, 0), ("X", 0)] = 1.0
+        assert _library_topology(t) == want
+        t.add_edge(("C", 0, 1), ("X", 1), 1.0)
+        assert _library_topology(t) == want
+        if kind == "plain":
+            assert want == (-15, 17, 0)
 
     def test_face_vertex_no_edge_touches(self, oracle_topology):
         # one pentagon with two or three of its sides as edges: the vertices
@@ -1038,6 +1053,24 @@ class TestIdsWithoutKind:
         assert t._graph().row_lines == {}
         with pytest.raises(Unreachable):
             certify_vertical_minimizing(t, 1)
+
+    def test_mixed_type_ids_refused_at_the_first_query(self):
+        # an int id beside tuple ids cannot be sorted into the index
+        for query in (lambda t: dijkstra(t, [0]), lambda t: discrete_distance(t, 0, 1),
+                      lambda t: t.genus(), lambda t: certify_vertical_minimizing(t, 1)):
+            t = TiledComplex(pentagon=solve_pentagon(1.2), rows=4, cols=2,
+                             edges={(0, 1): 1.0, (("C", 1, 1), ("C", 1, 2)): 1.0})
+            with pytest.raises(InconsistentInput, match="do not compare") as info:
+                query(t)
+            assert not isinstance(info.value, TypeError)
+
+    def test_add_edge_refuses_an_id_that_does_not_compare(self):
+        t = build_grid(1.2, 4, 4)
+        edges = dict(t.edges)
+        with pytest.raises(InconsistentInput, match="do not compare"):
+            t.add_edge(0, ("C", 1, 1), 1.0)
+        assert t.edges == edges
+        assert discrete_distance(t, ("C", 0, 0), ("C", 1, 0)) == 2 * t.b
 
     def test_short_tuples_beside_corners(self):
         # ("P",) has no row; the corners still make their row lines
