@@ -16,10 +16,12 @@ Certificates are valid for paths inside the window minus a one-cell safety
 margin and state their window size.
 
 Every edge lies in one closed cell, so each row line separates the rows
-above it from those below; the graph index checks this, and while it holds
-a certificate's line search stops at its source line.  The topology is
-counted on the index's vertex numbers, so it keeps the index's edit rule,
-and bad lengths are refused at the first query (see ``TiledComplex``).
+above it from those below; the graph index checks this.  Every row strip
+of a built window has the same lengths, so one strip's search certifies
+every span (see ``certify_vertical_minimizing``).  The edge map drops the
+index and the constructors' hints on any write, so distances, certificates
+and the topology see every edit, and bad lengths are refused at the first
+query (see ``TiledComplex``).
 """
 
 from __future__ import annotations
@@ -28,17 +30,11 @@ import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import partialmethod
 from itertools import chain, count
 
-from .errors import (
-    InconsistentEdgeLength,
-    InconsistentInput,
-    NonPositiveSize,
-    ScaleTooLarge,
-    Unreachable,
-    check_int,
-    check_positive_finite,
-)
+from .errors import (InconsistentEdgeLength, InconsistentInput, NonPositiveSize, ScaleTooLarge,
+                     Unreachable, check_int, check_positive_finite)
 from .hyp_core import PentagonSolution, solve_pentagon
 
 EDGE_TOL = 1e-12
@@ -52,7 +48,7 @@ _HOLE_MIRROR = {"N": "N", "S": "S", "E": "W", "W": "E"}
 _BAND_PARITY = {"C": 0, "HM": 0, "H": 1, "VM": 1}
 
 
-@dataclass(frozen=True)
+@dataclass
 class _GraphIndex:
     """Integer form of a complex's corner graph.
 
@@ -67,7 +63,8 @@ class _GraphIndex:
     kinds and an ``int`` row) and every edge joins bands at most one apart,
     so a path between bands 2r - 1 and 2r + 1 passes row line r.  It holds
     for every window built here; an edge across a row line, a vertex of
-    another kind or a row that is no ``int`` turns it off.
+    another kind or a row that is no ``int`` turns it off.  ``strip`` caches
+    a certificate's one-row search (see ``certify_vertical_minimizing``).
     """
 
     ids: list
@@ -75,6 +72,7 @@ class _GraphIndex:
     adj: list
     row_lines: dict
     separated: bool
+    strip = None  # a class default, not a field
 
     def vertex(self, v) -> int:
         i = self.pos.get(v)
@@ -85,15 +83,13 @@ class _GraphIndex:
 
 def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
     """Index of the graph with these edges.  ``order`` is a hint: the sorted
-    vertex list a constructor made.  It is used only if it lists every edge
-    endpoint and every vertex it lists has an edge; otherwise the ids are
-    sorted afresh.
+    vertex list a constructor made, which the edge map drops on a write.
 
     Refuses lengths as ``add_edge`` does; each is checked only if ``min`` and
     ``sum``, which pass over them in C (a NaN makes the sum NaN), fail or
-    raise TypeError (a length that is no number).  Ids that do not compare
-    with each other, such as an int beside tuples, cannot be sorted and are
-    refused with ``InconsistentInput``, as ``add_edge`` refuses them."""
+    raise TypeError (a length that is no number).  A key that is no pair of
+    ids, or ids that do not compare with each other, such as an int beside
+    tuples, cannot be indexed and are refused with ``InconsistentInput``."""
     try:
         valid = not edges or min(edges.values()) > 0 and sum(edges.values()) < math.inf
     except TypeError:
@@ -101,26 +97,20 @@ def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
     if not valid:
         for key, w in edges.items():
             check_positive_finite(f"edge {key} length", w)
-    if order is not None:
-        try:
-            g = _index_in_order(edges, order)
-            if all(g.adj):
-                return g
-        except KeyError:  # an endpoint the hint does not list
-            pass
-    ids = {v for e in edges for v in e}
     try:
-        ids = sorted(ids)
-    except TypeError as exc:  # ids of types that do not compare, such as 0 and ("C", 1, 1)
-        raise InconsistentInput(f"vertex ids that do not compare: {exc}") from None
-    return _index_in_order(edges, ids)
+        return _index_in_order(edges, order or sorted({v for e in edges for v in e}))
+    except (TypeError, ValueError) as exc:  # such as the key 5, or ids 0 and ("C", 1, 1)
+        raise InconsistentInput(f"edge keys that are no vertex pairs, or ids that do not compare: {exc}") from None
 
 
 def _index_in_order(edges: dict, ids: list) -> _GraphIndex:
     pos = dict(zip(ids, range(len(ids))))
-    bands = _bands(ids)
-    separated = bands is not None
-    if bands is None:
+    try:  # each vertex's band, if every vertex has one
+        bands = [2 * v[1] + _BAND_PARITY[v[0]] for v in ids]
+        separated = type(sum(bands)) is int  # a row that is no int makes the sum no int
+    except (KeyError, IndexError, TypeError):  # a kind other than the four, or no row
+        separated = False
+    if not separated:
         bands = [0] * len(ids)
     adj = [[] for _ in ids]
     for (u, v), w in edges.items():
@@ -140,35 +130,25 @@ def _index_in_order(edges: dict, ids: list) -> _GraphIndex:
     return _GraphIndex(ids, pos, adj, row_lines, separated)
 
 
-def _bands(ids: list) -> list | None:
-    """Each vertex's band, or None if some vertex has none: a kind other
-    than the four, or a row that is no ``int``."""
-    try:
-        bands = [2 * v[1] + _BAND_PARITY[v[0]] for v in ids]
-    except (KeyError, IndexError, TypeError):
-        return None
-    # a row that is no int makes its band, and so the sum, no int
-    return bands if type(sum(bands)) is int else None
+def _written(edges, method, *args, **kwargs):
+    """Drop the index and both hints of ``edges``, then call ``method``."""
+    edges._index = edges._order = edges._alike = None
+    return method(edges, *args, **kwargs)
 
 
-def _far_side(g: _GraphIndex, line: int) -> list:
-    """(start, stop) slices of the sorted ``g.ids`` holding the vertices
-    below row line ``line`` (band > 2 line), one per kind, since
-    ``g.separated`` makes every row an ``int``."""
-    ids = g.ids
-    return [
-        (bisect_left(ids, (kind, line + 1 - parity)), bisect_left(ids, (kind, math.inf)))
-        for kind, parity in _BAND_PARITY.items()
-    ]
+class _EdgeMap(dict):
+    """A complex's edge map: a ``dict`` whose every mutator first drops the
+    graph index and the constructors' two hints, ``_order`` (the sorted
+    vertex list) and ``_alike`` (every row strip has the same lengths).  The
+    constructors write through ``dict``'s own methods and set the hints
+    after.  It keeps no reference to its complex, so a complex is freed
+    without waiting for the cycle collector.  The index and the hints are
+    instance attributes, not ``__slots__``, so the map pickles with every
+    protocol."""
 
 
-def _line_caps(g: _GraphIndex, far) -> list:
-    """A line search's ``best``: 0 on ``far``, inf elsewhere.  No name
-    keeps it, or its tentative distances, past the search."""
-    caps = [math.inf] * len(g.ids)
-    for start, stop in far:
-        caps[start:stop] = [0.0] * (stop - start)
-    return caps
+for _name in "__init__ __setitem__ __delitem__ __ior__ update setdefault pop popitem clear".split():
+    setattr(_EdgeMap, _name, partialmethod(_written, getattr(dict, _name)))
 
 
 @dataclass
@@ -182,26 +162,29 @@ class TiledComplex:
     keys share, and writes each pentagon side once.
 
     Distance queries and the topology (``genus()`` too) share one integer
-    index of the graph, built on the first query and dropped by ``add_edge``.
-    Change ``edges`` only through ``add_edge``, or before the first query:
-    both ignore a later direct write.  The index refuses, when built, lengths
+    index of the graph, built on the first query and kept on ``edges``,
+    which drops it on any write: through ``add_edge`` or straight into the
+    map, before or after a query.  The index refuses, when built, lengths
     that are not positive and finite, which Dijkstra and the pruning need,
     and ids that do not compare with each other, which it sorts.
-    ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` hand the index the
-    sorted vertex list they already have, as a hint: ``add_edge`` drops it,
-    and the index checks it against ``edges`` and sorts the ids afresh when
-    they differ.  A copy made with ``dataclasses.replace`` starts with
-    neither the index nor the hint.
+    ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` leave two hints on
+    the map, also dropped on a write: the sorted vertex list, and that every
+    row strip has the same lengths.  A plain ``dict`` given as ``edges``, as
+    a ``dataclasses.replace`` copy or a hand-built complex gives, is copied
+    once into such a map, without hints.
     """
 
     pentagon: PentagonSolution
     rows: int
     cols: int
-    edges: dict = field(default_factory=dict)  # sorted vertex pair -> length
+    edges: dict = field(default_factory=_EdgeMap)  # sorted vertex pair -> length
     faces: list = field(default_factory=list)  # 5-tuples in (b,b,a,c,a) order
     glued_pairs: tuple = ()
     refined: bool = False
-    _index = _order = None  # the index and the hint: class defaults, not fields
+
+    def __post_init__(self):
+        if not isinstance(self.edges, _EdgeMap):
+            self.edges = _EdgeMap(self.edges)
 
     @property
     def b(self) -> float:
@@ -216,16 +199,13 @@ class TiledComplex:
             key = (u, v) if u <= v else (v, u)
         except TypeError:
             raise InconsistentInput(f"vertex ids {u!r} and {v!r} do not compare") from None
-        old = self.edges.get(key)
-        if old is not None and abs(old - length) > EDGE_TOL:
-            raise _inconsistent(key, old, length)
-        self.edges[key] = length
-        self._index = self._order = None
+        _written(self.edges, _merge, key, length)  # checked as the constructors check
 
     def _graph(self) -> _GraphIndex:
-        if self._index is None:
-            self._index = _index_graph(self.edges, self._order)
-        return self._index
+        edges = self.edges
+        if edges._index is None:
+            edges._index = _index_graph(edges, edges._order)
+        return edges._index
 
     def alpha_column(self) -> int:
         return self.cols // 2
@@ -246,21 +226,20 @@ class TiledComplex:
         return (2 - chi - boundary) // 2
 
 
-def _inconsistent(key, old: float, length: float) -> InconsistentEdgeLength:
-    return InconsistentEdgeLength(f"edge {key} assigned inconsistent lengths {old} and {length}")
-
-
 def _odd_sides(faces: list, num: dict) -> tuple:
     """(sides on an odd number of the 5-gon ``faces``, number of face
     vertices).  The faces are read as five columns of vertex numbers ``num``
-    (faces of another length are refused); side {i, j} is the int
-    i * n + j, i < j, toggled in a parity set."""
+    (faces of another length are refused with ``InconsistentInput``); side
+    {i, j} is the int i * n + j, i < j, toggled in a parity set."""
     n, odd = len(num), set()
-    cols = [list(map(num.__getitem__, col)) for col in zip(*faces, strict=True)]
-    for a, b, c, d, e in zip(*cols):
-        for i, j in ((a, b), (b, c), (c, d), (d, e), (e, a)):
-            k = i * n + j if i < j else j * n + i
-            odd.remove(k) if k in odd else odd.add(k)
+    try:
+        cols = [list(map(num.__getitem__, col)) for col in zip(*faces, strict=True)]
+        for a, b, c, d, e in zip(*cols):
+            for i, j in ((a, b), (b, c), (c, d), (d, e), (e, a)):
+                k = i * n + j if i < j else j * n + i
+                odd.remove(k) if k in odd else odd.add(k)
+    except (TypeError, ValueError) as exc:  # a face that is no 5-tuple of ids
+        raise InconsistentInput(f"faces must be 5-tuples of vertex ids: {exc}") from None
     return odd, len(set(chain(*cols)))
 
 
@@ -303,10 +282,12 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     Every side is written once, straight under its sorted key: a cell writes
     its four ``a`` and four ``c`` sides and the ``b`` halves of its top and
     left sides, and the last row and column also write their bottom and
-    right halves.  Each vertex is one tuple, shared by faces and edges, and
-    the tuples are listed in sorted order as the index's hint: corners row
-    by row, hole corners cell by cell (E < N < S < W), then the horizontal
-    and the vertical midpoints.
+    right halves.  Each row's sides go into a plain dict, merged into the
+    edge map by ``dict.update``.  Each vertex is one tuple, shared by faces
+    and edges, and the tuples are listed in sorted order as the index's
+    hint: corners row by row, hole corners cell by cell (E < N < S < W),
+    then the horizontal and the vertical midpoints.  Every row is alike,
+    the second hint.
     """
     check_int("rows", rows)
     check_int("cols", cols)
@@ -315,7 +296,7 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     p = solve_pentagon(b)
     pb, pa, pc = p.b, p.a, p.c
     t = TiledComplex(pentagon=p, rows=rows, cols=cols)
-    edges, faces = t.edges, t.faces
+    faces = t.faces
     corner = [[("C", r, c) for c in range(cols + 1)] for r in range(rows + 1)]
     hmid = [[("HM", r, c) for c in range(cols)] for r in range(rows + 1)]
     vmid = [[("VM", r, c) for c in range(cols + 1)] for r in range(rows)]
@@ -323,7 +304,7 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     for r in range(rows):
         top, bottom, vm = corner[r], corner[r + 1], vmid[r]
         htop, hbottom = hmid[r], hmid[r + 1]
-        last_row = r == rows - 1
+        last_row, edges = r == rows - 1, {}
         for c in range(cols):
             c00, c01, c10, c11 = top[c], top[c + 1], bottom[c], bottom[c + 1]
             h0, h1, v0, v1 = htop[c], hbottom[c], vm[c], vm[c + 1]
@@ -342,7 +323,9 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
             if last_row:
                 edges[c10, h1] = edges[c11, h1] = pb
         edges[top[cols], vm[cols]] = edges[bottom[cols], vm[cols]] = pb
-    t._order = [v for row in corner for v in row] + holes + [v for row in hmid + vmid for v in row]
+        dict.update(t.edges, edges)
+    t.edges._order = [v for row in corner for v in row] + holes + [v for row in hmid + vmid for v in row]
+    t.edges._alike = True
     return t
 
 
@@ -364,7 +347,8 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     and S to S and swaps E and W, preserving pentagon-edge labels.
 
     Only the edges at a glued-away hole corner are rewritten in the copied
-    edge map, each checked as ``add_edge`` checks it.
+    edge map, each checked as ``add_edge`` checks it.  Gluing pairs holes
+    within a row, so the rows stay alike if they were.
     """
     rep = {}
     pairs = []
@@ -375,24 +359,28 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
                 rep[("H", r, c + 1, mirrored)] = ("H", r, c, pos)
     # a representative sits in an even column, so it is never a key of rep
     canon = rep.get
-    edges = dict(t.edges)
+    edges = _EdgeMap(t.edges)
     for key, w in t.edges.items():
         u, v = key
         if u in rep or v in rep:
-            del edges[key]
+            dict.pop(edges, key)
             u, v = canon(u, u), canon(v, v)
-            key = (u, v) if u <= v else (v, u)
-            old = edges.setdefault(key, w)
-            if old is not w:  # the key was there: check it, then overwrite
-                if abs(old - w) > EDGE_TOL:
-                    raise _inconsistent(key, old, w)
-                edges[key] = w
+            _merge(edges, (u, v) if u <= v else (v, u), w)
     faces = [(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
              for a, b, c, d, e in t.faces]
-    out = replace(t, edges=edges, faces=faces, glued_pairs=tuple(pairs))
-    if t._order is not None:
-        out._order = [v for v in t._order if v not in rep]
-    return out
+    edges._alike = t.edges._alike
+    edges._order = t.edges._order and [v for v in t.edges._order if v not in rep]
+    return replace(t, edges=edges, faces=faces, glued_pairs=tuple(pairs))
+
+
+def _merge(edges: _EdgeMap, key, length: float) -> None:
+    """Write ``length`` under ``key`` through ``dict``'s own methods,
+    checked against a length already there as ``add_edge`` checks it."""
+    old = dict.setdefault(edges, key, length)
+    if old is not length:  # the key was there: check it, then overwrite
+        if abs(old - length) > EDGE_TOL:
+            raise InconsistentEdgeLength(f"edge {key} assigned inconsistent lengths {old} and {length}")
+        dict.__setitem__(edges, key, length)
 
 
 def _distances(g: _GraphIndex, sources, targets=None, best=None) -> list:
@@ -491,63 +479,67 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     """Certify that the vertical line through the window's middle column
     minimizes distance over n rows.
 
-    Two checks: (1) the Dijkstra distance between vertical-line corners n
-    rows apart equals 2nb; (2) the multi-source line-to-line distance shows
-    every edge path crossing the n horizontal lines has length >= 2nb.
-    Both hold to within CERT_TOL.  Corners stay one row inside the window
-    boundary (safety margin).
+    Two checks: (1) the distance between vertical-line corners x, y n rows
+    apart equals 2nb; (2) every edge path from row line r0 + n to row line
+    r0 has length >= 2nb.  Both hold to within CERT_TOL.  Corners stay one
+    row inside the window boundary (safety margin).
 
-    The line search runs up from the bottom line, so its distance L(w), or
-    ``min_cross`` where it stopped short of w, bounds dist(w, y) from below.
-    The corner search is the same Dijkstra started from the caps
-    U (1 + 4 gamma_N) - L(w), U = 2nb + CERT_TOL, which its relaxation never
-    reaches.  A float sum of k <= N lengths is within gamma_N = Nu / (1 - Nu)
-    of exact (Higham 4.2; N vertices, u = 2^-53) and a cap's one subtraction
-    within an ulp, far inside the slack, so no vertex of a path below U is
-    cut and a result below U is the full search's to the bit, whatever order
-    ties pop in.  Others fall back to the full search.
+    Strips: when the index is ``separated``, cut a path from line r0 + n to
+    line r0 at its first visit to each line between.  The piece from line
+    k + 1 to line k stays, after its last visit to line k + 1, in strip k
+    (the cells of row k with their two lines), so the path is at least the
+    sum of the strips' line-to-line distances s_k.  When every strip has
+    the same lengths (the constructors' hint, which any write to ``edges``
+    drops), one strip's search, cached on the index, gives every s_k = s.
+    The exact shortest strip path has at most N edges, and its float sum,
+    at least the search's float s, is within gamma_N = Nu / (1 - Nu) of its
+    length (Higham 4.2; N vertices, u = 2^-53).  So fl(n s)(1 - 4 gamma_N)
+    >= 2nb - CERT_TOL proves (2), with room for the test's own roundings,
+    and implies the line search's test below; (1) follows by the witness,
+    the alpha column of length 2nb, whose sequential edge sum is the
+    reported distance.
 
-    When the index is ``separated``, the vertices below the source line
-    r0 + n are capped at 0 and never settle: a path that dips below the line
-    comes back through a source, so the vertices on or above it settle in
-    the same order, up to the same stop and with the same bits, ``min_cross``
-    included.  The corner search takes L = 0 below the line, a valid lower
-    bound since no distance is negative.  Otherwise nothing is cut.
+    Otherwise, or when that test fails, the distance is the full search's
+    and (2) the line search's, from line r0 + n; when the index is
+    ``separated`` it caps the vertices below its source line at 0, so they
+    never settle: a path that dips below the line comes back through a
+    source, and the vertices on or above it settle as without the cut.
     """
     _check_row_separation(n)
     if n > t.rows - 2:
-        raise ScaleTooLarge(
-            f"window with {t.rows} rows is too short for n={n} plus margin"
-        )
+        raise ScaleTooLarge(f"window with {t.rows} rows is too short for n={n} plus margin")
     r0 = max(1, (t.rows - n) // 2)
     x, y = t.alpha_corner(r0), t.alpha_corner(r0 + n)
     expected = 2.0 * n * t.b
-    g = t._graph()
-    i, j, top = g.vertex(x), g.pos.get(y), g.row_lines[r0]
-    far = _far_side(g, r0 + n) if g.separated else ()
-    lower = None if j is None else _distances(g, g.row_lines[r0 + n], top, _line_caps(g, far))
-    if lower is None or lower[i] is None:
-        raise Unreachable(f"no edge path connects {x} and {y}")
-    min_cross = min(lower[k] for k in top if lower[k] is not None)
-    bound, nu = expected + CERT_TOL, len(lower) * 2.0**-53
-    limit = bound * (1.0 + 4.0 * nu / (1.0 - nu))
-    for k, v in enumerate(lower):
-        lower[k] = limit - (min_cross if v is None else v)
-    for start, stop in far:
-        lower[start:stop] = [limit] * (stop - start)
-    d = _distances(g, [i], [j], best=lower)[j]
-    if d is None or not d < bound:
+    g, edges = t._graph(), t.edges
+    if g.strip is None and g.separated and edges._alike:  # rows alike: any row's strip
+        g.strip = _line_distance(g, r0, r0 + 1)
+    nu = len(g.ids) * 2.0**-53
+    crosses = g.strip is not None and n * g.strip * (1.0 - 4.0 * nu / (1.0 - nu)) >= expected - CERT_TOL
+    if crosses:
+        d, col = 0.0, t.alpha_column()
+        for r in range(r0, r0 + n):
+            d += edges[("C", r, col), ("VM", r, col)]
+            d += edges[("C", r + 1, col), ("VM", r, col)]
+    else:
         d = discrete_distance(t, x, y)
+        crosses = _line_distance(g, r0, r0 + n) >= expected - CERT_TOL
     return VerticalCertificate(
-        b=t.b,
-        n=n,
-        window=(t.rows, t.cols),
-        refined=t.refined,
-        distance=d,
-        expected=expected,
-        dijkstra_equality=abs(d - expected) < CERT_TOL,
-        row_crossing_bound=min_cross >= expected - CERT_TOL,
-    )
+        b=t.b, n=n, window=(t.rows, t.cols), refined=t.refined, distance=d, expected=expected,
+        dijkstra_equality=abs(d - expected) < CERT_TOL, row_crossing_bound=crosses)
+
+
+def _line_distance(g: _GraphIndex, line: int, source: int) -> float:
+    """Least distance from row line ``source`` to row line ``line`` above
+    it.  When ``g.separated``, every row is an ``int``, so the vertices
+    below the source line (band > 2 source) are one slice of the sorted ids
+    per kind; the search's ``best`` caps them at 0, so they never settle."""
+    ids, top, caps = g.ids, g.row_lines[line], [math.inf] * len(g.ids)
+    for kind, parity in _BAND_PARITY.items() if g.separated else ():
+        start, stop = bisect_left(ids, (kind, source + 1 - parity)), bisect_left(ids, (kind, math.inf))
+        caps[start:stop] = [0.0] * (stop - start)
+    dist = _distances(g, g.row_lines[source], top, caps)
+    return min(dist[k] for k in top if dist[k] is not None)
 
 
 def _hypotenuse(u: float, v: float) -> float:
@@ -570,24 +562,21 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
     lengths hold for every b that ``solve_pentagon`` accepts.
 
     The diagonals go straight into a copy of ``t.edges``, checked as
-    ``add_edge`` checks, each length once."""
+    ``add_edge`` checks, each length once; every face gets the same five
+    lengths, so the rows stay alike if they were."""
     p = t.pentagon
     sides = (p.b, p.b, p.a, p.c, p.a)
     diag = [(i, (i + 2) % 5, _hypotenuse(sides[i], sides[(i + 1) % 5])) for i in range(5)]
     for _, _, length in diag:
         check_positive_finite("edge length", length)
-    edges = dict(t.edges)
+    edges, put = _EdgeMap(t.edges), dict.setdefault
     for face in t.faces:
         for i, j, length in diag:
             u, v = face[i], face[j]
             key = (u, v) if u <= v else (v, u)
-            old = edges.setdefault(key, length)
-            if old is not length:  # the key was there: check it, then overwrite
-                if abs(old - length) > EDGE_TOL:
-                    raise _inconsistent(key, old, length)
-                edges[key] = length
-    out = replace(t, edges=edges, faces=list(t.faces), refined=True)
+            if put(edges, key, length) is not length:  # the key was there
+                _merge(edges, key, length)
     # diagonals join corners of one face, so the vertices stay the same
-    out._order = t._order
-    return out
+    edges._order, edges._alike = t.edges._order, t.edges._alike
+    return replace(t, edges=edges, faces=list(t.faces), refined=True)
 

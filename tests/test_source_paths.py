@@ -21,19 +21,30 @@ over a frontier.  ``tiled_surface`` counts its topology on the graph
 index's vertex numbers, so no function there calls ``.vertices()``, and it
 defines no nested function, so its union-find is no closure.
 
+A tiled certificate searches one of two ways.  A window that
+``build_grid``, ``add_diagonals`` or ``glue_to_Rb`` made, unwritten since,
+takes the one-strip path: one row's strip search, once per window, and the
+alpha column's edge sum.  Any other window takes the full path: the full
+corner-to-corner search and the line search over the whole span.  The
+last tests pin both, by recording the searches certificates make.
+
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
 name of a hypladder module and no ``MobiusMap`` member that the library
-dropped, so it cannot share the library's arithmetic.  The test only reads
-source files.
+dropped, so it cannot share the library's arithmetic.  The tests other
+than the certificate-path pins only read source files.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from hypladder import tiled_surface
+from hypladder.tiled_surface import add_diagonals, build_grid, certify_vertical_minimizing, glue_to_Rb
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hypladder"
 MODULES = sorted(SRC.glob("*.py"))
@@ -194,3 +205,54 @@ def test_one_function_skips_a_records_init():
     makers = {(path.stem, func.name) for path in MODULES for func in _nodes(path)
               if isinstance(func, ast.FunctionDef) and "__new__" in _called_names(func)}
     assert makers == {("errors", "_rebuild"), ("hyp_core", "_map")}
+
+
+@pytest.fixture
+def certificate_searches(monkeypatch):
+    """("line", line, source) per line search, strip or span, and ("full",
+    x, y) per full corner search that certificates make."""
+    calls = []
+    line, full = tiled_surface._line_distance, tiled_surface.discrete_distance
+
+    def line_search(g, top, source):
+        calls.append(("line", top, source))
+        return line(g, top, source)
+
+    def full_search(t, x, y):
+        calls.append(("full", x, y))
+        return full(t, x, y)
+
+    monkeypatch.setattr(tiled_surface, "_line_distance", line_search)
+    monkeypatch.setattr(tiled_surface, "discrete_distance", full_search)
+    return calls
+
+
+BUILT = {
+    "plain": lambda t: t,
+    "refined": add_diagonals,
+    "glued": glue_to_Rb,
+    "glued-refined": lambda t: add_diagonals(glue_to_Rb(t)),
+}
+
+
+@pytest.mark.parametrize("variant", BUILT)
+def test_built_windows_take_the_one_strip_path(variant, certificate_searches):
+    # one strip searched, once, for every span; no full search
+    t = BUILT[variant](build_grid(1.3, 9, 7))
+    for n in range(1, 8):
+        assert certify_vertical_minimizing(t, n).passes
+    assert certificate_searches == [("line", 4, 5)]  # the first span, n = 1, has r0 = 4
+
+
+def test_replace_copy_with_a_row_line_crossing_edge_takes_the_full_path(certificate_searches):
+    # a long edge across row line 3 turns ``separated`` off; the copy made
+    # from a plain dict has no hints either
+    t = build_grid(1.3, 9, 7)
+    copy = dataclasses.replace(t, edges={**t.edges, (("C", 2, 1), ("C", 4, 1)): 100.0})
+    for n in range(1, 8):
+        assert certify_vertical_minimizing(copy, n).passes
+        r0 = max(1, (9 - n) // 2)
+        assert certificate_searches[-2:] == [("full", ("C", r0, 3), ("C", r0 + n, 3)),
+                                             ("line", r0, r0 + n)]
+    assert len(certificate_searches) == 14
+    assert not copy._graph().separated

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import gc
 import heapq
+import importlib
 import json
 import math
+import pickle
 import random
 import re
+import weakref
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -328,14 +335,14 @@ _CONSTRUCTIONS = {
 
 
 class TestCarriedOrder:
-    # each constructor hands the index its sorted vertex list; the index
-    # checks it against the edges and sorts afresh when they differ
+    # each constructor hands the index its sorted vertex list; any write to
+    # the edge map drops it, and the index then sorts the ids afresh
 
     @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
     @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (5, 9)])
     def test_order_is_sorted_vertices(self, rows, cols, variant):
         t = _CONSTRUCTIONS[variant](build_grid(1.2, rows, cols))
-        assert t._order == sorted(t.vertices())
+        assert t.edges._order == sorted(t.vertices())
 
     @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
     @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (5, 9)])
@@ -343,7 +350,7 @@ class TestCarriedOrder:
         t = _CONSTRUCTIONS[variant](build_grid(1.2, rows, cols))
         g = t._graph()
         fresh = _index_graph(t.edges)
-        assert g.ids is t._order  # the hint was taken
+        assert g.ids is t.edges._order  # the hint was taken
         assert g.ids == fresh.ids
         assert g.pos == fresh.pos
         assert g.row_lines == fresh.row_lines
@@ -352,12 +359,12 @@ class TestCarriedOrder:
     def test_add_edge_drops_the_order(self):
         t = build_grid(1.2, 3, 3)
         t.add_edge(("C", 0, 0), ("C", 1, 1), 5.0)
-        assert t._order is None
+        assert t.edges._order is None
         assert t._graph().ids == sorted(t.vertices())
 
     def test_replace_copy_starts_without_the_order(self, inject_edge):
         t = build_grid(1.2, 3, 3)
-        assert inject_edge(t, ("C", 0, 0), ("C", 1, 1), 5.0)._order is None
+        assert inject_edge(t, ("C", 0, 0), ("C", 1, 1), 5.0).edges._order is None
 
     def test_edge_to_new_vertex_set_directly(self):
         t = build_grid(1.2, 4, 4)
@@ -515,7 +522,7 @@ class TestCertificateMatchesOracle:
             cert = certify_vertical_minimizing(t, n)
             assert cert.passes
             assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n))
-        assert full_searches == []  # the bounded corner search sufficed
+        assert full_searches == []  # the one-strip path sufficed: no full search
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("seed", range(4))
@@ -537,9 +544,10 @@ class TestCertificateMatchesOracle:
     def test_lengthened_corner_edges(self, seed, variant, oracle_certificate, full_searches):
         # every edge at a lattice corner 1.25 times as long, set before the
         # first query: each is at least b long, so the corner distance exceeds
-        # 2nb + CERT_TOL, the bounded corner search gives up and the full one
-        # reports the distance.  (Lengthening only the vertical sides leaves a
-        # path through the diagonals that rounds to 2nb once b is near 40.)
+        # 2nb + CERT_TOL; the writes drop the rows-alike hint, so each
+        # certificate's full search reports the distance.  (Lengthening only
+        # the vertical sides leaves a path through the diagonals that rounds
+        # to 2nb once b is near 40.)
         t, _ = _seeded_window(seed, variant, self.B_RANGE)
         for key, w in t.edges.items():
             if "C" in (key[0][0], key[1][0]):
@@ -553,7 +561,7 @@ class TestCertificateMatchesOracle:
 
 class TestCertificateMatchesOracleLargeB(TestCertificateMatchesOracle):
     # the same windows with b up to the largest solve_pentagon accepts:
-    # corner-search caps near 2nb ~ 7,000
+    # strip tests and distances near 2nb ~ 7,000
     B_RANGE = (40.0, 355.58)
 
 
@@ -637,9 +645,9 @@ class TestRowLineSeparation:
 
     def test_shortcut_through_a_vertex_below_the_source_line(self, oracle_certificate,
                                                               full_searches):
-        # edges between neighbouring bands keep the flag on, and the corner
-        # search still finds the path through the capped vertex ("VM", 8, 6),
-        # its cap taking L = 0 there
+        # edges between neighbouring bands keep the flag on; the writes drop
+        # the rows-alike hint, so the full search finds the path through the
+        # vertex ("VM", 8, 6) below the source line
         t = build_grid(1.2, 12, 12)
         t.add_edge(("HM", 8, 5), ("VM", 7, 6), 0.1)
         t.add_edge(("HM", 8, 5), ("VM", 8, 6), 0.1)
@@ -648,17 +656,20 @@ class TestRowLineSeparation:
         assert t._graph().separated
         assert cert.distance == pytest.approx(8.7) and not cert.passes
         assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 4))
-        assert full_searches == []  # the bounded corner search found it
+        assert full_searches == [(("C", 4, 6), ("C", 8, 6))]
 
 
 class TestLineSearchCut:
-    # with the cut, the line search settles no vertex below its source line,
-    # and every vertex it settles has the uncut search's distance to the bit
+    # with the cut, the full path's line search settles no vertex below its
+    # source line, and every vertex it settles has the uncut search's
+    # distance to the bit; a copy with a plain dict has no hints, so its
+    # certificates take the full path
 
     @pytest.mark.parametrize("variant", TestCertificateMatchesOracle.VARIANTS)
     @pytest.mark.parametrize("seed", range(4))
     def test_settles_nothing_below_and_keeps_bits(self, seed, variant, monkeypatch):
         t, _ = _seeded_window(seed, variant, TestCertificateMatchesOracle.B_RANGE)
+        t = dataclasses.replace(t, edges=dict(t.edges))
         searches = []
         full = tiled_surface._distances
 
@@ -673,7 +684,7 @@ class TestLineSearchCut:
         for n in range(1, t.rows - 1):
             searches.clear()
             certify_vertical_minimizing(t, n)
-            sources, targets, cut = searches[0]  # the line search
+            sources, targets, cut = searches[-1]  # the line search, after the full one
             line = max(1, (t.rows - n) // 2) + n
             assert {g.ids[k] for k in sources} == {
                 v for v in g.ids if v[0] in ("C", "HM") and v[1] == line}
@@ -1081,3 +1092,197 @@ class TestIdsWithoutKind:
         assert not g.separated
         assert g.row_lines == {1: [0, 1]}
         assert discrete_distance(t, ("P",), ("X", "y")) == 3.0
+
+
+# every mutator of the edge map, each applied to a built window after a query
+EDGE_MAP_WRITES = {
+    "__setitem__": lambda e: e.__setitem__((("C", 1, 1), ("C", 3, 1)), 0.5),
+    "__delitem__": lambda e: e.__delitem__(next(iter(e))),
+    "__ior__": lambda e: e.__ior__({(("C", 1, 1), ("C", 3, 1)): 0.5}),
+    "update": lambda e: e.update({(("C", 1, 1), ("C", 3, 1)): 0.5}),
+    "setdefault": lambda e: e.setdefault((("C", 1, 1), ("C", 3, 1)), 0.5),
+    "pop": lambda e: e.pop(next(iter(e))),
+    "popitem": lambda e: e.popitem(),
+    "clear": lambda e: e.clear(),
+}
+
+
+def _hints(t) -> tuple:
+    return t.edges._index, t.edges._order, t.edges._alike
+
+
+class TestEdgeMap:
+    # the edge map drops the index and both constructor hints on any write,
+    # so a write before or after a query is seen by the next one
+
+    @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
+    def test_constructors_leave_both_hints(self, variant):
+        t = _CONSTRUCTIONS[variant](build_grid(1.2, 5, 5))
+        assert t.edges._order == sorted(t.vertices()) and t.edges._alike is True
+        assert t.edges._index is None
+        assert t._graph() is t.edges._index
+
+    @pytest.mark.parametrize("write", EDGE_MAP_WRITES)
+    def test_every_mutator_drops_the_index_and_both_hints(self, write):
+        t = build_grid(1.2, 6, 3)
+        certify_vertical_minimizing(t, 2)
+        assert None not in _hints(t)
+        edges = t.edges
+        EDGE_MAP_WRITES[write](edges)
+        assert t.edges is edges
+        assert _hints(t) == (None, None, None)
+        g, fresh = t._graph(), _index_graph(dict(t.edges))
+        assert (g.ids, g.separated) == (fresh.ids, fresh.separated)
+        assert [_flat_pairs(a) for a in g.adj] == [_flat_pairs(a) for a in fresh.adj]
+
+    def test_in_place_or_through_the_attribute(self):
+        t = build_grid(1.2, 6, 3)
+        t._graph()
+        edges = t.edges
+        t.edges |= {(("C", 1, 1), ("C", 5, 1)): 0.5}
+        assert t.edges is edges and _hints(t) == (None, None, None)
+
+    def test_add_edge_drops_both_hints(self):
+        t = build_grid(1.2, 6, 3)
+        t._graph()
+        t.add_edge(("C", 1, 1), ("HM", 1, 1), 1.2)
+        assert _hints(t) == (None, None, None)
+
+    def test_pr18_edit_after_the_first_certificate(self, oracle_certificate):
+        # the edit that a cached index used to ignore: the next certificate is
+        # a fresh window's with the same edit
+        key = (("C", 1, 1), ("C", 5, 1))
+        t = build_grid(1.2, 6, 3)
+        assert certify_vertical_minimizing(t, 4).passes
+        t.edges[key] = 0.5
+        fresh = build_grid(1.2, 6, 3)
+        fresh.edges[key] = 0.5
+        cert = certify_vertical_minimizing(t, 4)
+        assert not cert.passes and cert.distance == 0.5
+        assert cert == certify_vertical_minimizing(fresh, 4)
+        assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 4))
+
+    @pytest.mark.parametrize("variant", ["plain", "refined", "glued", "glued-refined"])
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_shortcut_in_one_row_keeps_separation(self, variant, when, oracle_certificate):
+        # a shortcut across row 2 alone, its edges joining neighbouring bands:
+        # the index stays separated, but the rows are no longer alike, so the
+        # strip of row 5, the first span's (n = 1), may not stand for row 2
+        t = WINDOW_KINDS[variant](build_grid(1.3, 12, 6))
+        if when == "after":
+            for n in range(1, 11):
+                assert certify_vertical_minimizing(t, n).passes
+        t.edges[("HM", 2, 2), ("VM", 2, 3)] = 0.05
+        t.edges[("HM", 3, 2), ("VM", 2, 3)] = 0.05
+        assert t._graph().separated and t.edges._alike is None
+        failing = 0
+        for n in range(1, 11):
+            cert = certify_vertical_minimizing(t, n)
+            failing += not cert.row_crossing_bound
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n))
+        assert failing
+
+    def test_replace_copies_a_plain_dict_once_and_keeps_a_map(self):
+        t = build_grid(1.2, 4, 4)
+        t._graph()
+        assert dataclasses.replace(t, faces=[]).edges is t.edges
+        copy = dataclasses.replace(t, edges=dict(t.edges))
+        assert isinstance(copy.edges, type(t.edges)) and copy.edges == t.edges
+        assert _hints(copy) == (None, None, None)
+        hand = TiledComplex(pentagon=t.pentagon, rows=4, cols=4, edges={(0, 1): 1.0})
+        assert isinstance(hand.edges, type(t.edges)) and _hints(hand) == (None, None, None)
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, *(
+        lambda t, p=p: pickle.loads(pickle.dumps(t, protocol=p))
+        for p in range(pickle.HIGHEST_PROTOCOL + 1))],
+        ids=["deepcopy", *(f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1))])
+    def test_copies_certify_as_the_original(self, copy_of):
+        # a deep copy has its own map; a write to it leaves the original's
+        t = add_diagonals(glue_to_Rb(build_grid(1.2, 6, 5)))
+        certs = [certify_vertical_minimizing(t, n) for n in range(1, 5)]
+        twin = copy_of(t)
+        assert twin.edges == t.edges and isinstance(twin.edges, type(t.edges))
+        assert [certify_vertical_minimizing(twin, n) for n in range(1, 5)] == certs
+        twin.edges[("C", 1, 2), ("C", 5, 2)] = 0.5
+        assert not certify_vertical_minimizing(twin, 4).passes
+        assert certify_vertical_minimizing(t, 4).passes
+
+    def test_a_complex_is_freed_without_the_cycle_collector(self):
+        # the map holds no reference back to its complex
+        gc.collect()
+        gc.disable()
+        try:
+            for make in (lambda: build_grid(1.2, 4, 4), lambda: add_diagonals(build_grid(1.2, 4, 4)),
+                         lambda: glue_to_Rb(build_grid(1.2, 4, 4))):
+                t = make()
+                certify_vertical_minimizing(t, 2)
+                ref = weakref.ref(t)
+                del t
+                assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestMalformedInput:
+    # a face that is no 5-tuple, or an edge key that is no vertex pair, is
+    # refused as a library error, not a bare Python one
+
+    @pytest.mark.parametrize("face", [
+        (("C", 0, 0), ("C", 0, 1), ("C", 1, 1), ("C", 1, 0)),
+        (("C", 0, 0), ("C", 0, 1), ("C", 1, 1), ("C", 1, 0), ("C", 0, 0), ("C", 0, 1)),
+        5,
+    ])
+    def test_face_that_is_no_pentagon(self, face):
+        t = build_grid(1.2, 2, 2)
+        t.faces.append(face)
+        for query in (t.genus, t.euler_characteristic, t.boundary_component_count):
+            with pytest.raises(InconsistentInput, match="faces must be 5-tuples") as info:
+                query()
+            assert not isinstance(info.value, (TypeError, KeyError))
+
+    def test_all_faces_of_four_vertices(self):
+        faces = [(("C", 0, 0), ("C", 0, 1), ("C", 1, 1), ("C", 1, 0))]
+        t = TiledComplex(pentagon=solve_pentagon(1.2), rows=1, cols=1, faces=faces)
+        for u, v in zip(faces[0], faces[0][1:] + faces[0][:1]):
+            t.add_edge(u, v, 1.0)
+        with pytest.raises(InconsistentInput, match="faces must be 5-tuples"):
+            t.genus()
+
+    @pytest.mark.parametrize("key", [5, (("C", 1, 1),), (("C", 1, 1), ("C", 1, 2), ("C", 1, 3)), None])
+    def test_edge_key_that_is_no_pair(self, key):
+        for query in (lambda t: t.genus(), lambda t: dijkstra(t, [("C", 1, 1)]),
+                      lambda t: discrete_distance(t, ("C", 1, 1), ("C", 1, 2)),
+                      lambda t: certify_vertical_minimizing(t, 1)):
+            t = TiledComplex(pentagon=solve_pentagon(1.2), rows=4, cols=2,
+                             edges={key: 1.0, (("C", 1, 1), ("C", 1, 2)): 1.0})
+            with pytest.raises(InconsistentInput, match="no vertex pairs") as info:
+                query(t)
+            assert not isinstance(info.value, (TypeError, ValueError))
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def workload_jobs():
+    """The ``tiling`` workload's job lists, from its own generator, for seeds
+    44-53."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))  # the workload imports harness by name
+        tiling = importlib.import_module("workloads.tiling")
+        return {seed: tiling.generate(random.Random(seed)) for seed in range(44, 54)}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(44, 54))
+def test_workload_certificates_match_the_oracle(seed, workload_jobs, oracle_certificate):
+    # every certificate of every window of the seed's job list at every n:
+    # plain, refined and glued, each field as float.hex against the full
+    # searches; 6,250 certificates over the ten seeds
+    for k, job in enumerate(workload_jobs[seed]):
+        m = job["m"]
+        t = WINDOW_KINDS[job["kind"]](build_grid(job["b"], m, m))
+        for n in range(1, m - 1):
+            cert = certify_vertical_minimizing(t, n)
+            assert cert.passes, (k, n)
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n)), (k, n)
