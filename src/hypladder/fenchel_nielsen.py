@@ -100,10 +100,22 @@ def pants_orthogeodesics(cuffs: PantsCuffs) -> tuple[float, float, float]:
     return _orthogeodesics(cuffs.l1, cuffs.l2, cuffs.l3)
 
 
+def _check_twist(theta, k=None) -> None:
+    """Raise InconsistentInput unless theta, the twist at index k if one is
+    given, is a finite number."""
+    try:
+        if math.isfinite(theta):
+            return
+        kind = "finite"
+    except TypeError:  # a string, None: no number
+        kind = "a number"
+    name = "twist angle" if k is None else f"twist at index {k}"
+    raise InconsistentInput(f"{name} must be {kind}, got {theta!r}")
+
+
 def normalize_angle(theta: float) -> tuple[float, int]:
     """Fold an angle into [0, 2*pi); returns (angle, removed full turns)."""
-    if not math.isfinite(theta):
-        raise InconsistentInput(f"twist angle must be finite, got {theta}")
+    _check_twist(theta)
     turns = math.floor(theta / TWO_PI)
     folded = theta - turns * TWO_PI
     if folded >= TWO_PI:  # guard the representable edge cases: the division
@@ -122,8 +134,9 @@ class FNCoordinates(_Record):
     """Windowed Fenchel-Nielsen data for a ladder pants decomposition.
 
     ``coords[k]`` is the sextuplet (l_a, t_a, l_b, t_b, l_c, t_c) at index k
-    for k in [-window, window]; the window is an ``int`` >= 1.  The dict
-    makes the record unhashable.
+    for k in [-window, window]; the window is an ``int`` >= 1.  Each
+    sextuplet has six entries, positive finite lengths and finite twists,
+    else it is refused.  The dict makes the record unhashable.
     """
 
     __slots__ = __match_args__ = ("window", "coords")
@@ -137,8 +150,16 @@ class FNCoordinates(_Record):
             if k not in coords:
                 raise MissingCoordinates(f"missing coordinates at index {k}")
             sextuple = coords[k]
-            for l in sextuple[0::2]:
-                check_positive_finite(f"length at index {k}", l)
+            try:
+                la, ta, lb, tb, lc, tc = sextuple
+            except (TypeError, ValueError):  # no sequence, or not six entries long
+                raise InconsistentInput(
+                    f"coordinates at index {k} must be six numbers, got {sextuple!r}") from None
+            name = f"length at index {k}"  # formatted once for the three
+            for l in (la, lb, lc):
+                check_positive_finite(name, l)
+            for theta in (ta, tb, tc):
+                _check_twist(theta, k)
         self._set_fields(window, coords)
 
     def length(self, family: str, k: int) -> float:

@@ -47,20 +47,28 @@ class QCHParams(_Record):
             raise InvalidDilatation(f"dilatation must be a number, got {K!r}")
         if isinstance(R, bool):
             raise NonPositiveLength(f"fellow-traveling constant must be a number, got {R!r}")
-        if K < 1.0:
-            raise InvalidDilatation(f"dilatation must be >= 1, got {K}")
-        if not math.isfinite(K):
-            raise InvalidDilatation(f"dilatation must be finite, got {K}")
+        try:
+            if K < 1.0:
+                raise InvalidDilatation(f"dilatation must be >= 1, got {K}")
+            if not math.isfinite(K):
+                raise InvalidDilatation(f"dilatation must be finite, got {K}")
+        except TypeError:  # a string, None: no number
+            raise InvalidDilatation(f"dilatation must be a number, got {K!r}") from None
         check_positive_finite("base curve length", L)
         check_positive_finite("injectivity radius bound", m_inj)
         if R is None:
             R = quasi_geodesic_stability_R(K, L)
             r_formula = R_FORMULA_NAME
-        elif not 0 <= R < math.inf:
-            raise NonPositiveLength(
-                f"fellow-traveling constant must be finite and >= 0, got {R}"
-            )
         else:
+            try:
+                valid = 0 <= R < math.inf
+            except TypeError:  # a string: no number
+                raise NonPositiveLength(
+                    f"fellow-traveling constant must be a number, got {R!r}") from None
+            if not valid:
+                raise NonPositiveLength(
+                    f"fellow-traveling constant must be finite and >= 0, got {R}"
+                )
             r_formula = "user-supplied"
         self._set_fields(K, L, m_inj, R, r_formula)
 

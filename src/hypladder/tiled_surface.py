@@ -15,11 +15,10 @@ Pythagoras, so it is valid for every b that ``solve_pentagon`` accepts.
 Certificates are valid for paths inside the window minus a one-cell safety
 margin and state their window size.
 
-Every edge lies in one closed cell, so each row line separates the rows
-above it from those below; the graph index checks this.  Every row strip
-of a built window has the same lengths, so one strip's search certifies
+Every row strip of a window that ``build_grid``, ``add_diagonals`` or
+``glue_to_Rb`` made has the same lengths, so one strip's search certifies
 every span (see ``certify_vertical_minimizing``).  The edge map drops the
-index and the constructors' hints on any write, so distances, certificates
+index and the constructors' hint on any write, so distances, certificates
 and the topology see every edit, and bad lengths are refused at the first
 query (see ``TiledComplex``).
 """
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import partialmethod
 from itertools import chain, count
@@ -42,11 +40,6 @@ CERT_TOL = 1e-9
 
 _HOLE_MIRROR = {"N": "N", "S": "S", "E": "W", "W": "E"}
 
-# a vertex's band is twice its row plus this parity: a corner or horizontal
-# midpoint on row line r is in band 2r, a hole corner or vertical midpoint of
-# cell row r in band 2r + 1
-_BAND_PARITY = {"C": 0, "HM": 0, "H": 1, "VM": 1}
-
 
 @dataclass
 class _GraphIndex:
@@ -57,21 +50,14 @@ class _GraphIndex:
     adj[i] is flat, [j0, length0, j1, length1, ...] over the edges at i, so
     no tuple is made per edge.  row_lines maps a row line to its lattice
     corners and horizontal-side midpoints; ids that have no kind (ints, or
-    a kind without a row) leave it empty.
-
-    ``separated``: every vertex has a band (``_BAND_PARITY``: one of the four
-    kinds and an ``int`` row) and every edge joins bands at most one apart,
-    so a path between bands 2r - 1 and 2r + 1 passes row line r.  It holds
-    for every window built here; an edge across a row line, a vertex of
-    another kind or a row that is no ``int`` turns it off.  ``strip`` caches
-    a certificate's one-row search (see ``certify_vertical_minimizing``).
+    a kind without a row) leave it empty.  ``strip`` caches a certificate's
+    one-row search (see ``certify_vertical_minimizing``).
     """
 
     ids: list
     pos: dict
     adj: list
     row_lines: dict
-    separated: bool
     strip = None  # a class default, not a field
 
     def vertex(self, v) -> int:
@@ -105,21 +91,12 @@ def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
 
 def _index_in_order(edges: dict, ids: list) -> _GraphIndex:
     pos = dict(zip(ids, range(len(ids))))
-    try:  # each vertex's band, if every vertex has one
-        bands = [2 * v[1] + _BAND_PARITY[v[0]] for v in ids]
-        separated = type(sum(bands)) is int  # a row that is no int makes the sum no int
-    except (KeyError, IndexError, TypeError):  # a kind other than the four, or no row
-        separated = False
-    if not separated:
-        bands = [0] * len(ids)
     adj = [[] for _ in ids]
     for (u, v), w in edges.items():
         i = pos[u]
         j = pos[v]
         adj[i] += j, w
         adj[j] += i, w
-        if not -2 < bands[i] - bands[j] < 2:
-            separated = False
     row_lines = {}
     try:
         for i, v in enumerate(ids):
@@ -127,24 +104,24 @@ def _index_in_order(edges: dict, ids: list) -> _GraphIndex:
                 row_lines.setdefault(v[1], []).append(i)
     except (TypeError, IndexError):  # ids that have no kind, such as ints
         row_lines = {}
-    return _GraphIndex(ids, pos, adj, row_lines, separated)
+    return _GraphIndex(ids, pos, adj, row_lines)
 
 
 def _written(edges, method, *args, **kwargs):
-    """Drop the index and both hints of ``edges``, then call ``method``."""
-    edges._index = edges._order = edges._alike = None
+    """Drop the index and the hint of ``edges``, then call ``method``."""
+    edges._index = edges._order = None
     return method(edges, *args, **kwargs)
 
 
 class _EdgeMap(dict):
     """A complex's edge map: a ``dict`` whose every mutator first drops the
-    graph index and the constructors' two hints, ``_order`` (the sorted
-    vertex list) and ``_alike`` (every row strip has the same lengths).  The
-    constructors write through ``dict``'s own methods and set the hints
-    after.  It keeps no reference to its complex, so a complex is freed
-    without waiting for the cycle collector.  The index and the hints are
-    instance attributes, not ``__slots__``, so the map pickles with every
-    protocol."""
+    graph index and the constructors' hint ``_order``, the sorted vertex
+    list.  The constructors write through ``dict``'s own methods and set the
+    hint after, so it marks a window that one of them made, unwritten since,
+    whose row strips all have the same lengths.  It keeps no reference to
+    its complex, so a complex is freed without waiting for the cycle
+    collector.  The index and the hint are instance attributes, not
+    ``__slots__``, so the map pickles with every protocol."""
 
 
 for _name in "__init__ __setitem__ __delitem__ __ior__ update setdefault pop popitem clear".split():
@@ -167,11 +144,11 @@ class TiledComplex:
     map, before or after a query.  The index refuses, when built, lengths
     that are not positive and finite, which Dijkstra and the pruning need,
     and ids that do not compare with each other, which it sorts.
-    ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` leave two hints on
-    the map, also dropped on a write: the sorted vertex list, and that every
-    row strip has the same lengths.  A plain ``dict`` given as ``edges``, as
-    a ``dataclasses.replace`` copy or a hand-built complex gives, is copied
-    once into such a map, without hints.
+    ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` leave one hint on
+    the map, also dropped on a write: the sorted vertex list, which also
+    marks that every row strip has the same lengths.  A plain ``dict`` given
+    as ``edges``, as a ``dataclasses.replace`` copy or a hand-built complex
+    gives, is copied once into such a map, without the hint.
     """
 
     pentagon: PentagonSolution
@@ -286,8 +263,7 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     edge map by ``dict.update``.  Each vertex is one tuple, shared by faces
     and edges, and the tuples are listed in sorted order as the index's
     hint: corners row by row, hole corners cell by cell (E < N < S < W),
-    then the horizontal and the vertical midpoints.  Every row is alike,
-    the second hint.
+    then the horizontal and the vertical midpoints.
     """
     check_int("rows", rows)
     check_int("cols", cols)
@@ -325,7 +301,6 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
         edges[top[cols], vm[cols]] = edges[bottom[cols], vm[cols]] = pb
         dict.update(t.edges, edges)
     t.edges._order = [v for row in corner for v in row] + holes + [v for row in hmid + vmid for v in row]
-    t.edges._alike = True
     return t
 
 
@@ -368,7 +343,6 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
             _merge(edges, (u, v) if u <= v else (v, u), w)
     faces = [(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
              for a, b, c, d, e in t.faces]
-    edges._alike = t.edges._alike
     edges._order = t.edges._order and [v for v in t.edges._order if v not in rep]
     return replace(t, edges=edges, faces=faces, glued_pairs=tuple(pairs))
 
@@ -484,26 +458,27 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     r0 has length >= 2nb.  Both hold to within CERT_TOL.  Corners stay one
     row inside the window boundary (safety margin).
 
-    Strips: when the index is ``separated``, cut a path from line r0 + n to
-    line r0 at its first visit to each line between.  The piece from line
-    k + 1 to line k stays, after its last visit to line k + 1, in strip k
-    (the cells of row k with their two lines), so the path is at least the
-    sum of the strips' line-to-line distances s_k.  When every strip has
-    the same lengths (the constructors' hint, which any write to ``edges``
-    drops), one strip's search, cached on the index, gives every s_k = s.
-    The exact shortest strip path has at most N edges, and its float sum,
-    at least the search's float s, is within gamma_N = Nu / (1 - Nu) of its
-    length (Higham 4.2; N vertices, u = 2^-53).  So fl(n s)(1 - 4 gamma_N)
-    >= 2nb - CERT_TOL proves (2), with room for the test's own roundings,
-    and implies the line search's test below; (1) follows by the witness,
-    the alpha column of length 2nb, whose sequential edge sum is the
-    reported distance.
+    Strips: in a window that ``build_grid``, ``add_diagonals`` or
+    ``glue_to_Rb`` made, unwritten since (the hint ``edges._order``, which
+    any write drops), every edge lies in one closed cell and gluing pairs
+    holes within a row, so each row line separates the rows above it from
+    those below.  Cut a path from line r0 + n to line r0 at its first visit
+    to each line between.  The piece from line k + 1 to line k stays, after
+    its last visit to line k + 1, in strip k (the cells of row k with their
+    two lines), so the path is at least the sum of the strips' line-to-line
+    distances s_k.  Every strip has the same lengths, so one strip's
+    search, cached on the index, gives every s_k = s.  By the same cut, the
+    exact shortest line-to-line path lies in one strip, so it has fewer
+    than N = 9 cols + 3 edges, the strip's vertex count (the diagonals add
+    no vertex, gluing removes some); its float sum, at least the search's
+    float s, is within gamma_N = Nu / (1 - Nu) of its length (Higham 4.2,
+    u = 2^-53).  So fl(n s)(1 - 4 gamma_N) >= 2nb - CERT_TOL proves (2),
+    with room for the test's own roundings, and implies the line search's
+    test below; (1) follows by the witness, the alpha column of length
+    2nb, whose sequential edge sum is the reported distance.
 
     Otherwise, or when that test fails, the distance is the full search's
-    and (2) the line search's, from line r0 + n; when the index is
-    ``separated`` it caps the vertices below its source line at 0, so they
-    never settle: a path that dips below the line comes back through a
-    source, and the vertices on or above it settle as without the cut.
+    and (2) the line search's over the span, from line r0 + n.
     """
     _check_row_separation(n)
     if n > t.rows - 2:
@@ -512,9 +487,9 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     x, y = t.alpha_corner(r0), t.alpha_corner(r0 + n)
     expected = 2.0 * n * t.b
     g, edges = t._graph(), t.edges
-    if g.strip is None and g.separated and edges._alike:  # rows alike: any row's strip
+    if g.strip is None and edges._order is not None:  # a built window: any row's strip
         g.strip = _line_distance(g, r0, r0 + 1)
-    nu = len(g.ids) * 2.0**-53
+    nu = (9 * t.cols + 3) * 2.0**-53
     crosses = g.strip is not None and n * g.strip * (1.0 - 4.0 * nu / (1.0 - nu)) >= expected - CERT_TOL
     if crosses:
         d, col = 0.0, t.alpha_column()
@@ -530,15 +505,10 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
 
 
 def _line_distance(g: _GraphIndex, line: int, source: int) -> float:
-    """Least distance from row line ``source`` to row line ``line`` above
-    it.  When ``g.separated``, every row is an ``int``, so the vertices
-    below the source line (band > 2 source) are one slice of the sorted ids
-    per kind; the search's ``best`` caps them at 0, so they never settle."""
-    ids, top, caps = g.ids, g.row_lines[line], [math.inf] * len(g.ids)
-    for kind, parity in _BAND_PARITY.items() if g.separated else ():
-        start, stop = bisect_left(ids, (kind, source + 1 - parity)), bisect_left(ids, (kind, math.inf))
-        caps[start:stop] = [0.0] * (stop - start)
-    dist = _distances(g, g.row_lines[source], top, caps)
+    """Least distance from row line ``source`` to row line ``line``: one
+    search over the whole graph, which stops once all of ``line`` settles."""
+    top = g.row_lines[line]
+    dist = _distances(g, g.row_lines[source], top)
     return min(dist[k] for k in top if dist[k] is not None)
 
 
@@ -577,6 +547,6 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
             if put(edges, key, length) is not length:  # the key was there
                 _merge(edges, key, length)
     # diagonals join corners of one face, so the vertices stay the same
-    edges._order, edges._alike = t.edges._order, t.edges._alike
+    edges._order = t.edges._order
     return replace(t, edges=edges, faces=list(t.faces), refined=True)
 

@@ -93,6 +93,13 @@ class TestNormalizeAngle:
         assert folded == pytest.approx(2.0 * math.pi - 0.5)
         assert turns == -1
 
+    @pytest.mark.parametrize("theta", ["x", None])
+    def test_rejects_a_twist_that_is_no_number(self, theta):
+        # refused as a twist, not as a bare TypeError from math.isfinite
+        with pytest.raises(InconsistentInput, match="twist angle must be a number") as info:
+            normalize_angle(theta)
+        assert not isinstance(info.value, TypeError)
+
     @given(st.floats(min_value=-100.0, max_value=100.0))
     @settings(max_examples=80, deadline=None)
     def test_range_and_congruence(self, theta):
@@ -160,6 +167,29 @@ class TestBuildLadderFN:
     def test_rejects_nonpositive_length(self):
         with pytest.raises(NonPositiveLength):
             build_ladder_fn(1, lengths=0.0)
+
+    def test_rejects_twists_that_are_no_number(self):
+        with pytest.raises(InconsistentInput, match="twist angle must be a number, got 'x'"):
+            build_ladder_fn(1, twists="x")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_coordinates_refuse_a_nonfinite_twist(self, value):
+        # a NaN twist would pass every shift test (abs(nan - 0.3) > tol is
+        # False), so a ladder that is not periodic would be quotiented
+        coords = {k: (1.0, value if k == 0 else 0.3, 1.0, 0.3, 1.0, 0.3) for k in (-1, 0, 1)}
+        with pytest.raises(InconsistentInput, match="twist at index 0 must be finite"):
+            FNCoordinates(window=1, coords=coords)
+
+    def test_coordinates_refuse_a_twist_that_is_no_number(self):
+        coords = {k: (1.0, 0.0, 1.0, None, 1.0, 0.0) for k in (-1, 0, 1)}
+        with pytest.raises(InconsistentInput, match="twist at index -1 must be a number"):
+            FNCoordinates(window=1, coords=coords)
+
+    @pytest.mark.parametrize("sextuple", [(1.0, 0.0, 1.0, 0.0, 1.0), (1.0, 0.0) * 4, (), 1.0])
+    def test_coordinates_refuse_a_sextuple_of_another_length(self, sextuple):
+        coords = dict.fromkeys((-1, 0, 1), sextuple)
+        with pytest.raises(InconsistentInput, match="coordinates at index -1 must be six"):
+            FNCoordinates(window=1, coords=coords)
 
     def test_missing_index_rejected(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,16 @@ class TestParams:
         with pytest.raises(NonPositiveLength, match="fellow-traveling constant must be a number"):
             QCHParams(K=1.5, L=1.0, m_inj=0.5, R=flag)
 
+    @pytest.mark.parametrize("K", ["x", None])
+    def test_rejects_a_dilatation_that_is_no_number(self, K):
+        with pytest.raises(InvalidDilatation, match="dilatation must be a number") as info:
+            QCHParams(K, 1.0, 1.0)
+        assert not isinstance(info.value, TypeError)
+
+    def test_rejects_an_R_that_is_no_number(self):
+        with pytest.raises(NonPositiveLength, match="fellow-traveling constant must be a number"):
+            QCHParams(1.5, 1.0, 1.0, "x")
+
     def test_report_inputs_stay_numbers(self):
         d = report(QCHParams(K=1, L=1, m_inj=0.5)).to_dict()
         assert not any(isinstance(v, bool) for v in d["inputs"].values())

@@ -19,14 +19,18 @@ walk over elementary moves, the modular graph's distances) is the
 breadth-first search of ``_bfs_dists``, so no other function there loops
 over a frontier.  ``tiled_surface`` counts its topology on the graph
 index's vertex numbers, so no function there calls ``.vertices()``, and it
-defines no nested function, so its union-find is no closure.
+defines no nested function, so its union-find is no closure.  No module
+has more than 4,096 parser tokens (``tokenize``'s count without comments,
+``NL`` and ``ENCODING``), where the parser's token array doubles and every
+CLI child pays for it in memory when it compiles the module.
 
 A tiled certificate searches one of two ways.  A window that
 ``build_grid``, ``add_diagonals`` or ``glue_to_Rb`` made, unwritten since,
 takes the one-strip path: one row's strip search, once per window, and the
-alpha column's edge sum.  Any other window takes the full path: the full
-corner-to-corner search and the line search over the whole span.  The
-last tests pin both, by recording the searches certificates make.
+alpha column's edge sum; that edge-map hint is all it rests on.  Any other
+window takes the full path: the full corner-to-corner search and the
+uncut line search over the whole span.  The last tests pin both, by
+recording the searches certificates make.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -65,6 +70,19 @@ def test_no_matmul_operator(path):
              if isinstance(node, (ast.BinOp, ast.AugAssign))
              and isinstance(node.op, ast.MatMult)]
     assert lines == [], f"{path.name} multiplies with @ on lines {lines}"
+
+
+# the parser's token array doubles past this many tokens; comments, NL and
+# ENCODING never reach the parser (README, "Source lines cost start-up time")
+TOKEN_STEP = 4096
+UNPARSED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_stays_under_the_parser_token_step(path):
+    with path.open("rb") as f:
+        count = sum(tok.type not in UNPARSED for tok in tokenize.tokenize(f.readline))
+    assert count <= TOKEN_STEP, f"{path.name} has {count} parser tokens"
 
 
 def _is_product(node) -> bool:
@@ -245,8 +263,8 @@ def test_built_windows_take_the_one_strip_path(variant, certificate_searches):
 
 
 def test_replace_copy_with_a_row_line_crossing_edge_takes_the_full_path(certificate_searches):
-    # a long edge across row line 3 turns ``separated`` off; the copy made
-    # from a plain dict has no hints either
+    # a long edge across row line 3; the copy made from a plain dict has no
+    # hint, so it takes the full path
     t = build_grid(1.3, 9, 7)
     copy = dataclasses.replace(t, edges={**t.edges, (("C", 2, 1), ("C", 4, 1)): 100.0})
     for n in range(1, 8):
@@ -255,4 +273,3 @@ def test_replace_copy_with_a_row_line_crossing_edge_takes_the_full_path(certific
         assert certificate_searches[-2:] == [("full", ("C", r0, 3), ("C", r0 + n, 3)),
                                              ("line", r0, r0 + n)]
     assert len(certificate_searches) == 14
-    assert not copy._graph().separated

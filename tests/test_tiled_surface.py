@@ -544,7 +544,7 @@ class TestCertificateMatchesOracle:
     def test_lengthened_corner_edges(self, seed, variant, oracle_certificate, full_searches):
         # every edge at a lattice corner 1.25 times as long, set before the
         # first query: each is at least b long, so the corner distance exceeds
-        # 2nb + CERT_TOL; the writes drop the rows-alike hint, so each
+        # 2nb + CERT_TOL; the writes drop the constructors' hint, so each
         # certificate's full search reports the distance.  (Lengthening only
         # the vertical sides leaves a path through the diagonals that rounds
         # to 2nb once b is near 40.)
@@ -563,6 +563,15 @@ class TestCertificateMatchesOracleLargeB(TestCertificateMatchesOracle):
     # the same windows with b up to the largest solve_pentagon accepts:
     # strip tests and distances near 2nb ~ 7,000
     B_RANGE = (40.0, 355.58)
+
+
+def test_strip_gamma_counts_one_strip(oracle_certificate, full_searches):
+    # gamma_N over the strip's 9 cols + 3 vertices: over the window's 14,356
+    # the strip test would fail here (b > 1.82) and send it to the full path
+    t = build_grid(1.86, 45, 45)
+    cert = certify_vertical_minimizing(t, 43)
+    assert cert.passes and full_searches == []
+    assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 43))
 
 
 def _band(v) -> int:
@@ -591,9 +600,10 @@ def _reached(adj, sources, avoid=lambda v: False) -> set:
 
 
 class TestRowLineSeparation:
-    # every row line separates the rows above it from the rows below, which
-    # lets a certificate's line search stop at its source line; checked here
-    # on the graph itself, and then against the index's flag
+    # every row line of a built window separates the rows above it from the
+    # rows below, which the one-strip path rests on; checked here on the
+    # graph itself.  A write drops the constructors' hint, so an edited
+    # window takes the full path, whose searches have no cut to lose
 
     @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
     @pytest.mark.parametrize("rows, cols", [(1, 1), (4, 5), (7, 6)])
@@ -605,24 +615,24 @@ class TestRowLineSeparation:
             above = [v for v in adj if _band(v) < 2 * line]
             seen = _reached(adj, above, avoid=lambda v: _band(v) == 2 * line)
             assert all(_band(v) < 2 * line for v in seen), line
-        assert t._graph().separated
 
-    def test_flag_off_after_an_edge_across_a_row_line(self):
+    def test_flag_off_after_an_edge_across_a_row_line(self, oracle_certificate):
         t = build_grid(1.2, 6, 4)
-        t.add_edge(("C", 1, 0), ("VM", 1, 4), 9.0)  # bands 2 and 3
-        assert t._graph().separated
         t.add_edge(("C", 1, 1), ("C", 3, 1), 9.0)  # bands 2 and 6
         adj = _adjacency(t)
         seen = _reached(adj, [("C", 1, 1)], avoid=lambda v: _band(v) == 4)
         assert ("C", 3, 1) in seen
-        assert not t._graph().separated
+        assert t.edges._order is None
+        for n in range(1, 5):
+            cert = certify_vertical_minimizing(t, n)
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n))
 
     @pytest.mark.parametrize("vertex", [("X", 2, 1), ("HM", 2.5, 1), ("H",)])
     def test_flag_off_for_a_vertex_without_a_band(self, vertex, oracle_certificate):
         t = build_grid(1.2, 6, 4)
         t.edges[("C", 2, 2), vertex] = 0.5
         cert = certify_vertical_minimizing(t, 3)
-        assert not t._graph().separated
+        assert t.edges._order is None
         assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 3))
 
     @pytest.mark.parametrize("write", ["inject_edge", "direct"])
@@ -640,30 +650,28 @@ class TestRowLineSeparation:
         cert = certify_vertical_minimizing(t, 4)
         assert cert.dijkstra_equality and not cert.row_crossing_bound
         assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 4))
-        assert not t._graph().separated
-
 
     def test_shortcut_through_a_vertex_below_the_source_line(self, oracle_certificate,
                                                               full_searches):
-        # edges between neighbouring bands keep the flag on; the writes drop
-        # the rows-alike hint, so the full search finds the path through the
-        # vertex ("VM", 8, 6) below the source line
+        # the writes drop the constructors' hint, so the full search finds
+        # the path through the vertex ("VM", 8, 6) below the source line
         t = build_grid(1.2, 12, 12)
         t.add_edge(("HM", 8, 5), ("VM", 7, 6), 0.1)
         t.add_edge(("HM", 8, 5), ("VM", 8, 6), 0.1)
         t.edges[("C", 8, 6), ("VM", 8, 6)] = 0.1  # before the first query
         cert = certify_vertical_minimizing(t, 4)
-        assert t._graph().separated
         assert cert.distance == pytest.approx(8.7) and not cert.passes
         assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 4))
         assert full_searches == [(("C", 4, 6), ("C", 8, 6))]
 
 
 class TestLineSearchCut:
-    # with the cut, the full path's line search settles no vertex below its
-    # source line, and every vertex it settles has the uncut search's
-    # distance to the bit; a copy with a plain dict has no hints, so its
-    # certificates take the full path
+    # the full path's line search runs uncut.  A path that dips below its
+    # source line comes back through a source, and rounding is monotone, so
+    # a search cut here, with every vertex below the line capped at 0,
+    # settles no vertex below and the same vertices on or above the line,
+    # each with the uncut search's distance to the bit.  A copy with a plain
+    # dict has no hint, so its certificates take the full path
 
     @pytest.mark.parametrize("variant", TestCertificateMatchesOracle.VARIANTS)
     @pytest.mark.parametrize("seed", range(4))
@@ -680,16 +688,15 @@ class TestLineSearchCut:
 
         monkeypatch.setattr(tiled_surface, "_distances", recorded)
         g = t._graph()
-        assert g.separated
         for n in range(1, t.rows - 1):
             searches.clear()
             certify_vertical_minimizing(t, n)
-            sources, targets, cut = searches[-1]  # the line search, after the full one
+            sources, targets, uncut = searches[-1]  # the line search, after the full one
             line = max(1, (t.rows - n) // 2) + n
             assert {g.ids[k] for k in sources} == {
                 v for v in g.ids if v[0] in ("C", "HM") and v[1] == line}
-            uncut = full(g, sources, targets)
             below = [_band(v) > 2 * line for v in g.ids]
+            cut = full(g, sources, targets, [0.0 if b else math.inf for b in below])
             assert all(d is None for d, b in zip(cut, below) if b)
             assert any(d is not None for d, b in zip(uncut, below) if b)
             assert _hex_above(cut, below) == _hex_above(uncut, below)
@@ -1089,7 +1096,6 @@ class TestIdsWithoutKind:
         t = TiledComplex(pentagon=solve_pentagon(1.2), rows=4, cols=2,
                          edges={(v[0], v[1]): 1.0, (v[0], v[2]): 1.0, (v[1], v[3]): 1.0})
         g = t._graph()
-        assert not g.separated
         assert g.row_lines == {1: [0, 1]}
         assert discrete_distance(t, ("P",), ("X", "y")) == 3.0
 
@@ -1108,17 +1114,17 @@ EDGE_MAP_WRITES = {
 
 
 def _hints(t) -> tuple:
-    return t.edges._index, t.edges._order, t.edges._alike
+    return t.edges._index, t.edges._order
 
 
 class TestEdgeMap:
-    # the edge map drops the index and both constructor hints on any write,
+    # the edge map drops the index and the constructors' hint on any write,
     # so a write before or after a query is seen by the next one
 
     @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
     def test_constructors_leave_both_hints(self, variant):
         t = _CONSTRUCTIONS[variant](build_grid(1.2, 5, 5))
-        assert t.edges._order == sorted(t.vertices()) and t.edges._alike is True
+        assert t.edges._order == sorted(t.vertices())
         assert t.edges._index is None
         assert t._graph() is t.edges._index
 
@@ -1130,9 +1136,9 @@ class TestEdgeMap:
         edges = t.edges
         EDGE_MAP_WRITES[write](edges)
         assert t.edges is edges
-        assert _hints(t) == (None, None, None)
+        assert _hints(t) == (None, None)
         g, fresh = t._graph(), _index_graph(dict(t.edges))
-        assert (g.ids, g.separated) == (fresh.ids, fresh.separated)
+        assert (g.ids, g.row_lines) == (fresh.ids, fresh.row_lines)
         assert [_flat_pairs(a) for a in g.adj] == [_flat_pairs(a) for a in fresh.adj]
 
     def test_in_place_or_through_the_attribute(self):
@@ -1140,13 +1146,13 @@ class TestEdgeMap:
         t._graph()
         edges = t.edges
         t.edges |= {(("C", 1, 1), ("C", 5, 1)): 0.5}
-        assert t.edges is edges and _hints(t) == (None, None, None)
+        assert t.edges is edges and _hints(t) == (None, None)
 
     def test_add_edge_drops_both_hints(self):
         t = build_grid(1.2, 6, 3)
         t._graph()
         t.add_edge(("C", 1, 1), ("HM", 1, 1), 1.2)
-        assert _hints(t) == (None, None, None)
+        assert _hints(t) == (None, None)
 
     def test_pr18_edit_after_the_first_certificate(self, oracle_certificate):
         # the edit that a cached index used to ignore: the next certificate is
@@ -1166,15 +1172,16 @@ class TestEdgeMap:
     @pytest.mark.parametrize("when", ["before", "after"])
     def test_shortcut_in_one_row_keeps_separation(self, variant, when, oracle_certificate):
         # a shortcut across row 2 alone, its edges joining neighbouring bands:
-        # the index stays separated, but the rows are no longer alike, so the
-        # strip of row 5, the first span's (n = 1), may not stand for row 2
+        # the row lines still separate the window, but the rows are no longer
+        # alike, so the strip of row 5, the first span's (n = 1), may not
+        # stand for row 2; the writes drop the hint, so no strip is searched
         t = WINDOW_KINDS[variant](build_grid(1.3, 12, 6))
         if when == "after":
             for n in range(1, 11):
                 assert certify_vertical_minimizing(t, n).passes
         t.edges[("HM", 2, 2), ("VM", 2, 3)] = 0.05
         t.edges[("HM", 3, 2), ("VM", 2, 3)] = 0.05
-        assert t._graph().separated and t.edges._alike is None
+        assert t.edges._order is None
         failing = 0
         for n in range(1, 11):
             cert = certify_vertical_minimizing(t, n)
@@ -1188,9 +1195,9 @@ class TestEdgeMap:
         assert dataclasses.replace(t, faces=[]).edges is t.edges
         copy = dataclasses.replace(t, edges=dict(t.edges))
         assert isinstance(copy.edges, type(t.edges)) and copy.edges == t.edges
-        assert _hints(copy) == (None, None, None)
+        assert _hints(copy) == (None, None)
         hand = TiledComplex(pentagon=t.pentagon, rows=4, cols=4, edges={(0, 1): 1.0})
-        assert isinstance(hand.edges, type(t.edges)) and _hints(hand) == (None, None, None)
+        assert isinstance(hand.edges, type(t.edges)) and _hints(hand) == (None, None)
 
     @pytest.mark.parametrize("copy_of", [copy.deepcopy, *(
         lambda t, p=p: pickle.loads(pickle.dumps(t, protocol=p))
