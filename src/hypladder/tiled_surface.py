@@ -16,11 +16,15 @@ Certificates are valid for paths inside the window minus a one-cell safety
 margin and state their window size.
 
 Every row strip of a window that ``build_grid``, ``add_diagonals`` or
-``glue_to_Rb`` made has the same lengths, so one strip's search certifies
-every span (see ``certify_vertical_minimizing``).  The edge map drops the
-index and the constructors' hint on any write, so distances, certificates
-and the topology see every edit, and bad lengths are refused at the first
-query (see ``TiledComplex``).
+``glue_to_Rb`` made is the one-row window that the same constructors make,
+with its rows renumbered and the same lengths, so that window's search
+certifies every span without indexing the window; the search stops at the
+first vertex of the far line that settles, whose distance, as vertices
+settle in order of distance, is the line's least, with the same bits (see
+``certify_vertical_minimizing``).  The
+edge map drops the index, the constructors' record and the strip distance
+on any write, so distances, certificates and the topology see every edit,
+and bad lengths are refused at the first query (see ``TiledComplex``).
 """
 
 from __future__ import annotations
@@ -48,17 +52,18 @@ class _GraphIndex:
     Vertex i is ids[i]; ids are sorted, so the order of the ints is the order
     of the ids and heap ties break as they would on the ids themselves.
     adj[i] is flat, [j0, length0, j1, length1, ...] over the edges at i, so
-    no tuple is made per edge.  row_lines maps a row line to its lattice
-    corners and horizontal-side midpoints; ids that have no kind (ints, or
-    a kind without a row) leave it empty.  ``strip`` caches a certificate's
-    one-row search (see ``certify_vertical_minimizing``).
+    no tuple is made per edge.  Only distance queries and the topology build
+    an index of a window: a built window's certificates search the index of
+    a one-row window instead, which is each row strip with its rows
+    renumbered and has the same lengths (see
+    ``certify_vertical_minimizing``), and the line search finds its row
+    lines on the ids when it runs, stopping at the first line vertex that
+    settles (see ``_line_distance``).
     """
 
     ids: list
     pos: dict
     adj: list
-    row_lines: dict
-    strip = None  # a class default, not a field
 
     def vertex(self, v) -> int:
         i = self.pos.get(v)
@@ -69,7 +74,8 @@ class _GraphIndex:
 
 def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
     """Index of the graph with these edges.  ``order`` is a hint: the sorted
-    vertex list a constructor made, which the edge map drops on a write.
+    vertex list a constructor made, the head of its record on the edge map,
+    which the map drops on a write.
 
     Refuses lengths as ``add_edge`` does; each is checked only if ``min`` and
     ``sum``, which pass over them in C (a NaN makes the sum NaN), fail or
@@ -84,44 +90,39 @@ def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
         for key, w in edges.items():
             check_positive_finite(f"edge {key} length", w)
     try:
-        return _index_in_order(edges, order or sorted({v for e in edges for v in e}))
+        ids = order or sorted({v for e in edges for v in e})
+        pos = dict(zip(ids, range(len(ids))))
+        adj = [[] for _ in ids]
+        for (u, v), w in edges.items():
+            i = pos[u]
+            j = pos[v]
+            adj[i] += j, w
+            adj[j] += i, w
     except (TypeError, ValueError) as exc:  # such as the key 5, or ids 0 and ("C", 1, 1)
         raise InconsistentInput(f"edge keys that are no vertex pairs, or ids that do not compare: {exc}") from None
-
-
-def _index_in_order(edges: dict, ids: list) -> _GraphIndex:
-    pos = dict(zip(ids, range(len(ids))))
-    adj = [[] for _ in ids]
-    for (u, v), w in edges.items():
-        i = pos[u]
-        j = pos[v]
-        adj[i] += j, w
-        adj[j] += i, w
-    row_lines = {}
-    try:
-        for i, v in enumerate(ids):
-            if v[0] in ("C", "HM"):
-                row_lines.setdefault(v[1], []).append(i)
-    except (TypeError, IndexError):  # ids that have no kind, such as ints
-        row_lines = {}
-    return _GraphIndex(ids, pos, adj, row_lines)
+    return _GraphIndex(ids, pos, adj)
 
 
 def _written(edges, method, *args, **kwargs):
-    """Drop the index and the hint of ``edges``, then call ``method``."""
-    edges._index = edges._order = None
+    """Drop the cached work of ``edges``, then call ``method``."""
+    edges._index = edges._made = edges._strip = None
     return method(edges, *args, **kwargs)
 
 
 class _EdgeMap(dict):
-    """A complex's edge map: a ``dict`` whose every mutator first drops the
-    graph index and the constructors' hint ``_order``, the sorted vertex
-    list.  The constructors write through ``dict``'s own methods and set the
-    hint after, so it marks a window that one of them made, unwritten since,
-    whose row strips all have the same lengths.  It keeps no reference to
-    its complex, so a complex is freed without waiting for the cycle
-    collector.  The index and the hint are instance attributes, not
-    ``__slots__``, so the map pickles with every protocol."""
+    """A complex's edge map: a ``dict`` whose every mutator first drops its
+    cached work: the graph index ``_index``, the strip distance ``_strip``
+    (see ``certify_vertical_minimizing``) and the constructors' record
+    ``_made`` of how they made the window: (sorted vertex list, pentagon,
+    rows, cols, *steps), the steps being ``add_diagonals`` and
+    ``glue_to_Rb`` in the order they ran.  The constructors write through
+    ``dict``'s own methods and set the record after, so it marks a window
+    that they made, unwritten since, each of whose row strips is, rows
+    renumbered, the one-row window that replaying the record makes, with
+    the same lengths.  It keeps no reference to its complex, so a complex
+    is freed without waiting for the cycle collector.  All three are
+    instance attributes, not ``__slots__``, so the map pickles with every
+    protocol."""
 
 
 for _name in "__init__ __setitem__ __delitem__ __ior__ update setdefault pop popitem clear".split():
@@ -144,11 +145,13 @@ class TiledComplex:
     map, before or after a query.  The index refuses, when built, lengths
     that are not positive and finite, which Dijkstra and the pruning need,
     and ids that do not compare with each other, which it sorts.
-    ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` leave one hint on
-    the map, also dropped on a write: the sorted vertex list, which also
-    marks that every row strip has the same lengths.  A plain ``dict`` given
-    as ``edges``, as a ``dataclasses.replace`` copy or a hand-built complex
-    gives, is copied once into such a map, without the hint.
+    ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` leave on the map,
+    also dropped on a write, a record of how they made the window: the
+    sorted vertex list, which the index takes as its order, then the
+    pentagon, rows, cols and steps, which the certificates check against
+    the complex's fields.  A plain ``dict`` given as ``edges``, as a
+    ``dataclasses.replace`` copy or a hand-built complex gives, is copied
+    once into such a map, without the record.
     """
 
     pentagon: PentagonSolution
@@ -181,7 +184,7 @@ class TiledComplex:
     def _graph(self) -> _GraphIndex:
         edges = self.edges
         if edges._index is None:
-            edges._index = _index_graph(edges, edges._order)
+            edges._index = _index_graph(edges, edges._made and edges._made[0])
         return edges._index
 
     def alpha_column(self) -> int:
@@ -199,8 +202,7 @@ class TiledComplex:
         return _topology(self)[1]
 
     def genus(self) -> int:
-        chi, boundary = _topology(self)
-        return (2 - chi - boundary) // 2
+        return (2 - sum(_topology(self))) // 2  # 2 - 2g = chi + boundary components
 
 
 def _odd_sides(faces: list, num: dict) -> tuple:
@@ -248,8 +250,8 @@ def _topology(t: TiledComplex) -> tuple:
         if i != j:
             parent[i] = j
             merges += 1
-    edge_count = (5 * len(faces) + len(odd)) // 2
-    return v - edge_count + len(faces), len(ends) - merges
+    # V - E + F, with E = (5 F + odd sides) / 2 edges (see above)
+    return v - (5 * len(faces) + len(odd)) // 2 + len(faces), len(ends) - merges
 
 
 def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
@@ -263,7 +265,8 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     edge map by ``dict.update``.  Each vertex is one tuple, shared by faces
     and edges, and the tuples are listed in sorted order as the index's
     hint: corners row by row, hole corners cell by cell (E < N < S < W),
-    then the horizontal and the vertical midpoints.
+    then the horizontal and the vertical midpoints.  The list heads the
+    record left on the edge map, with the pentagon, rows and cols.
     """
     check_int("rows", rows)
     check_int("cols", cols)
@@ -300,7 +303,8 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
                 edges[c10, h1] = edges[c11, h1] = pb
         edges[top[cols], vm[cols]] = edges[bottom[cols], vm[cols]] = pb
         dict.update(t.edges, edges)
-    t.edges._order = [v for row in corner for v in row] + holes + [v for row in hmid + vmid for v in row]
+    t.edges._made = ([v for row in corner for v in row] + holes + [v for row in hmid + vmid for v in row],
+                     p, rows, cols)
     return t
 
 
@@ -323,10 +327,10 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
 
     Only the edges at a glued-away hole corner are rewritten in the copied
     edge map, each checked as ``add_edge`` checks it.  Gluing pairs holes
-    within a row, so the rows stay alike if they were.
+    within a row, so the rows stay alike if they were, and the step is
+    added to the edge map's record.
     """
-    rep = {}
-    pairs = []
+    rep, pairs = {}, []
     for r in range(t.rows):
         for c in range(0, t.cols - 1, 2):
             pairs.append(((r, c), (r, c + 1)))
@@ -343,7 +347,8 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
             _merge(edges, (u, v) if u <= v else (v, u), w)
     faces = [(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
              for a, b, c, d, e in t.faces]
-    edges._order = t.edges._order and [v for v in t.edges._order if v not in rep]
+    made = t.edges._made
+    edges._made = made and ([v for v in made[0] if v not in rep], *made[1:], glue_to_Rb)
     return replace(t, edges=edges, faces=faces, glued_pairs=tuple(pairs))
 
 
@@ -357,36 +362,33 @@ def _merge(edges: _EdgeMap, key, length: float) -> None:
         dict.__setitem__(edges, key, length)
 
 
-def _distances(g: _GraphIndex, sources, targets=None, best=None) -> list:
+def _distances(g: _GraphIndex, sources, targets=(), first=False) -> list:
     """Dijkstra on the integer index: dist[i] for every settled vertex i,
     None elsewhere.  With a non-empty target set, stops once all targets are
-    settled; an empty one stops nothing.
+    settled, or with ``first`` once one is; an empty one stops nothing.
 
     ``best`` holds each vertex's best tentative distance, and a neighbour is
     pushed only when it improves on it (with lengths >= 0 a settled vertex
     never does); an entry it improved on stays in the heap and is skipped
     when popped.  Vertices settle in (d, i) order, so the settled set at an
-    early stop is the same as with a push per edge.  A caller's ``best`` is
-    used in place as a cap per vertex: no vertex is reached at or above its
-    cap, and caps above every distance change nothing."""
+    early stop is the same as with a push per edge."""
     adj = g.adj
     dist = [None] * len(adj)
-    if best is None:
-        best = [math.inf] * len(adj)
+    best = [math.inf] * len(adj)
     for s in sources:
         best[s] = 0.0
     heap = [(0.0, s) for s in sources]
     heapq.heapify(heap)
     heappush, heappop = heapq.heappush, heapq.heappop
-    remaining = set(targets) if targets else None
+    remaining = set(targets)
     while heap:
         d, v = heappop(heap)
         if dist[v] is not None:
             continue
         dist[v] = d
-        if remaining is not None:
+        if v in remaining:
             remaining.discard(v)
-            if not remaining:
+            if first or not remaining:
                 break
         it = iter(adj[v])
         for w, length in zip(it, it):
@@ -401,21 +403,16 @@ def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
     """Exact shortest-path distances from the source set; stops early when
     all targets are settled if a non-empty target set is given."""
     g = t._graph()
-    src = [g.vertex(s) for s in sources]
     # a target missing from the complex is never settled (-1 is no vertex),
     # so the search then runs to the end
-    tgt = None if targets is None else {g.pos.get(v, -1) for v in targets}
-    dist = _distances(g, src, tgt)
+    dist = _distances(g, [g.vertex(s) for s in sources], {g.pos.get(v, -1) for v in targets or ()})
     return {g.ids[i]: d for i, d in enumerate(dist) if d is not None}
 
 
 def discrete_distance(t: TiledComplex, x, y) -> float:
     """Shortest edge-path length between two corners of the complex."""
     g = t._graph()
-    i = g.vertex(x)
-    if x == y:
-        return 0.0
-    j = g.pos.get(y)
+    i, j = g.vertex(x), g.pos.get(y)
     d = None if j is None else _distances(g, [i], [j])[j]
     if d is None:
         raise Unreachable(f"no edge path connects {x} and {y}")
@@ -459,23 +456,35 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     row inside the window boundary (safety margin).
 
     Strips: in a window that ``build_grid``, ``add_diagonals`` or
-    ``glue_to_Rb`` made, unwritten since (the hint ``edges._order``, which
-    any write drops), every edge lies in one closed cell and gluing pairs
-    holes within a row, so each row line separates the rows above it from
-    those below.  Cut a path from line r0 + n to line r0 at its first visit
-    to each line between.  The piece from line k + 1 to line k stays, after
-    its last visit to line k + 1, in strip k (the cells of row k with their
-    two lines), so the path is at least the sum of the strips' line-to-line
-    distances s_k.  Every strip has the same lengths, so one strip's
-    search, cached on the index, gives every s_k = s.  By the same cut, the
-    exact shortest line-to-line path lies in one strip, so it has fewer
-    than N = 9 cols + 3 edges, the strip's vertex count (the diagonals add
-    no vertex, gluing removes some); its float sum, at least the search's
-    float s, is within gamma_N = Nu / (1 - Nu) of its length (Higham 4.2,
-    u = 2^-53).  So fl(n s)(1 - 4 gamma_N) >= 2nb - CERT_TOL proves (2),
-    with room for the test's own roundings, and implies the line search's
-    test below; (1) follows by the witness, the alpha column of length
-    2nb, whose sequential edge sum is the reported distance.
+    ``glue_to_Rb`` made, unwritten since, whose pentagon, rows and cols are
+    still those the constructors recorded on ``edges`` (``_made``, which any
+    write drops), every edge lies in one closed cell and gluing pairs holes
+    within a row, so each row line separates the rows above it from those
+    below.  Cut a path from line r0 + n to line r0 at its first visit to
+    each line between.  The piece from line k + 1 to line k stays, after its
+    last visit to line k + 1, in strip k (the cells of row k with their two
+    lines), so the path is at least the sum of the strips' line-to-line
+    distances s_k.  Shift: strip k is the one-row window that the same
+    constructors, replayed in the same order on the same pentagon and column
+    count, make, with row r renumbered r - k: the same edges with the same
+    lengths, since every cell gets the same sides and diagonals and gluing
+    pairs the same columns in every row.  A search from line k + 1 settles,
+    before its first vertex of line k, only vertices of strip k and below
+    line k + 1, and those below reach strip k only through the sources, so
+    it computes the one-row window's floats; and it stops at that first
+    vertex, which settles at the least distance on the line (vertices settle
+    in order of distance), with the same bits.  So that window's
+    line-to-line distance (see ``_strip_distance``), cached on ``edges``, is
+    every s_k = s, to the bit, and its search never indexes ``t``.  By the
+    same cut, the exact shortest line-to-line path lies in one strip, so it
+    has fewer than N = 9 cols + 3 edges, the strip's vertex count (the
+    diagonals add no vertex, gluing removes some); its float sum, at least
+    the search's float s, is within gamma_N = Nu / (1 - Nu) of its length
+    (Higham 4.2, u = 2^-53).  So fl(n s)(1 - 4 gamma_N) >= 2nb - CERT_TOL
+    proves (2), with room for the test's own roundings, and implies the line
+    search's test below; (1) follows by the witness, the alpha column of
+    length 2nb, whose sequential edge sum, read from ``edges``, is the
+    reported distance.
 
     Otherwise, or when that test fails, the distance is the full search's
     and (2) the line search's over the span, from line r0 + n.
@@ -484,31 +493,46 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     if n > t.rows - 2:
         raise ScaleTooLarge(f"window with {t.rows} rows is too short for n={n} plus margin")
     r0 = max(1, (t.rows - n) // 2)
-    x, y = t.alpha_corner(r0), t.alpha_corner(r0 + n)
     expected = 2.0 * n * t.b
-    g, edges = t._graph(), t.edges
-    if g.strip is None and edges._order is not None:  # a built window: any row's strip
-        g.strip = _line_distance(g, r0, r0 + 1)
     nu = (9 * t.cols + 3) * 2.0**-53
-    crosses = g.strip is not None and n * g.strip * (1.0 - 4.0 * nu / (1.0 - nu)) >= expected - CERT_TOL
+    crosses = n * _strip_distance(t) * (1.0 - 4.0 * nu / (1.0 - nu)) >= expected - CERT_TOL
     if crosses:
-        d, col = 0.0, t.alpha_column()
+        d, col, edges = 0.0, t.alpha_column(), t.edges
         for r in range(r0, r0 + n):
             d += edges[("C", r, col), ("VM", r, col)]
             d += edges[("C", r + 1, col), ("VM", r, col)]
     else:
-        d = discrete_distance(t, x, y)
-        crosses = _line_distance(g, r0, r0 + n) >= expected - CERT_TOL
-    return VerticalCertificate(
-        b=t.b, n=n, window=(t.rows, t.cols), refined=t.refined, distance=d, expected=expected,
-        dijkstra_equality=abs(d - expected) < CERT_TOL, row_crossing_bound=crosses)
+        d = discrete_distance(t, t.alpha_corner(r0), t.alpha_corner(r0 + n))
+        crosses = _line_distance(t._graph(), r0, r0 + n) >= expected - CERT_TOL
+    # the fields in order: b, n, window, refined, distance, expected, the two checks
+    return VerticalCertificate(t.b, n, (t.rows, t.cols), t.refined, d, expected,
+                               abs(d - expected) < CERT_TOL, crosses)
+
+
+def _strip_distance(t) -> float:
+    """A lower bound on every row strip's line-to-line distance of ``t``:
+    if its pentagon, rows and cols are those recorded on ``t.edges``, the
+    distance of the one-row window made as ``t`` was, cached there; for
+    any other window -inf, which no strip test passes."""
+    edges, made = t.edges, t.edges._made
+    if not made or made[1:4] != (t.pentagon, t.rows, t.cols):
+        return -math.inf
+    if edges._strip is None:
+        w = build_grid(t.b, 1, t.cols)
+        for step in made[4:]:
+            w = step(w)
+        edges._strip = _line_distance(w._graph(), 0, 1)
+    return edges._strip
 
 
 def _line_distance(g: _GraphIndex, line: int, source: int) -> float:
-    """Least distance from row line ``source`` to row line ``line``: one
-    search over the whole graph, which stops once all of ``line`` settles."""
-    top = g.row_lines[line]
-    dist = _distances(g, g.row_lines[source], top)
+    """Least distance from row line ``source`` to row line ``line``, each its
+    lattice corners and horizontal-side midpoints, found on the ids when the
+    search runs: one search over the whole graph, which stops at the first
+    vertex of ``line`` that settles.  Vertices settle in order of distance,
+    so that vertex's distance is the least on the line, with the same bits."""
+    top, bottom = ([i for i, v in enumerate(g.ids) if v[0] in ("C", "HM") and v[1] == r] for r in (line, source))
+    dist = _distances(g, bottom, top, True)
     return min(dist[k] for k in top if dist[k] is not None)
 
 
@@ -533,7 +557,8 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
 
     The diagonals go straight into a copy of ``t.edges``, checked as
     ``add_edge`` checks, each length once; every face gets the same five
-    lengths, so the rows stay alike if they were."""
+    lengths, so the rows stay alike if they were, and the step is added to
+    the edge map's record."""
     p = t.pentagon
     sides = (p.b, p.b, p.a, p.c, p.a)
     diag = [(i, (i + 2) % 5, _hypotenuse(sides[i], sides[(i + 1) % 5])) for i in range(5)]
@@ -547,6 +572,6 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
             if put(edges, key, length) is not length:  # the key was there
                 _merge(edges, key, length)
     # diagonals join corners of one face, so the vertices stay the same
-    edges._order = t.edges._order
+    edges._made = t.edges._made and (*t.edges._made, add_diagonals)
     return replace(t, edges=edges, faces=list(t.faces), refined=True)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import heapq
 import itertools
 import json
 import math
@@ -110,6 +111,41 @@ def oracle_certificate(t: TiledComplex, n: int) -> VerticalCertificate:
         dijkstra_equality=abs(d - expected) < CERT_TOL,
         row_crossing_bound=min_cross >= expected - CERT_TOL,
     )
+
+
+def capped_dijkstra(adj: list, sources, targets=(), caps=None, first=False) -> list:
+    """Dijkstra with a cap per vertex, on a graph index's flat adjacency
+    ``adj`` (adj[i] = [j0, length0, j1, length1, ...]): the library's
+    search as it was when it took caps, with its stop rules.  dist[i] for
+    every settled vertex i, None elsewhere; stops once all of a non-empty
+    target set is settled, or with ``first`` once one target is.
+
+    ``caps`` holds each vertex's best tentative distance and is used in
+    place: a neighbour is pushed only when it improves on it, so no vertex
+    is reached at or above its cap, and caps above every distance change
+    nothing."""
+    dist = [None] * len(adj)
+    best = [math.inf] * len(adj) if caps is None else caps
+    for s in sources:
+        best[s] = 0.0
+    heap = [(0.0, s) for s in sources]
+    heapq.heapify(heap)
+    remaining = set(targets)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if dist[v] is not None:
+            continue
+        dist[v] = d
+        if v in remaining:
+            remaining.discard(v)
+            if first or not remaining:
+                break
+        for w, length in zip(adj[v][::2], adj[v][1::2]):
+            nd = d + length
+            if nd < best[w]:
+                best[w] = nd
+                heapq.heappush(heap, (nd, w))
+    return dist
 
 
 # topology kept verbatim from the implementation that counted it on vertex
@@ -601,6 +637,11 @@ def _oracle_build_grid_fixture():
 @pytest.fixture(name="oracle_certificate", scope="session")
 def _oracle_certificate_fixture():
     return oracle_certificate
+
+
+@pytest.fixture(name="capped_dijkstra", scope="session")
+def _capped_dijkstra_fixture():
+    return capped_dijkstra
 
 
 @pytest.fixture(name="oracle_topology", scope="session")

@@ -26,11 +26,13 @@ CLI child pays for it in memory when it compiles the module.
 
 A tiled certificate searches one of two ways.  A window that
 ``build_grid``, ``add_diagonals`` or ``glue_to_Rb`` made, unwritten since,
-takes the one-strip path: one row's strip search, once per window, and the
-alpha column's edge sum; that edge-map hint is all it rests on.  Any other
-window takes the full path: the full corner-to-corner search and the
-uncut line search over the whole span.  The last tests pin both, by
-recording the searches certificates make.
+whose pentagon, rows and cols are those the constructors recorded on its
+edge map, takes the one-strip path: one search of the one-row window that
+the same constructors make, once per window, and the alpha column's edge
+sum; it never indexes the window, and that record is all it rests on.  Any
+other window takes the full path: the full corner-to-corner search and the
+line search over the whole span.  The last tests pin both, by recording
+the searches certificates make and the index builds after them.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
@@ -255,11 +257,29 @@ BUILT = {
 
 @pytest.mark.parametrize("variant", BUILT)
 def test_built_windows_take_the_one_strip_path(variant, certificate_searches):
-    # one strip searched, once, for every span; no full search
+    # one strip searched, once, for every span, on the one-row window's own
+    # row lines 1 and 0; no full search
     t = BUILT[variant](build_grid(1.3, 9, 7))
     for n in range(1, 8):
         assert certify_vertical_minimizing(t, n).passes
-    assert certificate_searches == [("line", 4, 5)]  # the first span, n = 1, has r0 = 4
+    assert certificate_searches == [("line", 0, 1)]
+
+
+@pytest.mark.parametrize("variant", BUILT)
+def test_built_windows_certify_without_their_index(variant, monkeypatch):
+    # the certificates never index the window; a later distance query builds
+    # its index once
+    t = BUILT[variant](build_grid(1.3, 9, 7))
+    for n in range(1, 8):
+        assert certify_vertical_minimizing(t, n).passes
+    assert t.edges._index is None
+    builds = []
+    index = tiled_surface._index_graph
+    monkeypatch.setattr(tiled_surface, "_index_graph", lambda *a: builds.append(a) or index(*a))
+    corners = [("C", 1, 0), ("C", 8, 7), ("C", 2, 3)]
+    for x, y in zip(corners, corners[1:]):
+        tiled_surface.discrete_distance(t, x, y)
+    assert len(builds) == 1 and t.edges._index is not None
 
 
 def test_replace_copy_with_a_row_line_crossing_edge_takes_the_full_path(certificate_searches):

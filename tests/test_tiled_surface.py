@@ -13,6 +13,7 @@ import re
 import weakref
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,8 @@ from hypladder.tiled_surface import (
     discrete_distance,
     glue_to_Rb,
 )
-from hypladder.tiled_surface import _distances, _hypotenuse, _index_graph
+from hypladder.tiled_surface import (_distances, _hypotenuse, _index_graph, _line_distance,
+                                     _strip_distance)
 
 
 class TestHoledSquare:
@@ -240,20 +242,26 @@ class TestDijkstra:
         x, y = ("C", 1, mid), ("VM", m - 1, 0)
         assert discrete_distance(t, x, y) == _oracle_dijkstra(t, [x], [y])[y]
 
+    # the library's search takes no caps; the reference search of
+    # conftest.capped_dijkstra does, and equals it bit for bit, settled sets
+    # at both early stops included, when every cap is above its distance
+
     @pytest.mark.parametrize("window", ["plain", "glued-refined"])
-    def test_caps_above_every_distance_change_no_bit(self, window):
+    def test_caps_above_every_distance_change_no_bit(self, window, capped_dijkstra):
         g = _capped_window(window)._graph()
         sources = [g.vertex(("C", 1, 3)), g.vertex(("HM", 2, 0))]
         full = _distances(g, sources)
         caps = [math.nextafter(d, math.inf) for d in full]
-        assert _distances(g, sources, best=caps) == full
+        assert capped_dijkstra(g.adj, sources, caps=caps) == full
         assert caps == full  # used in place: each vertex ends at its distance
         targets = {g.vertex(("C", 5, 3)), g.vertex(("VM", 4, 6))}
-        caps = [math.nextafter(d, math.inf) for d in full]
-        assert _distances(g, sources, targets, best=caps) == _distances(g, sources, targets)
+        for first in (False, True):
+            caps = [math.nextafter(d, math.inf) for d in full]
+            assert (capped_dijkstra(g.adj, sources, targets, caps, first)
+                    == _distances(g, sources, targets, first))
 
     @pytest.mark.parametrize("window", ["plain", "glued-refined"])
-    def test_vertex_capped_at_or_below_its_distance_never_settles(self, window):
+    def test_vertex_capped_at_or_below_its_distance_never_settles(self, window, capped_dijkstra):
         g = _capped_window(window)._graph()
         i = g.vertex(("C", 1, 3))
         full = _distances(g, [i])
@@ -261,7 +269,7 @@ class TestDijkstra:
         capped = range(1, len(full), 5)
         for k in capped:
             caps[k] = full[k] if k % 2 else math.nextafter(full[k], -math.inf)
-        dist = _distances(g, [i], best=caps)
+        dist = capped_dijkstra(g.adj, [i], caps=caps)
         assert [dist[k] for k in capped] == [None] * len(capped)
         assert all(d is None or d >= full[k] for k, d in enumerate(dist))
         assert dist[i] == 0.0
@@ -335,14 +343,15 @@ _CONSTRUCTIONS = {
 
 
 class TestCarriedOrder:
-    # each constructor hands the index its sorted vertex list; any write to
-    # the edge map drops it, and the index then sorts the ids afresh
+    # each constructor hands the index its sorted vertex list, the first
+    # entry of its record on the edge map; any write to the edge map drops
+    # the record, and the index then sorts the ids afresh
 
     @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
     @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (5, 9)])
     def test_order_is_sorted_vertices(self, rows, cols, variant):
         t = _CONSTRUCTIONS[variant](build_grid(1.2, rows, cols))
-        assert t.edges._order == sorted(t.vertices())
+        assert t.edges._made[0] == sorted(t.vertices())
 
     @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
     @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (5, 9)])
@@ -350,21 +359,20 @@ class TestCarriedOrder:
         t = _CONSTRUCTIONS[variant](build_grid(1.2, rows, cols))
         g = t._graph()
         fresh = _index_graph(t.edges)
-        assert g.ids is t.edges._order  # the hint was taken
+        assert g.ids is t.edges._made[0]  # the hint was taken
         assert g.ids == fresh.ids
         assert g.pos == fresh.pos
-        assert g.row_lines == fresh.row_lines
         assert [_flat_pairs(a) for a in g.adj] == [_flat_pairs(a) for a in fresh.adj]
 
     def test_add_edge_drops_the_order(self):
         t = build_grid(1.2, 3, 3)
         t.add_edge(("C", 0, 0), ("C", 1, 1), 5.0)
-        assert t.edges._order is None
+        assert t.edges._made is None
         assert t._graph().ids == sorted(t.vertices())
 
     def test_replace_copy_starts_without_the_order(self, inject_edge):
         t = build_grid(1.2, 3, 3)
-        assert inject_edge(t, ("C", 0, 0), ("C", 1, 1), 5.0).edges._order is None
+        assert inject_edge(t, ("C", 0, 0), ("C", 1, 1), 5.0).edges._made is None
 
     def test_edge_to_new_vertex_set_directly(self):
         t = build_grid(1.2, 4, 4)
@@ -372,7 +380,11 @@ class TestCarriedOrder:
         t.edges[("C", 2, 4), new] = 0.25
         g = t._graph()
         assert g.ids == sorted(t.vertices())
-        assert g.pos[new] in g.row_lines[2]
+        # the line search finds row line 2, the new midpoint with it, on the ids
+        line = [v for v in g.ids if v[0] in ("C", "HM") and v[1] == 2]
+        assert new in line
+        below = dijkstra(t, line)
+        assert _line_distance(g, 4, 2) == min(below[v] for v in g.ids if v[:2] in (("C", 4), ("HM", 4)))
         for sources, targets in [([new], None), ([("C", 0, 0)], [new]), ([("C", 2, 0)], None)]:
             assert dijkstra(t, sources, targets) == _oracle_dijkstra(t, sources, targets)
         assert discrete_distance(t, ("C", 0, 0), new) == _oracle_dijkstra(
@@ -574,6 +586,46 @@ def test_strip_gamma_counts_one_strip(oracle_certificate, full_searches):
     assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 43))
 
 
+@given(variant=st.sampled_from(sorted(_CONSTRUCTIONS)), rows=st.integers(1, 8),
+       cols=st.integers(1, 8), b=st.floats(0.9, 355.0))
+@settings(max_examples=150, deadline=None)
+def test_strip_window_is_every_row_strip(variant, rows, cols, b):
+    # the one-row window made as the window was is row strip k with its rows
+    # renumbered, edge for edge and length for length, and its line-to-line
+    # distance is every strip's, to the bit.  Every strip's distance is 2b in
+    # each kind of window, so only the edges show a strip window made with a
+    # step left out
+    t = _CONSTRUCTIONS[variant](build_grid(b, rows, cols))
+    searched = []
+
+    def recorded(g, line, source):
+        searched.append(g)
+        return _line_distance(g, line, source)
+
+    with mock.patch.object(tiled_surface, "_line_distance", recorded):
+        s = _strip_distance(t)
+    assert t.edges._strip is s and t.edges._index is None
+    (w,) = searched
+    window = {(w.ids[i], w.ids[j]): x
+              for i, a in enumerate(w.adj) for j, x in zip(a[::2], a[1::2]) if i < j}
+    g = t._graph()
+    for k in range(rows):
+        strip = {(_shifted(u, k), _shifted(v, k)): x for (u, v), x in t.edges.items()
+                 if _in_strip(u, k) and _in_strip(v, k)}
+        assert strip == window, k
+        assert _line_distance(g, k, k + 1).hex() == s.hex(), k
+
+
+def _in_strip(v, k) -> bool:
+    """Whether v is a vertex of strip k: the cells of row k with row lines
+    k and k + 1."""
+    return v[1] in (k, k + 1) if v[0] in ("C", "HM") else v[1] == k
+
+
+def _shifted(v, k):
+    return (v[0], v[1] - k, *v[2:])
+
+
 def _band(v) -> int:
     """2r for a corner or horizontal midpoint on row line r, 2r + 1 for a
     hole corner or vertical midpoint of cell row r."""
@@ -622,7 +674,7 @@ class TestRowLineSeparation:
         adj = _adjacency(t)
         seen = _reached(adj, [("C", 1, 1)], avoid=lambda v: _band(v) == 4)
         assert ("C", 3, 1) in seen
-        assert t.edges._order is None
+        assert t.edges._made is None
         for n in range(1, 5):
             cert = certify_vertical_minimizing(t, n)
             assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n))
@@ -632,7 +684,7 @@ class TestRowLineSeparation:
         t = build_grid(1.2, 6, 4)
         t.edges[("C", 2, 2), vertex] = 0.5
         cert = certify_vertical_minimizing(t, 3)
-        assert t.edges._order is None
+        assert t.edges._made is None
         assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, 3))
 
     @pytest.mark.parametrize("write", ["inject_edge", "direct"])
@@ -675,15 +727,16 @@ class TestLineSearchCut:
 
     @pytest.mark.parametrize("variant", TestCertificateMatchesOracle.VARIANTS)
     @pytest.mark.parametrize("seed", range(4))
-    def test_settles_nothing_below_and_keeps_bits(self, seed, variant, monkeypatch):
+    def test_settles_nothing_below_and_keeps_bits(self, seed, variant, monkeypatch,
+                                                  capped_dijkstra):
         t, _ = _seeded_window(seed, variant, TestCertificateMatchesOracle.B_RANGE)
         t = dataclasses.replace(t, edges=dict(t.edges))
         searches = []
         full = tiled_surface._distances
 
-        def recorded(g, sources, targets=None, best=None):
-            dist = full(g, sources, targets, best)
-            searches.append((sources, targets, list(dist)))
+        def recorded(g, sources, targets=(), first=False):
+            dist = full(g, sources, targets, first)
+            searches.append((sources, targets, first, list(dist)))
             return dist
 
         monkeypatch.setattr(tiled_surface, "_distances", recorded)
@@ -691,12 +744,14 @@ class TestLineSearchCut:
         for n in range(1, t.rows - 1):
             searches.clear()
             certify_vertical_minimizing(t, n)
-            sources, targets, uncut = searches[-1]  # the line search, after the full one
+            sources, targets, first, uncut = searches[-1]  # the line search, after the full one
             line = max(1, (t.rows - n) // 2) + n
             assert {g.ids[k] for k in sources} == {
                 v for v in g.ids if v[0] in ("C", "HM") and v[1] == line}
+            assert first  # it stops at the first vertex of the target line
             below = [_band(v) > 2 * line for v in g.ids]
-            cut = full(g, sources, targets, [0.0 if b else math.inf for b in below])
+            cut = capped_dijkstra(g.adj, sources, targets, [0.0 if b else math.inf for b in below],
+                                  first)
             assert all(d is None for d, b in zip(cut, below) if b)
             assert any(d is not None for d, b in zip(uncut, below) if b)
             assert _hex_above(cut, below) == _hex_above(uncut, below)
@@ -1068,7 +1123,6 @@ class TestIdsWithoutKind:
                          edges={(0, 1): 1.0, (1, 2): 2.0})
         assert dijkstra(t, [0]) == {0: 0.0, 1: 1.0, 2: 3.0}
         assert discrete_distance(t, 0, 2) == 3.0
-        assert t._graph().row_lines == {}
         with pytest.raises(Unreachable):
             certify_vertical_minimizing(t, 1)
 
@@ -1091,12 +1145,14 @@ class TestIdsWithoutKind:
         assert discrete_distance(t, ("C", 0, 0), ("C", 1, 0)) == 2 * t.b
 
     def test_short_tuples_beside_corners(self):
-        # ("P",) has no row; the corners still make their row lines
-        v = [("C", 1, 0), ("C", 1, 1), ("P",), ("X", "y")]
+        # ("P",) has no row; the corners still make their row lines, and the
+        # line search passes through it
+        v = [("C", 1, 0), ("C", 1, 1), ("P",), ("X", "y"), ("C", 2, 0)]
         t = TiledComplex(pentagon=solve_pentagon(1.2), rows=4, cols=2,
-                         edges={(v[0], v[1]): 1.0, (v[0], v[2]): 1.0, (v[1], v[3]): 1.0})
+                         edges={(v[0], v[1]): 1.0, (v[0], v[2]): 1.0, (v[1], v[3]): 1.0,
+                                (v[4], v[2]): 1.0})
         g = t._graph()
-        assert g.row_lines == {1: [0, 1]}
+        assert _line_distance(g, 1, 2) == 2.0
         assert discrete_distance(t, ("P",), ("X", "y")) == 3.0
 
 
@@ -1114,31 +1170,33 @@ EDGE_MAP_WRITES = {
 
 
 def _hints(t) -> tuple:
-    return t.edges._index, t.edges._order
+    return t.edges._index, t.edges._made, t.edges._strip
 
 
 class TestEdgeMap:
-    # the edge map drops the index and the constructors' hint on any write,
-    # so a write before or after a query is seen by the next one
+    # the edge map drops the index, the constructors' record and the strip
+    # distance on any write, so a write before or after a query is seen by
+    # the next one
 
     @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
     def test_constructors_leave_both_hints(self, variant):
         t = _CONSTRUCTIONS[variant](build_grid(1.2, 5, 5))
-        assert t.edges._order == sorted(t.vertices())
-        assert t.edges._index is None
+        assert t.edges._made[0] == sorted(t.vertices())
+        assert t.edges._index is None and t.edges._strip is None
         assert t._graph() is t.edges._index
 
     @pytest.mark.parametrize("write", EDGE_MAP_WRITES)
     def test_every_mutator_drops_the_index_and_both_hints(self, write):
         t = build_grid(1.2, 6, 3)
+        t._graph()
         certify_vertical_minimizing(t, 2)
         assert None not in _hints(t)
         edges = t.edges
         EDGE_MAP_WRITES[write](edges)
         assert t.edges is edges
-        assert _hints(t) == (None, None)
+        assert _hints(t) == (None, None, None)
         g, fresh = t._graph(), _index_graph(dict(t.edges))
-        assert (g.ids, g.row_lines) == (fresh.ids, fresh.row_lines)
+        assert (g.ids, g.pos) == (fresh.ids, fresh.pos)
         assert [_flat_pairs(a) for a in g.adj] == [_flat_pairs(a) for a in fresh.adj]
 
     def test_in_place_or_through_the_attribute(self):
@@ -1146,13 +1204,13 @@ class TestEdgeMap:
         t._graph()
         edges = t.edges
         t.edges |= {(("C", 1, 1), ("C", 5, 1)): 0.5}
-        assert t.edges is edges and _hints(t) == (None, None)
+        assert t.edges is edges and _hints(t) == (None, None, None)
 
     def test_add_edge_drops_both_hints(self):
         t = build_grid(1.2, 6, 3)
         t._graph()
         t.add_edge(("C", 1, 1), ("HM", 1, 1), 1.2)
-        assert _hints(t) == (None, None)
+        assert _hints(t) == (None, None, None)
 
     def test_pr18_edit_after_the_first_certificate(self, oracle_certificate):
         # the edit that a cached index used to ignore: the next certificate is
@@ -1173,15 +1231,15 @@ class TestEdgeMap:
     def test_shortcut_in_one_row_keeps_separation(self, variant, when, oracle_certificate):
         # a shortcut across row 2 alone, its edges joining neighbouring bands:
         # the row lines still separate the window, but the rows are no longer
-        # alike, so the strip of row 5, the first span's (n = 1), may not
-        # stand for row 2; the writes drop the hint, so no strip is searched
+        # alike, so the one-row window may not stand for row 2; the writes
+        # drop the record, so no strip is searched
         t = WINDOW_KINDS[variant](build_grid(1.3, 12, 6))
         if when == "after":
             for n in range(1, 11):
                 assert certify_vertical_minimizing(t, n).passes
         t.edges[("HM", 2, 2), ("VM", 2, 3)] = 0.05
         t.edges[("HM", 3, 2), ("VM", 2, 3)] = 0.05
-        assert t.edges._order is None
+        assert t.edges._made is None
         failing = 0
         for n in range(1, 11):
             cert = certify_vertical_minimizing(t, n)
@@ -1195,9 +1253,9 @@ class TestEdgeMap:
         assert dataclasses.replace(t, faces=[]).edges is t.edges
         copy = dataclasses.replace(t, edges=dict(t.edges))
         assert isinstance(copy.edges, type(t.edges)) and copy.edges == t.edges
-        assert _hints(copy) == (None, None)
+        assert _hints(copy) == (None, None, None)
         hand = TiledComplex(pentagon=t.pentagon, rows=4, cols=4, edges={(0, 1): 1.0})
-        assert isinstance(hand.edges, type(t.edges)) and _hints(hand) == (None, None)
+        assert isinstance(hand.edges, type(t.edges)) and _hints(hand) == (None, None, None)
 
     @pytest.mark.parametrize("copy_of", [copy.deepcopy, *(
         lambda t, p=p: pickle.loads(pickle.dumps(t, protocol=p))
@@ -1228,6 +1286,47 @@ class TestEdgeMap:
                 assert ref() is None
         finally:
             gc.enable()
+
+
+class TestMadeRecord:
+    # the constructors record on the edge map how a window was made: its
+    # pentagon, rows, cols and steps.  A copy whose fields no longer match
+    # the record takes the full path: a strip built from the copy's own
+    # fields could be narrower than the window, or miss its diagonals, and
+    # overstate the strip distance
+
+    def test_constructors_record_the_window(self):
+        t = build_grid(1.3, 4, 5)
+        assert t.edges._made[1:] == (t.pentagon, 4, 5)
+        made = glue_to_Rb(add_diagonals(t)).edges._made
+        assert made[1:] == (t.pentagon, 4, 5, add_diagonals, glue_to_Rb)
+        t.edges[("C", 0, 0), ("C", 1, 1)] = 5.0
+        assert t.edges._made is None
+
+    @pytest.mark.parametrize("field, value", [("rows", 20), ("cols", 30)])
+    def test_resized_copy_is_refused_as_a_plain_dict_copy(self, field, value):
+        # the copy keeps the edge map of a 9 x 7 window: no corner of its
+        # alpha column n rows apart lies on both of its row lines
+        t = build_grid(1.3, 9, 7)
+        kept = dataclasses.replace(t, **{field: value})
+        plain = dataclasses.replace(kept, edges=dict(t.edges))
+        with pytest.raises(Unreachable) as info:
+            certify_vertical_minimizing(plain, 5)
+        with pytest.raises(Unreachable, match=re.escape(str(info.value))):
+            certify_vertical_minimizing(kept, 5)
+
+    @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
+    @pytest.mark.parametrize("fields", [{"rows": 7}, {"cols": 3}, {"rows": 5, "cols": 4},
+                                        {"pentagon": solve_pentagon(1.1)}],
+                             ids=["rows", "cols", "rows-cols", "pentagon"])
+    def test_copy_with_other_fields_takes_the_full_path(self, variant, fields,
+                                                        oracle_certificate, full_searches):
+        t = _CONSTRUCTIONS[variant](build_grid(1.3, 9, 7))
+        copy = dataclasses.replace(t, **fields)
+        for n in range(1, copy.rows - 1):
+            cert = certify_vertical_minimizing(copy, n)
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(copy, n))
+        assert len(full_searches) == copy.rows - 2
 
 
 class TestMalformedInput:
