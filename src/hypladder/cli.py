@@ -18,7 +18,7 @@ import json
 import math
 import sys
 
-from .errors import HypladderError, NumericalInstability, is_int
+from .errors import HypladderError, NumericalInstability, check_int, is_int
 
 SCHEMA_VERSION = "1"
 
@@ -204,7 +204,7 @@ def _cmd_tiled(args) -> str:
         t = ts.add_diagonals(t)
     if args.action == "certify":
         return _emit_json(ts.certify_vertical_minimizing(t, args.n).to_dict())
-    ts._check_row_separation(args.n)  # export refuses what certify refuses
+    check_int("row separation", args.n, 1)  # export refuses what certify refuses
     lines = ["u,v,length"]
     for (u, v), w in sorted(t.edges.items()):
         lines.append(f"{'/'.join(map(str, u))},{'/'.join(map(str, v))},{w:.12g}")
@@ -249,7 +249,7 @@ def _read_descriptor(path: str):
         raise malformed
     base_genus, order, planar = desc.get("base_genus"), deck.get("order"), desc.get("planar")
     if not (is_int(base_genus) and (order is None or is_int(order))
-            and isinstance(planar, bool)):
+            and type(planar) is bool):
         raise malformed
     if order is None:
         return base_genus, tc.DeckDescriptor(order=None, end_count=deck.get("end_count")), planar

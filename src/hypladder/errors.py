@@ -80,25 +80,35 @@ class NonPositiveLength(HypladderError):
     rule = "length-nonpositive"
 
 
-def check_positive_finite(name: str, value: float) -> None:
-    """Raise NonPositiveLength unless value is a positive, finite number: a
-    ``bool`` is not one, though True compares as 1, NaN is not finite, and
-    a value that does not compare with a float (a string, None) is no
-    number.  A float bound keeps a float's comparisons on their fast path."""
+_INF = math.inf
+
+
+def check_number(name: str, value, lo: float = 0.0, closed: bool = False,
+                 below: str = "be positive", error: type = NonPositiveLength) -> None:
+    """Raise ``error`` unless value is a finite number above lo, or at
+    least lo if the bound is ``closed``: the one number rule of the library.
+    A ``bool`` is not a number, though True compares as 1 and False as 0,
+    NaN and +-inf are not finite, and a value that does not compare with a
+    float (a string, None) is no number.  The message says that the value
+    must ``below`` where it lies below the bound, else that it must be
+    finite or a number.  The defaults are a length's rule; float bounds keep
+    a float's comparisons on their fast path."""
     try:
-        if 0.0 < value < math.inf and value is not True:
+        if (lo <= value < _INF if closed else lo < value < _INF) and value is not True and value is not False:
             return
-        kind = "a number" if isinstance(value, bool) else "positive" if value <= 0 else "finite"
-    except TypeError:
-        kind = "a number"
-    raise NonPositiveLength(f"{name} must be {kind}, got {value}")
+        what = ("be a number" if isinstance(value, bool) else
+                below if (value < lo if closed else value <= lo) else "be finite")
+    except TypeError:  # value does not compare with a float
+        what = "be a number"
+    raise error(f"{name} must {what}, got {value!r}")
 
 
 class NonPositiveSize(HypladderError, ValueError):
-    """A window size, shift period or row separation below 1, or a size that
-    is not an ``int``: a window, period, genus, boundary count or tiled size
-    (a ``bool`` is not one).  Also a ``ValueError``, so callers that catch
-    ``ValueError`` for bad sizes keep working."""
+    """A window size, shift period, row separation, or row or column count
+    below 1, or a size that is not an ``int``: a window, period, genus,
+    boundary count, diameter or tiled size (a ``bool`` is not one).  Also a
+    ``ValueError``, so callers that catch ``ValueError`` for bad sizes keep
+    working."""
 
     rule = "size-nonpositive"
 
@@ -109,10 +119,14 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def check_int(name: str, value) -> None:
-    """Raise NonPositiveSize unless value is an int (see ``is_int``)."""
+def check_int(name: str, value, least: int | None = None, error: type = NonPositiveSize) -> None:
+    """Raise NonPositiveSize unless value is an int (see ``is_int``), and
+    ``error`` if it lies below ``least``, where one is given: the one size
+    rule of the library."""
     if not is_int(value):
         raise NonPositiveSize(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{name} must be >= {least}, got {value}")
 
 
 class NegativeSurface(HypladderError, ValueError):
@@ -128,7 +142,8 @@ class NonPositiveDeterminant(HypladderError, ValueError):
 
 
 class MissingCoordinates(HypladderError, ValueError):
-    """Fenchel-Nielsen coordinates with an index of the window left out."""
+    """Fenchel-Nielsen coordinates with an index of the window left out, or
+    a curve looked up that the window does not hold."""
 
     rule = "coordinates-missing"
 

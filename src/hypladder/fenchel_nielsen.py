@@ -22,14 +22,13 @@ from operator import itemgetter
 from .errors import (
     InconsistentInput,
     MissingCoordinates,
-    NonPositiveSize,
     NotHyperbolic,
     NotShiftInvariant,
     NumericalInstability,
     ScaleTooLarge,
     _Record,
     check_int,
-    check_positive_finite,
+    check_number,
 )
 from .hyp_core import (
     MobiusMap,
@@ -53,6 +52,9 @@ CURVE_FAMILIES = ("a", "b", "c")
 
 TWO_PI = 2.0 * math.pi
 
+# the open lower bound of a twist: any finite angle is one
+_NO_FLOOR = -math.inf
+
 
 class PantsCuffs(_Record):
     """Boundary geodesic lengths of a pair of pants."""
@@ -61,7 +63,7 @@ class PantsCuffs(_Record):
 
     def __init__(self, l1: float, l2: float, l3: float):
         for l in (l1, l2, l3):
-            check_positive_finite("cuff length", l)
+            check_number("cuff length", l)
         self._set_fields(l1, l2, l3)
 
 
@@ -100,22 +102,14 @@ def pants_orthogeodesics(cuffs: PantsCuffs) -> tuple[float, float, float]:
     return _orthogeodesics(cuffs.l1, cuffs.l2, cuffs.l3)
 
 
-def _check_twist(theta, k=None) -> None:
-    """Raise InconsistentInput unless theta, the twist at index k if one is
-    given, is a finite number."""
-    try:
-        if math.isfinite(theta):
-            return
-        kind = "finite"
-    except TypeError:  # a string, None: no number
-        kind = "a number"
-    name = "twist angle" if k is None else f"twist at index {k}"
-    raise InconsistentInput(f"{name} must be {kind}, got {theta!r}")
+def _no_curve(family, k) -> MissingCoordinates:
+    """The error for a lookup of a curve that the window does not hold."""
+    return MissingCoordinates(f"no curve {family!r} at index {k!r} in the window")
 
 
 def normalize_angle(theta: float) -> tuple[float, int]:
     """Fold an angle into [0, 2*pi); returns (angle, removed full turns)."""
-    _check_twist(theta)
+    check_number("twist angle", theta, _NO_FLOOR, False, "be finite", InconsistentInput)
     turns = math.floor(theta / TWO_PI)
     folded = theta - turns * TWO_PI
     if folded >= TWO_PI:  # guard the representable edge cases: the division
@@ -143,9 +137,7 @@ class FNCoordinates(_Record):
 
     def __init__(self, window: int,
                  coords: dict[int, tuple[float, float, float, float, float, float]]):
-        check_int("window size", window)
-        if window < 1:
-            raise NonPositiveSize(f"window size must be >= 1, got {window}")
+        check_int("window size", window, 1)
         for k in range(-window, window + 1):
             if k not in coords:
                 raise MissingCoordinates(f"missing coordinates at index {k}")
@@ -157,16 +149,23 @@ class FNCoordinates(_Record):
                     f"coordinates at index {k} must be six numbers, got {sextuple!r}") from None
             name = f"length at index {k}"  # formatted once for the three
             for l in (la, lb, lc):
-                check_positive_finite(name, l)
+                check_number(name, l)
+            name = f"twist at index {k}"
             for theta in (ta, tb, tc):
-                _check_twist(theta, k)
+                check_number(name, theta, _NO_FLOOR, False, "be finite", InconsistentInput)
         self._set_fields(window, coords)
 
     def length(self, family: str, k: int) -> float:
-        return self.coords[k][2 * CURVE_FAMILIES.index(family)]
+        try:
+            return self.coords[k][2 * CURVE_FAMILIES.index(family)]
+        except (KeyError, ValueError):  # no such index, or no such family
+            raise _no_curve(family, k) from None
 
     def twist(self, family: str, k: int) -> float:
-        return self.coords[k][2 * CURVE_FAMILIES.index(family) + 1]
+        try:
+            return self.coords[k][2 * CURVE_FAMILIES.index(family) + 1]
+        except (KeyError, ValueError):
+            raise _no_curve(family, k) from None
 
     def indices(self):
         return range(-self.window, self.window + 1)
@@ -193,7 +192,7 @@ def build_ladder_fn(N: int, lengths=1.0, twists=0.0) -> FNCoordinates:
         sextuple = []
         for family in CURVE_FAMILIES:
             length = lfun(family, k)
-            check_positive_finite(f"length for {family}_{k}", length)
+            check_number(f"length for {family}_{k}", length)
             sextuple.append(length)
             sextuple.append(normalize_angle(tfun(family, k))[0])
         coords[k] = tuple(sextuple)
@@ -260,7 +259,7 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
     """
     l1, l2, l3 = lengths
     for l in (l1, l2, l3):
-        check_positive_finite("cuff length", l)
+        check_number("cuff length", l)
     d12 = _orthogeodesics(l1, l2, l3)[0]
     try:
         P = _perp_translation(d12)
@@ -306,8 +305,11 @@ class HolonomyMap(_Record):
 
     def matrix(self, family: str, k: int) -> MobiusMap:
         """Holonomy of the cuff in the local frame of pants P_k1."""
-        p = self.pants[("P1", k)]
-        return p.matrices[p.cuffs.index((family, k))]
+        try:
+            p = self.pants[("P1", k)]
+            return p.matrices[p.cuffs.index((family, k))]
+        except (KeyError, ValueError):  # no such index, or no such family
+            raise _no_curve(family, k) from None
 
     def recovered_length(self, family: str, k: int) -> float:
         return geodesic_length_from_trace(self.matrix(family, k).trace())
@@ -389,9 +391,7 @@ def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:
     given period p (default 2): a closed surface of genus p+1, so period 1
     is the smallest, with genus 2.  The window must hold the
     representatives 0..period-1."""
-    check_int("shift period", period)
-    if period < 1:
-        raise NonPositiveSize(f"shift period must be at least 1, got {period}")
+    check_int("shift period", period, 1)
     if period > fn.window + 1:
         raise ScaleTooLarge(
             f"shift period {period} needs a window of at least {period - 1}, got {fn.window}"

@@ -12,15 +12,17 @@ import sys
 
 from .errors import (
     DegeneratePentagon,
+    InconsistentInput,
     InvalidDilatation,
     NonPositiveDeterminant,
     NotHyperbolic,
     NumericalInstability,
     _Record,
-    check_positive_finite,
+    check_number,
 )
 
 ARCSINH_1 = math.asinh(1.0)
+_EXCEED_ARCSINH_1 = f"exceed arcsinh(1) ~ {ARCSINH_1:.6f}"  # a pentagon's b below its bound
 
 # thinness constant of the hyperbolic plane used by the stability bound
 DELTA_H2 = ARCSINH_1
@@ -39,7 +41,8 @@ class MobiusMap(_Record):
     library calls it only on entries whose products a*d and b*c are exact
     (each has a factor 0 or +-1), so the float determinant is the exact one
     rounded once.  A determinant that is not > 0 (NaN included) or that
-    overflows is refused, and so is a normalized entry that overflows.
+    overflows is refused, and so is a normalized entry that overflows; an
+    entry that is no number, such as a string, is refused as inconsistent.
     Products start from entries of determinant 1 up to roundoff, so they
     skip that normalization and only fix the sign.
 
@@ -71,33 +74,36 @@ class MobiusMap(_Record):
 
     def __new__(cls, a: float, b: float, c: float, d: float):
         # __new__, not __init__, so that _map makes every map, this one too
-        det = a * d - b * c
-        if (_LO <= det <= _HI and (not a or _LO <= abs(a) <= _HI)
-                and (not b or _LO <= abs(b) <= _HI) and (not c or _LO <= abs(c) <= _HI)
-                and (not d or _LO <= abs(d) <= _HI)):
-            # every product, root and quotient is normal: the scaled path's bits
-            s = 1.0 / math.sqrt(det)
-            return _map(_signed(a * s, b * s, c * s, d * s))
-        # each row times an even power of two, 2**-p and 2**-q: exact, and it
-        # brings each row's largest entry into [0.5, 2), so rows of very
-        # different size no longer under- or overflow in a*d - b*c
-        p = math.frexp(max(abs(a), abs(b)))[1] & -2
-        q = math.frexp(max(abs(c), abs(d)))[1] & -2
-        sa, sb = math.ldexp(a, -p), math.ldexp(b, -p)
-        sc, sd = math.ldexp(c, -q), math.ldexp(d, -q)
-        sdet = sa * sd - sb * sc  # the determinant times 2**-(p + q)
-        if not sdet > 0:
-            raise NonPositiveDeterminant(f"matrix must have positive determinant, got {det}")
-        if sdet == math.inf or math.frexp(sdet)[1] + p + q > sys.float_info.max_exp:
-            raise NumericalInstability("matrix determinant overflows")
-        s = 1.0 / math.sqrt(sdet)
-        # back to the raw scale: the first row by 2**p / 2**((p + q) / 2)
-        r = (p - q) // 2
         try:
-            return _map(_signed(math.ldexp(sa * s, r), math.ldexp(sb * s, r),
-                                math.ldexp(sc * s, -r), math.ldexp(sd * s, -r)))
-        except OverflowError:
-            raise NumericalInstability("normalized matrix entry overflows") from None
+            det = a * d - b * c
+            if (_LO <= det <= _HI and (not a or _LO <= abs(a) <= _HI)
+                    and (not b or _LO <= abs(b) <= _HI) and (not c or _LO <= abs(c) <= _HI)
+                    and (not d or _LO <= abs(d) <= _HI)):
+                # every product, root and quotient is normal: the scaled path's bits
+                s = 1.0 / math.sqrt(det)
+                return _map(_signed(a * s, b * s, c * s, d * s))
+            # each row times an even power of two, 2**-p and 2**-q: exact, and it
+            # brings each row's largest entry into [0.5, 2), so rows of very
+            # different size no longer under- or overflow in a*d - b*c
+            p = math.frexp(max(abs(a), abs(b)))[1] & -2
+            q = math.frexp(max(abs(c), abs(d)))[1] & -2
+            sa, sb = math.ldexp(a, -p), math.ldexp(b, -p)
+            sc, sd = math.ldexp(c, -q), math.ldexp(d, -q)
+            sdet = sa * sd - sb * sc  # the determinant times 2**-(p + q)
+            if not sdet > 0:
+                raise NonPositiveDeterminant(f"matrix must have positive determinant, got {det}")
+            if sdet == math.inf or math.frexp(sdet)[1] + p + q > sys.float_info.max_exp:
+                raise NumericalInstability("matrix determinant overflows")
+            s = 1.0 / math.sqrt(sdet)
+            # back to the raw scale: the first row by 2**p / 2**((p + q) / 2)
+            r = (p - q) // 2
+            try:
+                return _map(_signed(math.ldexp(sa * s, r), math.ldexp(sb * s, r),
+                                    math.ldexp(sc * s, -r), math.ldexp(sd * s, -r)))
+            except OverflowError:
+                raise NumericalInstability("normalized matrix entry overflows") from None
+        except TypeError:  # an entry that is no number, such as a string
+            raise InconsistentInput(f"matrix entries must be numbers, got {(a, b, c, d)!r}") from None
 
     @staticmethod
     def identity() -> "MobiusMap":
@@ -230,13 +236,7 @@ def solve_pentagon(b: float) -> PentagonSolution:
     Degenerates when b <= arcsinh(1), where cosh(c) <= 1 forces c <= 0.
     Raises NumericalInstability when sinh(b)^2 overflows (b above about 355).
     """
-    try:
-        if not ARCSINH_1 < b < math.inf or b is True:
-            what = ("be a number" if isinstance(b, bool) else
-                    f"exceed arcsinh(1) ~ {ARCSINH_1:.6f}" if b <= ARCSINH_1 else "be finite")
-            raise DegeneratePentagon(f"b must {what}, got {b}")
-    except TypeError:  # b does not compare with a float
-        raise DegeneratePentagon(f"b must be a number, got {b}") from None
+    check_number("b", b, ARCSINH_1, below=_EXCEED_ARCSINH_1, error=DegeneratePentagon)
     try:
         c = math.acosh(math.sinh(b) ** 2)
     except OverflowError:
@@ -259,8 +259,11 @@ def polygon_closure_residual(sides: list[float]) -> float:
     right-angled polygon.
     """
     frame = _I
-    for s in sides:
-        frame = _mul(_mul(frame, _translation(s)), _QUARTER_TURN)
+    try:
+        for s in sides:
+            frame = _mul(_mul(frame, _translation(s)), _QUARTER_TURN)
+    except TypeError:  # a side that is no number, or sides that are no sequence
+        raise InconsistentInput(f"polygon sides must be numbers, got {sides!r}") from None
     return _dist_to_identity(frame)
 
 
@@ -272,7 +275,7 @@ def collar_width(length: float) -> float:
     """Half-width of the embedded collar about a simple closed geodesic.
     Raises NumericalInstability when sinh(length/2) overflows (length above
     about 1420)."""
-    check_positive_finite("geodesic length", length)
+    check_number("geodesic length", length)
     try:
         s = math.sinh(length / 2.0)
     except OverflowError:
@@ -298,10 +301,12 @@ def collar_involution(length: float) -> float:
 
 def geodesic_length_from_trace(t: float) -> float:
     """Translation length of a hyperbolic matrix from its trace."""
-    if not 2.0 < abs(t) < math.inf:
-        raise NotHyperbolic(
-            f"|trace| must exceed 2 and be finite for a hyperbolic element, got {t}")
-    return 2.0 * math.acosh(abs(t) / 2.0)
+    try:
+        if 2.0 < abs(t) < math.inf:
+            return 2.0 * math.acosh(abs(t) / 2.0)
+    except TypeError:  # a trace that is no number, such as a string
+        pass
+    raise NotHyperbolic(f"|trace| must exceed 2 and be finite for a hyperbolic element, got {t!r}")
 
 
 #: name of the stability bound used by :func:`quasi_geodesic_stability_R`,
@@ -329,13 +334,8 @@ def quasi_geodesic_stability_R(K: float, length: float) -> float:
     particular a valid length-dependent bound).  Raises NumericalInstability
     when K is so large (above about 4e102) that the bound overflows.
     """
-    try:
-        if not 1.0 <= K < math.inf or K is True:
-            what = "a number" if isinstance(K, bool) else ">= 1 and finite"
-            raise InvalidDilatation(f"dilatation must be {what}, got {K}")
-    except TypeError:  # K does not compare with a float
-        raise InvalidDilatation(f"dilatation must be a number, got {K}") from None
-    check_positive_finite("geodesic length", length)
+    check_number("dilatation", K, 1.0, True, "be >= 1", InvalidDilatation)
+    check_number("geodesic length", length)
     if K == 1.0:
         return 0.0
     eps = K * math.log(4.0)

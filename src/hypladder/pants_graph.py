@@ -240,10 +240,8 @@ def _classes(g: int, b: int) -> _MoveTable:
     breadth-first walk over elementary moves from ``_seed(g, b)``.  The
     pants graph is connected, so the walk reaches every class.  The surface
     must be one of complexity 1 to ``COMPLEXITY_CAP``."""
-    check_int("genus", g)
-    check_int("boundary count", b)
-    if g < 0 or b < 0:
-        raise NegativeSurface(f"surface ({g},{b}) needs genus and boundary count >= 0")
+    check_int("genus", g, 0, NegativeSurface)
+    check_int("boundary count", b, 0, NegativeSurface)
     x = xi(g, b)
     if x < 1:
         raise ComplexityTooLarge(f"surface ({g},{b}) has complexity {x} < 1: no cuffs to decompose")

@@ -19,11 +19,10 @@ from .errors import (
     ArccoshDomainError,
     InvalidDilatation,
     NegativeDiameter,
-    NonPositiveLength,
     NumericalInstability,
     _Record,
     check_int,
-    check_positive_finite,
+    check_number,
 )
 from .hyp_core import R_FORMULA_NAME, collar_width, quasi_geodesic_stability_R
 
@@ -43,32 +42,14 @@ class QCHParams(_Record):
     __match_args__ = ("K", "L", "m_inj", "R")
 
     def __init__(self, K: float, L: float, m_inj: float, R: float | None = None):
-        if isinstance(K, bool):
-            raise InvalidDilatation(f"dilatation must be a number, got {K!r}")
-        if isinstance(R, bool):
-            raise NonPositiveLength(f"fellow-traveling constant must be a number, got {R!r}")
-        try:
-            if K < 1.0:
-                raise InvalidDilatation(f"dilatation must be >= 1, got {K}")
-            if not math.isfinite(K):
-                raise InvalidDilatation(f"dilatation must be finite, got {K}")
-        except TypeError:  # a string, None: no number
-            raise InvalidDilatation(f"dilatation must be a number, got {K!r}") from None
-        check_positive_finite("base curve length", L)
-        check_positive_finite("injectivity radius bound", m_inj)
+        check_number("dilatation", K, 1.0, True, "be >= 1", InvalidDilatation)
+        check_number("base curve length", L)
+        check_number("injectivity radius bound", m_inj)
         if R is None:
             R = quasi_geodesic_stability_R(K, L)
             r_formula = R_FORMULA_NAME
         else:
-            try:
-                valid = 0 <= R < math.inf
-            except TypeError:  # a string: no number
-                raise NonPositiveLength(
-                    f"fellow-traveling constant must be a number, got {R!r}") from None
-            if not valid:
-                raise NonPositiveLength(
-                    f"fellow-traveling constant must be finite and >= 0, got {R}"
-                )
+            check_number("fellow-traveling constant", R, 0.0, True, "be finite and >= 0")
             r_formula = "user-supplied"
         self._set_fields(K, L, m_inj, R, r_formula)
 
@@ -115,8 +96,8 @@ def shortpants_step(M: float, m_inj: float) -> float:
     M -> M + arccosh(cosh(M/2)/sinh(m_inj/2)).  Raises NumericalInstability
     when the step overflows, also where sinh(m_inj/2) underflows to 0 (m_inj
     the smallest subnormal)."""
-    check_positive_finite("length bound", M)
-    check_positive_finite("injectivity radius bound", m_inj)
+    check_number("length bound", M)
+    check_number("injectivity radius bound", m_inj)
     try:
         ratio = math.cosh(M / 2.0) / math.sinh(m_inj / 2.0)
     except (OverflowError, ZeroDivisionError):
@@ -135,11 +116,9 @@ def shortpants_step(M: float, m_inj: float) -> float:
 def shortpants_global(M: float, m_inj: float, diameter: int) -> float:
     """Iterate shortpants_step along a modular-pants-graph path of the given
     length, an ``int`` (not a ``bool``); diameter 0 returns M unchanged."""
-    check_int("diameter", diameter)
-    if diameter < 0:
-        raise NegativeDiameter(f"diameter must be >= 0, got {diameter}")
-    check_positive_finite("length bound", M)
-    check_positive_finite("injectivity radius bound", m_inj)
+    check_int("diameter", diameter, 0, NegativeDiameter)
+    check_number("length bound", M)
+    check_number("injectivity radius bound", m_inj)
     bound = M
     for _ in range(diameter):
         bound = shortpants_step(bound, m_inj)

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field, replace
 from functools import partialmethod
 from itertools import chain, count
 
-from .errors import (InconsistentEdgeLength, InconsistentInput, NonPositiveSize, ScaleTooLarge,
-                     Unreachable, check_int, check_positive_finite)
+from .errors import (InconsistentEdgeLength, InconsistentInput, ScaleTooLarge, Unreachable,
+                     check_int, check_number)
 from .hyp_core import PentagonSolution, solve_pentagon
 
 EDGE_TOL = 1e-12
@@ -88,7 +88,7 @@ def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
         valid = False
     if not valid:
         for key, w in edges.items():
-            check_positive_finite(f"edge {key} length", w)
+            check_number(f"edge {key} length", w)
     try:
         ids = order or sorted({v for e in edges for v in e})
         pos = dict(zip(ids, range(len(ids))))
@@ -174,7 +174,7 @@ class TiledComplex:
         return {v for edge in self.edges for v in edge}
 
     def add_edge(self, u, v, length: float) -> None:
-        check_positive_finite("edge length", length)
+        check_number("edge length", length)
         try:
             key = (u, v) if u <= v else (v, u)
         except TypeError:
@@ -268,10 +268,8 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     then the horizontal and the vertical midpoints.  The list heads the
     record left on the edge map, with the pentagon, rows and cols.
     """
-    check_int("rows", rows)
-    check_int("cols", cols)
-    if rows < 1 or cols < 1:
-        raise NonPositiveSize(f"window must be at least 1x1, got {rows}x{cols}")
+    check_int("rows", rows, 1)
+    check_int("cols", cols, 1)
     p = solve_pentagon(b)
     pb, pa, pc = p.b, p.a, p.c
     t = TiledComplex(pentagon=p, rows=rows, cols=cols)
@@ -327,8 +325,9 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
 
     Only the edges at a glued-away hole corner are rewritten in the copied
     edge map, each checked as ``add_edge`` checks it.  Gluing pairs holes
-    within a row, so the rows stay alike if they were, and the step is
-    added to the edge map's record.
+    within a row, the same columns in every row, so each row strip is the
+    one-row window glued the same way, and the step is added to the edge
+    map's record (see ``certify_vertical_minimizing``).
     """
     rep, pairs = {}, []
     for r in range(t.rows):
@@ -439,13 +438,6 @@ class VerticalCertificate:
         return dict(vars(self), window=list(self.window), passes=self.passes)
 
 
-def _check_row_separation(n) -> None:
-    """Raise NonPositiveSize unless n is an int >= 1."""
-    check_int("row separation", n)
-    if n < 1:
-        raise NonPositiveSize(f"row separation must be >= 1, got {n}")
-
-
 def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     """Certify that the vertical line through the window's middle column
     minimizes distance over n rows.
@@ -489,7 +481,7 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     Otherwise, or when that test fails, the distance is the full search's
     and (2) the line search's over the span, from line r0 + n.
     """
-    _check_row_separation(n)
+    check_int("row separation", n, 1)
     if n > t.rows - 2:
         raise ScaleTooLarge(f"window with {t.rows} rows is too short for n={n} plus margin")
     r0 = max(1, (t.rows - n) // 2)
@@ -531,7 +523,10 @@ def _line_distance(g: _GraphIndex, line: int, source: int) -> float:
     search runs: one search over the whole graph, which stops at the first
     vertex of ``line`` that settles.  Vertices settle in order of distance,
     so that vertex's distance is the least on the line, with the same bits."""
-    top, bottom = ([i for i, v in enumerate(g.ids) if v[0] in ("C", "HM") and v[1] == r] for r in (line, source))
+    try:
+        top, bottom = ([i for i, v in enumerate(g.ids) if v[0] in ("C", "HM") and v[1] == r] for r in (line, source))
+    except IndexError:  # an id shorter than (kind, row), such as ("C",)
+        top, bottom = ([i for i, v in enumerate(g.ids) if v[:2] in (("C", r), ("HM", r))] for r in (line, source))
     dist = _distances(g, bottom, top, True)
     return min(dist[k] for k in top if dist[k] is not None)
 
@@ -557,13 +552,14 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
 
     The diagonals go straight into a copy of ``t.edges``, checked as
     ``add_edge`` checks, each length once; every face gets the same five
-    lengths, so the rows stay alike if they were, and the step is added to
-    the edge map's record."""
+    lengths, so each row strip is the one-row window refined the same way,
+    and the step is added to the edge map's record (see
+    ``certify_vertical_minimizing``)."""
     p = t.pentagon
     sides = (p.b, p.b, p.a, p.c, p.a)
     diag = [(i, (i + 2) % 5, _hypotenuse(sides[i], sides[(i + 1) % 5])) for i in range(5)]
     for _, _, length in diag:
-        check_positive_finite("edge length", length)
+        check_number("edge length", length)
     edges, put = _EdgeMap(t.edges), dict.setdefault
     for face in t.faces:
         for i, j, length in diag:

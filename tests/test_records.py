@@ -18,15 +18,21 @@ from pathlib import Path
 import pytest
 
 from hypladder import fenchel_nielsen as fnm
+from hypladder import hyp_core as hc
 from hypladder import pants_graph as pg
 from hypladder import qch_bounds as qb
+from hypladder import tiled_surface as ts
 from hypladder import topo_classify as tc
 from hypladder.errors import (
+    DegeneratePentagon,
     InconsistentInput,
     InvalidDilatation,
     MissingCoordinates,
+    NegativeDiameter,
+    NegativeSurface,
     NonPositiveLength,
     NonPositiveSize,
+    NotHyperbolic,
     NumericalInstability,
 )
 from hypladder.hyp_core import R_FORMULA_NAME, MobiusMap, PentagonSolution, solve_pentagon
@@ -234,7 +240,9 @@ def test_qch_params_derive_R_and_its_provenance():
         qb.QCHParams(1.5, 1.0, 0.3, 2.0, "user-supplied")
 
 
-# (constructor, args, error class, message), each as the dataclass raised it
+# (callable, args, error class, message): first the records' constructors as
+# the dataclass raised them, except that a NaN R reads "must be finite" as
+# every NaN does; then calls that raised bare Python errors; then the guards
 INVALID = [
     (qb.QCHParams, (0.5, 1, 1), InvalidDilatation, "dilatation must be >= 1, got 0.5"),
     (qb.QCHParams, (math.nan, 1, 1), InvalidDilatation, "dilatation must be finite, got nan"),
@@ -247,7 +255,7 @@ INVALID = [
     (qb.QCHParams, (1, 1, 1, -1), NonPositiveLength,
      "fellow-traveling constant must be finite and >= 0, got -1"),
     (qb.QCHParams, (1, 1, 1, math.nan), NonPositiveLength,
-     "fellow-traveling constant must be finite and >= 0, got nan"),
+     "fellow-traveling constant must be finite, got nan"),
     (qb.QCHParams, (1e155, 1, 0.5), NumericalInstability,
      "fellow-traveling constant R overflows at K=1e+155"),
     (tc.SurfaceType, (1, tc.Ends.NONE, "x"), InconsistentInput,
@@ -268,7 +276,78 @@ INVALID = [
      NonPositiveLength, "length at index 1 must be positive, got -1"),
     (fnm.PantsCuffs, (1, 2, 0), NonPositiveLength, "cuff length must be positive, got 0"),
     (fnm.PantsCuffs, (math.nan, 1, 1), NonPositiveLength, "cuff length must be finite, got nan"),
+    # lookups and entries that raised a bare TypeError, ValueError or KeyError
+    (hc.geodesic_length_from_trace, ("x",), NotHyperbolic,
+     "|trace| must exceed 2 and be finite for a hyperbolic element, got 'x'"),
+    (MobiusMap, ("a", 1, 1, 2), InconsistentInput,
+     "matrix entries must be numbers, got ('a', 1, 1, 2)"),
+    (hc.polygon_closure_residual, (["x", 1, 1, 1, 1],), InconsistentInput,
+     "polygon sides must be numbers, got ['x', 1, 1, 1, 1]"),
+    (_FN.length, ("d", 0), MissingCoordinates, "no curve 'd' at index 0 in the window"),
+    (_FN.twist, ("d", 0), MissingCoordinates, "no curve 'd' at index 0 in the window"),
+    (_HOL.recovered_length, ("d", 0), MissingCoordinates, "no curve 'd' at index 0 in the window"),
+    (_HOL.matrix, ("a", 99), MissingCoordinates, "no curve 'a' at index 99 in the window"),
 ]
+
+
+# The input rules of errors at each site that gives them a bound of its own:
+# every number guard refuses a bool (False compares as 0, so a closed bound
+# at 0 would take it), a string, None, NaN, +-inf and a value below its
+# bound, and every size guard a bool, a string, None, NaN, +-inf and a size
+# below its least.
+def _refused(call, args, name, rows):
+    """INVALID rows of call(*args(value)) for each (value, error, what)."""
+    return [(call, args(v), error, f"{name} must {what}, got {v!r}") for v, error, what in rows]
+
+
+def _numbers(error, phrase, *below):
+    return ([(v, error, "be a number") for v in (True, False, "x", None)]
+            + [(v, error, "be finite") for v in (math.nan, math.inf)]
+            + [(v, error, phrase) for v in below])
+
+
+def _sizes(least, error=NonPositiveSize):
+    return ([(v, NonPositiveSize, "be an integer")
+             for v in (True, "x", None, math.nan, math.inf, -math.inf)]
+            + [(least - 1, error, f"be >= {least}")])
+
+
+_GRID = ts.build_grid(1.2, 4, 2)
+_DILATATION = _numbers(InvalidDilatation, "be >= 1", -math.inf, 0.5)
+_TWIST = _numbers(InconsistentInput, "be finite", -math.inf)
+INVALID += [
+    *_refused(solve_pentagon, lambda v: (v,), "b",
+              _numbers(DegeneratePentagon, "exceed arcsinh(1) ~ 0.881374", -math.inf, 0.5)),
+    *_refused(hc.quasi_geodesic_stability_R, lambda v: (v, 1.0), "dilatation", _DILATATION),
+    *_refused(qb.QCHParams, lambda v: (v, 1, 1), "dilatation", _DILATATION),
+    *_refused(qb.QCHParams, lambda v: (1, 1, 1, v), "fellow-traveling constant",
+              [row for row in _numbers(NonPositiveLength, "be finite and >= 0", -math.inf, -1.0)
+               if row[0] is not None]),  # R=None asks for the derived R
+    *_refused(fnm.normalize_angle, lambda v: (v,), "twist angle", _TWIST),
+    *_refused(fnm.FNCoordinates, lambda v: (1, {k: (1, v if k == 0 else 0, 1, 0, 1, 0)
+                                                for k in (-1, 0, 1)}),
+              "twist at index 0", _TWIST),
+    *_refused(fnm.FNCoordinates, lambda v: (v, _FN.coords), "window size", _sizes(1)),
+    *_refused(fnm.quotient_by_shift, lambda v: (_FN, v), "shift period", _sizes(1)),
+    *_refused(ts.build_grid, lambda v: (1.2, v, 2), "rows", _sizes(1)),
+    *_refused(ts.build_grid, lambda v: (1.2, 2, v), "cols", _sizes(1)),
+    *_refused(ts.certify_vertical_minimizing, lambda v: (_GRID, v), "row separation", _sizes(1)),
+    *_refused(qb.shortpants_global, lambda v: (1.0, 0.5, v), "diameter",
+              _sizes(0, NegativeDiameter)),
+    *_refused(pg.enumerate_decompositions, lambda v: (v, 2), "genus", _sizes(0, NegativeSurface)),
+    *_refused(pg.enumerate_decompositions, lambda v: (1, v), "boundary count",
+              _sizes(0, NegativeSurface)),
+]
+
+
+def test_closed_bounds_take_their_bound():
+    # K >= 1 and R >= 0 are closed: the bound itself, as an int or a float,
+    # is a dilatation or a fellow-traveling constant
+    for K in (1, 1.0):
+        assert hc.quasi_geodesic_stability_R(K, 1.0) == 0.0
+        assert qb.QCHParams(K, 1.0, 0.3).R == 0.0
+    for R in (0, 0.0):
+        assert qb.QCHParams(1.5, 1.0, 0.3, R).R == 0.0
 
 
 @pytest.mark.parametrize("cls, args, error, message", INVALID,

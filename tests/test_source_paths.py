@@ -22,7 +22,12 @@ index's vertex numbers, so no function there calls ``.vertices()``, and it
 defines no nested function, so its union-find is no closure.  No module
 has more than 4,096 parser tokens (``tokenize``'s count without comments,
 ``NL`` and ``ENCODING``), where the parser's token array doubles and every
-CLI child pays for it in memory when it compiles the module.
+CLI child pays for it in memory when it compiles the module.  The rule
+that a bool is no number or size lives in ``errors.py`` alone, in
+``check_number``, ``check_int`` and ``is_int``: no other module tests
+``isinstance(..., bool)`` or compares with True or False by identity.
+(``cli`` asks that a JSON ``planar`` be a bool, with ``type(...) is bool``:
+a test that a value is one, not that a number is not.)
 
 A tiled certificate searches one of two ways.  A window that
 ``build_grid``, ``add_diagonals`` or ``glue_to_Rb`` made, unwritten since,
@@ -104,6 +109,25 @@ def test_one_function_writes_the_product_formula():
                 if n >= 2:
                     counts[f"{path.stem}.{func.name}"] = n
     assert counts == {"hyp_core._mul": 4}
+
+
+def _tests_for_a_bool(node) -> bool:
+    """``isinstance(x, bool)``, bool also in a tuple of types, or an identity
+    test with True or False: the form of the rule that a bool is no number."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+        kinds = node.args[1:2]
+        if kinds and isinstance(kinds[0], ast.Tuple):
+            kinds = kinds[0].elts
+        return any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds)
+    return isinstance(node, ast.Compare) and any(
+        isinstance(op, (ast.Is, ast.IsNot)) and isinstance(c, ast.Constant) and type(c.value) is bool
+        for op, c in zip(node.ops, node.comparators))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "errors.py"], ids=lambda p: p.name)
+def test_only_errors_tells_a_bool_from_a_number(path):
+    lines = [node.lineno for node in _nodes(path) if _tests_for_a_bool(node)]
+    assert lines == [], f"{path.name} tests for a bool on lines {lines}"
 
 
 def test_slot_setters_read_only_by_the_base_and_mobius_map():

@@ -1155,6 +1155,15 @@ class TestIdsWithoutKind:
         assert _line_distance(g, 1, 2) == 2.0
         assert discrete_distance(t, ("P",), ("X", "y")) == 3.0
 
+    def test_an_id_with_a_kind_and_no_row(self):
+        # ("C",) sorts before every corner; the line search passes over it
+        v = [("C",), ("C", 1, 1), ("C", 2, 1), ("C", 3, 1)]
+        t = TiledComplex(pentagon=solve_pentagon(1.2), rows=4, cols=2,
+                         edges={(v[1], v[2]): 2.4, (v[2], v[3]): 2.4, (v[0], v[1]): 1.0})
+        cert = certify_vertical_minimizing(t, 1)
+        assert (cert.distance, cert.passes) == (2.4, True)
+        assert _line_distance(t._graph(), 1, 2) == 2.4
+
 
 # every mutator of the edge map, each applied to a built window after a query
 EDGE_MAP_WRITES = {
