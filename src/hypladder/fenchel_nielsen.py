@@ -27,6 +27,7 @@ from .errors import (
     NumericalInstability,
     ScaleTooLarge,
     _Record,
+    _rebuild,
     check_int,
     check_number,
 )
@@ -182,9 +183,11 @@ def build_ladder_fn(N: int, lengths=1.0, twists=0.0) -> FNCoordinates:
     ``lengths`` and ``twists`` are either scalars applied to every curve or
     callables ``f(family, k)``.  Twists are normalized into [0, 2*pi).
     With the defaults this is the model surface whose sextuplets are all
-    (1, 0, 1, 0, 1, 0).
+    (1, 0, 1, 0, 1, 0).  Every length and twist is checked here, as
+    ``FNCoordinates`` checks them, so the record is stored without the
+    constructor's second pass (``errors._rebuild``).
     """
-    check_int("window size", N)  # FNCoordinates refuses N < 1
+    check_int("window size", N, 1)
     lfun = lengths if callable(lengths) else (lambda fam, k: lengths)
     tfun = twists if callable(twists) else (lambda fam, k: twists)
     coords = {}
@@ -196,7 +199,7 @@ def build_ladder_fn(N: int, lengths=1.0, twists=0.0) -> FNCoordinates:
             sextuple.append(length)
             sextuple.append(normalize_angle(tfun(family, k))[0])
         coords[k] = tuple(sextuple)
-    return FNCoordinates(window=N, coords=coords)
+    return _rebuild(FNCoordinates, (N, coords))
 
 
 _J = (0.0, -1.0, 1.0, 0.0)  # entries of z -> -1/z: reverses the imaginary axis
