@@ -183,9 +183,8 @@ def build_ladder_fn(N: int, lengths=1.0, twists=0.0) -> FNCoordinates:
     ``lengths`` and ``twists`` are either scalars applied to every curve or
     callables ``f(family, k)``.  Twists are normalized into [0, 2*pi).
     With the defaults this is the model surface whose sextuplets are all
-    (1, 0, 1, 0, 1, 0).  Every length and twist is checked here, as
-    ``FNCoordinates`` checks them, so the record is stored without the
-    constructor's second pass (``errors._rebuild``).
+    (1, 0, 1, 0, 1, 0).  Each entry is checked here as ``FNCoordinates``
+    checks it, so the record is stored without that second pass.
     """
     check_int("window size", N, 1)
     lfun = lengths if callable(lengths) else (lambda fam, k: lengths)
