@@ -177,6 +177,8 @@ def _cmd_pants_graph(args) -> str:
         raise UsageError("--propagate-m needs --format json: text output has no bounds")
     if args.inj_radius is not None and args.propagate_m is None:
         raise UsageError("--inj-radius needs --propagate-m: only the bounds use it")
+    if args.propagate_m is not None and args.inj_radius is None:
+        raise UsageError("--propagate-m requires --inj-radius")
     graph = pg.modular_pants_graph(args.genus, args.boundary)
     if args.format == "text":
         out = graph.to_adjacency_text()
@@ -185,8 +187,6 @@ def _cmd_pants_graph(args) -> str:
         return out
     payload = graph.to_dict()
     if args.propagate_m is not None:
-        if args.inj_radius is None:
-            raise UsageError("--propagate-m requires --inj-radius")
         bounds = pg.propagate_bounds(graph, 0, args.propagate_m, args.inj_radius)
         payload["bounds_from_vertex_0"] = {str(k): v for k, v in bounds.items()}
     return _emit_json(payload)

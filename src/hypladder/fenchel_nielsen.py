@@ -159,13 +159,13 @@ class FNCoordinates(_Record):
     def length(self, family: str, k: int) -> float:
         try:
             return self.coords[k][2 * CURVE_FAMILIES.index(family)]
-        except (KeyError, ValueError):  # no such index, or no such family
+        except (KeyError, TypeError, ValueError):  # no such index, an unhashable one, or no such family
             raise _no_curve(family, k) from None
 
     def twist(self, family: str, k: int) -> float:
         try:
             return self.coords[k][2 * CURVE_FAMILIES.index(family) + 1]
-        except (KeyError, ValueError):
+        except (KeyError, TypeError, ValueError):
             raise _no_curve(family, k) from None
 
     def indices(self):
@@ -259,7 +259,10 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
     d_23 included, is not finite or its cosh rounds below 1, or the trace of
     X1 or X2 rounds to 2 or below, so every stored cuff is hyperbolic.
     """
-    l1, l2, l3 = lengths
+    try:
+        l1, l2, l3 = lengths
+    except (TypeError, ValueError):  # no sequence, or not three entries long
+        raise InconsistentInput(f"cuff lengths must be three numbers, got {lengths!r}") from None
     for l in (l1, l2, l3):
         check_number("cuff length", l)
     d12 = _orthogeodesics(l1, l2, l3)[0]
@@ -310,7 +313,7 @@ class HolonomyMap(_Record):
         try:
             p = self.pants[("P1", k)]
             return p.matrices[p.cuffs.index((family, k))]
-        except (KeyError, ValueError):  # no such index, or no such family
+        except (KeyError, TypeError, ValueError):  # no such index, an unhashable one, or no such family
             raise _no_curve(family, k) from None
 
     def recovered_length(self, family: str, k: int) -> float:
@@ -449,7 +452,13 @@ def fn_to_csv(fn: FNCoordinates) -> str:
 
 
 def fn_from_json(text: str) -> FNCoordinates:
-    data = json.loads(text)
+    """Coordinates from ``fn_to_json``'s text; text that is no JSON, or no
+    window with records of every field, raises ``InconsistentInput``."""
     fields = itemgetter(*_FN_FIELDS)
-    coords = {r["k"]: fields(r) for r in data["records"]}
-    return FNCoordinates(window=data["window"], coords=coords)
+    try:
+        data = json.loads(text)
+        coords = {r["k"]: fields(r) for r in data["records"]}
+        window = data["window"]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: no JSON
+        raise InconsistentInput(f"FN JSON must hold a window and records of every field, got {exc!r}") from None
+    return FNCoordinates(window=window, coords=coords)

@@ -18,13 +18,12 @@ margin and state their window size.
 Every row strip of a window that ``build_grid``, ``add_diagonals`` or
 ``glue_to_Rb`` made is the one-row window that the same constructors make,
 with its rows renumbered and the same lengths, so that window's search
-certifies every span without indexing the window; the search stops at the
-first vertex of the far line that settles, whose distance, as vertices
-settle in order of distance, is the line's least, with the same bits (see
-``certify_vertical_minimizing``).  The
-edge map drops the index, the constructors' record and the strip distance
-on any write, so distances, certificates and the topology see every edit,
-and bad lengths are refused at the first query (see ``TiledComplex``).
+certifies every span without indexing the window (see
+``certify_vertical_minimizing``).  The constructors check each length as
+they write it and leave a record on the edge map, which drops it, with the
+index and the strip distance, on any write; so distances, certificates and
+the topology see every edit, and the index checks no length of a window
+they made and each length of any other once (see ``TiledComplex``).
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from dataclasses import dataclass, field, replace
 from functools import partialmethod
 from itertools import chain, count
 
-from .errors import (InconsistentEdgeLength, InconsistentInput, ScaleTooLarge, Unreachable,
-                     check_int, check_number)
+from .errors import (InconsistentEdgeLength, InconsistentInput, NonPositiveLength, ScaleTooLarge,
+                     Unreachable, check_int, check_number)
 from .hyp_core import PentagonSolution, solve_pentagon
 
 EDGE_TOL = 1e-12
@@ -53,12 +52,9 @@ class _GraphIndex:
     of the ids and heap ties break as they would on the ids themselves.
     adj[i] is flat, [j0, length0, j1, length1, ...] over the edges at i, so
     no tuple is made per edge.  Only distance queries and the topology build
-    an index of a window: a built window's certificates search the index of
-    a one-row window instead, which is each row strip with its rows
-    renumbered and has the same lengths (see
-    ``certify_vertical_minimizing``), and the line search finds its row
-    lines on the ids when it runs, stopping at the first line vertex that
-    settles (see ``_line_distance``).
+    an index of a window, checking its lengths only if no constructor made
+    it (see ``_index_graph``); a built window's certificates search the
+    index of a one-row window (see ``certify_vertical_minimizing``).
     """
 
     ids: list
@@ -72,25 +68,21 @@ class _GraphIndex:
         return i
 
 
-def _index_graph(edges: dict, order: list | None = None) -> _GraphIndex:
-    """Index of the graph with these edges.  ``order`` is a hint: the sorted
-    vertex list a constructor made, the head of its record on the edge map,
-    which the map drops on a write.
-
-    Refuses lengths as ``add_edge`` does; each is checked only if ``min`` and
-    ``sum``, which pass over them in C (a NaN makes the sum NaN), fail or
-    raise TypeError (a length that is no number).  A key that is no pair of
-    ids, or ids that do not compare with each other, such as an int beside
-    tuples, cannot be indexed and are refused with ``InconsistentInput``."""
+def _index_graph(edges: dict, made: tuple | None = None) -> _GraphIndex:
+    """Index of the graph with these edges.  With ``made``, the record the
+    constructors left on the map (see ``_EdgeMap``), the ids are its vertex
+    list and no length is checked again; without it, each length is refused
+    as ``add_edge`` refuses it, naming the key of a refused edge only, and
+    the ids are sorted.  Keys that are no pairs of ids, and ids that do not
+    compare, such as an int beside tuples, raise ``InconsistentInput``."""
+    if not made:
+        try:
+            for key, w in edges.items():
+                check_number("length", w)
+        except NonPositiveLength as exc:
+            raise NonPositiveLength(f"edge {key} {exc}") from None
     try:
-        valid = not edges or min(edges.values()) > 0 and sum(edges.values()) < math.inf
-    except TypeError:
-        valid = False
-    if not valid:
-        for key, w in edges.items():
-            check_number(f"edge {key} length", w)
-    try:
-        ids = order or sorted({v for e in edges for v in e})
+        ids = made[0] if made else sorted({v for e in edges for v in e})
         pos = dict(zip(ids, range(len(ids))))
         adj = [[] for _ in ids]
         for (u, v), w in edges.items():
@@ -142,16 +134,17 @@ class TiledComplex:
     Distance queries and the topology (``genus()`` too) share one integer
     index of the graph, built on the first query and kept on ``edges``,
     which drops it on any write: through ``add_edge`` or straight into the
-    map, before or after a query.  The index refuses, when built, lengths
-    that are not positive and finite, which Dijkstra and the pruning need,
-    and ids that do not compare with each other, which it sorts.
-    ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` leave on the map,
+    map, before or after a query.  ``build_grid``, ``add_diagonals`` and
+    ``glue_to_Rb`` check each length as they write it, and leave on the map,
     also dropped on a write, a record of how they made the window: the
-    sorted vertex list, which the index takes as its order, then the
-    pentagon, rows, cols and steps, which the certificates check against
-    the complex's fields.  A plain ``dict`` given as ``edges``, as a
-    ``dataclasses.replace`` copy or a hand-built complex gives, is copied
-    once into such a map, without the record.
+    sorted vertex list, then the pentagon, rows, cols and steps, which the
+    certificates check against the complex's fields.  With the record the
+    index takes the list as its ids and checks no length; without it, it
+    refuses each length that is no positive finite number (a bool is none),
+    as Dijkstra needs, and sorts the ids, refusing ids that do not compare.
+    A plain ``dict`` given as ``edges``, as a ``dataclasses.replace`` copy
+    or a hand-built complex gives, is copied once into such a map, without
+    the record.
     """
 
     pentagon: PentagonSolution
@@ -184,7 +177,7 @@ class TiledComplex:
     def _graph(self) -> _GraphIndex:
         edges = self.edges
         if edges._index is None:
-            edges._index = _index_graph(edges, edges._made and edges._made[0])
+            edges._index = _index_graph(edges, edges._made)
         return edges._index
 
     def alpha_column(self) -> int:
@@ -263,10 +256,11 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     left sides, and the last row and column also write their bottom and
     right halves.  Each row's sides go into a plain dict, merged into the
     edge map by ``dict.update``.  Each vertex is one tuple, shared by faces
-    and edges, and the tuples are listed in sorted order as the index's
-    hint: corners row by row, hole corners cell by cell (E < N < S < W),
-    then the horizontal and the vertical midpoints.  The list heads the
-    record left on the edge map, with the pentagon, rows and cols.
+    and edges, listed in sorted order as the index's ids: corners row by
+    row, hole corners cell by cell (E < N < S < W), then the horizontal and
+    the vertical midpoints.  The list heads the record left on the edge
+    map, with the pentagon, rows and cols; the lengths are the pentagon's,
+    which ``solve_pentagon`` makes positive and finite, so none is checked.
     """
     check_int("rows", rows, 1)
     check_int("cols", cols, 1)
@@ -523,10 +517,7 @@ def _line_distance(g: _GraphIndex, line: int, source: int) -> float:
     search runs: one search over the whole graph, which stops at the first
     vertex of ``line`` that settles.  Vertices settle in order of distance,
     so that vertex's distance is the least on the line, with the same bits."""
-    try:
-        top, bottom = ([i for i, v in enumerate(g.ids) if v[0] in ("C", "HM") and v[1] == r] for r in (line, source))
-    except IndexError:  # an id shorter than (kind, row), such as ("C",)
-        top, bottom = ([i for i, v in enumerate(g.ids) if v[:2] in (("C", r), ("HM", r))] for r in (line, source))
+    top, bottom = ([i for i, v in enumerate(g.ids) if v[:2] in (("C", r), ("HM", r))] for r in (line, source))
     dist = _distances(g, bottom, top, True)
     return min(dist[k] for k in top if dist[k] is not None)
 

@@ -73,6 +73,22 @@ _SURFACE_OF_TYPE = {
 }
 
 
+# the six infinite cover types by (planarity, end count); their rule by planarity
+_INFINITE_COVER = {
+    (True, "1"): CoverType.PLANE,
+    (True, "2"): CoverType.PUNCTURED_PLANE,
+    (True, "infinitely_many"): CoverType.CANTOR_TREE,
+    (False, "1"): CoverType.LOCH_NESS,
+    (False, "2"): CoverType.LADDER,
+    (False, "infinitely_many"): CoverType.BLOOMING_CANTOR_TREE,
+}
+_INFINITE_RULE = {
+    True: "planar infinite cover: ends determine plane / punctured plane / Cantor tree",
+    False: "non-planar infinite cover: all ends non-planar; ends determine "
+           "Loch Ness / ladder / blooming Cantor tree",
+}
+
+
 class DeckDescriptor(_Record):
     """Deck transformation group: finite of a given order, or infinite with
     1, 2, or infinitely many ends of the cover.  A finite order is an
@@ -138,33 +154,16 @@ def classify_cover(base_genus: int, deck: DeckDescriptor, cover_planar: bool) ->
             rule="finite deck group: compact cover of genus 1 + n(g-1)",
             validated=True,
         )
-    if cover_planar:
-        table = {
-            "1": CoverType.PLANE,
-            "2": CoverType.PUNCTURED_PLANE,
-            "infinitely_many": CoverType.CANTOR_TREE,
-        }
-        ctype = table[deck.end_count]
-        if ctype == CoverType.PUNCTURED_PLANE and base_genus != 1:
-            raise InconsistentInput(
-                "the punctured plane regularly covers only the torus: its "
-                "deck group is cyclic and a hyperbolic surface group has no "
-                "normal cyclic subgroup"
-            )
-        validated = ctype == CoverType.PUNCTURED_PLANE or base_genus >= 2
-        rule = "planar infinite cover: ends determine plane / punctured plane / Cantor tree"
-    else:
-        table = {
-            "1": CoverType.LOCH_NESS,
-            "2": CoverType.LADDER,
-            "infinitely_many": CoverType.BLOOMING_CANTOR_TREE,
-        }
-        ctype = table[deck.end_count]
-        validated = base_genus >= 2
-        rule = (
-            "non-planar infinite cover: all ends non-planar; ends determine "
-            "Loch Ness / ladder / blooming Cantor tree"
+    planar = bool(cover_planar)
+    ctype = _INFINITE_COVER[planar, deck.end_count]
+    if ctype is CoverType.PUNCTURED_PLANE and base_genus != 1:
+        raise InconsistentInput(
+            "the punctured plane regularly covers only the torus: its "
+            "deck group is cyclic and a hyperbolic surface group has no "
+            "normal cyclic subgroup"
         )
+    validated = ctype is CoverType.PUNCTURED_PLANE or base_genus >= 2
+    rule = _INFINITE_RULE[planar]
     if not validated:
         rule += " (realizability over this base genus unvalidated)"
     return Classification(

@@ -274,6 +274,21 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert json.loads(text, parse_constant=pytest.fail)["error"] == "usage"
 
+    @pytest.mark.parametrize("genus", ["2", "3"])
+    def test_propagate_m_without_inj_radius_is_refused_before_the_graph(self, genus, monkeypatch):
+        # genus 3 exceeds the complexity cap, so a graph built first would
+        # exit with ComplexityTooLarge, not as a usage error
+        from hypladder import pants_graph
+
+        def refuse(*args):
+            raise AssertionError("graph built for a usage error")
+
+        monkeypatch.setattr(pants_graph, "modular_pants_graph", refuse)
+        code, text = run(["pants-graph", "--genus", genus, "--propagate-m", "1"])
+        assert code == EXIT_USAGE
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert (data["error"], data["message"]) == ("usage", "--propagate-m requires --inj-radius")
+
     def test_pants_graph_text_builds_no_payload(self, monkeypatch):
         from hypladder import pants_graph
 

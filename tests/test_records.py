@@ -242,7 +242,8 @@ def test_qch_params_derive_R_and_its_provenance():
 
 # (callable, args, error class, message): first the records' constructors as
 # the dataclass raised them, except that a NaN R reads "must be finite" as
-# every NaN does; then calls that raised bare Python errors; then the guards
+# every NaN does; then calls that raised bare Python errors; then the guards;
+# last, lookups and arguments of the wrong shape that raised bare errors
 INVALID = [
     (qb.QCHParams, (0.5, 1, 1), InvalidDilatation, "dilatation must be >= 1, got 0.5"),
     (qb.QCHParams, (math.nan, 1, 1), InvalidDilatation, "dilatation must be finite, got nan"),
@@ -337,6 +338,31 @@ INVALID += [
     *_refused(pg.enumerate_decompositions, lambda v: (v, 2), "genus", _sizes(0, NegativeSurface)),
     *_refused(pg.enumerate_decompositions, lambda v: (1, v), "boundary count",
               _sizes(0, NegativeSurface)),
+]
+
+
+_NO_L_A = fnm.fn_to_json(_FN).replace('"l_a"', '"l_x"')
+_FN_JSON = "FN JSON must hold a window and records of every field, got "
+INVALID += [
+    # an unhashable index is no index of the window
+    (_FN.length, ("a", [1]), MissingCoordinates, "no curve 'a' at index [1] in the window"),
+    (_FN.twist, ("a", [1]), MissingCoordinates, "no curve 'a' at index [1] in the window"),
+    (_HOL.matrix, ("a", [1]), MissingCoordinates, "no curve 'a' at index [1] in the window"),
+    (_HOL.global_length, ("b", {}), MissingCoordinates, "no curve 'b' at index {} in the window"),
+    (fnm.fn_from_json, ("not json",), InconsistentInput,
+     _FN_JSON + "JSONDecodeError('Expecting value: line 1 column 1 (char 0)')"),
+    (fnm.fn_from_json, (_NO_L_A,), InconsistentInput, _FN_JSON + "KeyError('l_a')"),
+    (fnm.fn_from_json, ('{"records": []}',), InconsistentInput, _FN_JSON + "KeyError('window')"),
+    (fnm.fn_from_json, ("[1]",), InconsistentInput,
+     _FN_JSON + "TypeError('list indices must be integers or slices, not str')"),
+    # cuff lengths that are not three numbers, refused as FNCoordinates
+    # refuses a sextuple that is not six
+    (fnm.pants_holonomy, (("1", "2", "3"), (1.0, 1.0)), InconsistentInput,
+     "cuff lengths must be three numbers, got (1.0, 1.0)"),
+    (fnm.pants_holonomy, (("1", "2", "3"), 5), InconsistentInput,
+     "cuff lengths must be three numbers, got 5"),
+    (fnm.pants_holonomy, (("1", "2", "3"), (1.0, 1.0, 1.0, 1.0)), InconsistentInput,
+     "cuff lengths must be three numbers, got (1.0, 1.0, 1.0, 1.0)"),
 ]
 
 

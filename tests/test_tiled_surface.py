@@ -1090,8 +1090,8 @@ class TestDirectLengthWrites:
 
     @pytest.mark.parametrize("value", ["x", None, 1j])
     def test_non_number_is_a_length_error(self, value):
-        # through add_edge, and written straight into the edge map, where
-        # min() over the lengths raises TypeError
+        # through add_edge, and written straight into the edge map, which
+        # drops the constructors' record, so the index checks each length
         key = (("C", 1, 1), ("HM", 1, 1))
         with pytest.raises(NonPositiveLength, match="edge length must be a number"):
             build_grid(1.2, 3, 3).add_edge(*key, value)
@@ -1112,6 +1112,48 @@ class TestDirectLengthWrites:
         assert g.adj == [[1, huge], [0, huge, 2, huge], [1, huge]]
         with pytest.raises(NonPositiveLength):
             _index_graph({(v[0], v[1]): huge, (v[1], v[2]): huge, (v[2], v[3]): math.nan})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_every_query_refuses_a_bool_written_before_it(self, value):
+        # True compares as 1 and False as 0, so a test by comparison alone
+        # takes True for a length of 1 (discrete_distance would read 2.4)
+        key = next(iter(build_grid(1.2, 4, 2).edges))
+        for query in (lambda t: discrete_distance(t, ("C", 0, 0), ("C", 1, 0)),
+                      lambda t: dijkstra(t, [("C", 0, 0)]), TiledComplex.genus,
+                      lambda t: certify_vertical_minimizing(t, 1)):
+            t = build_grid(1.2, 4, 2)
+            t.edges[key] = value
+            with pytest.raises(NonPositiveLength, match=re.escape(f"edge {key} length must be a number")):
+                query(t)
+
+
+class TestLengthChecksAtIndexing:
+    # the constructors' record on the edge map decides whether the index
+    # checks lengths: a built window's none, any other map's each one once
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = tiled_surface.check_number
+        monkeypatch.setattr(tiled_surface, "check_number", lambda *a, **k: calls.append(a) or check(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    def test_built_window_checks_no_length(self, kind, checks):
+        t = WINDOW_KINDS[kind](build_grid(1.2, 5, 4))
+        checks.clear()
+        t._graph()
+        assert t.genus() >= 0 and discrete_distance(t, ("C", 1, 1), ("C", 4, 1)) > 0
+        assert checks == []
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    def test_plain_dict_copy_checks_each_length_once(self, kind, checks):
+        t = WINDOW_KINDS[kind](build_grid(1.2, 5, 4))
+        plain = dataclasses.replace(t, edges=dict(t.edges))
+        checks.clear()
+        plain._graph()
+        assert plain.genus() == t.genus()
+        assert [w for _, w in checks] == list(t.edges.values())
 
 
 class TestIdsWithoutKind:
