@@ -298,8 +298,9 @@ def build_parser() -> _Parser:
     p.add_argument("--l", type=float, required=True)
     p.set_defaults(func=_cmd_collar)
 
-    for name, func in (("fn", _cmd_fn), ("quotient", _cmd_quotient)):
-        p = sub.add_parser(name)
+    for name, func, text in (("fn", _cmd_fn, "Fenchel-Nielsen coordinates of a model ladder window"),
+                             ("quotient", _cmd_quotient, "closed quotient of a shift-invariant ladder by a shift")):
+        p = sub.add_parser(name, help=text)
         p.add_argument("--window", type=int, default=2)
         p.add_argument("--length", type=float, default=1.0)
         p.add_argument("--odd-length", type=float, default=None)
@@ -321,7 +322,7 @@ def build_parser() -> _Parser:
                    help="k=START:STOP:STEP or l=START:STOP:STEP, emits CSV")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("pants-graph")
+    p = sub.add_parser("pants-graph", help="modular pants graph of a surface")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--boundary", type=int, default=0)
     p.add_argument("--propagate-m", type=float, default=None)
@@ -329,7 +330,7 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.set_defaults(func=_cmd_pants_graph)
 
-    p = sub.add_parser("tiled")
+    p = sub.add_parser("tiled", help="certify or export a pentagon-tiled window")
     p.add_argument("action", choices=("certify", "export"))
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="row separation to certify")
@@ -337,7 +338,7 @@ def build_parser() -> _Parser:
     p.add_argument("--refine-diagonals", action="store_true")
     p.set_defaults(func=_cmd_tiled)
 
-    p = sub.add_parser("classify")
+    p = sub.add_parser("classify", help="classify a regular cover of a closed surface")
     p.add_argument("--input", type=str, default=None, help="JSON descriptor file")
     p.add_argument("--base-genus", type=int, default=None)
     p.add_argument("--deck", type=str, default=None, help="finite:N or infinite:1|2|many")

@@ -129,6 +129,13 @@ def check_int(name: str, value, least: int | None = None, error: type = NonPosit
         raise error(f"{name} must be >= {least}, got {value}")
 
 
+def check_record(name: str, value, cls: type) -> None:
+    """Raise InconsistentInput unless value is a ``cls``: the one rule for
+    a record handed to a public function, one ``isinstance`` per call."""
+    if not isinstance(value, cls):
+        raise InconsistentInput(f"{name} must be {cls.__name__}, got {value!r}")
+
+
 class NegativeSurface(HypladderError, ValueError):
     """A genus or boundary count below 0."""
 

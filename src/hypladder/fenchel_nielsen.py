@@ -30,6 +30,7 @@ from .errors import (
     _rebuild,
     check_int,
     check_number,
+    check_record,
 )
 from .hyp_core import (
     MobiusMap,
@@ -396,6 +397,7 @@ def quotient_by_shift(fn: FNCoordinates, period: int = 2) -> ShiftQuotient:
     given period p (default 2): a closed surface of genus p+1, so period 1
     is the smallest, with genus 2.  The window must hold the
     representatives 0..period-1."""
+    check_record("coordinates", fn, FNCoordinates)
     check_int("shift period", period, 1)
     if period > fn.window + 1:
         raise ScaleTooLarge(

@@ -23,6 +23,7 @@ from .errors import (
     _Record,
     check_int,
     check_number,
+    check_record,
 )
 from .hyp_core import R_FORMULA_NAME, collar_width, quasi_geodesic_stability_R
 
@@ -166,6 +167,7 @@ def report(params: QCHParams) -> BoundReport:
     pants_bound_per_step is the one-step short-pants increment starting from
     the cuff-length bound K*L of the special curves.
     """
+    check_record("parameters", params, QCHParams)
     a, rho_upper, hausdorff_factor, b = separation_bounds(params)
     return BoundReport(
         params=params,

@@ -20,79 +20,32 @@ Every row strip of a window that ``build_grid``, ``add_diagonals`` or
 with its rows renumbered and the same lengths, so that window's search
 certifies every span without indexing the window (see
 ``certify_vertical_minimizing``).  The constructors check each length as
-they write it and leave a record on the edge map, which drops it, with the
-index and the strip distance, on any write; so distances, certificates and
-the topology see every edit, and the index checks no length of a window
-they made and each length of any other once (see ``TiledComplex``).
+they write it and leave a record on the edge map: the pentagon, rows, cols
+and steps describe their window fully, so the integer layer
+(``_tiled_graph``) numbers its graph, and the one-row window's, by
+arithmetic, building no vertex tuple and looking none up.  The map drops
+the record, with the index and the strip distance, on any write, and the
+steps keep it only while the faces are the constructors'; so distances,
+certificates and the topology see every edit, and the index checks each
+length of any other window once (see ``TiledComplex``).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field, replace
 from functools import partialmethod
 from itertools import chain, count
 
-from .errors import (InconsistentEdgeLength, InconsistentInput, NonPositiveLength, ScaleTooLarge,
-                     Unreachable, check_int, check_number)
+from ._tiled_graph import (_diagonals, _distances, _GraphIndex, _index_graph, _line_distance, _numbered,
+                           _strip_line_distance)
+from .errors import InconsistentEdgeLength, InconsistentInput, ScaleTooLarge, Unreachable, check_int, check_number
 from .hyp_core import PentagonSolution, solve_pentagon
 
 EDGE_TOL = 1e-12
 CERT_TOL = 1e-9
 
 _HOLE_MIRROR = {"N": "N", "S": "S", "E": "W", "W": "E"}
-
-
-@dataclass
-class _GraphIndex:
-    """Integer form of a complex's corner graph.
-
-    Vertex i is ids[i]; ids are sorted, so the order of the ints is the order
-    of the ids and heap ties break as they would on the ids themselves.
-    adj[i] is flat, [j0, length0, j1, length1, ...] over the edges at i, so
-    no tuple is made per edge.  Only distance queries and the topology build
-    an index of a window, checking its lengths only if no constructor made
-    it (see ``_index_graph``); a built window's certificates search the
-    index of a one-row window (see ``certify_vertical_minimizing``).
-    """
-
-    ids: list
-    pos: dict
-    adj: list
-
-    def vertex(self, v) -> int:
-        i = self.pos.get(v)
-        if i is None:
-            raise Unreachable(f"vertex {v} not present in the complex")
-        return i
-
-
-def _index_graph(edges: dict, made: tuple | None = None) -> _GraphIndex:
-    """Index of the graph with these edges.  With ``made``, the record the
-    constructors left on the map (see ``_EdgeMap``), the ids are its vertex
-    list and no length is checked again; without it, each length is refused
-    as ``add_edge`` refuses it, naming the key of a refused edge only, and
-    the ids are sorted.  Keys that are no pairs of ids, and ids that do not
-    compare, such as an int beside tuples, raise ``InconsistentInput``."""
-    if not made:
-        try:
-            for key, w in edges.items():
-                check_number("length", w)
-        except NonPositiveLength as exc:
-            raise NonPositiveLength(f"edge {key} {exc}") from None
-    try:
-        ids = made[0] if made else sorted({v for e in edges for v in e})
-        pos = dict(zip(ids, range(len(ids))))
-        adj = [[] for _ in ids]
-        for (u, v), w in edges.items():
-            i = pos[u]
-            j = pos[v]
-            adj[i] += j, w
-            adj[j] += i, w
-    except (TypeError, ValueError) as exc:  # such as the key 5, or ids 0 and ("C", 1, 1)
-        raise InconsistentInput(f"edge keys that are no vertex pairs, or ids that do not compare: {exc}") from None
-    return _GraphIndex(ids, pos, adj)
 
 
 def _written(edges, method, *args, **kwargs):
@@ -105,16 +58,18 @@ class _EdgeMap(dict):
     """A complex's edge map: a ``dict`` whose every mutator first drops its
     cached work: the graph index ``_index``, the strip distance ``_strip``
     (see ``certify_vertical_minimizing``) and the constructors' record
-    ``_made`` of how they made the window: (sorted vertex list, pentagon,
-    rows, cols, *steps), the steps being ``add_diagonals`` and
-    ``glue_to_Rb`` in the order they ran.  The constructors write through
-    ``dict``'s own methods and set the record after, so it marks a window
-    that they made, unwritten since, each of whose row strips is, rows
-    renumbered, the one-row window that replaying the record makes, with
-    the same lengths.  It keeps no reference to its complex, so a complex
-    is freed without waiting for the cycle collector.  All three are
-    instance attributes, not ``__slots__``, so the map pickles with every
-    protocol."""
+    ``_made`` of how they made the window: (sorted vertex list, faces as a
+    tuple, pentagon, rows, cols, *steps), the steps being the names of
+    ``add_diagonals`` and ``glue_to_Rb`` in the order they ran.  The
+    constructors write through ``dict``'s own methods and set the record
+    after, and a step extends it only while the complex's faces are still
+    the recorded ones, so it marks a window that they made, unwritten since,
+    whose edges are those that ``_tiled_graph._numbered`` numbers from the
+    record and each of whose row strips is, rows renumbered, the one-row
+    window that it numbers, with the same lengths.  It keeps no reference
+    to its complex, so a complex is freed without waiting for the cycle
+    collector.  All three are instance attributes, not ``__slots__``, so
+    the map pickles with every protocol."""
 
 
 for _name in "__init__ __setitem__ __delitem__ __ior__ update setdefault pop popitem clear".split():
@@ -137,14 +92,16 @@ class TiledComplex:
     map, before or after a query.  ``build_grid``, ``add_diagonals`` and
     ``glue_to_Rb`` check each length as they write it, and leave on the map,
     also dropped on a write, a record of how they made the window: the
-    sorted vertex list, then the pentagon, rows, cols and steps, which the
-    certificates check against the complex's fields.  With the record the
-    index takes the list as its ids and checks no length; without it, it
-    refuses each length that is no positive finite number (a bool is none),
-    as Dijkstra needs, and sorts the ids, refusing ids that do not compare.
-    A plain ``dict`` given as ``edges``, as a ``dataclasses.replace`` copy
-    or a hand-built complex gives, is copied once into such a map, without
-    the record.
+    sorted vertex list and the faces, then the pentagon, rows, cols and
+    steps, which the certificates check against the complex's fields.  A
+    step run on a complex whose faces were edited since leaves no record.
+    With the record the index takes the list as its ids and its adjacency
+    from ``_numbered``, reading no edge and checking no length; without it,
+    it refuses each length that is no positive finite number (a bool is
+    none), as Dijkstra needs, and sorts the ids, refusing ids that do not
+    compare.  A plain ``dict`` given as ``edges``, as a
+    ``dataclasses.replace`` copy or a hand-built complex gives, is copied
+    once into such a map, without the record.
     """
 
     pentagon: PentagonSolution
@@ -177,7 +134,9 @@ class TiledComplex:
     def _graph(self) -> _GraphIndex:
         edges = self.edges
         if edges._index is None:
-            edges._index = _index_graph(edges, edges._made)
+            made = edges._made
+            edges._index = _index_graph(edges) if not made else _GraphIndex(
+                made[0], dict(zip(made[0], range(len(made[0])))), _numbered(*made[2:5], made[5:]))
         return edges._index
 
     def alpha_column(self) -> int:
@@ -259,8 +218,9 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     and edges, listed in sorted order as the index's ids: corners row by
     row, hole corners cell by cell (E < N < S < W), then the horizontal and
     the vertical midpoints.  The list heads the record left on the edge
-    map, with the pentagon, rows and cols; the lengths are the pentagon's,
-    which ``solve_pentagon`` makes positive and finite, so none is checked.
+    map, with the faces as a tuple, the pentagon, rows and cols; the lengths
+    are the pentagon's, which ``solve_pentagon`` makes positive and finite,
+    so none is checked.
     """
     check_int("rows", rows, 1)
     check_int("cols", cols, 1)
@@ -296,7 +256,7 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
         edges[top[cols], vm[cols]] = edges[bottom[cols], vm[cols]] = pb
         dict.update(t.edges, edges)
     t.edges._made = ([v for row in corner for v in row] + holes + [v for row in hmid + vmid for v in row],
-                     p, rows, cols)
+                     tuple(faces), p, rows, cols)
     return t
 
 
@@ -320,8 +280,11 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     Only the edges at a glued-away hole corner are rewritten in the copied
     edge map, each checked as ``add_edge`` checks it.  Gluing pairs holes
     within a row, the same columns in every row, so each row strip is the
-    one-row window glued the same way, and the step is added to the edge
-    map's record (see ``certify_vertical_minimizing``).
+    one-row window glued the same way.  While ``t.faces`` are the faces of
+    the edge map's record, the copy's record is that record with the
+    glued-away hole corners left out, the glued faces and the step (see
+    ``certify_vertical_minimizing``); a complex whose faces were edited
+    gives a copy without one.
     """
     rep, pairs = {}, []
     for r in range(t.rows):
@@ -341,7 +304,8 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     faces = [(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
              for a, b, c, d, e in t.faces]
     made = t.edges._made
-    edges._made = made and ([v for v in made[0] if v not in rep], *made[1:], glue_to_Rb)
+    if made and tuple(t.faces) == made[1]:
+        edges._made = ([v for v in made[0] if v not in rep], tuple(faces), *made[2:], "glue_to_Rb")
     return replace(t, edges=edges, faces=faces, glued_pairs=tuple(pairs))
 
 
@@ -355,50 +319,13 @@ def _merge(edges: _EdgeMap, key, length: float) -> None:
         dict.__setitem__(edges, key, length)
 
 
-def _distances(g: _GraphIndex, sources, targets=(), first=False) -> list:
-    """Dijkstra on the integer index: dist[i] for every settled vertex i,
-    None elsewhere.  With a non-empty target set, stops once all targets are
-    settled, or with ``first`` once one is; an empty one stops nothing.
-
-    ``best`` holds each vertex's best tentative distance, and a neighbour is
-    pushed only when it improves on it (with lengths >= 0 a settled vertex
-    never does); an entry it improved on stays in the heap and is skipped
-    when popped.  Vertices settle in (d, i) order, so the settled set at an
-    early stop is the same as with a push per edge."""
-    adj = g.adj
-    dist = [None] * len(adj)
-    best = [math.inf] * len(adj)
-    for s in sources:
-        best[s] = 0.0
-    heap = [(0.0, s) for s in sources]
-    heapq.heapify(heap)
-    heappush, heappop = heapq.heappush, heapq.heappop
-    remaining = set(targets)
-    while heap:
-        d, v = heappop(heap)
-        if dist[v] is not None:
-            continue
-        dist[v] = d
-        if v in remaining:
-            remaining.discard(v)
-            if first or not remaining:
-                break
-        it = iter(adj[v])
-        for w, length in zip(it, it):
-            nd = d + length
-            if nd < best[w]:
-                best[w] = nd
-                heappush(heap, (nd, w))
-    return dist
-
-
 def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
     """Exact shortest-path distances from the source set; stops early when
     all targets are settled if a non-empty target set is given."""
     g = t._graph()
     # a target missing from the complex is never settled (-1 is no vertex),
     # so the search then runs to the end
-    dist = _distances(g, [g.vertex(s) for s in sources], {g.pos.get(v, -1) for v in targets or ()})
+    dist = _distances(g.adj, [g.vertex(s) for s in sources], {g.pos.get(v, -1) for v in targets or ()})
     return {g.ids[i]: d for i, d in enumerate(dist) if d is not None}
 
 
@@ -406,7 +333,7 @@ def discrete_distance(t: TiledComplex, x, y) -> float:
     """Shortest edge-path length between two corners of the complex."""
     g = t._graph()
     i, j = g.vertex(x), g.pos.get(y)
-    d = None if j is None else _distances(g, [i], [j])[j]
+    d = None if j is None else _distances(g.adj, [i], [j])[j]
     if d is None:
         raise Unreachable(f"no edge path connects {x} and {y}")
     return d
@@ -454,14 +381,19 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     constructors, replayed in the same order on the same pentagon and column
     count, make, with row r renumbered r - k: the same edges with the same
     lengths, since every cell gets the same sides and diagonals and gluing
-    pairs the same columns in every row.  A search from line k + 1 settles,
+    pairs the same columns in every row.  That window is searched as the
+    record's arithmetic numbers it (``_tiled_graph._numbered`` on the
+    recorded pentagon, cols and steps), which is the constructors' window:
+    the same edges and lengths, to the bit, in the same vertex order, as the
+    tests check on every kind of window.  A search from line k + 1 settles,
     before its first vertex of line k, only vertices of strip k and below
     line k + 1, and those below reach strip k only through the sources, so
     it computes the one-row window's floats; and it stops at that first
     vertex, which settles at the least distance on the line (vertices settle
     in order of distance), with the same bits.  So that window's
     line-to-line distance (see ``_strip_distance``), cached on ``edges``, is
-    every s_k = s, to the bit, and its search never indexes ``t``.  By the
+    every s_k = s, to the bit; its search builds no window and never
+    indexes ``t``.  By the
     same cut, the exact shortest line-to-line path lies in one strip, so it
     has fewer than N = 9 cols + 3 edges, the strip's vertex count (the
     diagonals add no vertex, gluing removes some); its float sum, at least
@@ -498,39 +430,15 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
 def _strip_distance(t) -> float:
     """A lower bound on every row strip's line-to-line distance of ``t``:
     if its pentagon, rows and cols are those recorded on ``t.edges``, the
-    distance of the one-row window made as ``t`` was, cached there; for
-    any other window -inf, which no strip test passes."""
+    distance of the one-row window made as ``t`` was, numbered from the
+    record's cols and steps, cached there; for any other window -inf, which
+    no strip test passes."""
     edges, made = t.edges, t.edges._made
-    if not made or made[1:4] != (t.pentagon, t.rows, t.cols):
+    if not made or made[2:5] != (t.pentagon, t.rows, t.cols):
         return -math.inf
     if edges._strip is None:
-        w = build_grid(t.b, 1, t.cols)
-        for step in made[4:]:
-            w = step(w)
-        edges._strip = _line_distance(w._graph(), 0, 1)
+        edges._strip = _strip_line_distance(t.pentagon, t.cols, made[5:])
     return edges._strip
-
-
-def _line_distance(g: _GraphIndex, line: int, source: int) -> float:
-    """Least distance from row line ``source`` to row line ``line``, each its
-    lattice corners and horizontal-side midpoints, found on the ids when the
-    search runs: one search over the whole graph, which stops at the first
-    vertex of ``line`` that settles.  Vertices settle in order of distance,
-    so that vertex's distance is the least on the line, with the same bits."""
-    top, bottom = ([i for i, v in enumerate(g.ids) if v[:2] in (("C", r), ("HM", r))] for r in (line, source))
-    dist = _distances(g, bottom, top, True)
-    return min(dist[k] for k in top if dist[k] is not None)
-
-
-def _hypotenuse(u: float, v: float) -> float:
-    """Hypotenuse of the right-angled triangle with legs u and v, by
-    hyperbolic Pythagoras: cosh d = cosh u * cosh v.  Where that product
-    overflows, d = u + v - ln 2 + log1p(e^-2u) + log1p(e^-2v), which drops
-    only a term of order e^-2d."""
-    ch = math.cosh(u) * math.cosh(v)
-    if ch < math.inf:
-        return math.acosh(ch)
-    return u + v - math.log(2.0) + math.log1p(math.exp(-2.0 * u)) + math.log1p(math.exp(-2.0 * v))
 
 
 def add_diagonals(t: TiledComplex) -> TiledComplex:
@@ -543,12 +451,11 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
 
     The diagonals go straight into a copy of ``t.edges``, checked as
     ``add_edge`` checks, each length once; every face gets the same five
-    lengths, so each row strip is the one-row window refined the same way,
-    and the step is added to the edge map's record (see
-    ``certify_vertical_minimizing``)."""
-    p = t.pentagon
-    sides = (p.b, p.b, p.a, p.c, p.a)
-    diag = [(i, (i + 2) % 5, _hypotenuse(sides[i], sides[(i + 1) % 5])) for i in range(5)]
+    lengths, so each row strip is the one-row window refined the same way.
+    While ``t.faces`` are the faces of the edge map's record, the step is
+    added to the copy's record (see ``certify_vertical_minimizing``); a
+    complex whose faces were edited gives a copy without one."""
+    diag = [(i, (i + 2) % 5, length) for i, length in enumerate(_diagonals(t.pentagon))]
     for _, _, length in diag:
         check_number("edge length", length)
     edges, put = _EdgeMap(t.edges), dict.setdefault
@@ -558,7 +465,9 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
             key = (u, v) if u <= v else (v, u)
             if put(edges, key, length) is not length:  # the key was there
                 _merge(edges, key, length)
-    # diagonals join corners of one face, so the vertices stay the same
-    edges._made = t.edges._made and (*t.edges._made, add_diagonals)
+    # diagonals join corners of one face, so the vertices and faces stay the same
+    made = t.edges._made
+    if made and tuple(t.faces) == made[1]:
+        edges._made = (*made, "add_diagonals")
     return replace(t, edges=edges, faces=list(t.faces), refined=True)
 

@@ -87,19 +87,34 @@ def oracle_build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     return t
 
 
-def oracle_certificate(t: TiledComplex, n: int) -> VerticalCertificate:
+def oracle_window(t: TiledComplex) -> tuple:
+    """A copy of ``t`` with a plain-dict edge map, which no constructor
+    made, so its searches run on the index of its edge map; and its row
+    lines, r -> the corners and horizontal midpoints on row line r, each
+    listed once per window."""
+    copy = dataclasses.replace(t, edges=dict(t.edges))
+    lines = {}
+    for v in copy.vertices():
+        if v[0] in ("C", "HM"):
+            lines.setdefault(v[1], []).append(v)
+    return copy, lines
+
+
+def oracle_certificate(t: TiledComplex, n: int, window: tuple | None = None) -> VerticalCertificate:
     """``certify_vertical_minimizing`` as it was defined before its corner
-    search was bounded, on the public ``dijkstra`` alone: the full search
-    from the top corner x to the bottom corner y, and the line-to-line
-    distance from the top row line.  Assumes a window tall enough for n."""
+    search was bounded, on the public ``dijkstra`` alone, run on
+    ``oracle_window(t)`` (or ``window``, made by it once for many n): the
+    full search from the top corner x to the bottom corner y, and the
+    line-to-line distance from the top row line.  Assumes a window tall
+    enough for n."""
+    copy, lines = window or oracle_window(t)
     r0 = max(1, (t.rows - n) // 2)
     col = t.cols // 2
     x, y = ("C", r0, col), ("C", r0 + n, col)
     expected = 2.0 * n * t.b
-    d = dijkstra(t, [x], [y])[y]
-    top = [v for v in t.vertices() if v[0] in ("C", "HM") and v[1] == r0]
-    bottom = [v for v in t.vertices() if v[0] in ("C", "HM") and v[1] == r0 + n]
-    line = dijkstra(t, top, bottom)
+    d = dijkstra(copy, [x], [y])[y]
+    top, bottom = lines.get(r0, []), lines.get(r0 + n, [])
+    line = dijkstra(copy, top, bottom)
     min_cross = min(line[v] for v in bottom if v in line)
     return VerticalCertificate(
         b=t.b,
@@ -637,6 +652,11 @@ def _oracle_build_grid_fixture():
 @pytest.fixture(name="oracle_certificate", scope="session")
 def _oracle_certificate_fixture():
     return oracle_certificate
+
+
+@pytest.fixture(name="oracle_window", scope="session")
+def _oracle_window_fixture():
+    return oracle_window
 
 
 @pytest.fixture(name="capped_dijkstra", scope="session")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -137,6 +138,16 @@ class TestExitCodes:
         assert data["help"].startswith(f"usage: hypladder {' '.join(argv[:-1])}".rstrip())
         assert "-h, --help" in data["help"]
         assert capsys.readouterr().out == ""
+
+    def test_help_gives_every_subcommand_a_line(self):
+        # each of the eight subcommands on a line of its own, with its help
+        # text after it
+        data = json.loads(run(["--help"])[1])
+        lines = {line.split()[0]: line.split(None, 1)[1:] for line in data["help"].splitlines()
+                 if re.match(r"    \S", line)}
+        commands = ["pentagon", "collar", "fn", "quotient", "bounds", "pants-graph", "tiled", "classify"]
+        assert sorted(lines) == sorted(commands)
+        assert all(lines[name] for name in commands)
 
     def test_help_ignores_the_terminal_width(self, monkeypatch):
         texts = set()
@@ -445,7 +456,7 @@ SUBCOMMAND_MODULES = {
     "quotient": {"fenchel_nielsen", "hyp_core"},
     "bounds": {"qch_bounds", "hyp_core"},
     "pants-graph": {"pants_graph", "qch_bounds", "hyp_core"},
-    "tiled": {"tiled_surface", "hyp_core"},
+    "tiled": {"tiled_surface", "_tiled_graph", "hyp_core"},
     "classify": {"topo_classify"},
     "nosuch": set(),
 }

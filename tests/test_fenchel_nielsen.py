@@ -407,6 +407,12 @@ class TestQuotientByShift:
         with pytest.raises(NonPositiveSize, match="shift period must be an integer"):
             quotient_by_shift(build_ladder_fn(4), period=period)
 
+    @pytest.mark.parametrize("fn", [None, "x", {}, 2, build_ladder_fn(2).coords])
+    def test_rejects_coordinates_that_are_no_record(self, fn):
+        with pytest.raises(InconsistentInput, match="coordinates must be FNCoordinates") as info:
+            quotient_by_shift(fn, 1)
+        assert not isinstance(info.value, AttributeError)
+
     def test_period_up_to_window_plus_one(self):
         assert quotient_by_shift(build_ladder_fn(2), period=3).coords.keys() == {0, 1, 2}
         with pytest.raises(ScaleTooLarge):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypladder.errors import (
     ArccoshDomainError,
+    InconsistentInput,
     InvalidDilatation,
     NegativeDiameter,
     NonPositiveLength,
@@ -100,6 +101,12 @@ class TestParams:
     def test_report_inputs_stay_numbers(self):
         d = report(QCHParams(K=1, L=1, m_inj=0.5)).to_dict()
         assert not any(isinstance(v, bool) for v in d["inputs"].values())
+
+    @pytest.mark.parametrize("params", [None, "x", (1.5, 1.0, 0.5), {"K": 1.5, "L": 1.0, "m_inj": 0.5}])
+    def test_report_refuses_params_that_are_no_record(self, params):
+        with pytest.raises(InconsistentInput, match="parameters must be QCHParams") as info:
+            report(params)
+        assert not isinstance(info.value, AttributeError)
 
     def test_overflowing_default_R_is_refused(self):
         # an explicit R=inf is refused, so a default R that overflows is too

@@ -13,13 +13,14 @@ that makes a record without its ``__init__`` (``_map`` makes each map
 without ``MobiusMap.__new__``'s normalization); ``pants_graph`` stores the
 graphs of its keys and dart moves through it, and ``canonical_key`` finds
 its decoration on the one partner table of its search.  Every shortest-path search, pruned or
-not, is the one Dijkstra loop of ``tiled_surface._distances``, so no other
+not, is the one Dijkstra loop of ``_tiled_graph._distances``, so no other
 function pops a heap.  Every graph search of ``pants_graph`` (bridges, the
 walk over elementary moves, the modular graph's distances) is the
 breadth-first search of ``_bfs_dists``, so no other function there loops
 over a frontier.  ``tiled_surface`` counts its topology on the graph
-index's vertex numbers, so no function there calls ``.vertices()``, and it
-defines no nested function, so its union-find is no closure.  No module
+index's vertex numbers, so no function there or in its integer layer
+``_tiled_graph`` calls ``.vertices()``, and neither defines a nested
+function, so its union-find is no closure.  No module
 has more than 4,096 parser tokens (``tokenize``'s count without comments,
 ``NL`` and ``ENCODING``), where the parser's token array doubles and every
 CLI child pays for it in memory when it compiles the module.  The rule
@@ -33,11 +34,14 @@ A tiled certificate searches one of two ways.  A window that
 ``build_grid``, ``add_diagonals`` or ``glue_to_Rb`` made, unwritten since,
 whose pentagon, rows and cols are those the constructors recorded on its
 edge map, takes the one-strip path: one search of the one-row window that
-the same constructors make, once per window, and the alpha column's edge
-sum; it never indexes the window, and that record is all it rests on.  Any
-other window takes the full path: the full corner-to-corner search and the
-line search over the whole span.  The last tests pin both, by recording
-the searches certificates make and the index builds after them.
+the record numbers by arithmetic (``_tiled_graph._numbered``), once per
+window, and the alpha column's edge sum; it calls no constructor, never
+indexes the window, and that record is all it rests on.  Such a window's
+index, built at its first distance query, is numbered from the record too,
+reading no edge of the map.  Any other window takes the full path: the
+full corner-to-corner search and the line search over the whole span.  The
+last tests pin both, by recording the searches certificates make and the
+index builds after them.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
@@ -153,7 +157,7 @@ def test_one_function_pops_a_heap():
         for top in tree.body:
             if any(_pops_heap(node) for node in ast.walk(top)):
                 users.add((path.stem, getattr(top, "name", f"line {top.lineno}")))
-    assert users == {("tiled_surface", "_distances")}
+    assert users == {("_tiled_graph", "_distances")}
 
 
 def test_one_function_in_pants_graph_walks_a_frontier():
@@ -167,21 +171,24 @@ def test_one_function_in_pants_graph_walks_a_frontier():
     assert walkers == {"_bfs_dists"}
 
 
+TILED = ["tiled_surface.py", "_tiled_graph.py"]
+
+
 def test_tiled_surface_reads_no_vertex_set():
-    callers = sorted({func.name for func in _nodes(SRC / "tiled_surface.py")
+    callers = sorted({f"{name}: {func.name}" for name in TILED for func in _nodes(SRC / name)
                       if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
                       for node in ast.walk(func)
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                       and node.func.attr == "vertices"})
-    assert callers == [], f"tiled_surface calls .vertices() in {callers}"
+    assert callers == [], f"tiled modules call .vertices() in {callers}"
 
 
 def test_tiled_surface_defines_no_nested_function():
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-    nested = sorted({f"{func.name}.{getattr(node, 'name', 'lambda')}"
-                     for func in _nodes(SRC / "tiled_surface.py") if isinstance(func, defs[:2])
+    nested = sorted({f"{name}: {func.name}.{getattr(node, 'name', 'lambda')}"
+                     for name in TILED for func in _nodes(SRC / name) if isinstance(func, defs[:2])
                      for node in ast.walk(func) if node is not func and isinstance(node, defs)})
-    assert nested == [], f"tiled_surface defines nested functions {nested}"
+    assert nested == [], f"tiled modules define nested functions {nested}"
 
 
 def _private(name: str) -> bool:
@@ -253,10 +260,18 @@ def test_one_function_skips_a_records_init():
 
 @pytest.fixture
 def certificate_searches(monkeypatch):
-    """("line", line, source) per line search, strip or span, and ("full",
-    x, y) per full corner search that certificates make."""
+    """("strip", cols, steps) per one-row window search, ("line", line,
+    source) per line search over a span, and ("full", x, y) per full corner
+    search that certificates make.  The library's constructors are refused
+    through the module's names, so a certificate that built a window would
+    fail; the names this file imported still build them."""
     calls = []
+    strip = tiled_surface._strip_line_distance
     line, full = tiled_surface._line_distance, tiled_surface.discrete_distance
+
+    def strip_search(p, cols, steps):
+        calls.append(("strip", cols, steps))
+        return strip(p, cols, steps)
 
     def line_search(g, top, source):
         calls.append(("line", top, source))
@@ -266,8 +281,14 @@ def certificate_searches(monkeypatch):
         calls.append(("full", x, y))
         return full(t, x, y)
 
+    def refused(*args):
+        raise AssertionError("a certificate called a constructor")
+
+    monkeypatch.setattr(tiled_surface, "_strip_line_distance", strip_search)
     monkeypatch.setattr(tiled_surface, "_line_distance", line_search)
     monkeypatch.setattr(tiled_surface, "discrete_distance", full_search)
+    for name in ("build_grid", "add_diagonals", "glue_to_Rb"):
+        monkeypatch.setattr(tiled_surface, name, refused)
     return calls
 
 
@@ -277,33 +298,49 @@ BUILT = {
     "glued": glue_to_Rb,
     "glued-refined": lambda t: add_diagonals(glue_to_Rb(t)),
 }
+STEPS = {"plain": (), "refined": ("add_diagonals",), "glued": ("glue_to_Rb",),
+         "glued-refined": ("glue_to_Rb", "add_diagonals")}
 
 
 @pytest.mark.parametrize("variant", BUILT)
 def test_built_windows_take_the_one_strip_path(variant, certificate_searches):
-    # one strip searched, once, for every span, on the one-row window's own
-    # row lines 1 and 0; no full search
+    # one strip searched, once, for every span: the one-row window numbered
+    # from the record's cols and steps, with no constructor called (the
+    # names imported here are the unpatched ones); no line search over a
+    # span and no full search
     t = BUILT[variant](build_grid(1.3, 9, 7))
     for n in range(1, 8):
         assert certify_vertical_minimizing(t, n).passes
-    assert certificate_searches == [("line", 0, 1)]
+    assert certificate_searches == [("strip", 7, STEPS[variant])]
+
+
+class _UnreadMap(tiled_surface._EdgeMap):
+    """An edge map that refuses every read of its edges."""
+
+    def _refused(self, *args):
+        raise AssertionError("the edge map was read")
+
+    __getitem__ = __iter__ = __len__ = __contains__ = get = items = keys = values = _refused
 
 
 @pytest.mark.parametrize("variant", BUILT)
 def test_built_windows_certify_without_their_index(variant, monkeypatch):
     # the certificates never index the window; a later distance query builds
-    # its index once
+    # its index once, numbered from the record, reading no edge of the map
     t = BUILT[variant](build_grid(1.3, 9, 7))
     for n in range(1, 8):
         assert certify_vertical_minimizing(t, n).passes
     assert t.edges._index is None
-    builds = []
-    index = tiled_surface._index_graph
-    monkeypatch.setattr(tiled_surface, "_index_graph", lambda *a: builds.append(a) or index(*a))
+    builds, numbered = [], tiled_surface._numbered
+    monkeypatch.setattr(tiled_surface, "_numbered", lambda *a: builds.append(a) or numbered(*a))
+    monkeypatch.setattr(tiled_surface, "_index_graph", _UnreadMap._refused)
+    edges = t.edges
+    edges.__class__ = _UnreadMap
     corners = [("C", 1, 0), ("C", 8, 7), ("C", 2, 3)]
     for x, y in zip(corners, corners[1:]):
         tiled_surface.discrete_distance(t, x, y)
-    assert len(builds) == 1 and t.edges._index is not None
+    edges.__class__ = tiled_surface._EdgeMap
+    assert builds == [(t.pentagon, 9, 7, STEPS[variant])] and t.edges._index is not None
 
 
 def test_replace_copy_with_a_row_line_crossing_edge_takes_the_full_path(certificate_searches):

@@ -16,10 +16,10 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypladder import tiled_surface
+from hypladder import _tiled_graph, tiled_surface
 from hypladder.errors import (
     DegeneratePentagon,
     InconsistentEdgeLength,
@@ -42,8 +42,8 @@ from hypladder.tiled_surface import (
     discrete_distance,
     glue_to_Rb,
 )
-from hypladder.tiled_surface import (_distances, _hypotenuse, _index_graph, _line_distance,
-                                     _strip_distance)
+from hypladder._tiled_graph import _distances, _hypotenuse, _index_graph, _line_distance, _numbered
+from hypladder.tiled_surface import _strip_distance
 
 
 class TestHoledSquare:
@@ -250,7 +250,7 @@ class TestDijkstra:
     def test_caps_above_every_distance_change_no_bit(self, window, capped_dijkstra):
         g = _capped_window(window)._graph()
         sources = [g.vertex(("C", 1, 3)), g.vertex(("HM", 2, 0))]
-        full = _distances(g, sources)
+        full = _distances(g.adj, sources)
         caps = [math.nextafter(d, math.inf) for d in full]
         assert capped_dijkstra(g.adj, sources, caps=caps) == full
         assert caps == full  # used in place: each vertex ends at its distance
@@ -258,13 +258,13 @@ class TestDijkstra:
         for first in (False, True):
             caps = [math.nextafter(d, math.inf) for d in full]
             assert (capped_dijkstra(g.adj, sources, targets, caps, first)
-                    == _distances(g, sources, targets, first))
+                    == _distances(g.adj, sources, targets, first))
 
     @pytest.mark.parametrize("window", ["plain", "glued-refined"])
     def test_vertex_capped_at_or_below_its_distance_never_settles(self, window, capped_dijkstra):
         g = _capped_window(window)._graph()
         i = g.vertex(("C", 1, 3))
-        full = _distances(g, [i])
+        full = _distances(g.adj, [i])
         caps = [math.inf] * len(full)
         capped = range(1, len(full), 5)
         for k in capped:
@@ -329,8 +329,9 @@ def _capped_window(window):
     return add_diagonals(glue_to_Rb(t)) if window == "glued-refined" else t
 
 
-def _flat_pairs(flat):
-    return sorted(zip(flat[::2], flat[1::2]))
+def _hex_pairs(flat) -> list:
+    """A flat adjacency list as sorted (neighbour, length.hex()) pairs."""
+    return sorted(zip(flat[::2], map(float.hex, flat[1::2])))
 
 
 _CONSTRUCTIONS = {
@@ -344,7 +345,8 @@ _CONSTRUCTIONS = {
 
 class TestCarriedOrder:
     # each constructor hands the index its sorted vertex list, the first
-    # entry of its record on the edge map; any write to the edge map drops
+    # entry of its record on the edge map, and the index numbers the
+    # adjacency from the rest of the record; any write to the edge map drops
     # the record, and the index then sorts the ids afresh
 
     @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
@@ -356,13 +358,18 @@ class TestCarriedOrder:
     @pytest.mark.parametrize("variant", _CONSTRUCTIONS)
     @pytest.mark.parametrize("rows, cols", [(1, 1), (3, 5), (5, 9)])
     def test_index_matches_index_from_scratch(self, rows, cols, variant):
+        # numbered from the record, with no index of the edge map built, and
+        # per vertex the same neighbours as a plain-dict copy's index, with
+        # the same lengths to the bit, each once
         t = _CONSTRUCTIONS[variant](build_grid(1.2, rows, cols))
-        g = t._graph()
-        fresh = _index_graph(t.edges)
+        with mock.patch.object(tiled_surface, "_index_graph", side_effect=AssertionError):
+            g = t._graph()
+        fresh = _index_graph(dict(t.edges))
         assert g.ids is t.edges._made[0]  # the hint was taken
         assert g.ids == fresh.ids
         assert g.pos == fresh.pos
-        assert [_flat_pairs(a) for a in g.adj] == [_flat_pairs(a) for a in fresh.adj]
+        assert [_hex_pairs(a) for a in g.adj] == [_hex_pairs(a) for a in fresh.adj]
+        assert all(len(set(a[::2])) == len(a) // 2 for a in g.adj)
 
     def test_add_edge_drops_the_order(self):
         t = build_grid(1.2, 3, 3)
@@ -590,24 +597,18 @@ def test_strip_gamma_counts_one_strip(oracle_certificate, full_searches):
        cols=st.integers(1, 8), b=st.floats(0.9, 355.0))
 @settings(max_examples=150, deadline=None)
 def test_strip_window_is_every_row_strip(variant, rows, cols, b):
-    # the one-row window made as the window was is row strip k with its rows
-    # renumbered, edge for edge and length for length, and its line-to-line
-    # distance is every strip's, to the bit.  Every strip's distance is 2b in
-    # each kind of window, so only the edges show a strip window made with a
-    # step left out
+    # the one-row window that replaying the constructors makes is row strip
+    # k with its rows renumbered, edge for edge and length for length; the
+    # strip distance, which the library searches on that window numbered
+    # from the record, is the replayed window's line-to-line distance and
+    # every strip's, to the bit.  Every strip's distance is 2b in each kind
+    # of window, so only the edges show a strip window made with a step left
+    # out
     t = _CONSTRUCTIONS[variant](build_grid(b, rows, cols))
-    searched = []
-
-    def recorded(g, line, source):
-        searched.append(g)
-        return _line_distance(g, line, source)
-
-    with mock.patch.object(tiled_surface, "_line_distance", recorded):
-        s = _strip_distance(t)
+    s = _strip_distance(t)
     assert t.edges._strip is s and t.edges._index is None
-    (w,) = searched
-    window = {(w.ids[i], w.ids[j]): x
-              for i, a in enumerate(w.adj) for j, x in zip(a[::2], a[1::2]) if i < j}
+    window = dict(_CONSTRUCTIONS[variant](build_grid(b, 1, cols)).edges)
+    assert _line_distance(_index_graph(window), 0, 1).hex() == s.hex()
     g = t._graph()
     for k in range(rows):
         strip = {(_shifted(u, k), _shifted(v, k)): x for (u, v), x in t.edges.items()
@@ -732,19 +733,21 @@ class TestLineSearchCut:
         t, _ = _seeded_window(seed, variant, TestCertificateMatchesOracle.B_RANGE)
         t = dataclasses.replace(t, edges=dict(t.edges))
         searches = []
-        full = tiled_surface._distances
+        full = _tiled_graph._distances
 
-        def recorded(g, sources, targets=(), first=False):
-            dist = full(g, sources, targets, first)
+        def recorded(adj, sources, targets=(), first=False):
+            dist = full(adj, sources, targets, first)
             searches.append((sources, targets, first, list(dist)))
             return dist
 
-        monkeypatch.setattr(tiled_surface, "_distances", recorded)
+        # the line search runs in the integer layer, the corner search in
+        # tiled_surface; only the first is recorded
+        monkeypatch.setattr(_tiled_graph, "_distances", recorded)
         g = t._graph()
         for n in range(1, t.rows - 1):
             searches.clear()
             certify_vertical_minimizing(t, n)
-            sources, targets, first, uncut = searches[-1]  # the line search, after the full one
+            (sources, targets, first, uncut), = searches  # the line search
             line = max(1, (t.rows - n) // 2) + n
             assert {g.ids[k] for k in sources} == {
                 v for v in g.ids if v[0] in ("C", "HM") and v[1] == line}
@@ -1133,9 +1136,11 @@ class TestLengthChecksAtIndexing:
 
     @pytest.fixture
     def checks(self, monkeypatch):
+        # length checks by the index in the integer layer, or by tiled_surface
         calls = []
         check = tiled_surface.check_number
-        monkeypatch.setattr(tiled_surface, "check_number", lambda *a, **k: calls.append(a) or check(*a, **k))
+        for module in (tiled_surface, _tiled_graph):
+            monkeypatch.setattr(module, "check_number", lambda *a, **k: calls.append(a) or check(*a, **k))
         return calls
 
     @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
@@ -1248,7 +1253,7 @@ class TestEdgeMap:
         assert _hints(t) == (None, None, None)
         g, fresh = t._graph(), _index_graph(dict(t.edges))
         assert (g.ids, g.pos) == (fresh.ids, fresh.pos)
-        assert [_flat_pairs(a) for a in g.adj] == [_flat_pairs(a) for a in fresh.adj]
+        assert [_hex_pairs(a) for a in g.adj] == [_hex_pairs(a) for a in fresh.adj]
 
     def test_in_place_or_through_the_attribute(self):
         t = build_grid(1.2, 6, 3)
@@ -1348,9 +1353,9 @@ class TestMadeRecord:
 
     def test_constructors_record_the_window(self):
         t = build_grid(1.3, 4, 5)
-        assert t.edges._made[1:] == (t.pentagon, 4, 5)
-        made = glue_to_Rb(add_diagonals(t)).edges._made
-        assert made[1:] == (t.pentagon, 4, 5, add_diagonals, glue_to_Rb)
+        assert t.edges._made[1:] == (tuple(t.faces), t.pentagon, 4, 5)
+        u = glue_to_Rb(add_diagonals(t))
+        assert u.edges._made[1:] == (tuple(u.faces), t.pentagon, 4, 5, "add_diagonals", "glue_to_Rb")
         t.edges[("C", 0, 0), ("C", 1, 1)] = 5.0
         assert t.edges._made is None
 
@@ -1378,6 +1383,91 @@ class TestMadeRecord:
             cert = certify_vertical_minimizing(copy, n)
             assert _hex_fields(cert) == _hex_fields(oracle_certificate(copy, n))
         assert len(full_searches) == copy.rows - 2
+
+
+@given(variant=st.sampled_from(sorted(_CONSTRUCTIONS)), rows=st.integers(1, 9),
+       cols=st.integers(1, 9), b=st.floats(math.asinh(1.0), 3.0, exclude_min=True))
+@example(variant="glued-refined", rows=2, cols=4, b=355.0)
+@example(variant="refined-glued", rows=3, cols=5, b=354.9)
+@settings(max_examples=150, deadline=None)
+def test_numbered_window_is_the_plain_dict_index(variant, rows, cols, b):
+    # the adjacency numbered from the record, per vertex, is the index of a
+    # plain-dict copy: the same neighbours with the same lengths to the bit,
+    # and no entry twice (the strip distance against the replayed one-row
+    # window: test_strip_window_is_every_row_strip)
+    t = _CONSTRUCTIONS[variant](build_grid(b, rows, cols))
+    made = t.edges._made
+    adj = _numbered(t.pentagon, rows, cols, made[5:])
+    fresh = _index_graph(dict(t.edges))
+    assert fresh.ids == made[0]
+    assert [_hex_pairs(a) for a in adj] == [_hex_pairs(a) for a in fresh.adj]
+    assert all(len(set(a[::2])) == len(a) // 2 for a in adj)
+
+
+# a face whose diagonal C(1,1)-C(3,1) crosses row line 2
+_CROSSING_FACE = (("C", 1, 1), ("HM", 1, 1), ("C", 3, 1), ("HM", 3, 1), ("C", 2, 2))
+FACE_EDITS = {
+    "appended": lambda faces: faces.append(_CROSSING_FACE),
+    "replaced": lambda faces: faces.__setitem__(13, _CROSSING_FACE),
+    "removed": lambda faces: faces.pop(13),
+    "new-vertices": lambda faces: faces.append((("C", 1, 1), ("X", 0), ("C", 3, 1), ("X", 1), ("X", 2))),
+}
+AFTER_EDIT = {
+    "refined": add_diagonals,
+    "glued": glue_to_Rb,
+    "glued-refined": lambda t: add_diagonals(glue_to_Rb(t)),
+    "refined-glued": lambda t: glue_to_Rb(add_diagonals(t)),
+}
+
+
+class TestFacesUnderTheRecord:
+    # the record keeps the constructors' faces, and add_diagonals and
+    # glue_to_Rb extend it only while a window's faces are still those: a
+    # hand edit of faces costs the next window its record, so it takes the
+    # full path on its own edge map and answers as its plain-dict copy does
+
+    @pytest.mark.parametrize("steps", AFTER_EDIT)
+    @pytest.mark.parametrize("edit", FACE_EDITS)
+    def test_edited_faces_answer_as_the_plain_dict_copy(self, edit, steps, oracle_certificate):
+        t = build_grid(1.2, 5, 3)
+        FACE_EDITS[edit](t.faces)
+        u = AFTER_EDIT[steps](t)
+        assert u.edges._made is None
+        plain = dataclasses.replace(u, edges=dict(u.edges))
+        for n in range(1, 4):
+            cert = certify_vertical_minimizing(u, n)
+            assert _hex_fields(cert) == _hex_fields(certify_vertical_minimizing(plain, n))
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(u, n))
+        corners = [("C", r, c) for r in range(6) for c in range(4)]
+        for x, y in zip(corners, corners[7:]):
+            assert discrete_distance(u, x, y).hex() == discrete_distance(plain, x, y).hex()
+        assert dijkstra(u, [("C", 1, 1)]) == dijkstra(plain, [("C", 1, 1)])
+        assert u.genus() == plain.genus()
+
+    def test_appended_face_across_a_row_line(self):
+        # an appended face's diagonal joins C(1,1) and C(3,1) across row
+        # line 2: 1.856 apart, so no span over line 2 is minimizing
+        t = build_grid(1.2, 5, 3)
+        t.faces.append(_CROSSING_FACE)
+        u = add_diagonals(t)
+        d = discrete_distance(u, ("C", 1, 1), ("C", 3, 1))
+        assert d == pytest.approx(1.856, abs=1e-3) and d < 4.8
+        assert not certify_vertical_minimizing(u, 2).passes
+
+    @pytest.mark.parametrize("steps", AFTER_EDIT)
+    def test_unedited_faces_keep_the_record(self, steps):
+        # a face list copied, or a face replaced by an equal tuple, is still
+        # the constructors' faces
+        t = build_grid(1.2, 5, 3)
+        t.faces = list(t.faces)
+        t.faces[13] = tuple(t.faces[13])
+        assert AFTER_EDIT[steps](t).edges._made is not None
+
+    def test_edit_after_a_step_drops_the_next(self):
+        u = glue_to_Rb(build_grid(1.2, 5, 4))
+        u.faces.pop()
+        assert u.edges._made is not None  # its own edges are still the constructors'
+        assert add_diagonals(u).edges._made is None
 
 
 class TestMalformedInput:
@@ -1432,14 +1522,17 @@ def workload_jobs():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", range(44, 54))
-def test_workload_certificates_match_the_oracle(seed, workload_jobs, oracle_certificate):
+def test_workload_certificates_match_the_oracle(seed, workload_jobs, oracle_certificate,
+                                                oracle_window):
     # every certificate of every window of the seed's job list at every n:
     # plain, refined and glued, each field as float.hex against the full
-    # searches; 6,250 certificates over the ten seeds
+    # searches on a plain-dict copy, whose copy and row lines are made once
+    # per window; 6,250 certificates over the ten seeds
     for k, job in enumerate(workload_jobs[seed]):
         m = job["m"]
         t = WINDOW_KINDS[job["kind"]](build_grid(job["b"], m, m))
+        window = oracle_window(t)
         for n in range(1, m - 1):
             cert = certify_vertical_minimizing(t, n)
             assert cert.passes, (k, n)
-            assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n)), (k, n)
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n, window)), (k, n)
