@@ -85,10 +85,13 @@ def _diagonals(p) -> list:
     return [_hypotenuse(sides[i], sides[(i + 1) % 5]) for i in range(5)]
 
 
-def _numbered(p, rows: int, cols: int, steps) -> list:
-    """Flat adjacency (see ``_GraphIndex``) of the window that
-    ``build_grid(p.b, rows, cols)`` and then ``steps``, the names of
-    ``add_diagonals`` and ``glue_to_Rb``, make, numbered as the record's
+def _numbered(p, rows: int, cols: int, steps) -> tuple:
+    """(vertex numbers, flat adjacency (see ``_GraphIndex``)) of the window
+    that ``build_grid(p.b, rows, cols)`` and then ``steps``, the names of
+    ``add_diagonals`` and ``glue_to_Rb``, make.  The numbers are one list,
+    ``range`` of the vertex count, from which every entry takes its int, so
+    each vertex's number is one object, which an index's ``pos`` shares.
+    The vertices are numbered as the record's
     sorted vertex list: corners row by row; hole corners cell by cell,
     E < N < S < W, and in a glued window only the representatives, those
     of the even columns, which a cell in an odd column takes with E and W
@@ -113,17 +116,20 @@ def _numbered(p, rows: int, cols: int, steps) -> list:
     hole = w * (rows + 1)
     hm = hole + 4 * rows * cells
     vm = hm + (rows + 1) * cols
-    adj = [[] for _ in range(vm + rows * w)]
-    for r in range(rows):
-        for c in range(cols):
-            c00 = r * w + c
-            c01, c10, c11 = c00 + 1, c00 + w, c00 + w + 1
-            h0 = hm + r * cols + c
-            v0 = vm + r * w + c
-            h1, v1 = h0 + cols, v0 + 1
+    nums = list(range(vm + rows * w))
+    adj = [[] for _ in nums]
+    for r in range(rows):  # each row's numbers as slices of nums, then each cell's from them
+        i, j, k = r * w, hm + r * cols, hole + 4 * r * cells
+        top, bottom, vms = nums[i:i + w], nums[i + w:i + 2 * w], nums[vm + i:vm + i + w]
+        htop, hbottom, quads = nums[j:j + cols], nums[j + cols:j + 2 * cols], nums[k:k + 4 * cells]
+        for c, c00, c01, c10, c11, h0, h1, v0, v1 in zip(range(cols), top, top[1:], bottom, bottom[1:],
+                                                         htop, hbottom, vms, vms[1:]):
             odd = glued and c % 2
-            k = hole + 4 * (r * cells + (c // 2 if glued else c))
-            e, n, s, x = (k + 3, k + 1, k + 2, k) if odd else (k, k + 1, k + 2, k + 3)  # x: the W corner
+            k = 4 * (c >> 1 if glued else c)
+            if odd:  # x: the W corner
+                x, n, s, e = quads[k:k + 4]
+            else:
+                e, n, s, x = quads[k:k + 4]
             adj[h0] += c00, pb, c01, pb, n, pa
             adj[h1] += s, pa
             adj[v1] += e, pa
@@ -164,11 +170,11 @@ def _numbered(p, rows: int, cols: int, steps) -> list:
                     adj[n] += v1, d2, c01, d4, c00, d1, v0, d3
                     adj[s] += c11, d1, v1, d3, v0, d2, c10, d4
                     adj[x] += c10, d1, h1, d3, h0, d2, c00, d4
-        c01, v1 = r * w + cols, vm + r * w + cols  # the right side of the last column
-        adj[v1] += c01, pb, c01 + w, pb
+        c01, c11, v1 = top[cols], bottom[cols], vms[cols]  # the right side of the last column
+        adj[v1] += c01, pb, c11, pb
         adj[c01] += v1, pb
-        adj[c01 + w] += v1, pb
-    return adj
+        adj[c11] += v1, pb
+    return nums, adj
 
 
 def _distances(adj: list, sources, targets=(), first=False) -> list:
@@ -231,7 +237,7 @@ def _strip_line_distance(p, cols: int, steps) -> float:
     arithmetic: corners 0..cols lie on line 0 and the next cols + 1 on line
     1; the horizontal midpoints, cols per line, come just before the
     cols + 1 vertical midpoints that end the numbering."""
-    adj = _numbered(p, 1, cols, steps)
+    adj = _numbered(p, 1, cols, steps)[1]
     w = cols + 1
     hm = len(adj) - 2 * cols - w
     return _nearest(adj, [*range(w, 2 * w), *range(hm + cols, hm + 2 * cols)],

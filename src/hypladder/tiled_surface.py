@@ -25,9 +25,10 @@ and steps describe their window fully, so the integer layer
 (``_tiled_graph``) numbers its graph, and the one-row window's, by
 arithmetic, building no vertex tuple and looking none up.  The map drops
 the record, with the index and the strip distance, on any write, and the
-steps keep it only while the faces are the constructors'; so distances,
-certificates and the topology see every edit, and the index checks each
-length of any other window once (see ``TiledComplex``).
+steps keep it only while the faces, pentagon, rows and cols are the
+record's; so distances, certificates and the topology see every edit, and
+the index checks each length of any other window once (see
+``TiledComplex``).
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class _EdgeMap(dict):
     tuple, pentagon, rows, cols, *steps), the steps being the names of
     ``add_diagonals`` and ``glue_to_Rb`` in the order they ran.  The
     constructors write through ``dict``'s own methods and set the record
-    after, and a step extends it only while the complex's faces are still
-    the recorded ones, so it marks a window that they made, unwritten since,
+    after, and a step extends it only while the complex's faces, pentagon,
+    rows and cols are still the recorded ones (see ``_record``), so it marks a window that they made, unwritten since,
     whose edges are those that ``_tiled_graph._numbered`` numbers from the
     record and each of whose row strips is, rows renumbered, the one-row
     window that it numbers, with the same lengths.  It keeps no reference
@@ -94,7 +95,8 @@ class TiledComplex:
     also dropped on a write, a record of how they made the window: the
     sorted vertex list and the faces, then the pentagon, rows, cols and
     steps, which the certificates check against the complex's fields.  A
-    step run on a complex whose faces were edited since leaves no record.
+    step run on a complex whose faces were edited since, or whose pentagon,
+    rows or cols differ from the record's, leaves no record.
     With the record the index takes the list as its ids and its adjacency
     from ``_numbered``, reading no edge and checking no length; without it,
     it refuses each length that is no positive finite number (a bool is
@@ -133,10 +135,12 @@ class TiledComplex:
 
     def _graph(self) -> _GraphIndex:
         edges = self.edges
-        if edges._index is None:
-            made = edges._made
-            edges._index = _index_graph(edges) if not made else _GraphIndex(
-                made[0], dict(zip(made[0], range(len(made[0])))), _numbered(*made[2:5], made[5:]))
+        made = edges._made
+        if edges._index is None and made:
+            nums, adj = _numbered(*made[2:5], made[5:])
+            edges._index = _GraphIndex(made[0], dict(zip(made[0], nums)), adj)
+        elif edges._index is None:
+            edges._index = _index_graph(edges)
         return edges._index
 
     def alpha_column(self) -> int:
@@ -280,11 +284,11 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     Only the edges at a glued-away hole corner are rewritten in the copied
     edge map, each checked as ``add_edge`` checks it.  Gluing pairs holes
     within a row, the same columns in every row, so each row strip is the
-    one-row window glued the same way.  While ``t.faces`` are the faces of
-    the edge map's record, the copy's record is that record with the
-    glued-away hole corners left out, the glued faces and the step (see
-    ``certify_vertical_minimizing``); a complex whose faces were edited
-    gives a copy without one.
+    one-row window glued the same way.  While the edge map's record still
+    describes ``t`` (see ``_record``), the copy's record is that record with
+    the glued-away hole corners left out, the glued faces and the step (see
+    ``certify_vertical_minimizing``); any other complex gives a copy
+    without one.
     """
     rep, pairs = {}, []
     for r in range(t.rows):
@@ -303,10 +307,20 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
             _merge(edges, (u, v) if u <= v else (v, u), w)
     faces = [(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
              for a, b, c, d, e in t.faces]
-    made = t.edges._made
-    if made and tuple(t.faces) == made[1]:
+    made = _record(t)
+    if made:
         edges._made = ([v for v in made[0] if v not in rep], tuple(faces), *made[2:], "glue_to_Rb")
     return replace(t, edges=edges, faces=faces, glued_pairs=tuple(pairs))
+
+
+def _record(t: TiledComplex):
+    """The record on ``t.edges`` while it still describes ``t``, its faces,
+    pentagon, rows and cols being the complex's, else None.  The steps
+    write from these fields (the diagonals from the pentagon, the glued
+    pairs from rows and cols, both over the faces), so only then is the
+    window they make the record's with their step added."""
+    made = t.edges._made
+    return made if made and made[1:5] == (tuple(t.faces), t.pentagon, t.rows, t.cols) else None
 
 
 def _merge(edges: _EdgeMap, key, length: float) -> None:
@@ -452,9 +466,9 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
     The diagonals go straight into a copy of ``t.edges``, checked as
     ``add_edge`` checks, each length once; every face gets the same five
     lengths, so each row strip is the one-row window refined the same way.
-    While ``t.faces`` are the faces of the edge map's record, the step is
-    added to the copy's record (see ``certify_vertical_minimizing``); a
-    complex whose faces were edited gives a copy without one."""
+    While the edge map's record still describes ``t`` (see ``_record``), the
+    step is added to the copy's record (see ``certify_vertical_minimizing``);
+    any other complex gives a copy without one."""
     diag = [(i, (i + 2) % 5, length) for i, length in enumerate(_diagonals(t.pentagon))]
     for _, _, length in diag:
         check_number("edge length", length)
@@ -466,8 +480,8 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
             if put(edges, key, length) is not length:  # the key was there
                 _merge(edges, key, length)
     # diagonals join corners of one face, so the vertices and faces stay the same
-    made = t.edges._made
-    if made and tuple(t.faces) == made[1]:
+    made = _record(t)
+    if made:
         edges._made = (*made, "add_diagonals")
     return replace(t, edges=edges, faces=list(t.faces), refined=True)
 

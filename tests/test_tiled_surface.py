@@ -1384,6 +1384,31 @@ class TestMadeRecord:
             assert _hex_fields(cert) == _hex_fields(oracle_certificate(copy, n))
         assert len(full_searches) == copy.rows - 2
 
+    @pytest.mark.parametrize("steps", ["refined", "glued", "glued-refined", "refined-glued"])
+    @pytest.mark.parametrize("fields", [{"rows": 7}, {"cols": 3}, {"rows": 5, "cols": 4},
+                                        {"pentagon": solve_pentagon(1.1)}],
+                             ids=["rows", "cols", "rows-cols", "pentagon"])
+    def test_steps_on_a_copy_with_other_fields_leave_no_record(self, steps, fields, oracle_certificate):
+        # a step writes from the copy's own pentagon, rows and cols (the
+        # diagonals of another pentagon, or fewer holes glued), so the edges
+        # it leaves are no longer the record's window: the index and every
+        # answer are a plain-dict copy's
+        u = _CONSTRUCTIONS[steps](dataclasses.replace(build_grid(1.3, 9, 7), **fields))
+        assert u.edges._made is None
+        plain = dataclasses.replace(u, edges=dict(u.edges))
+        g, fresh = u._graph(), _index_graph(dict(u.edges))
+        assert g.ids == fresh.ids
+        assert [_hex_pairs(a) for a in g.adj] == [_hex_pairs(a) for a in fresh.adj]
+        for n in range(1, u.rows - 1):
+            cert = certify_vertical_minimizing(u, n)
+            assert _hex_fields(cert) == _hex_fields(certify_vertical_minimizing(plain, n))
+            assert _hex_fields(cert) == _hex_fields(oracle_certificate(u, n))
+        corners = [("C", r, c) for r in range(u.rows + 1) for c in range(u.cols + 1)]
+        for x, y in zip(corners, corners[u.cols + 2:]):
+            assert discrete_distance(u, x, y).hex() == discrete_distance(plain, x, y).hex()
+        assert dijkstra(u, [("C", 1, 1)]) == dijkstra(plain, [("C", 1, 1)])
+        assert u.genus() == plain.genus()
+
 
 @given(variant=st.sampled_from(sorted(_CONSTRUCTIONS)), rows=st.integers(1, 9),
        cols=st.integers(1, 9), b=st.floats(math.asinh(1.0), 3.0, exclude_min=True))
@@ -1397,11 +1422,16 @@ def test_numbered_window_is_the_plain_dict_index(variant, rows, cols, b):
     # window: test_strip_window_is_every_row_strip)
     t = _CONSTRUCTIONS[variant](build_grid(b, rows, cols))
     made = t.edges._made
-    adj = _numbered(t.pentagon, rows, cols, made[5:])
+    nums, adj = _numbered(t.pentagon, rows, cols, made[5:])
     fresh = _index_graph(dict(t.edges))
     assert fresh.ids == made[0]
     assert [_hex_pairs(a) for a in adj] == [_hex_pairs(a) for a in fresh.adj]
     assert all(len(set(a[::2])) == len(a) // 2 for a in adj)
+    # one int object per vertex, shared by every entry and the index's pos
+    assert nums == list(range(len(adj)))
+    assert all(j is nums[j] for a in adj for j in a[::2])
+    g = t._graph()
+    assert all(j is g.pos[g.ids[j]] for a in g.adj for j in a[::2])
 
 
 # a face whose diagonal C(1,1)-C(3,1) crosses row line 2
