@@ -64,10 +64,11 @@ class _EdgeMap(dict):
     ``add_diagonals`` and ``glue_to_Rb`` in the order they ran.  The
     constructors write through ``dict``'s own methods and set the record
     after, and a step extends it only while the complex's faces, pentagon,
-    rows and cols are still the recorded ones (see ``_record``), so it marks a window that they made, unwritten since,
-    whose edges are those that ``_tiled_graph._numbered`` numbers from the
-    record and each of whose row strips is, rows renumbered, the one-row
-    window that it numbers, with the same lengths.  It keeps no reference
+    rows and cols are still the recorded ones (see ``_record``), so it
+    marks a window that they made, unwritten since, whose edges are those
+    that ``_tiled_graph._numbered`` numbers from the record and each of
+    whose row strips is, rows renumbered, the one-row window that it
+    numbers, with the same lengths.  It keeps no reference
     to its complex, so a complex is freed without waiting for the cycle
     collector.  All three are instance attributes, not ``__slots__``, so
     the map pickles with every protocol."""
@@ -135,12 +136,13 @@ class TiledComplex:
 
     def _graph(self) -> _GraphIndex:
         edges = self.edges
-        made = edges._made
-        if edges._index is None and made:
-            nums, adj = _numbered(*made[2:5], made[5:])
-            edges._index = _GraphIndex(made[0], dict(zip(made[0], nums)), adj)
-        elif edges._index is None:
-            edges._index = _index_graph(edges)
+        if edges._index is None:
+            made = edges._made
+            if made:
+                nums, adj = _numbered(*made[2:5], made[5:])
+                edges._index = _GraphIndex(made[0], dict(zip(made[0], nums)), adj)
+            else:
+                edges._index = _index_graph(edges)
         return edges._index
 
     def alpha_column(self) -> int:
