@@ -261,6 +261,10 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
     X1 or X2 rounds to 2 or below, so every stored cuff is hyperbolic.
     """
     try:
+        cuffs = tuple(cuff_labels)
+    except TypeError:  # no iterable
+        raise InconsistentInput(f"cuff labels must be an iterable, got {cuff_labels!r}") from None
+    try:
         l1, l2, l3 = lengths
     except (TypeError, ValueError):  # no sequence, or not three entries long
         raise InconsistentInput(f"cuff lengths must be three numbers, got {lengths!r}") from None
@@ -285,7 +289,7 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
             f"pants holonomy of cuffs {tuple(lengths)} breaks down in floating point: {exc}"
         ) from None
     return PantsHolonomy(
-        cuffs=tuple(cuff_labels),
+        cuffs=cuffs,
         lengths=(l1, l2, l3),
         matrices=(_map(x1), _map(x2), X3),
         normalizers=(_IDENTITY, N2, N3),

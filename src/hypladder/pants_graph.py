@@ -34,6 +34,7 @@ from itertools import permutations
 
 from .errors import (
     ComplexityTooLarge,
+    InconsistentInput,
     NegativeSurface,
     NotTrivalent,
     UnknownVertex,
@@ -48,6 +49,10 @@ COMPLEXITY_CAP = 4
 
 
 def xi(g: int, b: int) -> int:
+    """Complexity 3g - 3 + b of S_{g,b}: its number of pants curves.  The
+    genus and boundary count must be ints >= 0 (``NegativeSurface``)."""
+    check_int("genus", g, 0, NegativeSurface)
+    check_int("boundary count", b, 0, NegativeSurface)
     return 3 * g - 3 + b
 
 
@@ -198,8 +203,12 @@ def canonical_key(g: TrivalentGraph) -> tuple:
 
 
 def from_key(key: tuple) -> TrivalentGraph:
-    n, edges, half, _ = key
-    return TrivalentGraph(n, edges, half)
+    """The graph of a canonical key (n, edges, half, decoration), checked as
+    ``TrivalentGraph`` checks it; a key that is no 4-tuple raises
+    ``InconsistentInput``."""
+    if not (isinstance(key, tuple) and len(key) == 4):
+        raise InconsistentInput(f"a pants key must be a 4-tuple (n, edges, half, decoration), got {key!r}")
+    return TrivalentGraph(*key[:3])
 
 
 def _stored(key: tuple) -> TrivalentGraph:
@@ -240,8 +249,6 @@ def _classes(g: int, b: int) -> _MoveTable:
     breadth-first walk over elementary moves from ``_seed(g, b)``.  The
     pants graph is connected, so the walk reaches every class.  The surface
     must be one of complexity 1 to ``COMPLEXITY_CAP``."""
-    check_int("genus", g, 0, NegativeSurface)
-    check_int("boundary count", b, 0, NegativeSurface)
     x = xi(g, b)
     if x < 1:
         raise ComplexityTooLarge(f"surface ({g},{b}) has complexity {x} < 1: no cuffs to decompose")

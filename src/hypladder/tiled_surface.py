@@ -19,16 +19,18 @@ Every row strip of a window that ``build_grid``, ``add_diagonals`` or
 ``glue_to_Rb`` made is the one-row window that the same constructors make,
 with its rows renumbered and the same lengths, so that window's search
 certifies every span without indexing the window (see
-``certify_vertical_minimizing``).  The constructors check each length as
-they write it and leave a record on the edge map: the pentagon, rows, cols
-and steps describe their window fully, so the integer layer
+``certify_vertical_minimizing``), and that window's faces give the
+topology: the Euler characteristic and the boundary count add over the
+strips, which meet in row lines, so ``genus()`` neither indexes the window
+nor scans its faces (see ``_topology``).  The constructors check each length
+as they write it and leave a record on the edge map: the pentagon, rows,
+cols and steps describe their window fully, so the integer layer
 (``_tiled_graph``) numbers its graph, and the one-row window's, by
-arithmetic, building no vertex tuple and looking none up.  The map drops
-the record, with the index and the strip distance, on any write, and the
-steps keep it only while the faces, pentagon, rows and cols are the
-record's; so distances, certificates and the topology see every edit, and
-the index checks each length of any other window once (see
-``TiledComplex``).
+arithmetic, building no vertex tuple and looking none up.  The map drops the
+record, with the index and the strip distance, on any write, and the steps
+keep it only while the faces, pentagon, rows and cols are the record's; so
+distances, certificates and the topology see every edit, and the index
+checks each length of any other window once (see ``TiledComplex``).
 """
 
 from __future__ import annotations
@@ -88,14 +90,17 @@ class TiledComplex:
     ``build_grid`` makes one tuple per vertex, which the faces and the edge
     keys share, and writes each pentagon side once.
 
-    Distance queries and the topology (``genus()`` too) share one integer
-    index of the graph, built on the first query and kept on ``edges``,
-    which drops it on any write: through ``add_edge`` or straight into the
-    map, before or after a query.  ``build_grid``, ``add_diagonals`` and
-    ``glue_to_Rb`` check each length as they write it, and leave on the map,
-    also dropped on a write, a record of how they made the window: the
-    sorted vertex list and the faces, then the pentagon, rows, cols and
-    steps, which the certificates check against the complex's fields.  A
+    Distance queries share one integer index of the graph, built on the
+    first query and kept on ``edges``, which drops it on any write: through
+    ``add_edge`` or straight into the map, before or after a query.  The
+    topology (``genus()`` too) is counted on that index, but for a window
+    that the constructors' record still describes, whose counts come from
+    the faces of its one-row window (see ``_topology``).  ``build_grid``,
+    ``add_diagonals`` and ``glue_to_Rb`` check each length as they write
+    it, and leave on the map, also dropped on a write, a record of how they
+    made the window: the sorted vertex list and the faces, then the
+    pentagon, rows, cols and steps, which the certificates and the topology
+    check against the complex's fields.  A
     step run on a complex whose faces were edited since, or whose pentagon,
     rows or cols differ from the record's, leaves no record.
     With the record the index takes the list as its ids and its adjacency
@@ -151,7 +156,7 @@ class TiledComplex:
     def alpha_corner(self, row_line: int):
         return ("C", row_line, self.alpha_column())
 
-    # -- topology: on the index's vertex numbers (see ``_topology``) ---------
+    # -- topology: from the one-row window, or on the index (see ``_topology``)
 
     def euler_characteristic(self) -> int:
         return _topology(self)[0]
@@ -181,14 +186,38 @@ def _odd_sides(faces: list, num: dict) -> tuple:
 
 
 def _topology(t: TiledComplex) -> tuple:
-    """(Euler characteristic, boundary components) of ``t``'s faces.  V
-    counts the face vertices and E the face sides: an edge that is no side
-    (a diagonal, or one to a vertex on no face) is no part of the surface.
-    Sides are numbered on the index's ids, then each face vertex that no
-    edge touches.  A side on k faces is (k + k % 2) / 2 edges, k % 2 of them
-    on the boundary (a glued pair's two ``a`` edges at their shared midpoint
+    """(Euler characteristic, boundary components) of ``t``'s faces.
+
+    While the constructors' record still describes ``t`` (see ``_record``)
+    and ``t`` has more than one row, its counts come from its one-row
+    window: chi_1 and beta_1, counted as below on the faces of
+    ``build_grid(t.b, 1, t.cols)``, glued if the record has that step
+    (diagonals change no face, so that step is not replayed), give
+    rows * chi_1 - (rows - 1) and rows * beta_1 - (rows - 1).  Proof: row
+    strip k of ``t`` is that window with its rows renumbered (see
+    ``certify_vertical_minimizing``), and strips k and k + 1 meet in row
+    line k + 1 alone: an arc, chi = 1, on the outer boundary circle of
+    each.  Join the strips in order.  By chi(A u B) = chi(A) + chi(B) -
+    chi(A n B) (Hatcher, Algebraic Topology, 2.2) each join subtracts 1
+    from chi.  Each also merges two boundary circles into one: the arc's
+    sides, on one face in each strip, lie on two faces and on no boundary
+    after it, the rest of the two circles joins at the arc's ends, and the
+    next row line lies on the merged circle.  So the window's index is not
+    built and its faces are not scanned.
+
+    Any other complex is counted on its own faces.  V counts the face
+    vertices and E the face sides: an edge that is no side (a diagonal, or
+    one to a vertex on no face) is no part of the surface.  Sides are
+    numbered on the index's ids, then each face vertex that no edge
+    touches.  A side on k faces is (k + k % 2) / 2 edges, k % 2 of them on
+    the boundary (a glued pair's two ``a`` edges at their shared midpoint
     are one side on four faces).  The boundary components are the odd
     sides' ends less the merges of a union-find over them."""
+    made, rows = _record(t), t.rows
+    if made and rows > 1:
+        strip = build_grid(t.b, 1, t.cols)
+        chi, boundary = _topology(glue_to_Rb(strip) if "glue_to_Rb" in made[5:] else strip)
+        return rows * chi - (rows - 1), rows * boundary - (rows - 1)
     g, faces = t._graph(), t.faces
     num = g.pos
     try:
@@ -337,11 +366,17 @@ def _merge(edges: _EdgeMap, key, length: float) -> None:
 
 def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
     """Exact shortest-path distances from the source set; stops early when
-    all targets are settled if a non-empty target set is given."""
+    all targets are settled if a non-empty target set is given.  Sources or
+    targets that are no iterable of vertex ids raise ``InconsistentInput``."""
     g = t._graph()
     # a target missing from the complex is never settled (-1 is no vertex),
     # so the search then runs to the end
-    dist = _distances(g.adj, [g.vertex(s) for s in sources], {g.pos.get(v, -1) for v in targets or ()})
+    try:
+        starts, ends = [g.vertex(s) for s in sources], {g.pos.get(v, -1) for v in targets or ()}
+    except TypeError:  # no iterable, or an id that is no dict key
+        raise InconsistentInput(
+            f"sources and targets must be iterables of vertex ids, got {sources!r} and {targets!r}") from None
+    dist = _distances(g.adj, starts, ends)
     return {g.ids[i]: d for i, d in enumerate(dist) if d is not None}
 
 

@@ -338,6 +338,23 @@ INVALID += [
     *_refused(pg.enumerate_decompositions, lambda v: (v, 2), "genus", _sizes(0, NegativeSurface)),
     *_refused(pg.enumerate_decompositions, lambda v: (1, v), "boundary count",
               _sizes(0, NegativeSurface)),
+    # xi read None or "x" as a bare TypeError, True as 1, and -1 as a genus
+    *_refused(pg.xi, lambda v: (v, 2), "genus", _sizes(0, NegativeSurface)),
+    *_refused(pg.xi, lambda v: (1, v), "boundary count", _sizes(0, NegativeSurface)),
+]
+
+
+# plain values of the wrong kind that raised a bare TypeError or ValueError
+_KEY = "a pants key must be a 4-tuple (n, edges, half, decoration), got "
+_CUFF_LABELS = "cuff labels must be an iterable, got "
+_ENDS = "sources and targets must be iterables of vertex ids, got "
+INVALID += [
+    *[(pg.from_key, (v,), InconsistentInput, f"{_KEY}{v!r}") for v in (None, -1, True, "x", (1, (), ()))],
+    *[(fnm.pants_holonomy, (v, (1.0, 1.0, 1.0)), InconsistentInput, f"{_CUFF_LABELS}{v!r}")
+      for v in (None, True, -1)],
+    *[(ts.dijkstra, (_GRID, v), InconsistentInput, f"{_ENDS}{v!r} and None") for v in (None, True, -1)],
+    (ts.dijkstra, (_GRID, [("C", 1, 1)], -1), InconsistentInput, f"{_ENDS}[('C', 1, 1)] and -1"),
+    (ts.dijkstra, (_GRID, [["C", 1, 1]]), InconsistentInput, f"{_ENDS}[['C', 1, 1]] and None"),
 ]
 
 

@@ -41,13 +41,15 @@ index, built at its first distance query, is numbered from the record too,
 reading no edge of the map.  Any other window takes the full path: the
 full corner-to-corner search and the line search over the whole span.  The
 last tests pin both, by recording the searches certificates make and the
-index builds after them.
+index builds after them.  A built window's topology comes from the same
+one-row window, made by the constructors: ``genus()`` indexes no window,
+numbers none of more than one row, and scans the faces of one row only.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
 name of a hypladder module and no ``MobiusMap`` member that the library
 dropped, so it cannot share the library's arithmetic.  The tests other
-than the certificate-path pins only read source files.
+than the certificate-path and topology pins only read source files.
 """
 
 from __future__ import annotations
@@ -354,3 +356,22 @@ def test_replace_copy_with_a_row_line_crossing_edge_takes_the_full_path(certific
         assert certificate_searches[-2:] == [("full", ("C", r0, 3), ("C", r0 + n, 3)),
                                              ("line", r0, r0 + n)]
     assert len(certificate_searches) == 14
+
+
+@pytest.mark.parametrize("variant", [*BUILT, "refined-glued"])
+def test_built_windows_count_their_topology_on_one_strip(variant, monkeypatch):
+    # genus() of a built window indexes no window and numbers none of more
+    # than one row: the parity scan reads the faces of one row, the one-row
+    # window's, whose index the record numbers
+    make = BUILT.get(variant, lambda t: glue_to_Rb(add_diagonals(t)))
+    t = make(build_grid(1.3, 9, 7))
+    numbered, odd_sides = tiled_surface._numbered, tiled_surface._odd_sides
+    rows, faces_read = [], []
+    monkeypatch.setattr(tiled_surface, "_index_graph", _UnreadMap._refused)
+    monkeypatch.setattr(tiled_surface, "_numbered",
+                        lambda p, r, c, steps: rows.append(r) or numbered(p, r, c, steps))
+    monkeypatch.setattr(tiled_surface, "_odd_sides",
+                        lambda faces, num: faces_read.append(len(faces)) or odd_sides(faces, num))
+    assert t.genus() == (0 if "glued" not in variant else 9 * 3)
+    assert rows == [1] and faces_read == [4 * 7]
+    assert t.edges._index is None

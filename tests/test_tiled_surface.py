@@ -1500,6 +1500,69 @@ class TestFacesUnderTheRecord:
         assert add_diagonals(u).edges._made is None
 
 
+def _general_topology(t, monkeypatch) -> tuple:
+    """``_library_topology(t)``, asserting that it counts on ``t``'s own
+    faces: every ``_odd_sides`` call reads all of them, and no constructor
+    replays a strip."""
+    rows_read = []
+    odd_sides = tiled_surface._odd_sides
+    with monkeypatch.context() as mp:
+        mp.setattr(tiled_surface, "_odd_sides", lambda faces, num: rows_read.append(len(faces))
+                   or odd_sides(faces, num))
+        mp.setattr(tiled_surface, "build_grid", mock.Mock(side_effect=AssertionError("a strip was built")))
+        got = _library_topology(t)
+    assert rows_read and set(rows_read) == {len(t.faces)}
+    return got
+
+
+class TestTopologyFromTheStrip:
+    # a built window's chi and boundary count come from its one-row window:
+    # rows * chi_1 - (rows - 1) and rows * beta_1 - (rows - 1); any other
+    # window is counted on its own faces
+
+    @pytest.mark.parametrize("rows", range(1, 10))
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    def test_every_built_window(self, kind, rows, oracle_topology, monkeypatch):
+        for cols in range(1, 10):
+            t = WINDOW_KINDS[kind](build_grid(1.2, rows, cols))
+            assert t.edges._made is not None
+            want = _general_topology(dataclasses.replace(t, edges=dict(t.edges)), monkeypatch)
+            assert _library_topology(t) == want == oracle_topology(t)
+            if rows > 1:
+                assert t.edges._index is None  # the window was not indexed
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    @pytest.mark.parametrize("edit", FACE_EDITS)
+    def test_edited_faces_take_the_general_path(self, edit, kind, oracle_topology, monkeypatch):
+        # an edit of faces before the steps, or after them, leaves the edge
+        # map's record in place but no longer describing the complex
+        for edited_first in (True, False):
+            t = build_grid(1.2, 5, 3)
+            if edited_first:
+                FACE_EDITS[edit](t.faces)
+            u = WINDOW_KINDS[kind](t)
+            if not edited_first:
+                FACE_EDITS[edit](u.faces)
+            plain = dataclasses.replace(u, edges=dict(u.edges))
+            assert _general_topology(u, monkeypatch) == _general_topology(plain, monkeypatch)
+            assert _library_topology(u) == oracle_topology(u)
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    @pytest.mark.parametrize("fields", [{"rows": 7}, {"rows": 20}, {"cols": 3}, {"cols": 30},
+                                        {"rows": 5, "cols": 4}, {"pentagon": solve_pentagon(1.1)}],
+                             ids=["rows", "more-rows", "cols", "more-cols", "rows-cols", "pentagon"])
+    def test_copy_with_other_fields_takes_the_general_path(self, kind, fields, oracle_topology,
+                                                            monkeypatch):
+        # the copy keeps the 9 x 7 window's edge map, record and faces: its
+        # topology is theirs, not that of a window of its own size
+        t = WINDOW_KINDS[kind](build_grid(1.3, 9, 7))
+        kept = dataclasses.replace(t, **fields)
+        assert kept.edges._made is not None
+        plain = dataclasses.replace(kept, edges=dict(kept.edges))
+        assert _general_topology(kept, monkeypatch) == _general_topology(plain, monkeypatch)
+        assert _library_topology(kept) == oracle_topology(kept) == _library_topology(t)
+
+
 class TestMalformedInput:
     # a face that is no 5-tuple, or an edge key that is no vertex pair, is
     # refused as a library error, not a bare Python one
