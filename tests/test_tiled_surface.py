@@ -1504,14 +1504,14 @@ def _general_topology(t, monkeypatch) -> tuple:
     """``_library_topology(t)``, asserting that it counts on ``t``'s own
     faces: every ``_odd_sides`` call reads all of them, and no constructor
     replays a strip."""
-    rows_read = []
+    faces_read = []
     odd_sides = tiled_surface._odd_sides
     with monkeypatch.context() as mp:
-        mp.setattr(tiled_surface, "_odd_sides", lambda faces, num: rows_read.append(len(faces))
+        mp.setattr(tiled_surface, "_odd_sides", lambda faces, num: faces_read.append(len(faces))
                    or odd_sides(faces, num))
         mp.setattr(tiled_surface, "build_grid", mock.Mock(side_effect=AssertionError("a strip was built")))
         got = _library_topology(t)
-    assert rows_read and set(rows_read) == {len(t.faces)}
+    assert faces_read and set(faces_read) == {len(t.faces)}
     return got
 
 
