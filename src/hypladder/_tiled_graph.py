@@ -22,9 +22,10 @@ class _GraphIndex(_Record):
     Vertex i is ids[i]; ids are sorted, so the order of the ints is the order
     of the ids and heap ties break as they would on the ids themselves.
     adj[i] is flat, [j0, length0, j1, length1, ...] over the edges at i, so
-    no tuple is made per edge.  Only distance queries and the topology build
-    an index of a window: from its edge map (see ``_index_graph``), or, for
-    a window the constructors made, from their record (see ``_numbered``).
+    no tuple is made per edge.  Only distance queries, and the topology of a
+    window that the constructors' record does not describe, build an index
+    of a window: from its edge map (see ``_index_graph``), or, for a window
+    the record describes, from the record (see ``_numbered``).
     A record on ``errors._Record``, so making the class at import costs no
     generated code.
     """

@@ -264,6 +264,8 @@ def pants_holonomy(cuff_labels, lengths) -> PantsHolonomy:
         cuffs = tuple(cuff_labels)
     except TypeError:  # no iterable
         raise InconsistentInput(f"cuff labels must be an iterable, got {cuff_labels!r}") from None
+    if len(cuffs) != 3:
+        raise InconsistentInput(f"cuff labels must be three, got {cuff_labels!r}")
     try:
         l1, l2, l3 = lengths
     except (TypeError, ValueError):  # no sequence, or not three entries long

@@ -19,18 +19,17 @@ Every row strip of a window that ``build_grid``, ``add_diagonals`` or
 ``glue_to_Rb`` made is the one-row window that the same constructors make,
 with its rows renumbered and the same lengths, so that window's search
 certifies every span without indexing the window (see
-``certify_vertical_minimizing``), and that window's faces give the
-topology: the Euler characteristic and the boundary count add over the
-strips, which meet in row lines, so ``genus()`` neither indexes the window
-nor scans its faces (see ``_topology``).  The constructors check each length
-as they write it and leave a record on the edge map: the pentagon, rows,
-cols and steps describe their window fully, so the integer layer
-(``_tiled_graph``) numbers its graph, and the one-row window's, by
-arithmetic, building no vertex tuple and looking none up.  The map drops the
-record, with the index and the strip distance, on any write, and the steps
-keep it only while the faces, pentagon, rows and cols are the record's; so
-distances, certificates and the topology see every edit, and the index
-checks each length of any other window once (see ``TiledComplex``).
+``certify_vertical_minimizing``), and row 0's faces give the topology: the
+Euler characteristic and the boundary count add over the strips, which meet
+in row lines (see ``_topology``).  The constructors check each length as
+they write it, return their faces as a tuple, and leave a record on the edge
+map: that tuple, the pentagon, rows, cols and steps, which describe their
+window fully, so the integer layer (``_tiled_graph``) numbers its graph, and
+the one-row window's, by arithmetic, building no vertex tuple and looking
+none up.  One function, ``_record``, decides whether the record still
+describes a complex; the map drops it on any write, so distances,
+certificates and the topology see every edit, and the index checks each
+length of any other window once (see ``TiledComplex``).
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ from itertools import chain, count
 
 from ._tiled_graph import (_diagonals, _distances, _GraphIndex, _index_graph, _line_distance, _numbered,
                            _strip_line_distance)
-from .errors import InconsistentEdgeLength, InconsistentInput, ScaleTooLarge, Unreachable, check_int, check_number
+from .errors import (InconsistentEdgeLength, InconsistentInput, ScaleTooLarge, Unreachable, check_int, check_number,
+                     check_record)
 from .hyp_core import PentagonSolution, solve_pentagon
 
 EDGE_TOL = 1e-12
@@ -61,19 +61,14 @@ class _EdgeMap(dict):
     """A complex's edge map: a ``dict`` whose every mutator first drops its
     cached work: the graph index ``_index``, the strip distance ``_strip``
     (see ``certify_vertical_minimizing``) and the constructors' record
-    ``_made`` of how they made the window: (sorted vertex list, faces as a
-    tuple, pentagon, rows, cols, *steps), the steps being the names of
+    ``_made`` of how they made the window: (sorted vertex list, faces tuple,
+    pentagon, rows, cols, *steps), the steps being the names of
     ``add_diagonals`` and ``glue_to_Rb`` in the order they ran.  The
     constructors write through ``dict``'s own methods and set the record
-    after, and a step extends it only while the complex's faces, pentagon,
-    rows and cols are still the recorded ones (see ``_record``), so it
-    marks a window that they made, unwritten since, whose edges are those
-    that ``_tiled_graph._numbered`` numbers from the record and each of
-    whose row strips is, rows renumbered, the one-row window that it
-    numbers, with the same lengths.  It keeps no reference
-    to its complex, so a complex is freed without waiting for the cycle
-    collector.  All three are instance attributes, not ``__slots__``, so
-    the map pickles with every protocol."""
+    after; ``_record`` decides whether it describes a complex.  It keeps no
+    reference to its complex, so a complex is freed without waiting for the
+    cycle collector.  All three are instance attributes, not ``__slots__``,
+    so the map pickles with every protocol."""
 
 
 for _name in "__init__ __setitem__ __delitem__ __ior__ update setdefault pop popitem clear".split():
@@ -92,31 +87,26 @@ class TiledComplex:
 
     Distance queries share one integer index of the graph, built on the
     first query and kept on ``edges``, which drops it on any write: through
-    ``add_edge`` or straight into the map, before or after a query.  The
-    topology (``genus()`` too) is counted on that index, but for a window
-    that the constructors' record still describes, whose counts come from
-    the faces of its one-row window (see ``_topology``).  ``build_grid``,
-    ``add_diagonals`` and ``glue_to_Rb`` check each length as they write
-    it, and leave on the map, also dropped on a write, a record of how they
-    made the window: the sorted vertex list and the faces, then the
-    pentagon, rows, cols and steps, which the certificates and the topology
-    check against the complex's fields.  A
-    step run on a complex whose faces were edited since, or whose pentagon,
-    rows or cols differ from the record's, leaves no record.
-    With the record the index takes the list as its ids and its adjacency
-    from ``_numbered``, reading no edge and checking no length; without it,
-    it refuses each length that is no positive finite number (a bool is
-    none), as Dijkstra needs, and sorts the ids, refusing ids that do not
-    compare.  A plain ``dict`` given as ``edges``, as a
-    ``dataclasses.replace`` copy or a hand-built complex gives, is copied
-    once into such a map, without the record.
+    ``add_edge`` or straight into the map, before or after a query.
+    ``build_grid``, ``add_diagonals`` and ``glue_to_Rb`` check each length
+    as they write it, return their faces as a tuple, and leave on the map a
+    record of how they made the window (see ``_EdgeMap``).  While it
+    describes the complex (see ``_record``), the index takes the record's
+    vertex list as its ids and its adjacency from ``_numbered``, reading no
+    edge and checking no length, and the topology counts row 0's faces (see
+    ``_topology``).  Otherwise the index refuses each length that is no
+    positive finite number (a bool is none), as Dijkstra needs, and sorts
+    the ids, refusing ids that do not compare.  A plain ``dict`` given as
+    ``edges``, as a ``dataclasses.replace`` copy or a hand-built complex
+    gives, is copied once into such a map, without the record.  Faces are
+    edited by a ``dataclasses.replace`` copy with other faces.
     """
 
     pentagon: PentagonSolution
     rows: int
     cols: int
     edges: dict = field(default_factory=_EdgeMap)  # sorted vertex pair -> length
-    faces: list = field(default_factory=list)  # 5-tuples in (b,b,a,c,a) order
+    faces: tuple = ()  # 5-tuples in (b,b,a,c,a) order
     glued_pairs: tuple = ()
     refined: bool = False
 
@@ -142,7 +132,7 @@ class TiledComplex:
     def _graph(self) -> _GraphIndex:
         edges = self.edges
         if edges._index is None:
-            made = edges._made
+            made = _record(self)
             if made:
                 nums, adj = _numbered(*made[2:5], made[5:])
                 edges._index = _GraphIndex(made[0], dict(zip(made[0], nums)), adj)
@@ -156,7 +146,7 @@ class TiledComplex:
     def alpha_corner(self, row_line: int):
         return ("C", row_line, self.alpha_column())
 
-    # -- topology: from the one-row window, or on the index (see ``_topology``)
+    # -- topology: on row 0's faces, or on all of them (see ``_topology``)
 
     def euler_characteristic(self) -> int:
         return _topology(self)[0]
@@ -168,13 +158,16 @@ class TiledComplex:
         return (2 - sum(_topology(self))) // 2  # 2 - 2g = chi + boundary components
 
 
-def _odd_sides(faces: list, num: dict) -> tuple:
+def _odd_sides(faces) -> tuple:
     """(sides on an odd number of the 5-gon ``faces``, number of face
-    vertices).  The faces are read as five columns of vertex numbers ``num``
-    (faces of another length are refused with ``InconsistentInput``); side
-    {i, j} is the int i * n + j, i < j, toggled in a parity set."""
-    n, odd = len(num), set()
+    vertices).  The face vertices are numbered by first appearance and the
+    faces read as five columns of those numbers (faces of another length are
+    refused with ``InconsistentInput``); side {i, j} is the int i * n + j,
+    i < j, toggled in a parity set."""
+    odd = set()
     try:
+        num = dict(zip(dict.fromkeys(chain(*faces)), count()))
+        n = len(num)
         cols = [list(map(num.__getitem__, col)) for col in zip(*faces, strict=True)]
         for a, b, c, d, e in zip(*cols):
             for i, j in ((a, b), (b, c), (c, d), (d, e), (e, a)):
@@ -182,50 +175,42 @@ def _odd_sides(faces: list, num: dict) -> tuple:
                 odd.remove(k) if k in odd else odd.add(k)
     except (TypeError, ValueError) as exc:  # a face that is no 5-tuple of ids
         raise InconsistentInput(f"faces must be 5-tuples of vertex ids: {exc}") from None
-    return odd, len(set(chain(*cols)))
+    return odd, n
 
 
 def _topology(t: TiledComplex) -> tuple:
-    """(Euler characteristic, boundary components) of ``t``'s faces.
+    """(Euler characteristic, boundary components) of ``t``'s faces, counted
+    on faces alone.
 
-    While the constructors' record still describes ``t`` (see ``_record``)
-    and ``t`` has more than one row, its counts come from its one-row
-    window: chi_1 and beta_1, counted as below on the faces of
-    ``build_grid(t.b, 1, t.cols)``, glued if the record has that step
-    (diagonals change no face, so that step is not replayed), give
-    rows * chi_1 - (rows - 1) and rows * beta_1 - (rows - 1).  Proof: row
-    strip k of ``t`` is that window with its rows renumbered (see
-    ``certify_vertical_minimizing``), and strips k and k + 1 meet in row
-    line k + 1 alone: an arc, chi = 1, on the outer boundary circle of
-    each.  Join the strips in order.  By chi(A u B) = chi(A) + chi(B) -
-    chi(A n B) (Hatcher, Algebraic Topology, 2.2) each join subtracts 1
-    from chi.  Each also merges two boundary circles into one: the arc's
-    sides, on one face in each strip, lie on two faces and on no boundary
-    after it, the rest of the two circles joins at the arc's ends, and the
-    next row line lies on the merged circle.  So the window's index is not
-    built and its faces are not scanned.
+    V counts the face vertices and E the face sides: an edge that is no side
+    (a diagonal, or one to a vertex on no face) is no part of the surface.
+    A side on k faces is (k + k % 2) / 2 edges, k % 2 of them on the
+    boundary (a glued pair's two ``a`` edges at their shared midpoint are
+    one side on four faces).  The boundary components are the odd sides'
+    ends less the merges of a union-find over them.
 
-    Any other complex is counted on its own faces.  V counts the face
-    vertices and E the face sides: an edge that is no side (a diagonal, or
-    one to a vertex on no face) is no part of the surface.  Sides are
-    numbered on the index's ids, then each face vertex that no edge
-    touches.  A side on k faces is (k + k % 2) / 2 edges, k % 2 of them on
-    the boundary (a glued pair's two ``a`` edges at their shared midpoint
-    are one side on four faces).  The boundary components are the odd
-    sides' ends less the merges of a union-find over them."""
-    made, rows = _record(t), t.rows
-    if made and rows > 1:
-        strip = build_grid(t.b, 1, t.cols)
-        chi, boundary = _topology(glue_to_Rb(strip) if "glue_to_Rb" in made[5:] else strip)
-        return rows * chi - (rows - 1), rows * boundary - (rows - 1)
-    g, faces = t._graph(), t.faces
-    num = g.pos
-    try:
-        odd, v = _odd_sides(faces, num)
-    except KeyError:
-        num = dict(zip(dict.fromkeys(chain(g.ids, *faces)), count()))
-        odd, v = _odd_sides(faces, num)
-    n = len(num)
+    While the constructors' record describes ``t`` (see ``_record``), only
+    row 0's faces, the first 4 cols, are counted: they are the faces of the
+    one-row window made as ``t`` was (diagonals change no face), and with
+    its counts chi_1 and beta_1 the window has rows * chi_1 - (rows - 1) and
+    rows * beta_1 - (rows - 1).  Proof: row strip k of ``t`` is that window
+    with its rows renumbered (see ``certify_vertical_minimizing``), and
+    strips k and k + 1 meet in row line k + 1 alone: an arc, chi = 1, on the
+    outer boundary circle of each.  Join the strips in order.  By
+    chi(A u B) = chi(A) + chi(B) - chi(A n B) (Hatcher, Algebraic Topology,
+    2.2) each join subtracts 1 from chi.  Each also merges two boundary
+    circles into one: the arc's sides, on one face in each strip, lie on two
+    faces and on no boundary after it, the rest of the two circles joins at
+    the arc's ends, and the next row line lies on the merged circle.
+
+    Any other complex first builds its index, so a bad length or edge key is
+    refused as every query refuses it, and then counts all its faces."""
+    if _record(t):
+        faces, strips = t.faces[:4 * t.cols], t.rows  # row 0's
+    else:
+        t._graph()
+        faces, strips = t.faces, 1
+    odd, n = _odd_sides(faces)
     parent, merges = list(range(n)), 0
     ends = {x for k in odd for x in divmod(k, n)}
     for k in odd:
@@ -238,7 +223,8 @@ def _topology(t: TiledComplex) -> tuple:
             parent[i] = j
             merges += 1
     # V - E + F, with E = (5 F + odd sides) / 2 edges (see above)
-    return v - (5 * len(faces) + len(odd)) // 2 + len(faces), len(ends) - merges
+    chi = n - (5 * len(faces) + len(odd)) // 2 + len(faces)
+    return strips * chi - (strips - 1), strips * (len(ends) - merges) - (strips - 1)
 
 
 def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
@@ -253,16 +239,16 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
     and edges, listed in sorted order as the index's ids: corners row by
     row, hole corners cell by cell (E < N < S < W), then the horizontal and
     the vertical midpoints.  The list heads the record left on the edge
-    map, with the faces as a tuple, the pentagon, rows and cols; the lengths
-    are the pentagon's, which ``solve_pentagon`` makes positive and finite,
-    so none is checked.
+    map, with the window's faces tuple, the pentagon, rows and cols; the
+    lengths are the pentagon's, which ``solve_pentagon`` makes positive and
+    finite, so none is checked.
     """
     check_int("rows", rows, 1)
     check_int("cols", cols, 1)
     p = solve_pentagon(b)
     pb, pa, pc = p.b, p.a, p.c
     t = TiledComplex(pentagon=p, rows=rows, cols=cols)
-    faces = t.faces
+    faces = []
     corner = [[("C", r, c) for c in range(cols + 1)] for r in range(rows + 1)]
     hmid = [[("HM", r, c) for c in range(cols)] for r in range(rows + 1)]
     vmid = [[("VM", r, c) for c in range(cols + 1)] for r in range(rows)]
@@ -290,8 +276,9 @@ def build_grid(b: float, rows: int, cols: int) -> TiledComplex:
                 edges[c10, h1] = edges[c11, h1] = pb
         edges[top[cols], vm[cols]] = edges[bottom[cols], vm[cols]] = pb
         dict.update(t.edges, edges)
+    t.faces = faces = tuple(faces)
     t.edges._made = ([v for row in corner for v in row] + holes + [v for row in hmid + vmid for v in row],
-                     tuple(faces), p, rows, cols)
+                     faces, p, rows, cols)
     return t
 
 
@@ -315,12 +302,12 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
     Only the edges at a glued-away hole corner are rewritten in the copied
     edge map, each checked as ``add_edge`` checks it.  Gluing pairs holes
     within a row, the same columns in every row, so each row strip is the
-    one-row window glued the same way.  While the edge map's record still
-    describes ``t`` (see ``_record``), the copy's record is that record with
-    the glued-away hole corners left out, the glued faces and the step (see
-    ``certify_vertical_minimizing``); any other complex gives a copy
-    without one.
+    one-row window glued the same way.  While the record describes ``t``
+    (see ``_record``), the copy's record is that record with the glued-away
+    hole corners left out, the copy's faces tuple and the step; any other
+    complex gives a copy without one.
     """
+    check_record("complex", t, TiledComplex)
     rep, pairs = {}, []
     for r in range(t.rows):
         for c in range(0, t.cols - 1, 2):
@@ -336,22 +323,28 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
             dict.pop(edges, key)
             u, v = canon(u, u), canon(v, v)
             _merge(edges, (u, v) if u <= v else (v, u), w)
-    faces = [(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
-             for a, b, c, d, e in t.faces]
+    faces = tuple([(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
+                   for a, b, c, d, e in t.faces])
     made = _record(t)
     if made:
-        edges._made = ([v for v in made[0] if v not in rep], tuple(faces), *made[2:], "glue_to_Rb")
+        edges._made = ([v for v in made[0] if v not in rep], faces, *made[2:], "glue_to_Rb")
     return replace(t, edges=edges, faces=faces, glued_pairs=tuple(pairs))
 
 
 def _record(t: TiledComplex):
-    """The record on ``t.edges`` while it still describes ``t``, its faces,
-    pentagon, rows and cols being the complex's, else None.  The steps
-    write from these fields (the diagonals from the pentagon, the glued
-    pairs from rows and cols, both over the faces), so only then is the
-    window they make the record's with their step added."""
+    """The constructors' record on ``t.edges`` while it describes ``t``,
+    else None: the one rule that every reader of the record asks.  It
+    describes ``t`` while the map is unwritten since the record was set
+    (any write drops it), ``t.faces`` is the record's faces tuple itself,
+    and ``t``'s pentagon, rows and cols are the record's.  Then ``t`` is the
+    window the constructors made: its edges are those that
+    ``_tiled_graph._numbered`` numbers from the record, each row strip is,
+    rows renumbered, the one-row window that it numbers, and the steps,
+    which write from these fields, make the record's window with their step
+    added.  A tuple cannot be edited in place, so a window with edited faces
+    is a copy with another faces object, and the test is O(1)."""
     made = t.edges._made
-    return made if made and made[1:5] == (tuple(t.faces), t.pentagon, t.rows, t.cols) else None
+    return made if made and made[1] is t.faces and made[2:5] == (t.pentagon, t.rows, t.cols) else None
 
 
 def _merge(edges: _EdgeMap, key, length: float) -> None:
@@ -368,6 +361,7 @@ def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
     """Exact shortest-path distances from the source set; stops early when
     all targets are settled if a non-empty target set is given.  Sources or
     targets that are no iterable of vertex ids raise ``InconsistentInput``."""
+    check_record("complex", t, TiledComplex)
     g = t._graph()
     # a target missing from the complex is never settled (-1 is no vertex),
     # so the search then runs to the end
@@ -382,6 +376,7 @@ def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
 
 def discrete_distance(t: TiledComplex, x, y) -> float:
     """Shortest edge-path length between two corners of the complex."""
+    check_record("complex", t, TiledComplex)
     g = t._graph()
     i, j = g.vertex(x), g.pos.get(y)
     d = None if j is None else _distances(g.adj, [i], [j])[j]
@@ -419,10 +414,8 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     r0 has length >= 2nb.  Both hold to within CERT_TOL.  Corners stay one
     row inside the window boundary (safety margin).
 
-    Strips: in a window that ``build_grid``, ``add_diagonals`` or
-    ``glue_to_Rb`` made, unwritten since, whose pentagon, rows and cols are
-    still those the constructors recorded on ``edges`` (``_made``, which any
-    write drops), every edge lies in one closed cell and gluing pairs holes
+    Strips: in a window that the constructors' record describes (see
+    ``_record``), every edge lies in one closed cell and gluing pairs holes
     within a row, so each row line separates the rows above it from those
     below.  Cut a path from line r0 + n to line r0 at its first visit to
     each line between.  The piece from line k + 1 to line k stays, after its
@@ -458,6 +451,7 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
     Otherwise, or when that test fails, the distance is the full search's
     and (2) the line search's over the span, from line r0 + n.
     """
+    check_record("complex", t, TiledComplex)
     check_int("row separation", n, 1)
     if n > t.rows - 2:
         raise ScaleTooLarge(f"window with {t.rows} rows is too short for n={n} plus margin")
@@ -480,13 +474,14 @@ def certify_vertical_minimizing(t: TiledComplex, n: int) -> VerticalCertificate:
 
 def _strip_distance(t) -> float:
     """A lower bound on every row strip's line-to-line distance of ``t``:
-    if its pentagon, rows and cols are those recorded on ``t.edges``, the
-    distance of the one-row window made as ``t`` was, numbered from the
-    record's cols and steps, cached there; for any other window -inf, which
-    no strip test passes."""
-    edges, made = t.edges, t.edges._made
-    if not made or made[2:5] != (t.pentagon, t.rows, t.cols):
+    while the record describes ``t`` (see ``_record``), the distance of the
+    one-row window made as ``t`` was, numbered from the record's cols and
+    steps, cached on the map; for any other window -inf, which no strip test
+    passes."""
+    made = _record(t)
+    if not made:
         return -math.inf
+    edges = t.edges
     if edges._strip is None:
         edges._strip = _strip_line_distance(t.pentagon, t.cols, made[5:])
     return edges._strip
@@ -503,9 +498,12 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
     The diagonals go straight into a copy of ``t.edges``, checked as
     ``add_edge`` checks, each length once; every face gets the same five
     lengths, so each row strip is the one-row window refined the same way.
-    While the edge map's record still describes ``t`` (see ``_record``), the
-    step is added to the copy's record (see ``certify_vertical_minimizing``);
-    any other complex gives a copy without one."""
+    Diagonals join corners of one face, so the vertices and faces stay the
+    same: the copy keeps ``t``'s faces, as a tuple (the same tuple when they
+    are one), and while the record describes ``t`` (see ``_record``) the step
+    is added to the copy's record; any other complex gives a copy without
+    one."""
+    check_record("complex", t, TiledComplex)
     diag = [(i, (i + 2) % 5, length) for i, length in enumerate(_diagonals(t.pentagon))]
     for _, _, length in diag:
         check_number("edge length", length)
@@ -516,9 +514,8 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
             key = (u, v) if u <= v else (v, u)
             if put(edges, key, length) is not length:  # the key was there
                 _merge(edges, key, length)
-    # diagonals join corners of one face, so the vertices and faces stay the same
     made = _record(t)
     if made:
         edges._made = (*made, "add_diagonals")
-    return replace(t, edges=edges, faces=list(t.faces), refined=True)
+    return replace(t, edges=edges, faces=tuple(t.faces), refined=True)
 

@@ -77,13 +77,14 @@ def oracle_build_grid(b: float, rows: int, cols: int) -> TiledComplex:
         raise NonPositiveSize(f"window must be at least 1x1, got {rows}x{cols}")
     p = solve_pentagon(b)
     side_lengths = (p.b, p.b, p.a, p.c, p.a)
-    t = TiledComplex(pentagon=p, rows=rows, cols=cols)
+    t, faces = TiledComplex(pentagon=p, rows=rows, cols=cols), []
     for r in range(rows):
         for c in range(cols):
             for face in _cell_faces(r, c):
-                t.faces.append(face)
+                faces.append(face)
                 for i in range(5):
                     _oracle_add_edge(t, face[i], face[(i + 1) % 5], side_lengths[i])
+    t.faces = tuple(faces)
     return t
 
 

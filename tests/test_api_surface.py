@@ -39,7 +39,8 @@ KEEP = {
         "key given from outside; the library stores its own keys' graphs "
         "without the checks, and the pants tests compare the two",
     "tiled_surface.TiledComplex.add_edge": "the checked way to add an edge to a "
-        "built complex, and the one edit that drops its graph index; the "
+        "complex: it refuses a length that disagrees with the one already "
+        "there, which a write straight into the edge map overwrites; the "
         "constructors write their edge maps in bulk",
 }
 

@@ -320,6 +320,22 @@ class TestExitCodes:
         assert data["error"] == "NumericalInstability"
         assert "fellow-traveling constant" in data["message"]
 
+    def test_bounds_area_window_that_is_not_finite_is_named(self):
+        code, text = run(["bounds", "--k", "1e300", "--l", "1e10", "--inj-radius", "1", "--r", "1"])
+        assert code == EXIT_DOMAIN
+        data = json.loads(text, parse_constant=pytest.fail)
+        assert data["error"] == "NumericalInstability"
+        assert "area-window bound is not finite" in data["message"]
+
+    @pytest.mark.parametrize("deck, message", [
+        ("infinite:3", "infinite deck needs end count 1, 2, or many"),
+        ("bogus", "deck must be finite:N or infinite:1|2|many, got 'bogus'"),
+    ])
+    def test_classify_bad_deck_is_usage_error(self, deck, message):
+        code, text = run(["classify", "--base-genus", "2", "--deck", deck])
+        assert code == EXIT_USAGE
+        assert json.loads(text, parse_constant=pytest.fail)["message"] == message
+
     @pytest.mark.parametrize("sweep", ["k=1:1e9:1e-9", "k=1:20000:1", "k=1:inf:1",
                                        "l=-inf:1:1", "k=1:2:inf", "k=1:2:nan", "k=1:x:1"])
     def test_sweep_out_of_range_is_usage_error(self, sweep):

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypladder.errors import (
@@ -101,11 +101,18 @@ class TestNormalizeAngle:
         assert not isinstance(info.value, TypeError)
 
     @given(st.floats(min_value=-100.0, max_value=100.0))
+    @example(-8186.9904552550015)  # the fold rounds to -9.1e-13: one turn less, 2*pi - 9.1e-13
+    @example(-5e-324)  # below 0, and 2*pi added to it rounds to 2*pi: (0.0, 0)
     @settings(max_examples=80, deadline=None)
     def test_range_and_congruence(self, theta):
         folded, turns = normalize_angle(theta)
         assert 0.0 <= folded < 2.0 * math.pi
         assert folded + turns * 2.0 * math.pi == pytest.approx(theta, abs=1e-9)
+
+    @pytest.mark.parametrize("theta, want", [(-8186.9904552550015, (6.283185307178677, -1304)),
+                                             (-5e-324, (0.0, 0))])
+    def test_fold_guards(self, theta, want):
+        assert normalize_angle(theta) == want
 
 
 class TestBuildLadderFN:

@@ -108,6 +108,11 @@ class TestParams:
             report(params)
         assert not isinstance(info.value, AttributeError)
 
+    def test_area_window_that_is_not_finite_is_refused(self):
+        # every constant is finite, but the area-window bound is not
+        with pytest.raises(NumericalInstability, match="area-window bound is not finite"):
+            report(QCHParams(K=1e300, L=1e10, m_inj=1.0, R=1.0))
+
     def test_overflowing_default_R_is_refused(self):
         # an explicit R=inf is refused, so a default R that overflows is too
         with pytest.raises(NumericalInstability):

@@ -383,6 +383,18 @@ INVALID += [
 ]
 
 
+# cuff labels that are not three, and a complex that is no TiledComplex
+_TILED_CALLS = [(ts.certify_vertical_minimizing, (1,)), (ts.dijkstra, ([("C", 1, 1)],)),
+                (ts.discrete_distance, (("C", 1, 1), ("C", 2, 1))), (ts.add_diagonals, ()),
+                (ts.glue_to_Rb, ())]
+INVALID += [
+    *[(fnm.pants_holonomy, (v, (1.0, 1.0, 1.0)), InconsistentInput, f"cuff labels must be three, got {v!r}")
+      for v in (["a"], "xyzw", ())],
+    *[(call, (v, *rest), InconsistentInput, f"complex must be TiledComplex, got {v!r}")
+      for call, rest in _TILED_CALLS for v in (None, "x")],
+]
+
+
 def test_closed_bounds_take_their_bound():
     # K >= 1 and R >= 0 are closed: the bound itself, as an int or a float,
     # is a dilatation or a fellow-traveling constant

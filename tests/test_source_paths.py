@@ -17,10 +17,10 @@ not, is the one Dijkstra loop of ``_tiled_graph._distances``, so no other
 function pops a heap.  Every graph search of ``pants_graph`` (bridges, the
 walk over elementary moves, the modular graph's distances) is the
 breadth-first search of ``_bfs_dists``, so no other function there loops
-over a frontier.  ``tiled_surface`` counts its topology on the graph
-index's vertex numbers, so no function there or in its integer layer
-``_tiled_graph`` calls ``.vertices()``, and neither defines a nested
-function, so its union-find is no closure.  No module
+over a frontier.  ``tiled_surface`` counts its topology on the face
+vertices, numbered by first appearance, so no function there or in its
+integer layer ``_tiled_graph`` calls ``.vertices()``, and neither defines a
+nested function, so its union-find is no closure.  No module
 has more than 4,096 parser tokens (``tokenize``'s count without comments,
 ``NL`` and ``ENCODING``), where the parser's token array doubles and every
 CLI child pays for it in memory when it compiles the module.  The rule
@@ -41,9 +41,8 @@ index, built at its first distance query, is numbered from the record too,
 reading no edge of the map.  Any other window takes the full path: the
 full corner-to-corner search and the line search over the whole span.  The
 last tests pin both, by recording the searches certificates make and the
-index builds after them.  A built window's topology comes from the same
-one-row window, made by the constructors: ``genus()`` indexes no window,
-numbers none of more than one row, and scans the faces of one row only.
+index builds after them.  A built window's topology counts row 0's faces
+alone: ``genus()`` calls no constructor, numbers no window and indexes none.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
@@ -360,18 +359,20 @@ def test_replace_copy_with_a_row_line_crossing_edge_takes_the_full_path(certific
 
 @pytest.mark.parametrize("variant", [*BUILT, "refined-glued"])
 def test_built_windows_count_their_topology_on_one_strip(variant, monkeypatch):
-    # genus() of a built window indexes no window and numbers none of more
-    # than one row: the parity scan reads the faces of one row, the one-row
-    # window's, whose index the record numbers
+    # genus() of a built window calls no constructor, numbers no window and
+    # indexes none: the parity count reads row 0's faces, 4 cols of them
     make = BUILT.get(variant, lambda t: glue_to_Rb(add_diagonals(t)))
     t = make(build_grid(1.3, 9, 7))
-    numbered, odd_sides = tiled_surface._numbered, tiled_surface._odd_sides
-    rows, faces_read = [], []
-    monkeypatch.setattr(tiled_surface, "_index_graph", _UnreadMap._refused)
-    monkeypatch.setattr(tiled_surface, "_numbered",
-                        lambda p, r, c, steps: rows.append(r) or numbered(p, r, c, steps))
+    odd_sides, faces_read = tiled_surface._odd_sides, []
+
+    def refused(*args):
+        raise AssertionError("the topology built, numbered or indexed a window")
+
+    for name in ("build_grid", "add_diagonals", "glue_to_Rb", "_numbered", "_index_graph"):
+        monkeypatch.setattr(tiled_surface, name, refused)
     monkeypatch.setattr(tiled_surface, "_odd_sides",
-                        lambda faces, num: faces_read.append(len(faces)) or odd_sides(faces, num))
-    assert t.genus() == (0 if "glued" not in variant else 9 * 3)
-    assert rows == [1] and faces_read == [4 * 7]
+                        lambda faces: faces_read.append(len(faces)) or odd_sides(faces))
+    chi, boundary, genus = t.euler_characteristic(), t.boundary_component_count(), t.genus()
+    assert genus == (0 if "glued" not in variant else 9 * 3) and chi + boundary == 2 - 2 * genus
+    assert faces_read == [4 * 7] * 3
     assert t.edges._index is None

@@ -989,7 +989,7 @@ def _library_topology(t) -> tuple:
 
 class TestTopologyMatchesOracle:
     # the oracle counts on vertex tuples and reads the public fields alone;
-    # the library counts on the graph index's vertex numbers
+    # the library numbers the face vertices by first appearance
 
     @given(rows=st.integers(1, 8), cols=st.integers(1, 8),
            kind=st.sampled_from(sorted(WINDOW_KINDS)))
@@ -1436,12 +1436,21 @@ def test_numbered_window_is_the_plain_dict_index(variant, rows, cols, b):
 
 # a face whose diagonal C(1,1)-C(3,1) crosses row line 2
 _CROSSING_FACE = (("C", 1, 1), ("HM", 1, 1), ("C", 3, 1), ("HM", 3, 1), ("C", 2, 2))
+# faces tuple -> the edited faces tuple
 FACE_EDITS = {
-    "appended": lambda faces: faces.append(_CROSSING_FACE),
-    "replaced": lambda faces: faces.__setitem__(13, _CROSSING_FACE),
-    "removed": lambda faces: faces.pop(13),
-    "new-vertices": lambda faces: faces.append((("C", 1, 1), ("X", 0), ("C", 3, 1), ("X", 1), ("X", 2))),
+    "appended": lambda faces: (*faces, _CROSSING_FACE),
+    "replaced": lambda faces: (*faces[:13], _CROSSING_FACE, *faces[14:]),
+    "removed": lambda faces: faces[:13] + faces[14:],
+    "new-vertices": lambda faces: (*faces, (("C", 1, 1), ("X", 0), ("C", 3, 1), ("X", 1), ("X", 2))),
 }
+
+
+def _edited(t, edit):
+    """A ``dataclasses.replace`` copy of ``t`` with its faces edited: a
+    window's faces are a tuple, so this is how they are edited."""
+    return dataclasses.replace(t, faces=FACE_EDITS[edit](t.faces))
+
+
 AFTER_EDIT = {
     "refined": add_diagonals,
     "glued": glue_to_Rb,
@@ -1451,16 +1460,21 @@ AFTER_EDIT = {
 
 
 class TestFacesUnderTheRecord:
-    # the record keeps the constructors' faces, and add_diagonals and
-    # glue_to_Rb extend it only while a window's faces are still those: a
-    # hand edit of faces costs the next window its record, so it takes the
-    # full path on its own edge map and answers as its plain-dict copy does
+    # the record holds the constructors' faces tuple, and add_diagonals and
+    # glue_to_Rb extend it only while a window's faces are that tuple: a
+    # copy with edited faces costs the next window its record, so it takes
+    # the full path on its own edge map and answers as its plain-dict copy
+    # does
+
+    def test_constructors_return_their_faces_as_the_record_holds_them(self):
+        for make in _CONSTRUCTIONS.values():
+            t = make(build_grid(1.2, 5, 3))
+            assert type(t.faces) is tuple and t.edges._made[1] is t.faces
 
     @pytest.mark.parametrize("steps", AFTER_EDIT)
     @pytest.mark.parametrize("edit", FACE_EDITS)
     def test_edited_faces_answer_as_the_plain_dict_copy(self, edit, steps, oracle_certificate):
-        t = build_grid(1.2, 5, 3)
-        FACE_EDITS[edit](t.faces)
+        t = _edited(build_grid(1.2, 5, 3), edit)
         u = AFTER_EDIT[steps](t)
         assert u.edges._made is None
         plain = dataclasses.replace(u, edges=dict(u.edges))
@@ -1477,48 +1491,50 @@ class TestFacesUnderTheRecord:
     def test_appended_face_across_a_row_line(self):
         # an appended face's diagonal joins C(1,1) and C(3,1) across row
         # line 2: 1.856 apart, so no span over line 2 is minimizing
-        t = build_grid(1.2, 5, 3)
-        t.faces.append(_CROSSING_FACE)
-        u = add_diagonals(t)
+        u = add_diagonals(_edited(build_grid(1.2, 5, 3), "appended"))
         d = discrete_distance(u, ("C", 1, 1), ("C", 3, 1))
         assert d == pytest.approx(1.856, abs=1e-3) and d < 4.8
         assert not certify_vertical_minimizing(u, 2).passes
 
     @pytest.mark.parametrize("steps", AFTER_EDIT)
     def test_unedited_faces_keep_the_record(self, steps):
-        # a face list copied, or a face replaced by an equal tuple, is still
-        # the constructors' faces
+        # the record holds the faces tuple itself: a copy that keeps it (a
+        # tuple of a tuple is that tuple) keeps the record; an equal list is
+        # another object, so the next window has no record and the same
+        # topology
         t = build_grid(1.2, 5, 3)
-        t.faces = list(t.faces)
-        t.faces[13] = tuple(t.faces[13])
-        assert AFTER_EDIT[steps](t).edges._made is not None
+        assert AFTER_EDIT[steps](dataclasses.replace(t, faces=tuple(t.faces))).edges._made is not None
+        u = AFTER_EDIT[steps](dataclasses.replace(t, faces=list(t.faces)))
+        assert u.edges._made is None
+        assert _library_topology(u) == _library_topology(AFTER_EDIT[steps](t))
 
     def test_edit_after_a_step_drops_the_next(self):
         u = glue_to_Rb(build_grid(1.2, 5, 4))
-        u.faces.pop()
-        assert u.edges._made is not None  # its own edges are still the constructors'
-        assert add_diagonals(u).edges._made is None
+        v = dataclasses.replace(u, faces=u.faces[:-1])
+        assert v.edges._made is not None  # the shared map's edges are still the constructors'
+        assert tiled_surface._record(v) is None and tiled_surface._record(u) is not None
+        assert add_diagonals(v).edges._made is None
 
 
 def _general_topology(t, monkeypatch) -> tuple:
     """``_library_topology(t)``, asserting that it counts on ``t``'s own
     faces: every ``_odd_sides`` call reads all of them, and no constructor
-    replays a strip."""
+    is called."""
     faces_read = []
     odd_sides = tiled_surface._odd_sides
     with monkeypatch.context() as mp:
-        mp.setattr(tiled_surface, "_odd_sides", lambda faces, num: faces_read.append(len(faces))
-                   or odd_sides(faces, num))
-        mp.setattr(tiled_surface, "build_grid", mock.Mock(side_effect=AssertionError("a strip was built")))
+        mp.setattr(tiled_surface, "_odd_sides", lambda faces: faces_read.append(len(faces))
+                   or odd_sides(faces))
+        mp.setattr(tiled_surface, "build_grid", mock.Mock(side_effect=AssertionError("a window was built")))
         got = _library_topology(t)
     assert faces_read and set(faces_read) == {len(t.faces)}
     return got
 
 
 class TestTopologyFromTheStrip:
-    # a built window's chi and boundary count come from its one-row window:
-    # rows * chi_1 - (rows - 1) and rows * beta_1 - (rows - 1); any other
-    # window is counted on its own faces
+    # a built window's chi and boundary count come from row 0's faces, those
+    # of its one-row window: rows * chi_1 - (rows - 1) and
+    # rows * beta_1 - (rows - 1); any other window is counted on all its faces
 
     @pytest.mark.parametrize("rows", range(1, 10))
     @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
@@ -1528,21 +1544,20 @@ class TestTopologyFromTheStrip:
             assert t.edges._made is not None
             want = _general_topology(dataclasses.replace(t, edges=dict(t.edges)), monkeypatch)
             assert _library_topology(t) == want == oracle_topology(t)
-            if rows > 1:
-                assert t.edges._index is None  # the window was not indexed
+            assert t.edges._index is None  # the window was not indexed
 
     @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
     @pytest.mark.parametrize("edit", FACE_EDITS)
     def test_edited_faces_take_the_general_path(self, edit, kind, oracle_topology, monkeypatch):
-        # an edit of faces before the steps, or after them, leaves the edge
-        # map's record in place but no longer describing the complex
+        # an edit of faces before the steps leaves no record; after them, the
+        # copy shares the edge map and its record, which no longer describes it
         for edited_first in (True, False):
             t = build_grid(1.2, 5, 3)
             if edited_first:
-                FACE_EDITS[edit](t.faces)
+                t = _edited(t, edit)
             u = WINDOW_KINDS[kind](t)
             if not edited_first:
-                FACE_EDITS[edit](u.faces)
+                u = _edited(u, edit)
             plain = dataclasses.replace(u, edges=dict(u.edges))
             assert _general_topology(u, monkeypatch) == _general_topology(plain, monkeypatch)
             assert _library_topology(u) == oracle_topology(u)
@@ -1574,7 +1589,7 @@ class TestMalformedInput:
     ])
     def test_face_that_is_no_pentagon(self, face):
         t = build_grid(1.2, 2, 2)
-        t.faces.append(face)
+        t = dataclasses.replace(t, faces=(*t.faces, face))
         for query in (t.genus, t.euler_characteristic, t.boundary_component_count):
             with pytest.raises(InconsistentInput, match="faces must be 5-tuples") as info:
                 query()

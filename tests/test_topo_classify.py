@@ -174,6 +174,11 @@ class TestQchAdmissible:
                 assert not ok
                 assert "finite genus" in reason
 
+    def test_infinite_genus_with_planar_ends_rejected(self):
+        # infinite genus whose two ends are planar is no regular-cover type
+        ok, reason = qch_admissible(SurfaceType(math.inf, Ends.TWO, "none"))
+        assert (ok, reason) == (False, "does not match any regular-cover type")
+
     def test_unlisted_planar_type_rejected(self):
         # genus 0 with two ends is the punctured plane and is admissible,
         # but we can still probe the fall-through with a decorated mismatch
