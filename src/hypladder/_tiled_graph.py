@@ -5,7 +5,10 @@ A window that ``build_grid``, ``add_diagonals`` or ``glue_to_Rb`` made is
 fully described by their record: the pentagon, rows, cols and steps.
 ``_numbered`` writes its adjacency from those alone, in the vertex order of
 the record's sorted vertex list, with no vertex tuple made or looked up;
-``_index_graph`` indexes any other edge map from its keys.
+``_index_graph`` indexes any other edge map from its keys.  ``_distances``
+is the one Dijkstra loop; a corner-to-corner query on such a window passes
+it a bound from the row strips, which skips each push that no shortest path
+needs and leaves the target's float as it was.
 """
 
 from __future__ import annotations
@@ -25,15 +28,18 @@ class _GraphIndex(_Record):
     no tuple is made per edge.  Only distance queries, and the topology of a
     window that the constructors' record does not describe, build an index
     of a window: from its edge map (see ``_index_graph``), or, for a window
-    the record describes, from the record (see ``_numbered``).
-    A record on ``errors._Record``, so making the class at import costs no
-    generated code.
+    the record describes, from the record (see ``_numbered``); such an
+    index also holds bands[i], vertex i's band, 2r on row line r and
+    2r + 1 inside row strip r, which bounds its corner searches (see
+    ``tiled_surface.discrete_distance``), and any other None.  A record on
+    ``errors._Record``, so making the class at import costs no generated
+    code.
     """
 
-    __slots__ = ("ids", "pos", "adj")
+    __slots__ = ("ids", "pos", "adj", "bands")
 
-    def __init__(self, ids: list, pos: dict, adj: list):
-        self._set_fields(ids, pos, adj)
+    def __init__(self, ids: list, pos: dict, adj: list, bands: list | None = None):
+        self._set_fields(ids, pos, adj, bands)
 
     def vertex(self, v) -> int:
         i = self.pos.get(v)
@@ -178,7 +184,7 @@ def _numbered(p, rows: int, cols: int, steps) -> tuple:
     return nums, adj
 
 
-def _distances(adj: list, sources, targets=(), first=False) -> list:
+def _distances(adj: list, sources, targets=(), first=False, bound=None) -> list:
     """Dijkstra on a flat adjacency (see ``_GraphIndex``): dist[i] for every
     settled vertex i, None elsewhere.  With a non-empty target set, stops
     once all targets are settled, or with ``first`` once one is; an empty
@@ -189,9 +195,17 @@ def _distances(adj: list, sources, targets=(), first=False) -> list:
     never does); an entry it improved on stays in the heap and is skipped
     when popped.  Vertices settle in (d, i) order, so the settled set at an
     early stop is the same as with a push per edge, and the distances do
-    not depend on the order of the entries of adj[i]."""
+    not depend on the order of the entries of adj[i].
+
+    A ``bound`` (bands, lower, cap) also skips a push of w at nd when
+    nd + lower[bands[w]] > cap: lower[bands[w]] bounds the rest of any path
+    from w to the target below, cap its distance above.  The test is
+    monotone in nd, so a skipped push is never needed at a larger nd;
+    ``tiled_surface.discrete_distance`` proves that its bound leaves the
+    target's float unchanged."""
     dist = [None] * len(adj)
     best = [math.inf] * len(adj)
+    bands, lower, cap = bound or (None, None, None)
     for s in sources:
         best[s] = 0.0
     heap = [(0.0, s) for s in sources]
@@ -210,7 +224,7 @@ def _distances(adj: list, sources, targets=(), first=False) -> list:
         it = iter(adj[v])
         for w, length in zip(it, it):
             nd = d + length
-            if nd < best[w]:
+            if nd < best[w] and (bands is None or nd + lower[bands[w]] <= cap):
                 best[w] = nd
                 heappush(heap, (nd, w))
     return dist

@@ -30,6 +30,12 @@ none up.  One function, ``_record``, decides whether the record still
 describes a complex; the map drops it on any write, so distances,
 certificates and the topology see every edit, and the index checks each
 length of any other window once (see ``TiledComplex``).
+
+The same cut bounds a distance between two corners of such a window: a
+vertex still has the strip distance to cover per whole row strip between
+it and the target's row line, and the lattice path bounds the distance
+above, so the search skips each push that no shortest path needs, with
+every float unchanged (see ``discrete_distance``).
 """
 
 from __future__ import annotations
@@ -133,9 +139,10 @@ class TiledComplex:
         edges = self.edges
         if edges._index is None:
             made = _record(self)
-            if made:
-                nums, adj = _numbered(*made[2:5], made[5:])
-                edges._index = _GraphIndex(made[0], dict(zip(made[0], nums)), adj)
+            if made:  # each vertex's band (see ``discrete_distance``) from its id
+                ids, (nums, adj) = made[0], _numbered(*made[2:5], made[5:])
+                edges._index = _GraphIndex(ids, dict(zip(ids, nums)), adj,
+                                           [2 * v[1] + (v[0] in ("H", "VM")) for v in ids])
             else:
                 edges._index = _index_graph(edges)
         return edges._index
@@ -323,8 +330,11 @@ def glue_to_Rb(t: TiledComplex) -> TiledComplex:
             dict.pop(edges, key)
             u, v = canon(u, u), canon(v, v)
             _merge(edges, (u, v) if u <= v else (v, u), w)
-    faces = tuple([(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
-                   for a, b, c, d, e in t.faces])
+    try:
+        faces = tuple([(canon(a, a), canon(b, b), canon(c, c), canon(d, d), canon(e, e))
+                       for a, b, c, d, e in t.faces])
+    except (TypeError, ValueError) as exc:  # a face that is no 5-tuple of ids
+        raise InconsistentInput(f"faces must be 5-tuples of vertex ids: {exc}") from None
     made = _record(t)
     if made:
         edges._made = ([v for v in made[0] if v not in rep], faces, *made[2:], "glue_to_Rb")
@@ -375,11 +385,54 @@ def dijkstra(t: TiledComplex, sources, targets=None) -> dict:
 
 
 def discrete_distance(t: TiledComplex, x, y) -> float:
-    """Shortest edge-path length between two corners of the complex."""
+    """Shortest edge-path length between two vertices of the complex, of
+    any ids; an id that is no dict key raises ``InconsistentInput``.
+
+    Between two corners ("C", r, c) of a window that the constructors'
+    record describes (see ``_record``) the search is bounded.  Let R be y's
+    row line, s the strip distance (see ``_strip_distance``), V the vertex
+    count, u = 2^-53, gamma_V = Vu / (1 - Vu) and e = 4 gamma_V.  A vertex
+    on row line r has band 2r, one inside row strip r band 2r + 1, and a
+    path from it to line R crosses at least k = |2R - band| // 2 whole
+    strips (cut as in ``certify_vertical_minimizing``), each at least S, the
+    exact strip distance.  The lattice path, down x's column and along line
+    R, has 2(|dr| + |dc|) sides of length b, whose exact sum L bounds the
+    distance above.  A push of w at nd is skipped when
+    nd + s (1 - e) k(w) > cap = L (1 + e).
+
+    Proof that y settles at the unbounded search's float.  Lengths are
+    positive and rounding is monotone, so the unbounded search settles each
+    vertex at the least float prefix sum F(Q) over the paths Q to it.  The
+    bounded one settles y at F of one of them, so at no less, and at no
+    more if every vertex v of the unbounded search's path P to y passes the
+    test, which is monotone in nd.  P is simple, with fewer than V edges,
+    so (Higham 4.2) F(P_v), of P up to v, is at most 1 + gamma_V times its
+    exact length and F(P) at least 1 - gamma_V times P's; the rest of P is
+    at least k(v) S; and s <= (1 + gamma_V) S, being at most the float sum
+    of an exact shortest line-to-line path, which has fewer edges than a
+    strip has vertices.  The three roundings of s (1 - e) k take less than
+    e from its deflation, so the test's sum is at most
+    (1 + u) (1 + gamma_V)^2 / (1 - gamma_V) L, F(P) being at most the
+    lattice path's float sum, itself at most (1 + gamma_V) L.  Rounded,
+    cap is at least (1 - u)^3 (1 + e (1 - 2u)) L, which is larger, as
+    V >= 12 makes gamma_V >= 12u.  Any other query, and ``dijkstra``,
+    searches unbounded."""
     check_record("complex", t, TiledComplex)
     g = t._graph()
-    i, j = g.vertex(x), g.pos.get(y)
-    d = None if j is None else _distances(g.adj, [i], [j])[j]
+    try:
+        i, j = g.vertex(x), g.pos.get(y)
+    except TypeError:  # an id that is no dict key
+        raise InconsistentInput(f"endpoints must be vertex ids, got {x!r} and {y!r}") from None
+    bound = None
+    if j is not None and g.bands is not None:  # ids of a record window: tuples
+        (kx, rx, cx, *_), (ky, ry, cy, *_) = g.ids[i], g.ids[j]
+        if kx == ky == "C" and _record(t):
+            nu = len(g.ids) * 2.0**-53
+            e = 4.0 * nu / (1.0 - nu)
+            s = _strip_distance(t) * (1.0 - e)
+            bound = (g.bands, [s * (abs(2 * ry - k) // 2) for k in range(2 * t.rows + 1)],
+                     2.0 * (abs(ry - rx) + abs(cy - cx)) * t.b * (1.0 + e))
+    d = None if j is None else _distances(g.adj, [i], [j], bound=bound)[j]
     if d is None:
         raise Unreachable(f"no edge path connects {x} and {y}")
     return d
@@ -508,12 +561,15 @@ def add_diagonals(t: TiledComplex) -> TiledComplex:
     for _, _, length in diag:
         check_number("edge length", length)
     edges, put = _EdgeMap(t.edges), dict.setdefault
-    for face in t.faces:
-        for i, j, length in diag:
-            u, v = face[i], face[j]
-            key = (u, v) if u <= v else (v, u)
-            if put(edges, key, length) is not length:  # the key was there
-                _merge(edges, key, length)
+    try:
+        for face in t.faces:
+            for i, j, length in diag:
+                u, v = face[i], face[j]
+                key = (u, v) if u <= v else (v, u)
+                if put(edges, key, length) is not length:  # the key was there
+                    _merge(edges, key, length)
+    except (IndexError, TypeError) as exc:  # a face that is no 5-tuple of ids
+        raise InconsistentInput(f"faces must be 5-tuples of vertex ids: {exc}") from None
     made = _record(t)
     if made:
         edges._made = (*made, "add_diagonals")

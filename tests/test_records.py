@@ -395,6 +395,26 @@ INVALID += [
 ]
 
 
+# unhashable endpoints, refused as dijkstra refuses them; and a copy whose
+# faces hold one that is no 5-tuple, refused by the steps as genus() refuses it
+_ENDPOINTS = "endpoints must be vertex ids, got "
+_FACES = "faces must be 5-tuples of vertex ids: "
+_BAD_FACES = {f: dataclasses.replace(_GRID, faces=(*_GRID.faces, f))
+              for f in ((("C", 0, 0), ("C", 0, 1), ("C", 1, 1), ("C", 1, 0)), 5, None)}
+INVALID += [
+    (ts.discrete_distance, (_GRID, ["C", 0, 0], ("C", 1, 0)), InconsistentInput,
+     f"{_ENDPOINTS}['C', 0, 0] and ('C', 1, 0)"),
+    (ts.discrete_distance, (_GRID, ("C", 0, 0), {}), InconsistentInput, f"{_ENDPOINTS}('C', 0, 0) and {{}}"),
+    *[(ts.add_diagonals, (t,), InconsistentInput, _FACES + message) for t, message in zip(
+        _BAD_FACES.values(), ["tuple index out of range", "'int' object is not subscriptable",
+                              "'NoneType' object is not subscriptable"])],
+    *[(ts.glue_to_Rb, (t,), InconsistentInput, _FACES + message) for t, message in zip(
+        _BAD_FACES.values(), ["not enough values to unpack (expected 5, got 4)",
+                              "cannot unpack non-iterable int object",
+                              "cannot unpack non-iterable NoneType object"])],
+]
+
+
 def test_closed_bounds_take_their_bound():
     # K >= 1 and R >= 0 are closed: the bound itself, as an int or a float,
     # is a dilatation or a fellow-traveling constant

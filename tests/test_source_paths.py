@@ -12,12 +12,13 @@ them, and ``hyp_core.py`` alone.  ``errors._rebuild`` is the one function
 that makes a record without its ``__init__`` (``_map`` makes each map
 without ``MobiusMap.__new__``'s normalization); ``pants_graph`` stores the
 graphs of its keys and dart moves through it, and ``canonical_key`` finds
-its decoration on the one partner table of its search.  Every shortest-path search, pruned or
-not, is the one Dijkstra loop of ``_tiled_graph._distances``, so no other
-function pops a heap.  Every graph search of ``pants_graph`` (bridges, the
-walk over elementary moves, the modular graph's distances) is the
-breadth-first search of ``_bfs_dists``, so no other function there loops
-over a frontier.  ``tiled_surface`` counts its topology on the face
+its decoration on the one partner table of its search.  Every
+shortest-path search, bounded by the row strips (``discrete_distance``
+between two corners of a built window) or not, is the one Dijkstra loop of
+``_tiled_graph._distances``, so no other function pops a heap.  Every
+graph search of ``pants_graph`` (bridges, the walk over elementary moves,
+the modular graph's distances) is the breadth-first search of
+``_bfs_dists``, so no other function there loops over a frontier.  ``tiled_surface`` counts its topology on the face
 vertices, numbered by first appearance, so no function there or in its
 integer layer ``_tiled_graph`` calls ``.vertices()``, and neither defines a
 nested function, so its union-find is no closure.  No module
@@ -43,12 +44,15 @@ full corner-to-corner search and the line search over the whole span.  The
 last tests pin both, by recording the searches certificates make and the
 index builds after them.  A built window's topology counts row 0's faces
 alone: ``genus()`` calls no constructor, numbers no window and indexes none.
+A same-column distance on a built window settles a few vertices per row
+crossed, where a plain-dict copy's unbounded search settles its whole ball.
 
 ``tests/conftest.py`` holds the test geometry and the holonomy oracle that
 the bit-identity tests compare the library with.  It reaches no private
 name of a hypladder module and no ``MobiusMap`` member that the library
 dropped, so it cannot share the library's arithmetic.  The tests other
-than the certificate-path and topology pins only read source files.
+than the certificate-path, topology and distance pins only read source
+files.
 """
 
 from __future__ import annotations
@@ -376,3 +380,26 @@ def test_built_windows_count_their_topology_on_one_strip(variant, monkeypatch):
     assert genus == (0 if "glued" not in variant else 9 * 3) and chi + boundary == 2 - 2 * genus
     assert faces_read == [4 * 7] * 3
     assert t.edges._index is None
+
+
+@pytest.mark.parametrize("variant", BUILT)
+def test_same_column_distance_settles_its_column(variant, monkeypatch):
+    # n rows apart on one column of a built 45 x 45 window, b = 1.3: the
+    # bounded corner search settles at most 8 vertices per row crossed, the
+    # column and what the holes and diagonals beside it offer at no extra
+    # length; a plain-dict copy, searched unbounded, settles every vertex
+    # nearer than the target: its whole ball
+    settled, search = [], tiled_surface._distances
+    monkeypatch.setattr(tiled_surface, "_distances",
+                        lambda *a, **k: settled.append(d := search(*a, **k)) or d)
+    t = BUILT[variant](build_grid(1.3, 45, 45))
+    plain = dataclasses.replace(t, edges=dict(t.edges))
+    x = ("C", 1, 22)
+    ball = sorted(tiled_surface.dijkstra(plain, [x]).values())
+    for n in (1, 5, 20, 43):
+        y = ("C", 1 + n, 22)
+        d = tiled_surface.discrete_distance(t, x, y)
+        assert tiled_surface.discrete_distance(plain, x, y).hex() == d.hex()
+        bounded, full = (sum(v is not None for v in dist) for dist in settled[-2:])
+        assert bounded <= 8 * n + 1 < full
+        assert full >= sum(v < d for v in ball)

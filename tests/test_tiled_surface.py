@@ -1644,3 +1644,90 @@ def test_workload_certificates_match_the_oracle(seed, workload_jobs, oracle_cert
             cert = certify_vertical_minimizing(t, n)
             assert cert.passes, (k, n)
             assert _hex_fields(cert) == _hex_fields(oracle_certificate(t, n, window)), (k, n)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Whether it was bounded, per search that the library runs through
+    ``tiled_surface``: ``discrete_distance`` and ``dijkstra``."""
+    calls, search = [], tiled_surface._distances
+
+    def recorded(adj, sources, targets=(), first=False, bound=None):
+        calls.append(bound is not None)
+        return search(adj, sources, targets, first, bound)
+
+    monkeypatch.setattr(tiled_surface, "_distances", recorded)
+    return calls
+
+
+class TestBoundedCornerSearch:
+    # discrete_distance between two corners of a window that the record
+    # describes skips every push that no shortest path needs (the row-strip
+    # bound proved in its docstring); every distance stays that of the
+    # unbounded search on a plain-dict copy, to the bit
+
+    @given(kind=st.sampled_from(sorted(WINDOW_KINDS)), rows=st.integers(1, 8), cols=st.integers(1, 8),
+           b=st.floats(0.9, 355.0))
+    @example(kind="glued-refined", rows=8, cols=8, b=355.0)
+    @example(kind="refined-glued", rows=8, cols=7, b=0.9)
+    @settings(max_examples=15, deadline=None)
+    def test_every_corner_pair(self, kind, rows, cols, b, oracle_window):
+        t = WINDOW_KINDS[kind](build_grid(b, rows, cols))
+        copy, _ = oracle_window(t)
+        corners = [("C", r, c) for r in range(rows + 1) for c in range(cols + 1)]
+        for x in corners:
+            want = dijkstra(copy, [x])
+            assert [discrete_distance(t, x, y).hex() for y in corners] == [want[y].hex() for y in corners]
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_KINDS))
+    def test_only_corners_of_a_record_window_are_bounded(self, kind, searches):
+        # a non-corner endpoint, a copy with other faces or rows (sharing
+        # the map and its index) and a plain-dict copy search unbounded, as
+        # does dijkstra
+        t = WINDOW_KINDS[kind](build_grid(1.3, 6, 5))
+        plain = dataclasses.replace(t, edges=dict(t.edges))
+        copies = [plain, dataclasses.replace(t, faces=t.faces[:-1]), dataclasses.replace(t, rows=5)]
+        corners = [(("C", 1, 2), ("C", 5, 2)), (("C", 0, 0), ("C", 6, 5)), (("C", 4, 5), ("C", 4, 1))]
+        others = [(("C", 2, 1), ("HM", 4, 3)), (("VM", 1, 0), ("C", 3, 3)),
+                  (("H", 2, 2, "N"), ("H", 4, 0, "S"))]
+        for x, y in corners + others:
+            want = discrete_distance(plain, x, y).hex()
+            searches.clear()
+            assert discrete_distance(t, x, y).hex() == want
+            assert searches == [(x, y) in corners]
+            searches.clear()
+            for u in copies:
+                assert discrete_distance(u, x, y).hex() == want
+            assert dijkstra(t, [x], [y])[y].hex() == want
+            assert searches == [False] * 4
+
+    def test_index_built_from_the_edge_map_is_searched_unbounded(self, searches):
+        # a copy with other faces indexes the shared map from its keys, with
+        # no bands; the window, whose record still holds, then searches that
+        # index unbounded, with the same bits
+        t, fresh = build_grid(1.3, 6, 5), build_grid(1.3, 6, 5)
+        x, y = ("C", 1, 2), ("C", 5, 4)
+        discrete_distance(dataclasses.replace(t, faces=t.faces[:-1]), x, y)
+        assert t._graph().bands is None and tiled_surface._record(t)
+        assert discrete_distance(t, x, y).hex() == discrete_distance(fresh, x, y).hex()
+        assert searches == [False, False, True]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", range(44, 54))
+    def test_workload_pairs_match_the_oracle(self, seed, workload_jobs, oracle_window, searches):
+        # the corner pairs of the seed's tiling job list, each bounded,
+        # against the full search on a plain-dict copy
+        pairs = 0
+        for k, job in enumerate(workload_jobs[seed]):
+            if job["pairs"]:
+                m = job["m"]
+                t = WINDOW_KINDS[job["kind"]](build_grid(job["b"], m, m))
+                copy, _ = oracle_window(t)
+                for (r1, c1), (r2, c2) in job["pairs"]:
+                    x, y = ("C", r1, c1), ("C", r2, c2)
+                    searches.clear()
+                    d = discrete_distance(t, x, y)
+                    assert searches == [True], (k, x, y)
+                    assert d.hex() == dijkstra(copy, [x], [y])[y].hex(), (k, x, y)
+                    pairs += 1
+        assert pairs == 4 * (3 * 15 + 3 * 2 + 1)  # four per multi job: small, medium, large
